@@ -27,7 +27,7 @@ except CapFault as fault:
 
 # Permissions only intersect, never grow.
 read_only = block.and_perms(Perm.LOAD)
-print("read-only perms:", read_only.perms)
+print("read-only perms:", Perm(read_only.perms))
 try:
     read_only.check_access(128, 8, Perm.STORE)
 except CapFault as fault:

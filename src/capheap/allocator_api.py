@@ -77,6 +77,8 @@ class Allocator(abc.ABC):
         self._traits = traits
         self._rounding = rounding_bounds
         self.region: Capability = make_root(heap.size)
+        # the permission mask every client capability is cut down to
+        self._client_perms = int(PERM_ALL & ~Perm.EXEC if traits.strips_exec else PERM_ALL)
 
     def traits(self) -> AllocatorTraits:
         return self._traits
@@ -108,16 +110,11 @@ class Allocator(abc.ABC):
     # the region capability; internal bookkeeping I/O goes straight
     # through the region capability itself.
 
-    def _client_perms(self) -> Perm:
-        if self._traits.strips_exec:
-            return PERM_ALL & ~Perm.EXEC
-        return PERM_ALL
-
     def _client_cap(self, base: int, length: int, address: int | None = None) -> Capability:
         cap = self.region.set_bounds(base, length, rounding=self._rounding)
         if address is not None and address != base:
             cap = cap.set_address(address)
-        return cap.and_perms(self._client_perms())
+        return cap.and_perms(self._client_perms)
 
     def _check_request(self, size: int) -> None:
         if not isinstance(size, int) or size < 1:

@@ -10,6 +10,11 @@ the allocators, and the attack probes all share one authority model.
 Addresses are unsigned 32-bit byte offsets.  Bounds are exact by
 default; an optional rounding mode pads large bounds to a power-of-two
 alignment to mimic representability limits of compressed encodings.
+
+``Perm`` names the permission bits, but a capability carries its mask
+as a plain ``int``: on the access-check path, ``IntFlag`` operators
+cost an order of magnitude or more over ``int`` ones.  Every operation
+accepts ``Perm`` values and ints alike.
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ class Capability(NamedTuple):
     base: int
     top: int
     address: int
-    perms: Perm
+    perms: int
 
     @property
     def length(self) -> int:
@@ -116,17 +121,19 @@ class Capability(NamedTuple):
         """Copy with the cursor moved; bounds and tag are untouched."""
         if not 0 <= address <= ADDRESS_MAX:
             raise ValueError(f"address {address} outside 32-bit range")
-        return self._replace(address=address)
+        return Capability(self.tag, self.base, self.top, address, self.perms)
 
-    def and_perms(self, mask: Perm) -> "Capability":
+    def and_perms(self, mask: int) -> "Capability":
         """Copy with permissions intersected with ``mask``."""
-        return self._replace(perms=self.perms & mask)
+        # int.__and__ directly: a Perm mask would otherwise win the
+        # operator dispatch (IntFlag.__rand__) and hand back a Perm
+        return Capability(self.tag, self.base, self.top, self.address, int.__and__(self.perms, mask))
 
     def clear_tag(self) -> "Capability":
         """Invalidated copy; idempotent."""
         return self._replace(tag=False)
 
-    def check_access(self, addr: int, length: int, need: Perm) -> None:
+    def check_access(self, addr: int, length: int, need: int) -> None:
         """Raise CapFault unless this capability authorizes an access of
         ``length`` bytes at ``addr`` with permissions ``need``.
 
@@ -137,9 +144,9 @@ class Capability(NamedTuple):
             raise ValueError("access length must be at least 1")
         if not self.tag:
             raise CapFault(FaultKind.TAG_VIOLATION, "access through untagged capability")
-        if (need & self.perms) != need:
-            missing = need & ~(need & self.perms)
-            raise CapFault(FaultKind.PERMISSION_VIOLATION, f"missing {missing!r}")
+        missing = need & ~self.perms
+        if missing:
+            raise CapFault(FaultKind.PERMISSION_VIOLATION, f"missing {Perm(missing)!r}")
         if addr < self.base or addr + length > self.top:
             raise CapFault(
                 FaultKind.BOUNDS_VIOLATION,
@@ -150,7 +157,7 @@ class Capability(NamedTuple):
         """Canonical one-line rendering, stable across runs (used by traces)."""
         return (
             f"cap(tag={int(self.tag)},base={self.base},top={self.top},"
-            f"addr={self.address},perms={self.perms.value:#04x})"
+            f"addr={self.address},perms={self.perms:#04x})"
         )
 
 
@@ -163,4 +170,4 @@ def make_root(heap_size: int) -> Capability:
         raise ValueError("heap size must be a multiple of 16")
     if heap_size > ADDRESS_MAX + 1 - 16:
         raise ValueError("heap size exceeds the 32-bit address space")
-    return Capability(True, 0, heap_size, 0, PERM_ALL)
+    return Capability(True, 0, heap_size, 0, int(PERM_ALL))

@@ -15,8 +15,12 @@ The free-list chunk header, bit-exact:
     byte  7     zero
 
 Chunks tile the managed region with no gaps: region size is exactly the
-sum of (header + payload) sizes.  Payloads therefore sit 8 bytes past a
-16-aligned chunk start; payload sizes are multiples of 16.
+sum of (header + payload) sizes.  Payload sizes are multiples of 16, so
+each chunk spans 8 modulo 16 bytes and chunk starts alternate in address
+order: the n-th chunk starts at 8*n modulo 16.  A payload sits 8 bytes
+past its chunk start, so payloads alternate the other way.  For
+example, malloc(32), malloc(16), malloc(16) on a fresh jemalloc place
+chunks at 0, 40 and 64, with payloads at 8, 48 and 72.
 
 The free list itself is kept out of band (a list of chunk offsets)
 rather than threaded through chunk payloads: freeing deliberately
@@ -36,7 +40,7 @@ from .allocator_api import (
     FreeValidation,
     round16,
 )
-from .capability import CapFault, Capability, FaultKind
+from .capability import CapFault, Capability, FaultKind, Perm
 from .tagged_memory import TaggedHeap
 
 __all__ = [
@@ -91,7 +95,7 @@ class BumpAllocator(Allocator):
         if self._traits.narrow_bounds:
             return self._client_cap(start, length)
         # whole-region capability, cursor parked at the block start
-        return self.region.and_perms(self._client_perms()).set_address(start)
+        return self.region.and_perms(self._client_perms).set_address(start)
 
     def free(self, cap: Capability) -> None:
         if not self._keeps_log:
@@ -144,7 +148,12 @@ class FreeListAllocator(Allocator):
         self._write_header(0, first_payload, _STATUS_FREE)
         self._free_list: list[int] = [0]
 
-    # header I/O goes through the region capability (engine authority)
+    # Header I/O uses the region capability (engine authority).  Writes go
+    # through heap.store so they clear granule tags.  Reads come straight
+    # from the heap bytes: the region capability is tagged, holds every
+    # permission and spans the heap, so its check can only fail on
+    # bounds.  That test stays inline; when it fails, check_access raises
+    # the fault.  heap.data is fetched per call because reset() replaces it.
 
     def _write_header(self, chunk: int, payload_size: int, status: int) -> None:
         self.heap.store(
@@ -152,8 +161,9 @@ class FreeListAllocator(Allocator):
         )
 
     def _read_header(self, chunk: int) -> tuple[int, int, int]:
-        raw = self.heap.load(self.region, chunk, CHUNK_HEADER_SIZE)
-        size, magic, status, _ = _HEADER.unpack(raw)
+        if chunk < 0 or chunk + CHUNK_HEADER_SIZE > self.heap.size:
+            self.region.check_access(chunk, CHUNK_HEADER_SIZE, Perm.LOAD)
+        size, magic, status, _ = _HEADER.unpack_from(self.heap.data, chunk)
         return size, magic, status
 
     def _client_header(self, cap: Capability) -> tuple[int, int]:
@@ -177,8 +187,13 @@ class FreeListAllocator(Allocator):
     def malloc(self, size: int) -> Capability:
         self._check_request(size)
         want = round16(size)
+        data = self.heap.data
+        last = self.heap.size - CHUNK_HEADER_SIZE
         for slot, chunk in enumerate(self._free_list):
-            payload, magic, _ = self._read_header(chunk)
+            # _read_header, inlined: this scan is the engine's hot loop
+            if chunk < 0 or chunk > last:
+                self.region.check_access(chunk, CHUNK_HEADER_SIZE, Perm.LOAD)
+            payload, magic, _, _ = _HEADER.unpack_from(data, chunk)
             assert magic == CHUNK_MAGIC, "free list points at a corrupt header"
             if payload < want:
                 continue
@@ -270,9 +285,11 @@ class SlabAllocator(Allocator):
 
     free() maps the capability's address to (slab, slot) without ever
     dereferencing through it, so narrowed capabilities are accepted.
-    Clearing an already-clear slot bit is silent; only addresses outside
-    every carved slab are invalid.  With deferred_free, frees queue up
-    and are applied when the next malloc or realloc begins.
+    Clearing an already-clear slot bit is silent.  Addresses outside
+    every carved slab, and addresses in a later slot of a live
+    multi-slot block, are invalid.  With deferred_free, frees queue up
+    and are applied when the next malloc or realloc begins; invalid ones
+    are dropped there.
     """
 
     def __init__(self, heap: TaggedHeap, traits: AllocatorTraits, *, rounding_bounds: bool = False):
@@ -335,13 +352,8 @@ class SlabAllocator(Allocator):
         it falls outside every carved slab."""
         if not 0 <= addr < self._slab_cursor:
             return None
-        idx = None
-        for i, slab in enumerate(self._slabs):
-            if slab["offset"] <= addr < slab["offset"] + SLAB_SIZE:
-                idx = i
-                break
-        if idx is None:
-            return None
+        # slabs are carved contiguously from 0, so the index is arithmetic
+        idx = addr // SLAB_SIZE
         slab = self._slabs[idx]
         slot = (addr - slab["offset"]) // slab["cls"]
         return idx, slab["offset"] + slot * slab["cls"]
@@ -354,14 +366,17 @@ class SlabAllocator(Allocator):
             return
         idx, base = mapped
         record = self._live.pop(base, None)
+        slab = self._slabs[idx]
         if record is None:
-            # re-clearing a clear bit is silent
-            slot = (base - self._slabs[idx]["offset"]) // self._slabs[idx]["cls"]
-            self._slabs[idx]["bits"][slot] = False
+            # A set bit with no record at its slot is an interior slot of
+            # a live multi-slot block: refuse rather than half-free it.
+            # Re-clearing a clear bit is silent.
+            if strict and slab["bits"][(base - slab["offset"]) // slab["cls"]]:
+                raise AllocError(AllocErrorKind.INVALID_FREE, f"{addr} is inside a live block")
             return
         _, slot, nslots, _ = record
         for s in range(slot, slot + nslots):
-            self._slabs[idx]["bits"][s] = False
+            slab["bits"][s] = False
 
     def free(self, cap: Capability) -> None:
         if self._traits.deferred_free:

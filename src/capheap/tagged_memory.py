@@ -27,6 +27,12 @@ GRANULE = 16
 _CAP_LAYOUT = struct.Struct("<IIIB3x")
 assert _CAP_LAYOUT.size == GRANULE
 
+# access masks as plain ints, so check_access never touches IntFlag
+_NEED_LOAD = int(Perm.LOAD)
+_NEED_STORE = int(Perm.STORE)
+_NEED_STORE_CAP = int(Perm.STORE | Perm.STORE_CAP)
+_NEED_LOAD_CAP = int(Perm.LOAD | Perm.LOAD_CAP)
+
 
 class TaggedHeap:
     """Single-owner mutable heap state.  One logical thread per heap;
@@ -45,14 +51,14 @@ class TaggedHeap:
         self.tags = bytearray(self.size // GRANULE)
 
     def load(self, cap: Capability, addr: int, length: int) -> bytes:
-        cap.check_access(addr, length, Perm.LOAD)
+        cap.check_access(addr, length, _NEED_LOAD)
         return bytes(self.data[addr : addr + length])
 
     def store(self, cap: Capability, addr: int, payload: bytes) -> None:
         """Write bytes and clear the tag of every overlapped granule."""
         if not payload:
             raise ValueError("store payload must be non-empty")
-        cap.check_access(addr, len(payload), Perm.STORE)
+        cap.check_access(addr, len(payload), _NEED_STORE)
         self.data[addr : addr + len(payload)] = payload
         first = addr // GRANULE
         last = (addr + len(payload) - 1) // GRANULE
@@ -63,9 +69,9 @@ class TaggedHeap:
         the payload's tag.  Alignment is checked before authority."""
         if addr % GRANULE != 0:
             raise CapFault(FaultKind.ALIGNMENT_VIOLATION, f"store_cap at {addr}")
-        cap.check_access(addr, GRANULE, Perm.STORE | Perm.STORE_CAP)
+        cap.check_access(addr, GRANULE, _NEED_STORE_CAP)
         self.data[addr : addr + GRANULE] = _CAP_LAYOUT.pack(
-            payload.base, payload.top, payload.address, payload.perms.value
+            payload.base, payload.top, payload.address, payload.perms
         )
         self.tags[addr // GRANULE] = 1 if payload.tag else 0
 
@@ -74,12 +80,12 @@ class TaggedHeap:
         so anything clobbered by byte stores comes back untagged."""
         if addr % GRANULE != 0:
             raise CapFault(FaultKind.ALIGNMENT_VIOLATION, f"load_cap at {addr}")
-        cap.check_access(addr, GRANULE, Perm.LOAD | Perm.LOAD_CAP)
+        cap.check_access(addr, GRANULE, _NEED_LOAD_CAP)
         base, top, address, perm_bits = _CAP_LAYOUT.unpack(
             bytes(self.data[addr : addr + GRANULE])
         )
         tag = bool(self.tags[addr // GRANULE])
-        return Capability(tag, base, top, address, Perm(perm_bits & 0x3F))
+        return Capability(tag, base, top, address, perm_bits & 0x3F)
 
     def snapshot(self) -> bytes:
         """Raw dump: all data bytes followed by the tag bitmap (one bit per

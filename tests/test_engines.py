@@ -287,6 +287,25 @@ class TestSlabEngine:
         assert q.address != blocker.address
         assert alloc.heap.load(q, q.address + 32, 96) == bytes(96)
 
+    @pytest.mark.parametrize("name", ["snmalloc-cheribuild", "snmalloc-repo"])
+    def test_interior_free_never_half_frees_a_grown_block(self, name):
+        # malloc(16) grown in place to [0, 48) spans slots 0..2; a free
+        # aimed at slot 1 must leave all three slots taken
+        alloc = create(name)
+        p = alloc.realloc(alloc.malloc(16), 48)
+        assert (p.base, p.top) == (0, 48)
+        if TRAITS[name].deferred_free:
+            alloc.free(p.set_address(16))  # queued, dropped at the flush
+        else:
+            with pytest.raises(AllocError) as exc:
+                alloc.free(p.set_address(16))
+            assert exc.value.kind is AllocErrorKind.INVALID_FREE
+        assert alloc.malloc(16).address == 48
+        assert all(alloc.occupancy(a) for a in (0, 16, 32))
+        alloc.free(p)
+        alloc.free(p)  # the bits are clear again, so this stays silent
+        assert [alloc.malloc(16).address for _ in range(3)] == [0, 16, 32]
+
 
 class TestContractAcrossAllEngines:
     @pytest.mark.parametrize("name", ALLOCATOR_NAMES)

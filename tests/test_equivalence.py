@@ -1,0 +1,290 @@
+"""Observable results pinned before the fast paths went in.
+
+The free-list scan reads headers straight from the heap bytes and
+capabilities carry their permissions as plain ints.  Neither change may
+move a placement, a fault or a rendered string, so every expectation
+below is a literal (or a SHA-256 of a long trace) that was recorded by
+running these exact sequences on the engines as they were beforehand.
+"""
+
+import hashlib
+import random
+import struct
+
+import pytest
+
+from capheap.allocator_api import AllocError
+from capheap.capability import PERM_ALL, PERM_NONE, CapFault, Capability, FaultKind, Perm, make_root
+from capheap.engines import CHUNK_HEADER_SIZE, CHUNK_MAGIC
+from capheap.registry import ALLOCATOR_NAMES, TRAITS, create
+from capheap.tagged_memory import TaggedHeap
+
+FREE_LIST_NAMES = ("dlmalloc-cheribuild", "jemalloc", "libmalloc-simple")
+
+_HEADER = struct.Struct("<IHBB")
+
+
+def attempt(fn, *args):
+    """Run one call; return it rendered as a comparable string, and the
+    capability it returned (None for anything else)."""
+    try:
+        result = fn(*args)
+    except AllocError as exc:
+        return f"AllocError:{exc.kind.value}", None
+    except CapFault as exc:
+        return f"CapFault:{exc.kind.value}", None
+    if isinstance(result, Capability):
+        return result.describe(), result
+    return repr(result), None
+
+
+def outcome(fn, *args):
+    return attempt(fn, *args)[0]
+
+
+def forge(alloc, cap, size, status):
+    """Write a well-formed chunk header through ``cap``, as a client can."""
+    header = _HEADER.pack(size, CHUNK_MAGIC, status, 0)
+    alloc.heap.store(cap, cap.address - CHUNK_HEADER_SIZE, header)
+
+
+def stale_forged_header(name):
+    """Forge a 4096-byte free header through a stale capability."""
+    alloc = create(name)
+    a = alloc.malloc(32)
+    b = alloc.malloc(32)
+    alloc.free(b)
+    forge(alloc, b, 4096, 0)
+    out = [a.describe(), b.describe()]
+    c = alloc.malloc(1000)
+    out.append(c.describe())
+    for size in (3000, 2048, 16, 5000):
+        out.append(outcome(alloc.malloc, size))
+    out.append(outcome(alloc.free, c))
+    out.append(outcome(alloc.malloc, 1000))
+    return out
+
+
+def live_forged_header(name):
+    """Forge a 4096-byte header through a live capability, then free it."""
+    alloc = create(name)
+    a = alloc.malloc(32)
+    b = alloc.malloc(32)
+    forge(alloc, a, 4096, 1)
+    out = [outcome(alloc.free, a)]
+    for size in (1000, 4000, 32):
+        out.append(outcome(alloc.malloc, size))
+    out.append(outcome(alloc.realloc, b, 64))
+    return out
+
+
+def absorb_forged_header(name):
+    """Grow a block over a neighbour whose stale header was forged."""
+    alloc = create(name)
+    a = alloc.malloc(32)
+    b = alloc.malloc(32)
+    alloc.free(b)
+    forge(alloc, b, 4096, 0)
+    out = [outcome(alloc.realloc, a, 1000)]
+    for size in (2000, 16):
+        out.append(outcome(alloc.malloc, size))
+    return out
+
+
+# Placements are the same on all three configurations; only the
+# permission byte differs (jemalloc and libmalloc-simple strip EXEC).
+STALE_FORGED = [
+    "cap(tag=1,base=0,top=40,addr=8,perms={})",
+    "cap(tag=1,base=40,top=80,addr=48,perms={})",
+    "cap(tag=1,base=40,top=1056,addr=48,perms={})",
+    "cap(tag=1,base=1056,top=4072,addr=1064,perms={})",
+    "cap(tag=1,base=80,top=2136,addr=88,perms={})",
+    "cap(tag=1,base=4072,top=4096,addr=4080,perms={})",
+    "cap(tag=1,base=2136,top=7152,addr=2144,perms={})",
+    "None",
+    "cap(tag=1,base=40,top=1056,addr=48,perms={})",
+]
+LIVE_FORGED = [
+    "None",
+    "cap(tag=1,base=0,top=1016,addr=8,perms={})",
+    "cap(tag=1,base=80,top=4088,addr=88,perms={})",
+    "cap(tag=1,base=1016,top=1056,addr=1024,perms={})",
+    "cap(tag=1,base=1056,top=1128,addr=1064,perms={})",
+]
+ABSORB_FORGED_MOVES = [
+    "cap(tag=1,base=40,top=1056,addr=48,perms={})",
+    "cap(tag=1,base=1056,top=3064,addr=1064,perms={})",
+    "cap(tag=1,base=0,top=40,addr=8,perms={})",
+]
+ABSORB_FORGED_GROWS = [
+    "cap(tag=1,base=0,top=1016,addr=8,perms={})",
+    "cap(tag=1,base=1016,top=3024,addr=1024,perms={})",
+    "cap(tag=1,base=3024,top=3048,addr=3032,perms={})",
+]
+
+
+def expected(template, name):
+    perms = "0x2f" if TRAITS[name].strips_exec else "0x3f"
+    return [line.format(perms) for line in template]
+
+
+@pytest.mark.parametrize("name", FREE_LIST_NAMES)
+def test_forged_free_header_through_stale_capability(name):
+    got = stale_forged_header(name)
+    assert got[2].startswith("cap(tag=1,base=40,top=1056,addr=48,")
+    assert got == expected(STALE_FORGED, name)
+
+
+@pytest.mark.parametrize("name", FREE_LIST_NAMES)
+def test_forged_header_through_live_capability(name):
+    assert live_forged_header(name) == expected(LIVE_FORGED, name)
+
+
+@pytest.mark.parametrize("name", FREE_LIST_NAMES)
+def test_realloc_over_forged_header(name):
+    grows = TRAITS[name].realloc_grows_in_place
+    template = ABSORB_FORGED_GROWS if grows else ABSORB_FORGED_MOVES
+    assert absorb_forged_header(name) == expected(template, name)
+
+
+@pytest.mark.parametrize("name", FREE_LIST_NAMES)
+def test_chunk_walk_past_heap_end_is_bounds_fault(name):
+    alloc = create(name, heap_size=4096)
+    a = alloc.malloc(32)
+    # the walk lands on 4090, so the next header read straddles the end
+    forge(alloc, a, 4090 - CHUNK_HEADER_SIZE, 1)
+    with pytest.raises(CapFault) as exc:
+        alloc.chunks()
+    assert exc.value.kind is FaultKind.BOUNDS_VIOLATION
+    assert str(exc.value) == "BoundsViolation: [4090, 4098) outside [0, 4096)"
+
+
+@pytest.mark.parametrize("name", FREE_LIST_NAMES)
+def test_header_read_past_heap_end_is_bounds_fault(name):
+    alloc = create(name, heap_size=4096)
+    with pytest.raises(CapFault) as exc:
+        alloc._read_header(4092)
+    assert exc.value.kind is FaultKind.BOUNDS_VIOLATION
+    assert str(exc.value) == "BoundsViolation: [4092, 4100) outside [0, 4096)"
+
+
+MASKS = [
+    PERM_NONE,
+    Perm.LOAD,
+    Perm.STORE,
+    Perm.LOAD | Perm.STORE,
+    Perm.LOAD | Perm.EXEC,
+    Perm.STORE | Perm.STORE_CAP,
+    PERM_ALL & ~Perm.EXEC,
+    PERM_ALL,
+    Perm(0x15),
+]
+
+RENDERED = [
+    ("cap(tag=1,base=16,top=48,addr=24,perms=0x00)", "10000000300000001800000000000000"),
+    ("cap(tag=1,base=16,top=48,addr=24,perms=0x01)", "10000000300000001800000001000000"),
+    ("cap(tag=1,base=16,top=48,addr=24,perms=0x02)", "10000000300000001800000002000000"),
+    ("cap(tag=1,base=16,top=48,addr=24,perms=0x03)", "10000000300000001800000003000000"),
+    ("cap(tag=1,base=16,top=48,addr=24,perms=0x11)", "10000000300000001800000011000000"),
+    ("cap(tag=1,base=16,top=48,addr=24,perms=0x0a)", "1000000030000000180000000a000000"),
+    ("cap(tag=1,base=16,top=48,addr=24,perms=0x2f)", "1000000030000000180000002f000000"),
+    ("cap(tag=1,base=16,top=48,addr=24,perms=0x3f)", "1000000030000000180000003f000000"),
+    ("cap(tag=1,base=16,top=48,addr=24,perms=0x15)", "10000000300000001800000015000000"),
+]
+
+
+def render_masks():
+    """describe() and the stored granule for each mask, on a tiny heap."""
+    heap = TaggedHeap(64)
+    root = make_root(64)
+    out = []
+    for mask in MASKS:
+        cap = root.set_bounds(16, 32).set_address(24).and_perms(mask)
+        heap.store_cap(root, 32, cap)
+        out.append((cap.describe(), heap.data[32:48].hex()))
+    return out
+
+
+def test_describe_and_store_cap_bytes_for_perm_masks():
+    assert render_masks() == RENDERED
+
+
+def test_permission_violation_message_text():
+    root = make_root(64)
+    with pytest.raises(CapFault) as exc:
+        root.and_perms(Perm.LOAD).check_access(0, 1, Perm.STORE)
+    assert str(exc.value) == "PermissionViolation: missing <Perm.STORE: 2>"
+    with pytest.raises(CapFault) as exc:
+        root.and_perms(Perm.STORE).check_access(0, 1, Perm.LOAD | Perm.STORE)
+    assert str(exc.value) == "PermissionViolation: missing <Perm.LOAD: 1>"
+    with pytest.raises(CapFault) as exc:
+        root.and_perms(Perm.LOAD).check_access(0, 16, Perm.STORE | Perm.STORE_CAP)
+    assert str(exc.value) == f"PermissionViolation: missing {Perm.STORE | Perm.STORE_CAP!r}"
+
+
+def traffic_digest(name):
+    """SHA-256 over a seeded malloc/free/realloc stream that also writes,
+    reads back and frees some blocks twice in a row, on a small heap so
+    the out-of-memory paths run too."""
+    rng = random.Random(f"equivalence:{name}")
+    alloc = create(name, heap_size=1 << 16)
+    h = hashlib.sha256()
+    live = []
+    for step in range(3000):
+        if step % 750 == 0:
+            alloc.reset()
+            live = []
+        roll = rng.random()
+        if roll < 0.5 or not live:
+            size = rng.randint(1, 600)
+            got, cap = attempt(alloc.malloc, size)
+            if cap is not None:
+                live.append((cap, size))
+        elif roll < 0.75:
+            cap, _ = live.pop(rng.randrange(len(live)))
+            got = outcome(alloc.free, cap)
+            if rng.random() < 0.2:
+                got += outcome(alloc.free, cap)
+        elif roll < 0.9:
+            old, _ = live.pop(rng.randrange(len(live)))
+            size = rng.randint(1, 900)
+            got, cap = attempt(alloc.realloc, old, size)
+            if cap is not None:
+                live.append((cap, size))
+        else:
+            cap, size = live[rng.randrange(len(live))]
+            got = outcome(alloc.heap.store, cap, cap.address, bytes([step & 0xFF]) * size)
+            got += outcome(alloc.heap.load, cap, cap.address, size)
+        h.update(got.encode() + b"\n")
+    h.update(alloc.heap.snapshot())
+    return h.hexdigest()
+
+
+TRAFFIC = {
+    "bump-alloc-cheri": "9f69f7dea1c76b412c1774377a9c635220bf9ca7dded97f75d12257db3e65ff1",
+    "bump-alloc-nocheri": "2b232957a4d269131dc6b97fdc03c98d8c3350100442b349a5f1ac93505e7d58",
+    "dlmalloc-cheribuild": "df1350452746023626ab5bc98179abe73152b0fc15d08b3fd101c79e2f5ee24d",
+    "jemalloc": "31fbab7c9ee6f68956b1d5c83917558a782b3b72283d859f7126f20aedfe6165",
+    "libmalloc-simple": "2192dc9ee89b7128ae2712c7a5d4638b9ff26b31d82aef6fa102dc52b04b2a54",
+    "snmalloc-cheribuild": "03556c418782192a128ba26e4ff3a2daf299ae3a1674c03c4a7c8f44cfb108ef",
+    "snmalloc-repo": "98b202603e2f394bdd3d8455c01cedf9d6223b7085a11aca8dddd021bd4eef84",
+}
+
+
+@pytest.mark.parametrize("name", ALLOCATOR_NAMES)
+def test_seeded_traffic_digest(name):
+    assert traffic_digest(name) == TRAFFIC[name]
+
+
+@pytest.mark.parametrize("name", ALLOCATOR_NAMES)
+def test_returned_capabilities_carry_int_perms(name):
+    alloc = create(name)
+    caps = [alloc.malloc(48), alloc.malloc(200)]
+    caps.append(alloc.realloc(caps[0], 400))
+    caps.append(alloc.region.and_perms(Perm.LOAD))
+    alloc.heap.store_cap(alloc.region, 0, caps[1])
+    caps.append(alloc.heap.load_cap(alloc.region, 0))
+    for cap in caps:
+        assert type(cap.perms) is int
+    assert type(make_root(64).perms) is int
+    assert TRAITS[name].strips_exec == (not caps[0].perms & Perm.EXEC)
