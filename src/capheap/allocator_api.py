@@ -49,6 +49,7 @@ class AllocErrorKind(enum.Enum):
     INVALID_FREE = "InvalidFree"
     DOUBLE_FREE = "DoubleFree"
     BAD_REQUEST = "BadRequest"
+    CORRUPT_HEADER = "CorruptHeader"  # an inline chunk header failed its magic check
 
 
 class AllocError(Exception):

@@ -44,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_matrix.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_matrix.add_argument("--expect", action="store_true",
                           help="diff against the reference matrix; exit 1 on mismatch")
-    p_matrix.add_argument("--serial", action="store_true", help="disable cell parallelism")
     p_matrix.add_argument("--rounding-bounds", action="store_true",
                           help="enable power-of-two bounds rounding above 4096 bytes")
     p_matrix.set_defaults(func=cmd_matrix)
@@ -81,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_matrix(args) -> int:
     registry = default_registry(rounding_bounds=args.rounding_bounds)
-    matrix = run_matrix(registry, parallel=not args.serial)
+    matrix = run_matrix(registry)
     sys.stdout.write(render(matrix, args.format).decode("utf-8"))
     if not args.expect:
         return 0

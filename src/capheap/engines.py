@@ -97,27 +97,22 @@ class BumpAllocator(Allocator):
         # whole-region capability, cursor parked at the block start
         return self.region.and_perms(self._client_perms).set_address(start)
 
-    def free(self, cap: Capability) -> None:
-        if not self._keeps_log:
-            return
+    def _live_record(self, cap: Capability) -> list:
+        """The log record of the live block at ``cap.address``."""
         record = self._log.get(cap.address)
         if record is None:
             raise AllocError(AllocErrorKind.INVALID_FREE, f"no allocation at {cap.address}")
         if record[1]:
             raise AllocError(AllocErrorKind.DOUBLE_FREE, f"block {cap.address} already freed")
-        record[1] = True
+        return record
+
+    def free(self, cap: Capability) -> None:
+        if self._keeps_log:
+            self._live_record(cap)[1] = True
 
     def realloc(self, cap: Capability, new_size: int) -> Capability:
         self._check_request(new_size)
-        if self._keeps_log:
-            record = self._log.get(cap.address)
-            if record is None:
-                raise AllocError(AllocErrorKind.INVALID_FREE, f"no allocation at {cap.address}")
-            if record[1]:
-                raise AllocError(AllocErrorKind.DOUBLE_FREE, f"block {cap.address} already freed")
-            old_len = record[0]
-        else:
-            old_len = cap.length
+        old_len = self._live_record(cap)[0] if self._keeps_log else cap.length
         new_cap = self.malloc(new_size)
         ncopy = min(old_len, new_size)
         if ncopy:
@@ -136,7 +131,8 @@ class FreeListAllocator(Allocator):
     through the client's capability, so an untampered capability passes
     while one narrowed to the payload faults.  Re-freeing a free chunk
     silently relinks; there is no double-free detection.  No coalescing
-    happens except explicit realloc absorption.
+    happens except explicit realloc absorption.  Clients can overwrite
+    headers, so malloc and chunks() raise CORRUPT_HEADER on a bad magic.
     """
 
     def __init__(self, heap: TaggedHeap, traits: AllocatorTraits, *, rounding_bounds: bool = False):
@@ -194,7 +190,8 @@ class FreeListAllocator(Allocator):
             if chunk < 0 or chunk > last:
                 self.region.check_access(chunk, CHUNK_HEADER_SIZE, Perm.LOAD)
             payload, magic, _, _ = _HEADER.unpack_from(data, chunk)
-            assert magic == CHUNK_MAGIC, "free list points at a corrupt header"
+            if magic != CHUNK_MAGIC:
+                raise AllocError(AllocErrorKind.CORRUPT_HEADER, f"free list entry at {chunk}")
             if payload < want:
                 continue
             if payload >= want + 32:
@@ -274,7 +271,8 @@ class FreeListAllocator(Allocator):
         off = 0
         while off < self.heap.size:
             size, magic, status = self._read_header(off)
-            assert magic == CHUNK_MAGIC, f"tiling broken at {off}"
+            if magic != CHUNK_MAGIC:
+                raise AllocError(AllocErrorKind.CORRUPT_HEADER, f"tiling broken at {off}")
             out.append((off, size, status))
             off += CHUNK_HEADER_SIZE + size
         return out

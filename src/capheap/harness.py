@@ -10,7 +10,6 @@ agree so transcription drift cannot go unnoticed.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Iterable, Mapping
@@ -82,13 +81,11 @@ def run_matrix(
     registry: Mapping[str, Callable[[], Allocator]] | None = None,
     *,
     rows: Iterable[str] | None = None,
-    parallel: bool = True,
 ) -> ConformanceMatrix:
-    """Probe every (allocator, attack) cell on a fresh instance each.
-
-    Cells are independent, so parallel and serial runs agree; the
-    registry is never mutated.  ``rows`` restricts the run to a subset
-    of allocators, preserving table order.
+    """Probe every (allocator, attack) cell on a fresh instance each,
+    serially: a cell is tens of microseconds of pure Python, too little
+    for a GIL-bound pool to pay.  The registry is never mutated.
+    ``rows`` restricts the run to a subset of allocators, in table order.
     """
     if registry is None:
         registry = default_registry()
@@ -104,18 +101,9 @@ def run_matrix(
         if unknown:
             raise ConfigurationError(f"unknown allocators: {sorted(unknown)}")
 
-    def cell(name: str, attack_id: str) -> Outcome:
-        return ATTACKS[attack_id](registry[name]()).outcome
-
-    pairs = [(name, attack) for name in names for attack in ATTACK_IDS]
-    if parallel:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            outcomes = list(pool.map(lambda p: cell(*p), pairs))
-    else:
-        outcomes = [cell(*p) for p in pairs]
-    width = len(ATTACK_IDS)
     cells = tuple(
-        tuple(outcomes[i * width : (i + 1) * width]) for i in range(len(names))
+        tuple(ATTACKS[attack](registry[name]()).outcome for attack in ATTACK_IDS)
+        for name in names
     )
     return ConformanceMatrix(names, ATTACK_IDS, cells)
 

@@ -11,11 +11,14 @@ themselves can be stored in memory with a bit-exact 16-byte layout:
 
 A granule's tag is set only by ``store_cap`` with a tagged payload, and
 any plain byte store touching the granule clears it again.  The heap
-starts zeroed with all tags clear.
+starts zeroed with all tags clear.  Its bytes are an anonymous memory
+map, so they are demand-zero: a fresh or cleared heap costs only the
+pages a run touches, not a zero-fill of the whole heap.
 """
 
 from __future__ import annotations
 
+import mmap
 import struct
 
 from .capability import CapFault, Capability, FaultKind, Perm
@@ -36,23 +39,25 @@ _NEED_LOAD_CAP = int(Perm.LOAD | Perm.LOAD_CAP)
 
 class TaggedHeap:
     """Single-owner mutable heap state.  One logical thread per heap;
-    distinct heaps are independent."""
+    distinct heaps are independent.  ``data`` is an ``mmap`` (slices are
+    ``bytes``; it never resizes) and ``tags`` a ``bytearray``, one byte
+    per granule.  ``clear()`` replaces both: hold the heap, not ``data``."""
 
     def __init__(self, size: int):
         if size <= 0 or size % GRANULE != 0:
             raise ValueError("heap size must be a positive multiple of 16")
         self.size = size
-        self.data = bytearray(size)
+        self.data = mmap.mmap(-1, size)
         self.tags = bytearray(size // GRANULE)
 
     def clear(self) -> None:
-        """Re-zero all bytes and tags."""
-        self.data = bytearray(self.size)
+        """Re-zero all bytes and tags with fresh demand-zero memory."""
+        self.data = mmap.mmap(-1, self.size)
         self.tags = bytearray(self.size // GRANULE)
 
     def load(self, cap: Capability, addr: int, length: int) -> bytes:
         cap.check_access(addr, length, _NEED_LOAD)
-        return bytes(self.data[addr : addr + length])
+        return self.data[addr : addr + length]
 
     def store(self, cap: Capability, addr: int, payload: bytes) -> None:
         """Write bytes and clear the tag of every overlapped granule."""
@@ -81,9 +86,7 @@ class TaggedHeap:
         if addr % GRANULE != 0:
             raise CapFault(FaultKind.ALIGNMENT_VIOLATION, f"load_cap at {addr}")
         cap.check_access(addr, GRANULE, _NEED_LOAD_CAP)
-        base, top, address, perm_bits = _CAP_LAYOUT.unpack(
-            bytes(self.data[addr : addr + GRANULE])
-        )
+        base, top, address, perm_bits = _CAP_LAYOUT.unpack_from(self.data, addr)
         tag = bool(self.tags[addr // GRANULE])
         return Capability(tag, base, top, address, perm_bits & 0x3F)
 

@@ -23,12 +23,9 @@ class TestMatrixCommand:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_serial_agrees_with_parallel(self, capsys):
-        main(["matrix", "--format", "csv", "--serial"])
-        serial = capsys.readouterr().out
-        main(["matrix", "--format", "csv"])
-        parallel = capsys.readouterr().out
-        assert serial == parallel
+    def test_serial_flag_is_gone(self, capsys):
+        # the grid always runs serially; the old opt-out is a usage error
+        assert main(["matrix", "--serial"]) == 2
 
     def test_rounding_bounds_flag_keeps_golden_outcomes(self, capsys):
         assert main(["matrix", "--expect", "--rounding-bounds", "--format", "csv"]) == 0

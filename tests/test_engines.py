@@ -70,6 +70,23 @@ class TestBumpEngine:
             alloc.free(p.set_address(999))
         assert exc.value.kind is AllocErrorKind.INVALID_FREE
 
+    @pytest.mark.parametrize(
+        "stale, kind",
+        [(False, AllocErrorKind.INVALID_FREE), (True, AllocErrorKind.DOUBLE_FREE)],
+    )
+    def test_alloc_log_realloc_refuses_before_allocating(self, stale, kind):
+        # realloc validates against the log as free does, before the cursor moves
+        alloc = create("bump-alloc-nocheri")
+        p = alloc.malloc(48)
+        if stale:
+            alloc.free(p)
+        else:
+            p = p.set_address(999)
+        with pytest.raises(AllocError) as exc:
+            alloc.realloc(p, 64)
+        assert exc.value.kind is kind
+        assert alloc.malloc(16).address == 48
+
     def test_out_of_memory(self):
         alloc = create("bump-alloc-cheri", heap_size=64)
         alloc.malloc(64)

@@ -5,6 +5,9 @@ capabilities carry their permissions as plain ints.  Neither change may
 move a placement, a fault or a rendered string, so every expectation
 below is a literal (or a SHA-256 of a long trace) that was recorded by
 running these exact sequences on the engines as they were beforehand.
+A corrupt free-list header, which used to trip an ``assert``, is now an
+``AllocError`` of kind ``CorruptHeader``; the placements around it are
+the recorded ones.
 """
 
 import hashlib
@@ -13,7 +16,7 @@ import struct
 
 import pytest
 
-from capheap.allocator_api import AllocError
+from capheap.allocator_api import AllocError, AllocErrorKind
 from capheap.capability import PERM_ALL, PERM_NONE, CapFault, Capability, FaultKind, Perm, make_root
 from capheap.engines import CHUNK_HEADER_SIZE, CHUNK_MAGIC
 from capheap.registry import ALLOCATOR_NAMES, TRAITS, create
@@ -145,6 +148,40 @@ def test_realloc_over_forged_header(name):
     grows = TRAITS[name].realloc_grows_in_place
     template = ABSORB_FORGED_GROWS if grows else ABSORB_FORGED_MOVES
     assert absorb_forged_header(name) == expected(template, name)
+
+
+def moving_realloc_over_forged_header(name):
+    """Forge a 4096-byte free header through a stale capability, then
+    realloc the first block to 1000 bytes.  Where the block moves, the
+    new block's zeroed tail lands on a header still on the free list."""
+    alloc = create(name)
+    a = alloc.malloc(32)
+    b = alloc.malloc(32)
+    alloc.free(b)
+    forge(alloc, b, 4096, 0)
+    return alloc, alloc.realloc(a, 1000)
+
+
+@pytest.mark.parametrize("name", FREE_LIST_NAMES)
+def test_corrupt_free_list_header_is_classified(name):
+    alloc, moved = moving_realloc_over_forged_header(name)
+    if TRAITS[name].realloc_grows_in_place:
+        # libmalloc-simple grows in place over the forged chunk, so no
+        # header is zeroed and malloc keeps its recorded placement
+        assert (moved.base, moved.top) == (0, 1016)
+        assert outcome(alloc.malloc, 5000) == expected(
+            ["cap(tag=1,base=80,top=5096,addr=88,perms={})"], name
+        )[0]
+    else:
+        assert (moved.base, moved.top) == (40, 1056)
+        with pytest.raises(AllocError) as exc:
+            alloc.malloc(5000)
+        assert exc.value.kind is AllocErrorKind.CORRUPT_HEADER
+        assert str(exc.value) == "CorruptHeader: free list entry at 80"
+    with pytest.raises(AllocError) as exc:
+        alloc.chunks()
+    assert exc.value.kind is AllocErrorKind.CORRUPT_HEADER
+    assert str(exc.value) == "CorruptHeader: tiling broken at 4144"
 
 
 @pytest.mark.parametrize("name", FREE_LIST_NAMES)

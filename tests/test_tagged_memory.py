@@ -17,8 +17,11 @@ def root():
 
 
 def test_heap_starts_zeroed(heap, root):
+    # heap bytes are demand-zero pages; the last granule reads zero too
     assert heap.load(root, 0, HEAP) == bytes(HEAP)
+    assert heap.load_cap(root, HEAP - GRANULE) == (False, 0, 0, 0, Perm(0))
     assert not any(heap.tags)
+    assert heap.snapshot() == bytes(HEAP) + bytes(HEAP // 128)
 
 
 def test_rejects_bad_sizes():
@@ -53,6 +56,15 @@ class TestLoadStore:
     def test_empty_store_rejected(self, heap, root):
         with pytest.raises(ValueError):
             heap.store(root, 0, b"")
+
+    def test_store_past_heap_end_faults_and_leaves_heap(self, heap, root):
+        heap.store(root, HEAP - 8, b"\x11" * 8)
+        before = heap.snapshot()
+        with pytest.raises(CapFault) as exc:
+            heap.store(root, HEAP - 8, b"\xff" * 16)
+        assert exc.value.kind is FaultKind.BOUNDS_VIOLATION
+        assert len(heap.data) == HEAP
+        assert heap.snapshot() == before
 
     def test_store_does_not_touch_neighbors(self, heap, root):
         heap.store(root, 100, b"\xee" * 4)
@@ -137,8 +149,10 @@ def test_snapshot_is_data_plus_tag_bitmap(heap, root):
     assert snap[HEAP] == 0b10  # granule 1 tagged
 
 def test_clear_resets_everything(heap, root):
-    heap.store(root, 0, b"\xaa" * 32)
-    heap.store_cap(root, 64, root)
+    heap.store(root, 0, b"\xaa" * HEAP)
+    for addr in range(0, HEAP, 256):
+        heap.store_cap(root, addr, root)
     heap.clear()
-    assert heap.load(root, 0, 32) == bytes(32)
-    assert not any(heap.tags)
+    assert len(heap.data) == HEAP
+    assert heap.load(root, 0, HEAP) == bytes(HEAP)
+    assert heap.tags == bytes(HEAP // GRANULE)
