@@ -5,7 +5,9 @@
   payload; freeing validates by reading that header through the
   client's own capability.
 * slab: power-of-two size classes, 4096-byte slabs, out-of-band
-  metadata keyed by address; optionally defers frees.
+  metadata keyed by address (a slotted record per slab with one byte
+  per slot, and per class a byte map of the slabs with room);
+  optionally defers frees.
 
 The free-list chunk header, bit-exact:
 
@@ -22,10 +24,14 @@ past its chunk start, so payloads alternate the other way.  For
 example, malloc(32), malloc(16), malloc(16) on a fresh jemalloc place
 chunks at 0, 40 and 64, with payloads at 8, 48 and 72.
 
-The free list itself is kept out of band (a list of chunk offsets)
-rather than threaded through chunk payloads: freeing deliberately
-leaves payload bytes untouched, which is part of the threat model these
-engines exist to exhibit.
+The free list itself is kept out of band (a list of chunk offsets, most
+recently freed first) rather than threaded through chunk payloads:
+freeing deliberately leaves payload bytes untouched, which is part of
+the threat model these engines exist to exhibit.  A dict counting each
+offset's occurrences in the list answers membership in constant time.
+It counts rather than flags because the list may hold a chunk twice: a
+moving realloc through a stale capability on a free chunk lists that
+chunk again, and each copy can be handed out once.
 """
 
 from __future__ import annotations
@@ -130,9 +136,11 @@ class FreeListAllocator(Allocator):
     cursor on the payload: free() re-reads the header at address-8
     through the client's capability, so an untampered capability passes
     while one narrowed to the payload faults.  Re-freeing a free chunk
-    silently relinks; there is no double-free detection.  No coalescing
-    happens except explicit realloc absorption.  Clients can overwrite
-    headers, so malloc and chunks() raise CORRUPT_HEADER on a bad magic.
+    silently relinks (its first occurrence moves to the head); there is
+    no double-free detection, and the list may hold duplicates.  No
+    coalescing happens except explicit realloc absorption.  Clients can
+    overwrite headers, so malloc and chunks() raise CORRUPT_HEADER on a
+    bad magic, and realloc absorption on a FREE header that is not listed.
     """
 
     def __init__(self, heap: TaggedHeap, traits: AllocatorTraits, *, rounding_bounds: bool = False):
@@ -143,6 +151,18 @@ class FreeListAllocator(Allocator):
         first_payload = self.heap.size - CHUNK_HEADER_SIZE
         self._write_header(0, first_payload, _STATUS_FREE)
         self._free_list: list[int] = [0]
+        self._listed: dict[int, int] = {0: 1}  # chunk -> occurrences in _free_list
+
+    def _push(self, chunk: int) -> None:
+        """List ``chunk`` at the head: the free list is LIFO."""
+        self._free_list.insert(0, chunk)
+        self._listed[chunk] = self._listed.get(chunk, 0) + 1
+
+    def _unlist(self, chunk: int) -> None:
+        """Count one occurrence of ``chunk`` out of the index."""
+        left = self._listed.pop(chunk) - 1
+        if left:
+            self._listed[chunk] = left
 
     # Header I/O uses the region capability (engine authority).  Writes go
     # through heap.store so they clear granule tags.  Reads come straight
@@ -185,6 +205,7 @@ class FreeListAllocator(Allocator):
         want = round16(size)
         data = self.heap.data
         last = self.heap.size - CHUNK_HEADER_SIZE
+        listed = self._listed
         for slot, chunk in enumerate(self._free_list):
             # _read_header, inlined: this scan is the engine's hot loop
             if chunk < 0 or chunk > last:
@@ -199,9 +220,14 @@ class FreeListAllocator(Allocator):
                 rest = chunk + CHUNK_HEADER_SIZE + want
                 self._write_header(rest, payload - want - CHUNK_HEADER_SIZE, _STATUS_FREE)
                 self._free_list[slot] = rest
+                listed[rest] = listed.get(rest, 0) + 1
                 payload = want
             else:
                 del self._free_list[slot]
+            # _unlist, inlined: this is the hot path
+            left = listed.pop(chunk) - 1
+            if left:
+                listed[chunk] = left
             self._write_header(chunk, payload, _STATUS_LIVE)
             return self._chunk_cap(chunk, payload)
         raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"no free chunk holds {want} bytes")
@@ -209,15 +235,19 @@ class FreeListAllocator(Allocator):
     def free(self, cap: Capability) -> None:
         chunk, payload = self._client_header(cap)
         self._write_header(chunk, payload, _STATUS_FREE)
-        # silent relink: a second free of the same chunk just moves it
-        if chunk in self._free_list:
+        if chunk in self._listed:
+            # silent relink: a re-free moves the first occurrence to the
+            # head; only this path pays for a linear remove
             self._free_list.remove(chunk)
+        else:
+            self._listed[chunk] = 1
         self._free_list.insert(0, chunk)
 
     def _free_chunk(self, chunk: int, payload: int) -> None:
-        """Internal free path (realloc moves); no client validation."""
+        """Internal free path (realloc moves); no client validation, so a
+        chunk already listed through a stale capability is listed twice."""
         self._write_header(chunk, payload, _STATUS_FREE)
-        self._free_list.insert(0, chunk)
+        self._push(chunk)
 
     def realloc(self, cap: Capability, new_size: int) -> Capability:
         self._check_request(new_size)
@@ -242,7 +272,9 @@ class FreeListAllocator(Allocator):
     def _try_absorb(self, chunk: int, payload: int, want: int) -> int | None:
         """Absorb physically-following free chunks until the payload covers
         ``want`` bytes.  Scans first, commits only on success; absorbed
-        bytes (stale data and old headers) are left as they are."""
+        bytes (stale data and old headers) are left as they are.  A FREE
+        header that is not on the free list was written by a client, so
+        the scan refuses it as CORRUPT_HEADER before anything changes."""
         span = payload
         absorbed = []
         while span < want:
@@ -252,14 +284,17 @@ class FreeListAllocator(Allocator):
             nxt_payload, magic, status = self._read_header(nxt)
             if magic != CHUNK_MAGIC or status != _STATUS_FREE:
                 return None
+            if nxt not in self._listed:
+                raise AllocError(AllocErrorKind.CORRUPT_HEADER, f"unlisted free header at {nxt}")
             absorbed.append(nxt)
             span += CHUNK_HEADER_SIZE + nxt_payload
         for off in absorbed:
             self._free_list.remove(off)
+            self._unlist(off)
         if span >= want + 32:
             rest = chunk + CHUNK_HEADER_SIZE + want
             self._write_header(rest, span - want - CHUNK_HEADER_SIZE, _STATUS_FREE)
-            self._free_list.insert(0, rest)
+            self._push(rest)
             span = want
         self._write_header(chunk, span, _STATUS_LIVE)
         return span
@@ -278,8 +313,31 @@ class FreeListAllocator(Allocator):
         return out
 
 
+class _Slab:
+    """One carved slab: its offset, size class, one byte per slot (1 when
+    taken) and its rank among the slabs of its class in carve order."""
+
+    __slots__ = ("offset", "cls", "bits", "rank")
+
+    def __init__(self, offset: int, cls: int, rank: int):
+        self.offset = offset
+        self.cls = cls
+        self.bits = bytearray(SLAB_SIZE // cls)
+        self.rank = rank
+
+
 class SlabAllocator(Allocator):
     """Size-class slabs with metadata kept out of band.
+
+    Slabs are carved contiguously from 0, so the slab holding an address
+    is ``addr // SLAB_SIZE``.  Each slab record keeps one byte per slot,
+    1 while the slot is taken.  Each class keeps an open-slab map: one
+    byte per slab of the class in carve order (the slab's rank), 1 exactly
+    while that slab has a clear slot.  A take that fills a slab clears
+    its byte and every applied free sets it, whether strict, deferred or
+    a realloc move.  malloc takes ``find(1)`` on the map, then
+    ``find(0)`` on that slab's slots: the lowest clear slot of the lowest
+    open slab in carve order, found without visiting full slabs in Python.
 
     free() maps the capability's address to (slab, slot) without ever
     dereferencing through it, so narrowed capabilities are accepted.
@@ -296,17 +354,19 @@ class SlabAllocator(Allocator):
 
     def _reset_state(self) -> None:
         self._slab_cursor = 0
-        self._slabs: list[dict] = []  # {offset, cls, bits: list[bool]}
-        self._by_class: dict[int, list[int]] = {}
-        self._live: dict[int, tuple[int, int, int, int]] = {}  # addr -> (slab, slot, nslots, size)
+        self._slabs: list[_Slab] = []  # carve order, so index = offset // SLAB_SIZE
+        self._by_class: dict[int, list[_Slab]] = {}
+        # class -> open-slab map: one byte per slab of the class, by rank
+        self._open: dict[int, bytearray] = {}
+        # block address -> (slab, first slot, slot count, requested size)
+        self._live: dict[int, tuple[_Slab, int, int, int]] = {}
         self._pending: list[int] = []
 
     @staticmethod
     def size_class(size: int) -> int:
-        for cls in SIZE_CLASSES:
-            if size <= cls:
-                return cls
-        raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"{size} exceeds the largest size class")
+        if size > SIZE_CLASSES[-1]:
+            raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"{size} exceeds the largest size class")
+        return 1 << (size - 1).bit_length() if size > SIZE_CLASSES[0] else SIZE_CLASSES[0]
 
     def _flush_pending(self) -> None:
         if not self._pending:
@@ -315,66 +375,69 @@ class SlabAllocator(Allocator):
         for addr in pending:
             self._apply_free(addr, strict=False)
 
-    def _carve_slab(self, cls: int) -> int:
-        if self._slab_cursor + SLAB_SIZE > self.heap.size:
-            raise AllocError(AllocErrorKind.OUT_OF_MEMORY, "no room for another slab")
-        offset = self._slab_cursor
-        self._slab_cursor += SLAB_SIZE
-        self._slabs.append({"offset": offset, "cls": cls, "bits": [False] * (SLAB_SIZE // cls)})
-        self._by_class.setdefault(cls, []).append(len(self._slabs) - 1)
-        return len(self._slabs) - 1
-
     def malloc(self, size: int) -> Capability:
         self._check_request(size)
         if self._traits.deferred_free:
             self._flush_pending()
         cls = self.size_class(size)
-        for idx in self._by_class.get(cls, []):
-            bits = self._slabs[idx]["bits"]
-            for slot, taken in enumerate(bits):
-                if not taken:
-                    return self._take(idx, slot, 1, size)
-        idx = self._carve_slab(cls)
-        return self._take(idx, 0, 1, size)
+        open_map = self._open.get(cls)
+        if open_map is not None:
+            rank = open_map.find(1)
+            if rank >= 0:
+                slab = self._by_class[cls][rank]
+                return self._take(slab, slab.bits.find(0), 1, size)
+        if self._slab_cursor + SLAB_SIZE > self.heap.size:
+            raise AllocError(AllocErrorKind.OUT_OF_MEMORY, "no room for another slab")
+        slabs = self._by_class.setdefault(cls, [])
+        slab = _Slab(self._slab_cursor, cls, len(slabs))
+        self._slab_cursor += SLAB_SIZE
+        self._slabs.append(slab)
+        slabs.append(slab)
+        self._open.setdefault(cls, bytearray()).append(1)
+        return self._take(slab, 0, 1, size)
 
-    def _take(self, idx: int, slot: int, nslots: int, size: int) -> Capability:
-        slab = self._slabs[idx]
-        for s in range(slot, slot + nslots):
-            slab["bits"][s] = True
-        addr = slab["offset"] + slot * slab["cls"]
-        self._live[addr] = (idx, slot, nslots, size)
-        return self._client_cap(addr, nslots * slab["cls"])
+    def _take(self, slab: _Slab, slot: int, nslots: int, size: int) -> Capability:
+        # a single-slot take (every malloc) is an item store, several
+        # times cheaper than a slice store
+        if nslots == 1:
+            slab.bits[slot] = 1
+        else:
+            slab.bits[slot : slot + nslots] = b"\x01" * nslots
+        if 0 not in slab.bits:
+            self._open[slab.cls][slab.rank] = 0
+        addr = slab.offset + slot * slab.cls
+        self._live[addr] = (slab, slot, nslots, size)
+        return self._client_cap(addr, nslots * slab.cls)
 
-    def _slot_base(self, addr: int) -> tuple[int, int] | None:
-        """Map an address to (slab index, slot base address), or None when
-        it falls outside every carved slab."""
+    def _slot_of(self, addr: int) -> tuple[_Slab, int] | None:
+        """Map an address to (slab, slot index), or None when it falls
+        outside every carved slab."""
         if not 0 <= addr < self._slab_cursor:
             return None
-        # slabs are carved contiguously from 0, so the index is arithmetic
-        idx = addr // SLAB_SIZE
-        slab = self._slabs[idx]
-        slot = (addr - slab["offset"]) // slab["cls"]
-        return idx, slab["offset"] + slot * slab["cls"]
+        slab = self._slabs[addr // SLAB_SIZE]
+        return slab, (addr - slab.offset) // slab.cls
 
     def _apply_free(self, addr: int, *, strict: bool) -> None:
-        mapped = self._slot_base(addr)
+        mapped = self._slot_of(addr)
         if mapped is None:
             if strict:
                 raise AllocError(AllocErrorKind.INVALID_FREE, f"{addr} maps outside any slab")
             return
-        idx, base = mapped
-        record = self._live.pop(base, None)
-        slab = self._slabs[idx]
+        slab, slot = mapped
+        record = self._live.pop(slab.offset + slot * slab.cls, None)
         if record is None:
             # A set bit with no record at its slot is an interior slot of
             # a live multi-slot block: refuse rather than half-free it.
             # Re-clearing a clear bit is silent.
-            if strict and slab["bits"][(base - slab["offset"]) // slab["cls"]]:
+            if strict and slab.bits[slot]:
                 raise AllocError(AllocErrorKind.INVALID_FREE, f"{addr} is inside a live block")
             return
-        _, slot, nslots, _ = record
-        for s in range(slot, slot + nslots):
-            slab["bits"][s] = False
+        nslots = record[2]
+        if nslots == 1:
+            slab.bits[slot] = 0
+        else:
+            slab.bits[slot : slot + nslots] = bytes(nslots)
+        self._open[slab.cls][slab.rank] = 1
 
     def free(self, cap: Capability) -> None:
         if self._traits.deferred_free:
@@ -389,19 +452,16 @@ class SlabAllocator(Allocator):
         record = self._live.get(cap.address)
         if record is None:
             raise AllocError(AllocErrorKind.INVALID_FREE, f"no allocation at {cap.address}")
-        idx, slot, nslots, _ = record
-        slab = self._slabs[idx]
-        cls = slab["cls"]
+        slab, slot, nslots, _ = record
+        cls = slab.cls
         current = nslots * cls
         if new_size <= current:
-            self._live[cap.address] = (idx, slot, nslots, new_size)
+            self._live[cap.address] = (slab, slot, nslots, new_size)
             return self._client_cap(cap.address, current)
         if self._traits.realloc_grows_in_place:
             need = -(-new_size // cls)
-            if slot + need <= len(slab["bits"]) and not any(
-                slab["bits"][slot + nslots : slot + need]
-            ):
-                return self._take(idx, slot, need, new_size)
+            if slot + need <= len(slab.bits) and slab.bits.find(1, slot + nslots, slot + need) < 0:
+                return self._take(slab, slot, need, new_size)
         # move: fresh slot in the right class, copy, zero the tail
         new_cap = self.malloc(new_size)
         data = self.heap.load(self.region, cap.address, current)
@@ -413,9 +473,8 @@ class SlabAllocator(Allocator):
 
     def occupancy(self, addr: int) -> bool:
         """Slot bit for the slot containing ``addr`` (introspection)."""
-        mapped = self._slot_base(addr)
+        mapped = self._slot_of(addr)
         if mapped is None:
             raise ValueError(f"{addr} outside carved slabs")
-        idx, base = mapped
-        slab = self._slabs[idx]
-        return slab["bits"][(base - slab["offset"]) // slab["cls"]]
+        slab, slot = mapped
+        return slab.bits[slot] == 1

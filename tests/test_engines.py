@@ -208,6 +208,23 @@ class TestFreeListEngine:
         q = alloc.realloc(p, 48)
         assert alloc.heap.load(q, q.address, 48) == bytes(range(48))
 
+    def test_absorb_refuses_free_header_off_the_free_list(self):
+        # a stale capability rewrites live c's status byte to FREE; the
+        # grow-in-place scan must refuse c before it changes anything
+        alloc = create("libmalloc-simple")
+        a = alloc.malloc(64)
+        alloc.free(a)
+        b = alloc.malloc(16)
+        c = alloc.malloc(32)
+        alloc.heap.store(a, c.base + 6, b"\x00")
+        chunks, free_list = alloc.chunks(), list(alloc._free_list)
+        assert (c.base, 0) in [(off, status) for off, _, status in chunks]
+        with pytest.raises(AllocError) as exc:
+            alloc.realloc(b, 48)
+        assert exc.value.kind is AllocErrorKind.CORRUPT_HEADER
+        assert alloc.chunks() == chunks
+        assert alloc._free_list == free_list
+
     def test_out_of_memory(self):
         alloc = create("dlmalloc-cheribuild", heap_size=128)
         alloc.malloc(64)

@@ -1,10 +1,12 @@
 """Observable results pinned before the fast paths went in.
 
-The free-list scan reads headers straight from the heap bytes and
-capabilities carry their permissions as plain ints.  Neither change may
-move a placement, a fault or a rendered string, so every expectation
-below is a literal (or a SHA-256 of a long trace) that was recorded by
-running these exact sequences on the engines as they were beforehand.
+The free-list scan reads headers straight from the heap bytes, the free
+list keeps an occurrence-counted index, slabs are slotted records with
+a byte slot map and a per-class map of open slabs, and capabilities
+carry their permissions as plain ints.  None of these may move a
+placement, a fault or a rendered string, so every expectation below is
+a literal (or a SHA-256 of a long trace) that was recorded by running
+these exact sequences on the engines as they were beforehand.
 A corrupt free-list header, which used to trip an ``assert``, is now an
 ``AllocError`` of kind ``CorruptHeader``; the placements around it are
 the recorded ones.
@@ -18,7 +20,7 @@ import pytest
 
 from capheap.allocator_api import AllocError, AllocErrorKind
 from capheap.capability import PERM_ALL, PERM_NONE, CapFault, Capability, FaultKind, Perm, make_root
-from capheap.engines import CHUNK_HEADER_SIZE, CHUNK_MAGIC
+from capheap.engines import CHUNK_HEADER_SIZE, CHUNK_MAGIC, SLAB_SIZE
 from capheap.registry import ALLOCATOR_NAMES, TRAITS, create
 from capheap.tagged_memory import TaggedHeap
 
@@ -311,6 +313,110 @@ TRAFFIC = {
 @pytest.mark.parametrize("name", ALLOCATOR_NAMES)
 def test_seeded_traffic_digest(name):
     assert traffic_digest(name) == TRAFFIC[name]
+
+
+SLAB_NAMES = ("snmalloc-cheribuild", "snmalloc-repo")
+
+
+def slab_traffic_digest(name):
+    """SHA-256 over a seeded slab-heavy stream: sizes 1..4096, reallocs
+    up to 4096, frees aimed at the earliest live block once later slabs
+    exist, interior-address and wild frees, double frees (deferred ones
+    flush at the next malloc or realloc) and a reset() halfway through.
+    The heap holds 32 slabs, so carving runs out too.  Ends with every
+    slot's occupancy bit and the heap snapshot."""
+    rng = random.Random(f"slab-equivalence:{name}")
+    alloc = create(name, heap_size=32 * SLAB_SIZE)
+    h = hashlib.sha256()
+    live = []
+    for step in range(6000):
+        if step == 3000:
+            alloc.reset()
+            live = []
+        roll = rng.random()
+        if roll < 0.4 or not live:
+            size = rng.randint(1, 64) if rng.random() < 0.5 else rng.randint(1, 4096)
+            got, cap = attempt(alloc.malloc, size)
+            if cap is not None:
+                got += outcome(alloc.heap.store, cap, cap.address, bytes([step & 0xFF]) * size)
+                live.append((cap, size))
+        elif roll < 0.55:
+            cap, _ = live.pop(rng.randrange(len(live)))
+            got = outcome(alloc.free, cap)
+            if rng.random() < 0.2:
+                got += outcome(alloc.free, cap)
+        elif roll < 0.65:
+            # the lowest live block sits in an early slab
+            low = min(range(len(live)), key=lambda i: live[i][0].address)
+            cap, _ = live.pop(low)
+            got = outcome(alloc.free, cap)
+        elif roll < 0.8:
+            old, _ = live.pop(rng.randrange(len(live)))
+            size = rng.randint(1, 4096)
+            got, cap = attempt(alloc.realloc, old, size)
+            if cap is not None:
+                live.append((cap, size))
+        elif roll < 0.9:
+            cap, _ = live[rng.randrange(len(live))]
+            inside = cap.address + rng.randrange(cap.top - cap.address)
+            got = outcome(alloc.free, cap.set_address(inside))
+        else:
+            got = outcome(alloc.free, alloc.region.set_address(rng.randrange(alloc.heap.size)))
+        h.update(got.encode() + b"\n")
+    h.update(outcome(alloc.malloc, 16).encode())
+    for addr in range(0, alloc.heap.size, 16):
+        try:
+            bit = alloc.occupancy(addr)
+        except ValueError:  # past the last carved slab
+            break
+        h.update(b"1" if bit else b"0")
+    h.update(alloc.heap.snapshot())
+    return h.hexdigest()
+
+
+SLAB_TRAFFIC = {
+    "snmalloc-cheribuild": "47d9feb4455b2ea805e598dece838c699c152e86641b5a7c44f0b96eeb017fe4",
+    "snmalloc-repo": "38ef7a1454d6d7d97163f97cd625dde7a442750f6e927f444140a56c265c77bb",
+}
+
+
+@pytest.mark.parametrize("name", SLAB_NAMES)
+def test_slab_traffic_digest(name):
+    assert slab_traffic_digest(name) == SLAB_TRAFFIC[name]
+
+
+def duplicate_relink(name):
+    """A moving realloc through a stale capability lists its free chunk
+    a second time; the later mallocs show which copy each one takes."""
+    alloc = create(name)
+    a = alloc.malloc(32)
+    b = alloc.malloc(32)
+    alloc.free(a)
+    out = [outcome(alloc.realloc, a, 1000)]
+    x = alloc.malloc(32)
+    out += [x.describe(), outcome(alloc.free, x)]
+    out += [outcome(alloc.malloc, 32), outcome(alloc.malloc, 32)]
+    out.append(repr(alloc.chunks()))
+    return b, out
+
+
+# x and y both take the chunk at 0, listed twice by the moving realloc;
+# z comes from the tail.  The three configurations agree but for EXEC.
+DUPLICATE_RELINK = [
+    "cap(tag=1,base=80,top=1096,addr=88,perms={})",
+    "cap(tag=1,base=0,top=40,addr=8,perms={})",
+    "None",
+    "cap(tag=1,base=0,top=40,addr=8,perms={})",
+    "cap(tag=1,base=1096,top=1136,addr=1104,perms={})",
+    "[(0, 32, 1), (40, 32, 1), (80, 1008, 1), (1096, 32, 1), (1136, 1047432, 0)]",
+]
+
+
+@pytest.mark.parametrize("name", FREE_LIST_NAMES)
+def test_duplicate_relink(name):
+    b, out = duplicate_relink(name)
+    assert b.describe() == expected(["cap(tag=1,base=40,top=80,addr=48,perms={})"], name)[0]
+    assert out == expected(DUPLICATE_RELINK, name)
 
 
 @pytest.mark.parametrize("name", ALLOCATOR_NAMES)

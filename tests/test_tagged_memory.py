@@ -140,6 +140,52 @@ class TestCapStorage:
         assert [i for i, t in enumerate(heap.tags) if t] == [3]
 
 
+class TestCapabilityWiderThanHeap:
+    """A capability may span more than the heap it is used on; the heap
+    checks its own bounds after the capability's, writing nothing."""
+
+    @pytest.fixture
+    def wide(self):
+        return make_root(2 * HEAP)
+
+    CALLS = {
+        "store": lambda heap, cap: heap.store(cap, HEAP - 6, b"\xff" * 16),
+        "store_cap": lambda heap, cap: heap.store_cap(cap, HEAP, cap),
+        "load_cap": lambda heap, cap: heap.load_cap(cap, HEAP),
+        "load": lambda heap, cap: heap.load(cap, HEAP - 6, 16),
+    }
+    TEXTS = {
+        "store": "BoundsViolation: [4090, 4106) outside [0, 4096)",
+        "store_cap": "BoundsViolation: [4096, 4112) outside [0, 4096)",
+        "load_cap": "BoundsViolation: [4096, 4112) outside [0, 4096)",
+        "load": "BoundsViolation: [4090, 4106) outside [0, 4096)",
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_access_past_heap_end_is_bounds_fault(self, heap, root, wide, call):
+        heap.store(root, HEAP - 16, b"\x11" * 16)
+        before = heap.snapshot()
+        with pytest.raises(CapFault) as exc:
+            self.CALLS[call](heap, wide)
+        assert exc.value.kind is FaultKind.BOUNDS_VIOLATION
+        assert str(exc.value) == self.TEXTS[call]
+        assert heap.snapshot() == before
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_capability_faults_keep_priority(self, heap, wide, call):
+        with pytest.raises(CapFault) as exc:
+            self.CALLS[call](heap, wide.clear_tag())
+        assert exc.value.kind is FaultKind.TAG_VIOLATION
+        with pytest.raises(CapFault) as exc:
+            self.CALLS[call](heap, wide.and_perms(Perm.EXEC))
+        assert exc.value.kind is FaultKind.PERMISSION_VIOLATION
+
+    def test_access_inside_heap_still_works(self, heap, wide):
+        heap.store_cap(wide, HEAP - GRANULE, wide)
+        assert heap.load_cap(wide, HEAP - GRANULE) == wide
+        assert heap.load(wide, HEAP - GRANULE, 4) == bytes(4)
+
+
 def test_snapshot_is_data_plus_tag_bitmap(heap, root):
     heap.store(root, 0, b"\xaa")
     heap.store_cap(root, 16, root)
