@@ -12,7 +12,7 @@ import abc
 import enum
 from dataclasses import dataclass
 
-from .capability import PERM_ALL, Capability, Perm, make_root
+from .capability import PERM_ALL, Capability, Perm, _derive, make_root
 from .tagged_memory import TaggedHeap
 
 __all__ = [
@@ -108,14 +108,20 @@ class Allocator(abc.ABC):
         ...
 
     # Shared derivation helpers.  Client capabilities always descend from
-    # the region capability; internal bookkeeping I/O goes straight
-    # through the region capability itself.
+    # the region capability in one construction (bounds, cursor and the
+    # cut-down permissions at once); internal bookkeeping I/O goes
+    # straight through the region capability itself.
 
     def _client_cap(self, base: int, length: int, address: int | None = None) -> Capability:
-        cap = self.region.set_bounds(base, length, rounding=self._rounding)
-        if address is not None and address != base:
-            cap = cap.set_address(address)
-        return cap.and_perms(self._client_perms)
+        region = self.region
+        return _derive(
+            region,
+            base,
+            length,
+            base if address is None else address,
+            region.perms & self._client_perms,
+            self._rounding,
+        )
 
     def _check_request(self, size: int) -> None:
         if not isinstance(size, int) or size < 1:

@@ -11,6 +11,13 @@ Addresses are unsigned 32-bit byte offsets.  Bounds are exact by
 default; an optional rounding mode pads large bounds to a power-of-two
 alignment to mimic representability limits of compressed encodings.
 
+Narrowing has one implementation, the private ``_derive``: it checks
+and builds a child's bounds, cursor and permissions in a single
+construction.  ``set_bounds`` is ``_derive`` with the cursor on the new
+base and the parent's permissions; the allocators call it directly for
+every capability they hand out, rather than chaining ``set_bounds``,
+``set_address`` and ``and_perms`` through two intermediate values.
+
 ``Perm`` names the permission bits, but a capability carries its mask
 as a plain ``int``: on the access-check path, ``IntFlag`` operators
 cost an order of magnitude or more over ``int`` ones.  Every operation
@@ -100,22 +107,7 @@ class Capability(NamedTuple):
         base rounded down and top rounded up to the representable
         alignment; a rounded range escaping the parent still faults.
         """
-        if length < 0:
-            raise ValueError("length must be non-negative")
-        if not self.tag:
-            raise CapFault(FaultKind.TAG_VIOLATION, "set_bounds on untagged capability")
-        base = new_base
-        top = new_base + length
-        if rounding and length > ROUNDING_THRESHOLD:
-            align = 1 << ((length - 1).bit_length() - ROUNDING_MANTISSA_BITS)
-            base = (base // align) * align
-            top = -(-top // align) * align
-        if base < self.base or top > self.top:
-            raise CapFault(
-                FaultKind.MONOTONICITY_VIOLATION,
-                f"[{base}, {top}) escapes parent [{self.base}, {self.top})",
-            )
-        return Capability(True, base, top, new_base, self.perms)
+        return _derive(self, new_base, length, new_base, self.perms, rounding)
 
     def set_address(self, address: int) -> "Capability":
         """Copy with the cursor moved; bounds and tag are untouched."""
@@ -159,6 +151,42 @@ class Capability(NamedTuple):
             f"cap(tag={int(self.tag)},base={self.base},top={self.top},"
             f"addr={self.address},perms={self.perms:#04x})"
         )
+
+
+_tuple_new = tuple.__new__
+
+
+def _derive(
+    parent: Capability, base: int, length: int, address: int, perms: int, rounding: bool
+) -> Capability:
+    """The one derivation path: narrow ``parent`` to [base, base + length)
+    (rounded as ``set_bounds`` describes), put the cursor at ``address``
+    and the permission mask to ``perms``, in a single construction.
+
+    The checks run in the order the chained ``set_bounds`` ->
+    ``set_address`` -> ``and_perms`` would run them; the address is only
+    range-checked when it leaves ``base``, as ``set_address`` would be.
+    ``perms`` must already be cut down from the parent's mask.
+    """
+    if length < 0:
+        raise ValueError("length must be non-negative")
+    if not parent.tag:
+        raise CapFault(FaultKind.TAG_VIOLATION, "set_bounds on untagged capability")
+    lo = base
+    hi = base + length
+    if rounding and length > ROUNDING_THRESHOLD:
+        align = 1 << ((length - 1).bit_length() - ROUNDING_MANTISSA_BITS)
+        lo = (lo // align) * align
+        hi = -(-hi // align) * align
+    if lo < parent.base or hi > parent.top:
+        raise CapFault(
+            FaultKind.MONOTONICITY_VIOLATION,
+            f"[{lo}, {hi}) escapes parent [{parent.base}, {parent.top})",
+        )
+    if address != base and not 0 <= address <= ADDRESS_MAX:
+        raise ValueError(f"address {address} outside 32-bit range")
+    # tuple.__new__ skips the NamedTuple constructor's extra Python frame
+    return _tuple_new(Capability, (True, lo, hi, address, perms))
 
 
 def make_root(heap_size: int) -> Capability:

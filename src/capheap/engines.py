@@ -17,12 +17,21 @@ The free-list chunk header, bit-exact:
     byte  7     zero
 
 Chunks tile the managed region with no gaps: region size is exactly the
-sum of (header + payload) sizes.  Payload sizes are multiples of 16, so
-each chunk spans 8 modulo 16 bytes and chunk starts alternate in address
-order: the n-th chunk starts at 8*n modulo 16.  A payload sits 8 bytes
-past its chunk start, so payloads alternate the other way.  For
-example, malloc(32), malloc(16), malloc(16) on a fresh jemalloc place
-chunks at 0, 40 and 64, with payloads at 8, 48 and 72.
+sum of (header + payload) sizes.  Requests are rounded up to 16 bytes,
+but a chunk handed out or grown whole keeps its full payload, which may
+be 8 modulo 16 (the heap's last chunk always is).  Every payload is a
+multiple of 8, so every chunk starts at 0 or 8 modulo 16 and its header
+sits inside one granule.  For example, malloc(32), malloc(16),
+malloc(16) on a fresh jemalloc place chunks at 0, 40 and 64, with
+payloads at 8, 48 and 72.
+
+Headers are read and written in place on the heap bytes (``struct``
+``unpack_from``/``pack_into``), not through ``TaggedHeap.load`` and
+``store``; a write clears the tags of the granules it overlaps, as a
+byte store would.  A client can forge a header anywhere its capability
+reaches, including at 9..15 modulo 16, where the 8 bytes straddle two
+granules; when the engine rewrites such a header (freeing at the
+forged address, or handing the forged chunk out) both tags are cleared.
 
 The free list itself is kept out of band (a list of chunk offsets, most
 recently freed first) rather than threaded through chunk payloads:
@@ -46,7 +55,7 @@ from .allocator_api import (
     FreeValidation,
     round16,
 )
-from .capability import CapFault, Capability, FaultKind, Perm
+from .capability import ADDRESS_MAX, CapFault, Capability, FaultKind, Perm, _derive
 from .tagged_memory import TaggedHeap
 
 __all__ = [
@@ -66,6 +75,8 @@ assert _HEADER.size == CHUNK_HEADER_SIZE
 
 _STATUS_FREE = 0
 _STATUS_LIVE = 1
+
+_NEED_LOAD = int(Perm.LOAD)
 
 SLAB_SIZE = 4096
 SIZE_CLASSES = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
@@ -101,7 +112,10 @@ class BumpAllocator(Allocator):
         if self._traits.narrow_bounds:
             return self._client_cap(start, length)
         # whole-region capability, cursor parked at the block start
-        return self.region.and_perms(self._client_perms).set_address(start)
+        region = self.region
+        return _derive(
+            region, region.base, region.length, start, region.perms & self._client_perms, False
+        )
 
     def _live_record(self, cap: Capability) -> list:
         """The log record of the live block at ``cap.address``."""
@@ -164,17 +178,24 @@ class FreeListAllocator(Allocator):
         if left:
             self._listed[chunk] = left
 
-    # Header I/O uses the region capability (engine authority).  Writes go
-    # through heap.store so they clear granule tags.  Reads come straight
-    # from the heap bytes: the region capability is tagged, holds every
-    # permission and spans the heap, so its check can only fail on
-    # bounds.  That test stays inline; when it fails, check_access raises
-    # the fault.  heap.data is fetched per call because reset() replaces it.
+    # Header I/O is done in place on the heap bytes (see the module
+    # docstring).  The engine's authority is the region capability, which
+    # is tagged, holds every permission and spans the heap, so its check
+    # can only fail on bounds: that test stays inline, and when it fails
+    # check_access raises the fault heap.load or heap.store would.  A
+    # write clears the tag of every granule its 8 bytes overlap: one for
+    # a chunk start, two for a header forged at 9..15 modulo 16.
+    # heap.data and heap.tags are fetched per call: reset() replaces them.
 
     def _write_header(self, chunk: int, payload_size: int, status: int) -> None:
-        self.heap.store(
-            self.region, chunk, _HEADER.pack(payload_size, CHUNK_MAGIC, status, 0)
-        )
+        heap = self.heap
+        if chunk < 0 or chunk + CHUNK_HEADER_SIZE > heap.size:
+            self.region.check_access(chunk, CHUNK_HEADER_SIZE, Perm.STORE)
+        _HEADER.pack_into(heap.data, chunk, payload_size, CHUNK_MAGIC, status, 0)
+        tags = heap.tags
+        tags[chunk >> 4] = 0
+        if chunk & 15 > 8:
+            tags[(chunk >> 4) + 1] = 0
 
     def _read_header(self, chunk: int) -> tuple[int, int, int]:
         if chunk < 0 or chunk + CHUNK_HEADER_SIZE > self.heap.size:
@@ -185,15 +206,24 @@ class FreeListAllocator(Allocator):
     def _client_header(self, cap: Capability) -> tuple[int, int]:
         """Validate a client capability by reading the chunk header through
         it, exactly as the client could.  Returns (chunk offset, payload
-        size); raises CapFault on tamper, AllocError on a bad header."""
-        if cap.address < CHUNK_HEADER_SIZE:
+        size); raises CapFault on tamper, AllocError on a bad header.
+
+        The checks are those of moving the cursor onto the header and
+        loading through the copy (``set_address``, then ``heap.load``),
+        in the same order, without building the copy."""
+        chunk = cap.address - CHUNK_HEADER_SIZE
+        if chunk < 0:
             raise CapFault(FaultKind.BOUNDS_VIOLATION, "header would sit below the heap")
-        header_cap = cap.set_address(cap.address - CHUNK_HEADER_SIZE)
-        raw = self.heap.load(header_cap, header_cap.address, CHUNK_HEADER_SIZE)
-        size, magic, status, _ = _HEADER.unpack(raw)
+        if chunk > ADDRESS_MAX:
+            raise ValueError(f"address {chunk} outside 32-bit range")
+        cap.check_access(chunk, CHUNK_HEADER_SIZE, _NEED_LOAD)
+        heap = self.heap
+        if chunk + CHUNK_HEADER_SIZE > heap.size:
+            heap.fault_outside(chunk, CHUNK_HEADER_SIZE)
+        size, magic, _, _ = _HEADER.unpack_from(heap.data, chunk)
         if magic != CHUNK_MAGIC:
-            raise AllocError(AllocErrorKind.INVALID_FREE, f"bad chunk magic at {cap.address - 8}")
-        return cap.address - CHUNK_HEADER_SIZE, size
+            raise AllocError(AllocErrorKind.INVALID_FREE, f"bad chunk magic at {chunk}")
+        return chunk, size
 
     def _chunk_cap(self, chunk: int, payload_size: int) -> Capability:
         return self._client_cap(

@@ -55,19 +55,22 @@ class TaggedHeap:
         self.data = mmap.mmap(-1, self.size)
         self.tags = bytearray(self.size // GRANULE)
 
-    def _past_end(self, addr: int, length: int) -> None:
+    def fault_outside(self, addr: int, length: int) -> None:
+        """Raise the heap's own bounds fault for [addr, addr + length)."""
         raise CapFault(
             FaultKind.BOUNDS_VIOLATION, f"[{addr}, {addr + length}) outside [0, {self.size})"
         )
 
     # Each access checks the heap's own bounds after the capability's, so
-    # a capability wider than the heap faults (tag and permission faults
-    # first) instead of reaching past the end of ``data``.
+    # a capability reaching past either end of the heap (wider than the
+    # heap, or hand-built with a negative base) faults, tag and
+    # permission faults first, instead of slicing ``data`` short or
+    # raising IndexError.
 
     def load(self, cap: Capability, addr: int, length: int) -> bytes:
         cap.check_access(addr, length, _NEED_LOAD)
-        if addr + length > self.size:
-            self._past_end(addr, length)
+        if addr < 0 or addr + length > self.size:
+            self.fault_outside(addr, length)
         return self.data[addr : addr + length]
 
     def store(self, cap: Capability, addr: int, payload: bytes) -> None:
@@ -75,8 +78,8 @@ class TaggedHeap:
         if not payload:
             raise ValueError("store payload must be non-empty")
         cap.check_access(addr, len(payload), _NEED_STORE)
-        if addr + len(payload) > self.size:
-            self._past_end(addr, len(payload))
+        if addr < 0 or addr + len(payload) > self.size:
+            self.fault_outside(addr, len(payload))
         self.data[addr : addr + len(payload)] = payload
         first = addr // GRANULE
         last = (addr + len(payload) - 1) // GRANULE
@@ -88,8 +91,8 @@ class TaggedHeap:
         if addr % GRANULE != 0:
             raise CapFault(FaultKind.ALIGNMENT_VIOLATION, f"store_cap at {addr}")
         cap.check_access(addr, GRANULE, _NEED_STORE_CAP)
-        if addr + GRANULE > self.size:
-            self._past_end(addr, GRANULE)
+        if addr < 0 or addr + GRANULE > self.size:
+            self.fault_outside(addr, GRANULE)
         self.data[addr : addr + GRANULE] = _CAP_LAYOUT.pack(
             payload.base, payload.top, payload.address, payload.perms
         )
@@ -101,8 +104,8 @@ class TaggedHeap:
         if addr % GRANULE != 0:
             raise CapFault(FaultKind.ALIGNMENT_VIOLATION, f"load_cap at {addr}")
         cap.check_access(addr, GRANULE, _NEED_LOAD_CAP)
-        if addr + GRANULE > self.size:
-            self._past_end(addr, GRANULE)
+        if addr < 0 or addr + GRANULE > self.size:
+            self.fault_outside(addr, GRANULE)
         base, top, address, perm_bits = _CAP_LAYOUT.unpack_from(self.data, addr)
         tag = bool(self.tags[addr // GRANULE])
         return Capability(tag, base, top, address, perm_bits & 0x3F)

@@ -1,0 +1,234 @@
+"""Stateful guard for the bump engine on both bump configurations.
+
+Hypothesis drives mallocs, frees, re-frees, reallocs, writes through
+live and stale capabilities, frees aimed inside a block, frees through
+a capability narrowed to the block, and resets.  The bump engine has no
+headers to forge; the stale-capability attack it can suffer is a write
+after free, which never reaches a live block because no byte is ever
+handed out twice.
+
+Every malloc, including one that takes exactly the room left, must
+land at the model's cursor (or run out exactly when the rounded request
+passes the heap's end) with the configured bounds
+and permissions.  After every step the engine's cursor and allocation
+log must equal the model's, the blocks the client holds must be
+disjoint, and each must still hold the bytes last written to it.
+"""
+
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
+
+from capheap.allocator_api import AllocError, AllocErrorKind, FreeValidation, round16
+from capheap.registry import TRAITS, create
+
+HEAP = 8192  # small enough that the cursor reaches the end
+SIZES = st.one_of(st.integers(1, 64), st.integers(1, 1024))
+INDEX = st.integers(0, 1 << 16)
+
+
+class BumpMachine(RuleBasedStateMachine):
+    config = "bump-alloc-cheri"
+
+    def __init__(self):
+        super().__init__()
+        self.alloc = create(self.config, heap_size=HEAP)
+        traits = TRAITS[self.config]
+        self.narrow = traits.narrow_bounds
+        self.logs = traits.free_validation is FreeValidation.ALLOC_LOG
+        self.reset_model()
+
+    def reset_model(self):
+        self.cursor = 0
+        self.log = {}  # base -> [length, freed], as the engine keeps it
+        self.live = []  # capabilities the client holds
+        self.stale = []  # capabilities of blocks freed or moved since
+        self.contents = {}  # block base -> bytes last written there
+
+    def pick(self, pool, index):
+        return pool[index % len(pool)]
+
+    def length(self, cap):
+        """The length of the block ``cap`` was handed out for."""
+        return cap.length if self.narrow else self.log[cap.address][0]
+
+    def expect_free(self, cap):
+        """What free(cap) must raise, or None; updates the log model."""
+        if not self.logs:
+            return None
+        record = self.log.get(cap.address)
+        if record is None:
+            return AllocErrorKind.INVALID_FREE
+        if record[1]:
+            return AllocErrorKind.DOUBLE_FREE
+        record[1] = True
+        return None
+
+    def handed_out(self, cap, start, length):
+        """Check a fresh block's capability and enter it in the model."""
+        assert start + length <= HEAP
+        bounds = (start, start + length) if self.narrow else (0, HEAP)
+        assert (cap.tag, cap.base, cap.top, cap.address) == (True, *bounds, start)
+        assert cap.perms == self.alloc._client_perms
+        self.cursor += length
+        if self.logs:
+            self.log[start] = [length, False]
+        self.live.append(cap)
+
+    def free_through(self, cap):
+        expected = self.expect_free(cap)
+        try:
+            self.alloc.free(cap)
+        except AllocError as exc:
+            assert exc.kind is expected
+            return False
+        assert expected is None
+        return True
+
+    @rule(size=SIZES)
+    def malloc(self, size):
+        start, length = self.cursor, round16(size)
+        try:
+            cap = self.alloc.malloc(size)
+        except AllocError as exc:
+            assert exc.kind is AllocErrorKind.OUT_OF_MEMORY
+            assert start + length > HEAP
+            return
+        self.handed_out(cap, start, length)
+        self.contents[start] = bytes(length)
+
+    @precondition(lambda self: self.cursor < HEAP)
+    @rule(short=st.integers(0, 15))
+    def malloc_the_rest(self, short):
+        """A request that rounds up to exactly the room left."""
+        self.malloc(max(1, HEAP - self.cursor - short))
+
+    @precondition(lambda self: self.live)
+    @rule(index=INDEX)
+    def free(self, index):
+        cap = self.pick(self.live, index)
+        assert self.free_through(cap)
+        self.live.remove(cap)
+        self.stale.append(cap)
+        del self.contents[cap.address]
+
+    @precondition(lambda self: self.stale)
+    @rule(index=INDEX)
+    def refree(self, index):
+        self.free_through(self.pick(self.stale, index))
+
+    @precondition(lambda self: self.live)
+    @rule(index=INDEX, size=SIZES)
+    def realloc(self, index, size):
+        cap = self.pick(self.live, index)
+        old = self.contents[cap.address]
+        start, length = self.cursor, round16(size)
+        try:
+            new = self.alloc.realloc(cap, size)
+        except AllocError as exc:
+            assert exc.kind is AllocErrorKind.OUT_OF_MEMORY
+            assert start + length > HEAP
+            return
+        if self.logs:
+            self.log[cap.address][1] = True
+        self.live.remove(cap)
+        self.stale.append(cap)
+        del self.contents[cap.address]
+        self.handed_out(new, start, length)
+        kept = old[:size]
+        self.contents[start] = kept + bytes(length - len(kept))
+
+    @precondition(lambda self: self.stale)
+    @rule(index=INDEX, size=SIZES)
+    def realloc_stale(self, index, size):
+        """A realloc through a stale capability: the log refuses it before
+        the cursor moves; without a log it copies the freed bytes."""
+        cap = self.pick(self.stale, index)
+        if self.logs:
+            with pytest.raises(AllocError) as exc:
+                self.alloc.realloc(cap, size)
+            assert exc.value.kind is AllocErrorKind.DOUBLE_FREE
+            return
+        old = self.alloc.heap.load(cap, cap.address, cap.length)
+        start, length = self.cursor, round16(size)
+        try:
+            new = self.alloc.realloc(cap, size)
+        except AllocError as exc:
+            assert exc.kind is AllocErrorKind.OUT_OF_MEMORY
+            assert start + length > HEAP
+            return
+        self.handed_out(new, start, length)
+        kept = old[:size]
+        self.contents[start] = kept + bytes(length - len(kept))
+
+    @precondition(lambda self: self.live or self.stale)
+    @rule(index=INDEX, fill=st.integers(0, 255), stale=st.booleans())
+    def write(self, index, fill, stale):
+        """Fill a block through its capability; a stale one writes after
+        free, over bytes no live block can hold."""
+        pool = self.stale if stale and self.stale else self.live or self.stale
+        cap = self.pick(pool, index)
+        length = self.length(cap)
+        self.alloc.heap.store(cap, cap.address, bytes([fill]) * length)
+        if cap in self.live:
+            self.contents[cap.address] = bytes([fill]) * length
+
+    @precondition(lambda self: self.live)
+    @rule(index=INDEX, offset=st.integers(1, 1 << 16))
+    def interior_free(self, index, offset):
+        cap = self.pick(self.live, index)
+        inside = cap.address + 1 + (offset - 1) % (self.length(cap) - 1)
+        self.free_through(cap.set_address(inside))
+
+    @precondition(lambda self: self.live)
+    @rule(index=INDEX)
+    def narrowed_free(self, index):
+        """A free through a capability cut down to the block behaves as
+        a free through the block's own capability."""
+        cap = self.pick(self.live, index)
+        narrowed = cap.set_bounds(cap.address, self.length(cap))
+        assert self.free_through(narrowed)
+        self.live.remove(cap)
+        self.stale.append(cap)
+        del self.contents[cap.address]
+
+    @precondition(lambda self: len(self.live) + len(self.stale) >= 4)
+    @rule()
+    def reset(self):
+        self.alloc.reset()
+        self.reset_model()
+
+    @invariant()
+    def cursor_and_log_match_the_model(self):
+        assert self.alloc._cursor == self.cursor
+        assert self.alloc._log == self.log
+
+    @invariant()
+    def live_blocks_are_disjoint(self):
+        spans = sorted((cap.address, cap.address + self.length(cap)) for cap in self.live)
+        for (_, top), (base, _) in zip(spans, spans[1:]):
+            assert top <= base
+
+    @invariant()
+    def live_blocks_keep_their_bytes(self):
+        for cap in self.live:
+            data = self.contents[cap.address]
+            assert self.alloc.heap.load(cap, cap.address, len(data)) == data
+
+
+@pytest.mark.parametrize("config", ["bump-alloc-cheri", "bump-alloc-nocheri"])
+def test_bump_state_machine(config):
+    machine = type(f"BumpMachine[{config}]", (BumpMachine,), {"config": config})
+    run_state_machine_as_test(
+        machine,
+        settings=settings(
+            max_examples=60, stateful_step_count=40, deadline=None, derandomize=True, database=None
+        ),
+    )

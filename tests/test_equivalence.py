@@ -1,23 +1,31 @@
 """Observable results pinned before the fast paths went in.
 
-The free-list scan reads headers straight from the heap bytes, the free
-list keeps an occurrence-counted index, slabs are slotted records with
-a byte slot map and a per-class map of open slabs, and capabilities
-carry their permissions as plain ints.  None of these may move a
-placement, a fault or a rendered string, so every expectation below is
-a literal (or a SHA-256 of a long trace) that was recorded by running
-these exact sequences on the engines as they were beforehand.
+The free-list scan reads headers straight from the heap bytes and the
+engine writes them in place, the free list keeps an occurrence-counted
+index, slabs are slotted records with a byte slot map and a per-class
+map of open slabs, capabilities carry their permissions as plain ints,
+and client capabilities are derived in one construction.  None of these
+may move a placement, a fault, a granule tag or a rendered string, so
+every expectation below is a literal (or a SHA-256 of a long trace)
+that was recorded by running these exact sequences on the engines as
+they were beforehand.
 A corrupt free-list header, which used to trip an ``assert``, is now an
 ``AllocError`` of kind ``CorruptHeader``; the placements around it are
 the recorded ones.
 """
 
 import hashlib
+import json
+import os
 import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import capheap
 from capheap.allocator_api import AllocError, AllocErrorKind
 from capheap.capability import PERM_ALL, PERM_NONE, CapFault, Capability, FaultKind, Perm, make_root
 from capheap.engines import CHUNK_HEADER_SIZE, CHUNK_MAGIC, SLAB_SIZE
@@ -29,15 +37,14 @@ FREE_LIST_NAMES = ("dlmalloc-cheribuild", "jemalloc", "libmalloc-simple")
 _HEADER = struct.Struct("<IHBB")
 
 
-def attempt(fn, *args):
-    """Run one call; return it rendered as a comparable string, and the
-    capability it returned (None for anything else)."""
+def attempt(fn, *args, full=False):
+    """Run one call; return it rendered as a comparable string (a fault by
+    its kind, or with ``full`` by its whole text), and the capability it
+    returned (None for anything else)."""
     try:
         result = fn(*args)
-    except AllocError as exc:
-        return f"AllocError:{exc.kind.value}", None
-    except CapFault as exc:
-        return f"CapFault:{exc.kind.value}", None
+    except (AllocError, CapFault) as exc:
+        return f"{type(exc).__name__}:{exc if full else exc.kind.value}", None
     if isinstance(result, Capability):
         return result.describe(), result
     return repr(result), None
@@ -431,3 +438,160 @@ def test_returned_capabilities_carry_int_perms(name):
         assert type(cap.perms) is int
     assert type(make_root(64).perms) is int
     assert TRAITS[name].strips_exec == (not caps[0].perms & Perm.EXEC)
+
+
+def straddling_header(name):
+    """A header forged at 108, which straddles granules 6 and 7: its size
+    goes in with a plain store, and its magic, status and reserved bytes
+    are the low bytes of a capability's base stored into granule 7,
+    which tags it.  Freeing at 116 makes the engine rewrite that
+    header; granule 7 is re-tagged the same way before a malloc takes
+    the forged chunk and rewrites it again."""
+    alloc = create(name)
+    c = alloc.malloc(60000)
+    alloc.heap.store(c, 108, struct.pack("<I", 32))
+    alloc.heap.store_cap(c, 112, c.set_bounds(CHUNK_MAGIC, 16))
+
+    def state():
+        tagged = [i for i, tag in enumerate(alloc.heap.tags) if tag]
+        digest = hashlib.sha256(alloc.heap.snapshot()).hexdigest()
+        return tagged, list(alloc._free_list), digest
+
+    out = [state()]
+    alloc.free(c.set_address(116))
+    out.append(state())
+    alloc.heap.store_cap(c, 112, c.set_bounds(CHUNK_MAGIC, 16))
+    out.append(state())
+    out.append(alloc.malloc(16).describe())
+    out.append(state())
+    return out
+
+
+STRADDLING_SNAPSHOTS = {
+    "dlmalloc-cheribuild": (
+        "8509ab1b942c5988ff89955e3fe2056e59d02dbdd315f47dc4998c7c40c37ce0",
+        "bf8f9d28c6b57018276342044f8614386eb171e433ecf610edc9921364270e2c",
+    ),
+    "jemalloc": (
+        "de24f72985ce59d946440b4fba6971a10b8711f244df041f3cefc3b4b200fb70",
+        "f8a52d29eb10a59fc9e168cc5defab1c2244a1a49f5aad20cd64a59f3f6aa2b3",
+    ),
+    "libmalloc-simple": (
+        "de24f72985ce59d946440b4fba6971a10b8711f244df041f3cefc3b4b200fb70",
+        "f8a52d29eb10a59fc9e168cc5defab1c2244a1a49f5aad20cd64a59f3f6aa2b3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FREE_LIST_NAMES)
+def test_straddling_header_write_clears_both_granules(name):
+    (tags0, list0, _), after_free, (tags1, _, _), cap, after_malloc = straddling_header(name)
+    freed, taken = STRADDLING_SNAPSHOTS[name]
+    assert (tags0, list0) == ([7], [60008])
+    assert after_free == ([], [108, 60008], freed)
+    assert tags1 == [7]
+    assert cap == expected(["cap(tag=1,base=108,top=148,addr=116,perms={})"], name)[0]
+    assert after_malloc == ([], [60008], taken)
+
+
+def rounding_traffic_digest(name):
+    """SHA-256 over a seeded stream with ``rounding_bounds=True``: about
+    half the requests are above 4096 bytes, so client capabilities take
+    the rounding branch, and the heap (256 KiB and 48 bytes, so its end
+    is not 32-byte aligned) fills, so rounded bounds also run past its
+    end.  Faults are hashed with their full text."""
+    rng = random.Random(f"rounding:{name}")
+    alloc = create(name, heap_size=(1 << 18) + 48, rounding_bounds=True)
+    h = hashlib.sha256()
+    live = []
+
+    def request():
+        return rng.randint(1, 600) if rng.random() < 0.5 else rng.randint(4097, 40000)
+
+    for step in range(1500):
+        if step % 250 == 0:
+            alloc.reset()
+            live = []
+        roll = rng.random()
+        if roll < 0.5 or not live:
+            size = request()
+            got, cap = attempt(alloc.malloc, size, full=True)
+            if cap is not None:
+                live.append((cap, size))
+        elif roll < 0.75:
+            cap, _ = live.pop(rng.randrange(len(live)))
+            got = attempt(alloc.free, cap, full=True)[0]
+            if rng.random() < 0.2:
+                got += attempt(alloc.free, cap, full=True)[0]
+        elif roll < 0.9:
+            old, _ = live.pop(rng.randrange(len(live)))
+            size = request()
+            got, cap = attempt(alloc.realloc, old, size, full=True)
+            if cap is not None:
+                live.append((cap, size))
+        else:
+            cap, size = live[rng.randrange(len(live))]
+            fill = bytes([step & 0xFF]) * size
+            got = attempt(alloc.heap.store, cap, cap.address, fill, full=True)[0]
+            read = attempt(alloc.heap.load, cap, cap.address, size, full=True)[0]
+            got += hashlib.sha256(read.encode()).hexdigest()
+        h.update(got.encode() + b"\n")
+    h.update(alloc.heap.snapshot())
+    return h.hexdigest()
+
+
+ROUNDING_TRAFFIC = {
+    "bump-alloc-cheri": "7285effe743daeaa5f3667484c0a2afcbee81e0df1c635fb2aa92531328bf06f",
+    "bump-alloc-nocheri": "c3dd21d7a18ab8b310295a0bed62576db15ff8ba3807521460e4afd89912fbd8",
+    "dlmalloc-cheribuild": "04deee915377fbba614dd46168cfc2ff7554135b672bfafa272e1d60fc19be5a",
+    "jemalloc": "9f0b7ba25d02a4909cc3f9625fb959ca94ef075d27a54a12e84b7e78871d1060",
+    "libmalloc-simple": "457b616ed2a1ac48bb7165b12ca8a5d5365a81b71e2ee3f3652771765cfdb221",
+    "snmalloc-cheribuild": "682b48dfb3d73b7ab31b5c049fa12189a1f5bbd8004aa5d1cfc2984898285a18",
+    "snmalloc-repo": "3aa49709a2aab00b114dba91eccd68f59f1a4515e80f5748e3e54a69009eb10d",
+}
+
+
+@pytest.mark.parametrize("name", ALLOCATOR_NAMES)
+def test_rounding_traffic_digest(name):
+    assert rounding_traffic_digest(name) == ROUNDING_TRAFFIC[name]
+
+
+@pytest.mark.parametrize("name", FREE_LIST_NAMES + ("bump-alloc-cheri",))
+def test_rounded_request_at_heap_end_text(name):
+    """A block that ends at an unaligned heap end rounds its top past it.
+    The fault comes from the derivation, after the engine has already
+    committed the block, so the heap stays full."""
+    alloc = create(name, heap_size=8208, rounding_bounds=True)
+    with pytest.raises(CapFault) as exc:
+        alloc.malloc(8192 if name in FREE_LIST_NAMES else 8200)
+    assert exc.value.kind is FaultKind.MONOTONICITY_VIOLATION
+    assert str(exc.value) == "MonotonicityViolation: [0, 8256) escapes parent [0, 8208)"
+    assert outcome(alloc.malloc, 16) == "AllocError:OutOfMemory"
+    if name in FREE_LIST_NAMES:
+        assert alloc.chunks() == [(0, 8200, 1)]
+        assert alloc._free_list == []
+
+
+_OPTIMIZED_DIGESTS = """
+import json, sys
+import test_equivalence as t
+print(json.dumps({
+    "optimize": sys.flags.optimize,
+    "traffic": {name: t.traffic_digest(name) for name in t.ALLOCATOR_NAMES},
+    "rounding": {name: t.rounding_traffic_digest(name) for name in t.ALLOCATOR_NAMES},
+}))
+"""
+
+
+def test_optimized_interpreter_reproduces_the_digests():
+    """``python -O`` drops every ``assert``: replaying the traffic digests
+    in such an interpreter shows no engine result leans on one."""
+    path = [str(Path(capheap.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_DIGESTS],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    assert got == {"optimize": 1, "traffic": TRAFFIC, "rounding": ROUNDING_TRAFFIC}

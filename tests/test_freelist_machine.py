@@ -1,0 +1,329 @@
+"""Stateful guard for the free-list engine on its three configurations.
+
+Hypothesis drives mallocs, frees, re-frees through stale capabilities
+(a relink when the chunk is still listed), reallocs, headers forged
+through stale or live capabilities (at any offset, so some straddle two
+granules, optionally with the second granule tagged by a capability
+store), frees aimed inside a block or at a forged header, frees through
+a capability narrowed to the payload, capability stores that tag
+payload granules, and resets.
+
+After every step the occurrence index must equal the free list's
+counts, and every granule under a header the engine wrote during the
+step must be untagged.  Until the client mounts one of the modelled
+attacks (a forged header, a free that lists a chunk that was not free,
+a store over a header), ``chunks()`` must tile the heap and agree with
+the free list and the blocks the client holds, and those blocks must be
+disjoint; afterwards ``chunks()`` may only fail as a classified
+``CorruptHeader`` or bounds fault.  Every malloc, attacked or not, must
+match a brute-force first fit over ``_free_list`` read from heap bytes.
+"""
+
+import struct
+from collections import Counter
+
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
+
+from capheap.allocator_api import AllocError, AllocErrorKind, FreeValidation, round16
+from capheap.capability import CapFault, Capability, FaultKind
+from capheap.engines import CHUNK_HEADER_SIZE, CHUNK_MAGIC
+from capheap.registry import TRAITS, create
+from capheap.tagged_memory import GRANULE
+
+HEAP = 16384  # small enough that mallocs run out
+HEADER = struct.Struct("<IHBB")
+FREE, LIVE = 0, 1
+
+SIZES = st.one_of(st.integers(1, 64), st.integers(1, 600), st.integers(1, 6000))
+INDEX = st.integers(0, 1 << 16)
+# forged payload sizes: mostly granule multiples, some arbitrary or huge
+FORGED_SIZES = st.one_of(st.integers(0, 64).map(lambda n: 16 * n), st.integers(0, 1 << 20))
+# forged header offsets inside the capability: near its base, or anywhere
+FORGE_OFFSETS = st.one_of(st.integers(0, 24), st.integers(0, 1 << 16))
+
+
+def tagging_capability(header, at):
+    """A capability whose stored bytes repeat the tail of an 8-byte
+    header forged at ``at`` that spills into the next granule, so that
+    storing it there tags that granule and leaves the header intact."""
+    tail = header[GRANULE - at % GRANULE :]
+    base, top, address = struct.unpack("<III", tail.ljust(12, b"\0"))
+    return Capability(True, base, top, address, 0)
+
+
+class FreeListMachine(RuleBasedStateMachine):
+    config = "jemalloc"
+
+    def __init__(self):
+        super().__init__()
+        self.alloc = create(self.config, heap_size=HEAP)
+        self.written = []  # headers the engine wrote during the current step
+        write = self.alloc._write_header
+
+        def recording(chunk, payload, status):
+            write(chunk, payload, status)
+            self.written.append(chunk)
+
+        self.alloc._write_header = recording
+        self.reset_model()
+
+    def reset_model(self):
+        self.live = []  # capabilities the client holds
+        self.stale = []  # capabilities of blocks freed or resized since
+        self.forged = []  # (capability, offset) of each forged header
+        self.attacked = False
+
+    def pick(self, pool, index):
+        return pool[index % len(pool)]
+
+    def header(self, chunk):
+        return HEADER.unpack(self.alloc.heap.data[chunk : chunk + CHUNK_HEADER_SIZE])
+
+    def first_fit(self, size):
+        """Brute force: what malloc must do, read from the heap bytes."""
+        want = round16(size)
+        for slot, chunk in enumerate(self.alloc._free_list):
+            if chunk < 0 or chunk + CHUNK_HEADER_SIZE > HEAP:
+                return "fault", FaultKind.BOUNDS_VIOLATION
+            payload, magic, _, _ = self.header(chunk)
+            if magic != CHUNK_MAGIC:
+                return "corrupt", chunk
+            if payload < want:
+                continue
+            rest = None
+            if payload >= want + 32:
+                rest = chunk + CHUNK_HEADER_SIZE + want
+                if rest + CHUNK_HEADER_SIZE > HEAP:
+                    return "fault", FaultKind.BOUNDS_VIOLATION
+                payload = want
+            if chunk + CHUNK_HEADER_SIZE + payload > HEAP:
+                return "fault", FaultKind.MONOTONICITY_VIOLATION
+            return "fit", (slot, chunk, payload, rest)
+        return "oom", None
+
+    def expect_freed(self, chunk, before, relink):
+        """A free of ``chunk`` succeeded: it heads the list, and a relink
+        moved its first occurrence there."""
+        after = list(before)
+        if relink:
+            after.remove(chunk)
+        assert self.alloc._free_list == [chunk] + after
+        assert self.header(chunk)[1:3] == (CHUNK_MAGIC, FREE)
+
+    def try_free(self, cap, *, own=False):
+        """Free through ``cap``; a refused free changes nothing.  Unless
+        ``cap`` is the client's own live block, a free that lists a chunk
+        that was not listed is a modelled attack."""
+        chunk = cap.address - CHUNK_HEADER_SIZE
+        before = list(self.alloc._free_list)
+        relink = chunk in self.alloc._listed
+        try:
+            self.alloc.free(cap)
+        except AllocError as exc:
+            assert exc.kind is AllocErrorKind.INVALID_FREE
+            assert str(exc) == f"InvalidFree: bad chunk magic at {chunk}"
+            assert self.alloc._free_list == before
+            return False
+        except CapFault as exc:
+            assert exc.kind is FaultKind.BOUNDS_VIOLATION
+            assert self.alloc._free_list == before
+            return False
+        self.expect_freed(chunk, before, relink)
+        if not (relink or own):
+            self.attacked = True
+        return True
+
+    @rule(size=SIZES)
+    def malloc(self, size):
+        before = list(self.alloc._free_list)
+        verdict, detail = self.first_fit(size)
+        try:
+            cap = self.alloc.malloc(size)
+        except AllocError as exc:
+            if verdict == "oom":
+                assert exc.kind is AllocErrorKind.OUT_OF_MEMORY
+            else:
+                assert (verdict, exc.kind) == ("corrupt", AllocErrorKind.CORRUPT_HEADER)
+                assert str(exc) == f"CorruptHeader: free list entry at {detail}"
+            assert self.alloc._free_list == before
+            return
+        except CapFault as exc:
+            assert (verdict, exc.kind) == ("fault", detail)
+            return
+        assert verdict == "fit"
+        slot, chunk, payload, rest = detail
+        assert (cap.base, cap.top, cap.address) == (
+            chunk,
+            chunk + CHUNK_HEADER_SIZE + payload,
+            chunk + CHUNK_HEADER_SIZE,
+        )
+        assert cap.perms == self.alloc._client_perms
+        if rest is None:
+            del before[slot]
+        else:
+            before[slot] = rest
+            assert self.header(rest)[1:3] == (CHUNK_MAGIC, FREE)
+        assert self.alloc._free_list == before
+        assert self.header(chunk) == (payload, CHUNK_MAGIC, LIVE, 0)
+        self.live.append(cap)
+
+    @precondition(lambda self: self.live)
+    @rule(index=INDEX)
+    def free(self, index):
+        cap = self.pick(self.live, index)
+        self.live.remove(cap)
+        self.stale.append(cap)
+        freed = self.try_free(cap, own=True)
+        assert freed or self.attacked
+
+    @precondition(lambda self: self.stale)
+    @rule(index=INDEX)
+    def refree(self, index):
+        self.try_free(self.pick(self.stale, index))
+
+    @precondition(lambda self: self.live)
+    @rule(index=INDEX, size=SIZES)
+    def realloc(self, index, size):
+        cap = self.pick(self.live, index)
+        try:
+            new = self.alloc.realloc(cap, size)
+        except AllocError as exc:
+            assert exc.kind is AllocErrorKind.OUT_OF_MEMORY or self.attacked
+            return
+        except CapFault:
+            assert self.attacked
+            return
+        if new != cap:
+            self.live[self.live.index(cap)] = new
+            self.stale.append(cap)
+
+    @precondition(lambda self: self.live or self.stale)
+    @rule(
+        index=INDEX,
+        offset=FORGE_OFFSETS,
+        size=FORGED_SIZES,
+        status=st.sampled_from([FREE, LIVE]),
+        tag=st.booleans(),
+    )
+    def forge_header(self, index, offset, size, status, tag):
+        cap = self.pick(self.stale + self.live, index)
+        at = cap.base + offset % (cap.length - CHUNK_HEADER_SIZE + 1)
+        header = HEADER.pack(size, CHUNK_MAGIC, status, 0)
+        self.alloc.heap.store(cap, at, header)
+        spill = (at | (GRANULE - 1)) + 1  # the next granule, if the header reaches it
+        if tag and at % GRANULE > GRANULE - CHUNK_HEADER_SIZE and spill + GRANULE <= cap.top:
+            self.alloc.heap.store_cap(cap, spill, tagging_capability(header, at))
+            assert self.alloc.heap.data[at : at + CHUNK_HEADER_SIZE] == header
+        self.forged.append((cap, at))
+        self.attacked = True
+
+    @precondition(lambda self: self.forged)
+    @rule(index=INDEX)
+    def free_at_forged_header(self, index):
+        cap, at = self.pick(self.forged, index)
+        self.try_free(cap.set_address(at + CHUNK_HEADER_SIZE))
+
+    @precondition(lambda self: self.live)
+    @rule(index=INDEX, offset=st.integers(1, 1 << 16))
+    def interior_free(self, index, offset):
+        cap = self.pick(self.live, index)
+        inside = cap.address + 1 + (offset - 1) % (cap.top - cap.address - 1)
+        self.try_free(cap.set_address(inside))
+
+    @precondition(lambda self: self.live)
+    @rule(index=INDEX)
+    def narrowed_free(self, index):
+        cap = self.pick(self.live, index)
+        narrowed = cap.set_bounds(cap.address, cap.top - cap.address)
+        before = list(self.alloc._free_list)
+        with pytest.raises(CapFault) as exc:
+            self.alloc.free(narrowed)
+        assert exc.value.kind is FaultKind.BOUNDS_VIOLATION
+        assert self.alloc._free_list == before
+
+    @precondition(lambda self: self.live or self.stale)
+    @rule(index=INDEX, granule=INDEX)
+    def tag_granule(self, index, granule):
+        """Store a capability into a granule of a block's payload, through
+        its live or stale capability.  Over a header, it is an attack."""
+        cap = self.pick(self.live + self.stale, index)
+        first = -(-cap.address // GRANULE) * GRANULE
+        count = (cap.top - first) // GRANULE
+        if count < 1:
+            return
+        at = first + GRANULE * (granule % count)
+        if not self.attacked:
+            heads = [off for off, _, _ in self.alloc.chunks()]
+            if any(at - CHUNK_HEADER_SIZE < off < at + GRANULE for off in heads):
+                self.attacked = True
+        self.alloc.heap.store_cap(cap, at, cap)
+
+    @precondition(lambda self: len(self.live) + len(self.stale) >= 4)
+    @rule()
+    def reset(self):
+        self.alloc.reset()
+        self.reset_model()
+
+    @invariant()
+    def index_counts_the_free_list(self):
+        assert self.alloc._listed == Counter(self.alloc._free_list)
+
+    @invariant()
+    def engine_headers_are_untagged(self):
+        tags = self.alloc.heap.tags
+        for chunk in self.written:
+            first, last = chunk // GRANULE, (chunk + CHUNK_HEADER_SIZE - 1) // GRANULE
+            assert tags[first : last + 1] == bytes(last + 1 - first), chunk
+        self.written.clear()
+
+    @invariant()
+    def chunks_tile_the_heap(self):
+        try:
+            chunks = self.alloc.chunks()
+        except AllocError as exc:
+            assert self.attacked and exc.kind is AllocErrorKind.CORRUPT_HEADER
+            return
+        except CapFault as exc:
+            assert self.attacked and exc.kind is FaultKind.BOUNDS_VIOLATION
+            return
+        if self.attacked:
+            return
+        off = 0
+        for chunk, payload, _ in chunks:
+            assert chunk == off and payload % CHUNK_HEADER_SIZE == 0
+            off += CHUNK_HEADER_SIZE + payload
+        assert off == HEAP
+        status = {chunk: (payload, state) for chunk, payload, state in chunks}
+        for chunk in self.alloc._free_list:
+            assert status[chunk][1] == FREE
+        for cap in self.live:
+            assert status[cap.base] == (cap.length - CHUNK_HEADER_SIZE, LIVE)
+
+    @invariant()
+    def live_blocks_are_disjoint(self):
+        if self.attacked:
+            return
+        spans = sorted((cap.base, cap.top) for cap in self.live)
+        for (_, top), (base, _) in zip(spans, spans[1:]):
+            assert top <= base
+
+
+@pytest.mark.parametrize("config", ["dlmalloc-cheribuild", "jemalloc", "libmalloc-simple"])
+def test_free_list_state_machine(config):
+    assert TRAITS[config].free_validation is FreeValidation.INLINE_HEADER
+    machine = type(f"FreeListMachine[{config}]", (FreeListMachine,), {"config": config})
+    run_state_machine_as_test(
+        machine,
+        settings=settings(
+            max_examples=60, stateful_step_count=40, deadline=None, derandomize=True, database=None
+        ),
+    )

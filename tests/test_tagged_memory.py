@@ -1,6 +1,6 @@
 import pytest
 
-from capheap.capability import CapFault, FaultKind, PERM_ALL, Perm, make_root
+from capheap.capability import CapFault, Capability, FaultKind, PERM_ALL, Perm, make_root
 from capheap.tagged_memory import GRANULE, TaggedHeap
 
 HEAP = 4096
@@ -184,6 +184,61 @@ class TestCapabilityWiderThanHeap:
         heap.store_cap(wide, HEAP - GRANULE, wide)
         assert heap.load_cap(wide, HEAP - GRANULE) == wide
         assert heap.load(wide, HEAP - GRANULE, 4) == bytes(4)
+
+
+
+class TestCapabilityBelowHeap:
+    """A hand-built capability may reach below address 0; the heap's own
+    lower bound faults it the same way, writing nothing."""
+
+    @pytest.fixture
+    def low(self):
+        return Capability(True, -64, 64, 0, 0x3F)
+
+    CALLS = {
+        "store": lambda heap, cap: heap.store(cap, -8, b"\xff" * 16),
+        "store_cap": lambda heap, cap: heap.store_cap(cap, -16, cap),
+        "load_cap": lambda heap, cap: heap.load_cap(cap, -16),
+        "load": lambda heap, cap: heap.load(cap, -8, 16),
+    }
+    TEXTS = {
+        "store": "BoundsViolation: [-8, 8) outside [0, 4096)",
+        "store_cap": "BoundsViolation: [-16, 0) outside [0, 4096)",
+        "load_cap": "BoundsViolation: [-16, 0) outside [0, 4096)",
+        "load": "BoundsViolation: [-8, 8) outside [0, 4096)",
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_access_below_heap_is_bounds_fault(self, heap, root, low, call):
+        heap.store(root, 0, b"\x11" * 16)
+        heap.store_cap(root, HEAP - GRANULE, root)
+        before = heap.snapshot()
+        with pytest.raises(CapFault) as exc:
+            self.CALLS[call](heap, low)
+        assert exc.value.kind is FaultKind.BOUNDS_VIOLATION
+        assert str(exc.value) == self.TEXTS[call]
+        assert heap.snapshot() == before
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_capability_faults_keep_priority(self, heap, low, call):
+        with pytest.raises(CapFault) as exc:
+            self.CALLS[call](heap, low.clear_tag())
+        assert exc.value.kind is FaultKind.TAG_VIOLATION
+        with pytest.raises(CapFault) as exc:
+            self.CALLS[call](heap, low.and_perms(Perm.EXEC))
+        assert exc.value.kind is FaultKind.PERMISSION_VIOLATION
+
+    def test_misaligned_capability_access_below_heap_is_alignment_fault(self, heap, low):
+        # alignment is checked before authority, and before the heap's bounds
+        for call in (lambda: heap.store_cap(low, -8, low), lambda: heap.load_cap(low, -8)):
+            with pytest.raises(CapFault) as exc:
+                call()
+            assert exc.value.kind is FaultKind.ALIGNMENT_VIOLATION
+
+    def test_access_inside_heap_still_works(self, heap, root, low):
+        heap.store_cap(low, 0, root)
+        assert heap.load_cap(low, 0) == root
+        assert heap.load(low, 4, 4) == HEAP.to_bytes(4, "little")
 
 
 def test_snapshot_is_data_plus_tag_bitmap(heap, root):
