@@ -73,6 +73,8 @@ class Allocator(abc.ABC):
     capabilities.
     """
 
+    heap_class = TaggedHeap  # what ``registry.create`` builds for an engine
+
     def __init__(self, heap: TaggedHeap, traits: AllocatorTraits, *, rounding_bounds: bool = False):
         self.heap = heap
         self._traits = traits

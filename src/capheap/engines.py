@@ -41,6 +41,20 @@ offset's occurrences in the list answers membership in constant time.
 It counts rather than flags because the list may hold a chunk twice: a
 moving realloc through a stale capability on a free chunk lists that
 chunk again, and each copy can be handed out once.
+
+malloc scans the list from the head, reading each header.  Once a
+scan has visited more than 64 entries (and until reset), a byte array
+beside the list holds each slot's size class instead, read from the
+chunk's header: linear in 16-byte steps below 2048 bytes, four per power of two
+above, or poisoned for a bad magic.  One ``translate`` and one ``find``
+over those bytes give the first slot that surely fits or is poisoned,
+so malloc still returns the chunk, or raises the CorruptHeader or
+bounds fault, that the scan would.  The classes stay true to the heap
+bytes behind a write barrier: the heap watches the granules under every
+indexed header, any store or engine header write to one marks it
+dirty, and the next malloc first re-reads just the listed headers over
+dirty granules.  A header forged through a stale capability therefore
+still steers the next malloc.
 """
 
 from __future__ import annotations
@@ -56,7 +70,7 @@ from .allocator_api import (
     round16,
 )
 from .capability import ADDRESS_MAX, CapFault, Capability, FaultKind, Perm, _derive
-from .tagged_memory import TaggedHeap
+from .tagged_memory import TaggedHeap, WatchedHeap
 
 __all__ = [
     "BumpAllocator",
@@ -75,6 +89,26 @@ assert _HEADER.size == CHUNK_HEADER_SIZE
 
 _STATUS_FREE = 0
 _STATUS_LIVE = 1
+
+# Free-list classes, one byte per listed slot.  A payload below _LINEAR
+# is in class payload >> 4 (0..127); above, each power of two is split in
+# four (128..211); a header with a bad magic is _POISONED.  Classes rise
+# with the payload, so a request fits every chunk of a higher class, and
+# below _LINEAR, where requests are multiples of 16, of its own class too.
+# _FROM[c] maps the payload classes from c up, and _POISONED, to 1.
+_LINEAR = 2048
+_SCAN_LIMIT = 64  # a scan that visits more entries starts the index
+_TOP = 212  # one above the highest payload class
+_POISONED = 255
+_FROM = [bytes(c) + b"\1" * (_TOP - c) + bytes(_POISONED - _TOP) + b"\1" for c in range(_TOP + 1)]
+
+
+def _class(payload: int) -> int:
+    if payload < _LINEAR:
+        return payload >> 4
+    top = payload.bit_length()
+    return 4 * top + 80 + (payload >> (top - 3) & 3)
+
 
 _NEED_LOAD = int(Perm.LOAD)
 
@@ -144,7 +178,7 @@ class BumpAllocator(Allocator):
 
 
 class FreeListAllocator(Allocator):
-    """First-fit over free chunks with inline headers.
+    """First fit over free chunks with inline headers, LIFO order.
 
     Client capabilities span the whole chunk (header included) with the
     cursor on the payload: free() re-reads the header at address-8
@@ -152,31 +186,167 @@ class FreeListAllocator(Allocator):
     while one narrowed to the payload faults.  Re-freeing a free chunk
     silently relinks (its first occurrence moves to the head); there is
     no double-free detection, and the list may hold duplicates.  No
-    coalescing happens except explicit realloc absorption.  Clients can
-    overwrite headers, so malloc and chunks() raise CORRUPT_HEADER on a
-    bad magic, and realloc absorption on a FREE header that is not listed.
+    coalescing happens except explicit realloc absorption.
+
+    malloc takes the first listed chunk, from the head, whose header
+    payload covers the rounded request.  It reads the headers in turn:
+    a bad magic raises CORRUPT_HEADER, an entry outside the heap the
+    region's bounds fault, and none fitting is OUT_OF_MEMORY.  Once a
+    scan has visited more than ``_SCAN_LIMIT`` entries, and until reset,
+    it no longer reads the headers it passes over (``_malloc_indexed``):
+    ``_classes`` holds one byte per slot, the chunk's size
+    class (see ``_class``) or _POISONED for a bad magic; the first slot
+    of a class that surely fits, or a poisoned one, is found by one
+    ``translate`` and one ``find`` over the bytes, and only for requests
+    of 2048 bytes and more, whose own class may hold smaller chunks, are
+    the earlier slots of that class read.  It returns and raises exactly
+    what the scan would.  No listed chunk lies outside the heap (each
+    was listed right after a bounds-checked header read or write), but
+    the poisoned path runs the region's bounds check first, as the scan.
+
+    Clients can overwrite headers, and the engine's own header writes
+    can land on a forged one, so the classes stand behind a write
+    barrier: the heap (a ``WatchedHeap``) watches the granule, or both
+    granules, under every indexed header, every write to a watched
+    granule marks it dirty, and malloc first re-reads just the listed
+    headers over dirty granules and re-files each whose class moved.
+    chunks() raises CORRUPT_HEADER on a bad magic or a walk that does
+    not end exactly at the heap's end, and realloc absorption on a FREE
+    header that is not listed.
     """
 
+    heap_class = WatchedHeap
+
     def __init__(self, heap: TaggedHeap, traits: AllocatorTraits, *, rounding_bounds: bool = False):
+        if not isinstance(heap, WatchedHeap):
+            raise TypeError("the free-list engine needs a WatchedHeap")
         super().__init__(heap, traits, rounding_bounds=rounding_bounds)
         self._reset_state()
 
+    def reset(self) -> None:
+        # the plain clear, and no watch: marking every watched granule
+        # dirty, as a bare clear() does, would be wasted
+        heap = self.heap
+        TaggedHeap.clear(heap)
+        heap.watch = None
+        heap.dirty.clear()
+        self._reset_state()
+
     def _reset_state(self) -> None:
-        first_payload = self.heap.size - CHUNK_HEADER_SIZE
+        heap = self.heap
+        first_payload = heap.size - CHUNK_HEADER_SIZE
         self._write_header(0, first_payload, _STATUS_FREE)
-        self._free_list: list[int] = [0]
+        self._free_list: list[int] = [0]  # chunk offsets, head first
         self._listed: dict[int, int] = {0: 1}  # chunk -> occurrences in _free_list
+        # the class index, None until a scan visits more than _SCAN_LIMIT entries
+        self._classes: bytearray | None = None  # the class of each slot's chunk
+        self._class_of: dict[int, int] = {}  # chunk -> the class of all its slots
+        self._off_grid = False  # whether a chunk off the 8-byte grid was indexed since
 
-    def _push(self, chunk: int) -> None:
-        """List ``chunk`` at the head: the free list is LIFO."""
-        self._free_list.insert(0, chunk)
-        self._listed[chunk] = self._listed.get(chunk, 0) + 1
+    # Listing.  All occurrences of a chunk share its header, so they share
+    # a class: a chunk already listed is filed under its current class,
+    # and the engine's write that changed its header left the granule
+    # dirty for the next re-read.  An indexed chunk's header granules are
+    # watched.  Chunks on the 8-byte grid (every one but a forged one)
+    # have one header granule, shared at most with the chunk at offset
+    # ^ 8; once a chunk off the grid is indexed, until reset, every
+    # granule a header may overlap is searched instead.
 
-    def _unlist(self, chunk: int) -> None:
-        """Count one occurrence of ``chunk`` out of the index."""
-        left = self._listed.pop(chunk) - 1
-        if left:
-            self._listed[chunk] = left
+    def _push(self, chunk: int, payload: int, slot: int = -1) -> None:
+        """List ``chunk`` at the head (the free list is LIFO), or in place
+        of the occurrence at ``slot``, which the caller then counts out.
+        ``payload`` is the header the engine has just written there."""
+        listed = self._listed
+        n = listed.get(chunk, 0)
+        listed[chunk] = n + 1
+        classes = self._classes
+        if classes is not None:
+            if n:
+                cls = self._class_of[chunk]
+            else:
+                cls = self._class_of[chunk] = _class(payload)
+                self._watch(chunk)
+            if slot < 0:
+                classes.insert(0, cls)
+            else:
+                classes[slot] = cls
+        if slot < 0:
+            self._free_list.insert(0, chunk)
+        else:
+            self._free_list[slot] = chunk
+
+    def _leave(self, chunk: int) -> None:
+        """Count one occurrence of ``chunk`` out."""
+        listed = self._listed
+        n = listed.pop(chunk) - 1
+        if n:
+            listed[chunk] = n
+            return
+        if self._classes is None:
+            return
+        del self._class_of[chunk]
+        watch = self.heap.watch
+        if not self._off_grid:
+            if chunk ^ 8 not in listed:
+                watch[chunk >> 4] = 0
+            return
+        for granule in range(chunk >> 4, ((chunk + CHUNK_HEADER_SIZE - 1) >> 4) + 1):
+            if not listed.keys() & self._over(granule):
+                watch[granule] = 0
+
+    def _drop(self, slot: int) -> None:
+        """Unlist the occurrence at ``slot``."""
+        if self._classes is not None:
+            del self._classes[slot]
+        self._leave(self._free_list.pop(slot))
+
+    def _watch(self, chunk: int) -> None:
+        watch = self.heap.watch
+        watch[chunk >> 4] = 1
+        if chunk & 7:
+            self._off_grid = True
+            watch[(chunk + CHUNK_HEADER_SIZE - 1) >> 4] = 1
+
+    def _over(self, granule: int) -> range | tuple[int, int]:
+        """Where a header over ``granule`` can start."""
+        start = granule << 4
+        if self._off_grid:
+            return range(start - CHUNK_HEADER_SIZE + 1, start + 16)
+        return start, start + 8
+
+    def _index(self) -> None:
+        """Start the class index: file every listed chunk by its header,
+        read once from the heap bytes, and watch it from now on."""
+        heap = self.heap
+        heap.watch = bytearray(len(heap.tags))
+        class_of = self._class_of
+        for chunk in self._listed:
+            payload, magic, _, _ = _HEADER.unpack_from(heap.data, chunk)
+            class_of[chunk] = _class(payload) if magic == CHUNK_MAGIC else _POISONED
+            self._watch(chunk)
+        self._classes = bytearray(class_of[chunk] for chunk in self._free_list)
+
+    def _resync(self) -> None:
+        """Re-read the header of every listed chunk over a dirty granule,
+        and re-file its slots if its class moved."""
+        heap = self.heap
+        data = heap.data
+        listed = self._listed
+        class_of = self._class_of
+        for granule in heap.dirty:
+            for chunk in self._over(granule):
+                cls = class_of.get(chunk)
+                if cls is None:
+                    continue
+                payload, magic, _, _ = _HEADER.unpack_from(data, chunk)
+                new = _class(payload) if magic == CHUNK_MAGIC else _POISONED
+                if new != cls:
+                    class_of[chunk] = new
+                    slot = -1
+                    for _ in range(listed[chunk]):
+                        slot = self._free_list.index(chunk, slot + 1)
+                        self._classes[slot] = new
+        heap.dirty.clear()
 
     # Header I/O is done in place on the heap bytes (see the module
     # docstring).  The engine's authority is the region capability, which
@@ -184,7 +354,8 @@ class FreeListAllocator(Allocator):
     # can only fail on bounds: that test stays inline, and when it fails
     # check_access raises the fault heap.load or heap.store would.  A
     # write clears the tag of every granule its 8 bytes overlap: one for
-    # a chunk start, two for a header forged at 9..15 modulo 16.
+    # a chunk start, two for a header forged at 9..15 modulo 16; like a
+    # client's store, it marks the watched ones dirty.
     # heap.data and heap.tags are fetched per call: reset() replaces them.
 
     def _write_header(self, chunk: int, payload_size: int, status: int) -> None:
@@ -192,10 +363,15 @@ class FreeListAllocator(Allocator):
         if chunk < 0 or chunk + CHUNK_HEADER_SIZE > heap.size:
             self.region.check_access(chunk, CHUNK_HEADER_SIZE, Perm.STORE)
         _HEADER.pack_into(heap.data, chunk, payload_size, CHUNK_MAGIC, status, 0)
+        first = chunk >> 4
+        last = (chunk + CHUNK_HEADER_SIZE - 1) >> 4
         tags = heap.tags
-        tags[chunk >> 4] = 0
-        if chunk & 15 > 8:
-            tags[(chunk >> 4) + 1] = 0
+        tags[first] = 0
+        if last != first:
+            tags[last] = 0
+        watch = heap.watch
+        if watch is not None and (watch[first] or watch[last]):
+            heap.touch(first, last)
 
     def _read_header(self, chunk: int) -> tuple[int, int, int]:
         if chunk < 0 or chunk + CHUNK_HEADER_SIZE > self.heap.size:
@@ -233,11 +409,14 @@ class FreeListAllocator(Allocator):
     def malloc(self, size: int) -> Capability:
         self._check_request(size)
         want = round16(size)
+        if self._classes is not None:
+            return self._malloc_indexed(want)
+        # a short list: scan it from the head, reading each header
         data = self.heap.data
         last = self.heap.size - CHUNK_HEADER_SIZE
+        free_list = self._free_list
         listed = self._listed
-        for slot, chunk in enumerate(self._free_list):
-            # _read_header, inlined: this scan is the engine's hot loop
+        for slot, chunk in enumerate(free_list):
             if chunk < 0 or chunk > last:
                 self.region.check_access(chunk, CHUNK_HEADER_SIZE, Perm.LOAD)
             payload, magic, _, _ = _HEADER.unpack_from(data, chunk)
@@ -246,38 +425,117 @@ class FreeListAllocator(Allocator):
             if payload < want:
                 continue
             if payload >= want + 32:
-                # split: keep `want`, the remainder becomes a new free chunk
+                # split: keep `want`, the remainder takes the slot
                 rest = chunk + CHUNK_HEADER_SIZE + want
                 self._write_header(rest, payload - want - CHUNK_HEADER_SIZE, _STATUS_FREE)
-                self._free_list[slot] = rest
+                free_list[slot] = rest
                 listed[rest] = listed.get(rest, 0) + 1
                 payload = want
             else:
-                del self._free_list[slot]
-            # _unlist, inlined: this is the hot path
+                del free_list[slot]
             left = listed.pop(chunk) - 1
             if left:
                 listed[chunk] = left
             self._write_header(chunk, payload, _STATUS_LIVE)
+            if slot >= _SCAN_LIMIT:
+                self._index()  # a long scan: answer from the classes from now on
             return self._chunk_cap(chunk, payload)
+        if len(free_list) > _SCAN_LIMIT:
+            self._index()
         raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"no free chunk holds {want} bytes")
+
+    def _malloc_indexed(self, want: int) -> Capability:
+        """malloc on a long list: the scan's answer and faults, from the
+        class index."""
+        heap = self.heap
+        if heap.dirty:
+            self._resync()
+        free_list = self._free_list
+        classes = self._classes
+        # the first slot whose class surely fits, or that is poisoned
+        if want < _LINEAR:
+            cls = want >> 4
+            if classes and cls <= classes[0] < _TOP:
+                stop = 0  # the head fits
+            else:
+                stop = classes.translate(_FROM[cls]).find(1)
+            slot = -1
+        else:
+            # above _LINEAR, a slot of want's own class before it may fit
+            cls = min(_class(want), _TOP)
+            stop = classes.translate(_FROM[min(cls + 1, _TOP)]).find(1)
+            end = len(classes) if stop < 0 else stop
+            slot = classes.find(cls, 0, end) if cls < _TOP else -1
+        while slot >= 0:
+            payload = _HEADER.unpack_from(heap.data, free_list[slot])[0]
+            if payload >= want:
+                break
+            slot = classes.find(cls, slot + 1, end)
+        else:
+            if stop < 0:
+                raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"no free chunk holds {want} bytes")
+            slot = stop
+            if classes[slot] == _POISONED:
+                chunk = free_list[slot]
+                self.region.check_access(chunk, CHUNK_HEADER_SIZE, Perm.LOAD)
+                raise AllocError(AllocErrorKind.CORRUPT_HEADER, f"free list entry at {chunk}")
+            payload = _HEADER.unpack_from(heap.data, free_list[slot])[0]
+        chunk = free_list[slot]
+        if payload >= want + 32:
+            # split: keep `want`, the remainder takes the slot
+            rest = chunk + CHUNK_HEADER_SIZE + want
+            rest_payload = payload - want - CHUNK_HEADER_SIZE
+            self._write_header(rest, rest_payload, _STATUS_FREE)
+            listed = self._listed
+            if self._off_grid or listed[chunk] > 1 or rest in listed:
+                self._push(rest, rest_payload, slot)
+                self._leave(chunk)
+            else:
+                # _push and _leave, inlined for the common case: the
+                # remainder takes over the slot and the chunk's watch
+                del listed[chunk]
+                listed[rest] = 1
+                class_of = self._class_of
+                del class_of[chunk]
+                classes[slot] = class_of[rest] = (  # _class(rest_payload), inlined
+                    rest_payload >> 4 if rest_payload < _LINEAR
+                    else 4 * (top := rest_payload.bit_length()) + 80 + (rest_payload >> (top - 3) & 3)
+                )
+                free_list[slot] = rest
+                watch = heap.watch
+                watch[rest >> 4] = 1
+                if chunk ^ 8 not in listed:
+                    watch[chunk >> 4] = 0
+            payload = want
+        else:
+            self._drop(slot)
+        self._write_header(chunk, payload, _STATUS_LIVE)
+        return self._chunk_cap(chunk, payload)
 
     def free(self, cap: Capability) -> None:
         chunk, payload = self._client_header(cap)
         self._write_header(chunk, payload, _STATUS_FREE)
-        if chunk in self._listed:
-            # silent relink: a re-free moves the first occurrence to the
-            # head; only this path pays for a linear remove
-            self._free_list.remove(chunk)
-        else:
-            self._listed[chunk] = 1
-        self._free_list.insert(0, chunk)
+        listed = self._listed
+        classes = self._classes
+        if chunk in listed:
+            # silent relink: the first occurrence moves to the head
+            self._drop(self._free_list.index(chunk))
+        elif classes is None or not chunk & 7:
+            # _push, inlined for a chunk not listed, on the grid if indexed
+            if classes is not None:
+                classes.insert(0, _class(payload))
+                self._class_of[chunk] = classes[0]
+                self.heap.watch[chunk >> 4] = 1
+            listed[chunk] = 1
+            self._free_list.insert(0, chunk)
+            return
+        self._push(chunk, payload)
 
     def _free_chunk(self, chunk: int, payload: int) -> None:
         """Internal free path (realloc moves); no client validation, so a
         chunk already listed through a stale capability is listed twice."""
         self._write_header(chunk, payload, _STATUS_FREE)
-        self._push(chunk)
+        self._push(chunk, payload)
 
     def realloc(self, cap: Capability, new_size: int) -> Capability:
         self._check_request(new_size)
@@ -292,8 +550,9 @@ class FreeListAllocator(Allocator):
         # move: allocate fresh, copy, zero the tail, release the old chunk
         new_cap = self.malloc(new_size)
         ncopy = min(payload, new_size)
-        data = self.heap.load(self.region, cap.address, ncopy)
-        self.heap.store(self.region, new_cap.address, data)
+        if ncopy:  # a forged header may claim no payload at all
+            data = self.heap.load(self.region, cap.address, ncopy)
+            self.heap.store(self.region, new_cap.address, data)
         if new_size > ncopy:
             self.heap.store(self.region, new_cap.address + ncopy, bytes(new_size - ncopy))
         self._free_chunk(chunk, payload)
@@ -319,19 +578,19 @@ class FreeListAllocator(Allocator):
             absorbed.append(nxt)
             span += CHUNK_HEADER_SIZE + nxt_payload
         for off in absorbed:
-            self._free_list.remove(off)
-            self._unlist(off)
+            self._drop(self._free_list.index(off))
         if span >= want + 32:
             rest = chunk + CHUNK_HEADER_SIZE + want
             self._write_header(rest, span - want - CHUNK_HEADER_SIZE, _STATUS_FREE)
-            self._push(rest)
+            self._push(rest, span - want - CHUNK_HEADER_SIZE)
             span = want
         self._write_header(chunk, span, _STATUS_LIVE)
         return span
 
     def chunks(self) -> list[tuple[int, int, int]]:
         """Walk the heap by headers: (offset, payload size, status) per
-        chunk.  Used by tiling checks and the heap dump tooling."""
+        chunk.  Used by tiling checks and the heap dump tooling.  The
+        walk must end exactly at the heap's end."""
         out = []
         off = 0
         while off < self.heap.size:
@@ -340,6 +599,10 @@ class FreeListAllocator(Allocator):
                 raise AllocError(AllocErrorKind.CORRUPT_HEADER, f"tiling broken at {off}")
             out.append((off, size, status))
             off += CHUNK_HEADER_SIZE + size
+        if off != self.heap.size:
+            raise AllocError(
+                AllocErrorKind.CORRUPT_HEADER, f"tiling ends at {off}, past the heap end {self.heap.size}"
+            )
         return out
 
 

@@ -11,7 +11,6 @@ from typing import Callable
 
 from .allocator_api import Allocator, AllocatorTraits, FreeValidation
 from .engines import BumpAllocator, FreeListAllocator, SlabAllocator
-from .tagged_memory import TaggedHeap
 
 __all__ = ["ALLOCATOR_NAMES", "DEFAULT_HEAP_SIZE", "TRAITS", "create", "default_registry"]
 
@@ -51,8 +50,8 @@ def create(
     """Build a named allocator over a fresh heap of its own."""
     if name not in TRAITS:
         raise ValueError(f"unknown allocator {name!r}; choose from {', '.join(ALLOCATOR_NAMES)}")
-    heap = TaggedHeap(heap_size)
-    return _ENGINES[name](heap, TRAITS[name], rounding_bounds=rounding_bounds)
+    engine = _ENGINES[name]
+    return engine(engine.heap_class(heap_size), TRAITS[name], rounding_bounds=rounding_bounds)
 
 
 def default_registry(

@@ -14,6 +14,17 @@ any plain byte store touching the granule clears it again.  The heap
 starts zeroed with all tags clear.  Its bytes are an anonymous memory
 map, so they are demand-zero: a fresh or cleared heap costs only the
 pages a run touches, not a zero-fill of the whole heap.
+
+``store_cap`` refuses a payload the layout cannot encode (a field
+outside u32, a negative field, or a permission mask above 255; only a
+hand-built ``Capability`` can hold one) with
+``CapFault(BOUNDS_VIOLATION)``, after the access checks and before any
+byte or tag changes.
+
+``WatchedHeap`` adds a write barrier for an engine that keeps facts
+about heap bytes out of band: a ``watch`` byte per granule, set by the
+engine, and a ``dirty`` set of the watched granules that ``store`` and
+``store_cap`` wrote since the engine last looked.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ import struct
 
 from .capability import CapFault, Capability, FaultKind, Perm
 
-__all__ = ["GRANULE", "TaggedHeap"]
+__all__ = ["GRANULE", "TaggedHeap", "WatchedHeap"]
 
 GRANULE = 16
 
@@ -42,6 +53,8 @@ class TaggedHeap:
     distinct heaps are independent.  ``data`` is an ``mmap`` (slices are
     ``bytes``; it never resizes) and ``tags`` a ``bytearray``, one byte
     per granule.  ``clear()`` replaces both: hold the heap, not ``data``."""
+
+    watch: bytearray | None = None  # the write barrier's map (see WatchedHeap)
 
     def __init__(self, size: int):
         if size <= 0 or size % GRANULE != 0:
@@ -84,6 +97,9 @@ class TaggedHeap:
         first = addr // GRANULE
         last = (addr + len(payload) - 1) // GRANULE
         self.tags[first : last + 1] = bytes(last + 1 - first)
+        watch = self.watch
+        if watch is not None and watch.find(1, first, last + 1) >= 0:
+            self.touch(first, last)
 
     def store_cap(self, cap: Capability, addr: int, payload: Capability) -> None:
         """Serialize ``payload`` into one granule; the granule tag becomes
@@ -93,10 +109,18 @@ class TaggedHeap:
         cap.check_access(addr, GRANULE, _NEED_STORE_CAP)
         if addr < 0 or addr + GRANULE > self.size:
             self.fault_outside(addr, GRANULE)
-        self.data[addr : addr + GRANULE] = _CAP_LAYOUT.pack(
-            payload.base, payload.top, payload.address, payload.perms
-        )
-        self.tags[addr // GRANULE] = 1 if payload.tag else 0
+        try:
+            raw = _CAP_LAYOUT.pack(payload.base, payload.top, payload.address, payload.perms)
+        except struct.error:
+            raise CapFault(
+                FaultKind.BOUNDS_VIOLATION, f"store_cap payload {payload!r} has no 16-byte encoding"
+            ) from None
+        self.data[addr : addr + GRANULE] = raw
+        granule = addr // GRANULE
+        self.tags[granule] = 1 if payload.tag else 0
+        watch = self.watch
+        if watch is not None and watch[granule]:
+            self.dirty.add(granule)
 
     def load_cap(self, cap: Capability, addr: int) -> Capability:
         """Deserialize one granule; the result's tag is the granule tag,
@@ -118,3 +142,34 @@ class TaggedHeap:
             if t:
                 bitmap[i // 8] |= 1 << (i % 8)
         return bytes(self.data) + bytes(bitmap)
+
+
+class WatchedHeap(TaggedHeap):
+    """A heap whose byte stores report the watched granules they touch.
+
+    ``watch`` is None until the engine that owns the heap starts one: a
+    bytearray with one byte per granule, set under what the engine
+    mirrors out of band.  ``store``, ``store_cap`` and ``touch`` then
+    add every watched granule they write to ``dirty``, which the engine
+    drains before it trusts its mirror.  ``clear()`` zeroes every byte,
+    so it marks every watched granule dirty and leaves the watch to the
+    engine.
+    """
+
+    def __init__(self, size: int):
+        super().__init__(size)
+        self.watch = None
+        self.dirty: set[int] = set()
+
+    def clear(self) -> None:
+        TaggedHeap.clear(self)
+        if self.watch is not None:
+            self.touch(0, len(self.watch) - 1)
+
+    def touch(self, first: int, last: int) -> None:
+        """Mark dirty every watched granule in ``first..last``."""
+        watch = self.watch
+        g = watch.find(1, first, last + 1)
+        while g >= 0:
+            self.dirty.add(g)
+            g = watch.find(1, g + 1, last + 1)

@@ -11,7 +11,12 @@ that was recorded by running these exact sequences on the engines as
 they were beforehand.
 A corrupt free-list header, which used to trip an ``assert``, is now an
 ``AllocError`` of kind ``CorruptHeader``; the placements around it are
-the recorded ones.
+the recorded ones.  The free list's first fit now comes from a class
+byte per listed slot kept behind a heap write barrier; the ``bench``
+traffic and the engine header write over a listed forged header were
+recorded on the scanning engine before it went in.  A chunk walk that
+overshoots the heap's end, which used to return a short list, now
+raises ``CorruptHeader``.
 """
 
 import hashlib
@@ -26,7 +31,9 @@ from pathlib import Path
 import pytest
 
 import capheap
+from capheap import engines
 from capheap.allocator_api import AllocError, AllocErrorKind
+from capheap.bench import Workload, run_workload
 from capheap.capability import PERM_ALL, PERM_NONE, CapFault, Capability, FaultKind, Perm, make_root
 from capheap.engines import CHUNK_HEADER_SIZE, CHUNK_MAGIC, SLAB_SIZE
 from capheap.registry import ALLOCATOR_NAMES, TRAITS, create
@@ -595,3 +602,200 @@ def test_optimized_interpreter_reproduces_the_digests():
     assert run.returncode == 0, run.stderr
     got = json.loads(run.stdout)
     assert got == {"optimize": 1, "traffic": TRAFFIC, "rounding": ROUNDING_TRAFFIC}
+
+
+class Recording:
+    """Forwards malloc, free and realloc to an allocator and hashes what
+    each call returned (a capability's ``describe()``, or ``None``) or
+    the kind of the error it raised."""
+
+    def __init__(self, alloc):
+        self.alloc = alloc
+        self.sha = hashlib.sha256()
+
+    def traits(self):
+        return self.alloc.traits()
+
+    def _call(self, fn, *args):
+        try:
+            result = fn(*args)
+        except (AllocError, CapFault) as exc:
+            self.sha.update(exc.kind.value.encode() + b"\n")
+            raise
+        self.sha.update((result.describe() if result is not None else "None").encode() + b"\n")
+        return result
+
+    def malloc(self, size):
+        return self._call(self.alloc.malloc, size)
+
+    def free(self, cap):
+        return self._call(self.alloc.free, cap)
+
+    def realloc(self, cap, size):
+        return self._call(self.alloc.realloc, cap, size)
+
+
+BENCH_WORKLOADS = {
+    "churn": Workload.churn(1024, 32),
+    "randsize": Workload.randsize(2000, 1, 16, 512),
+    "reallocramp": Workload.reallocramp(2000),
+}
+
+
+def bench_traffic(name, kind):
+    """``run_workload`` on a fresh 1 MiB heap: its deterministic result
+    fields and the SHA-256 of every call's outcome."""
+    rec = Recording(create(name))
+    r = run_workload(rec, BENCH_WORKLOADS[kind])
+    return r.ops_completed, r.peak_live_bytes, r.peak_touched_bytes, r.oom_count, rec.sha.hexdigest()
+
+
+# (ops, peak live bytes, peak touched bytes, OOMs, SHA-256 of the calls).
+# dlmalloc-cheribuild differs from jemalloc only in the permission byte;
+# libmalloc-simple grows reallocramp's block in place.
+BENCH_TRAFFIC = {
+    ("dlmalloc-cheribuild", "churn"): (1024, 2080, 2600, 0, "ffb292036388e026931e64bc0e580f71c504cd4cd0472baf2826c4bd19b0b7b8"),
+    ("dlmalloc-cheribuild", "randsize"): (2000, 7877, 107034, 0, "d77d9218b60b53cc88c2b11de8a5643ee87b749a2491342b839f035f59f91c18"),
+    ("dlmalloc-cheribuild", "reallocramp"): (360, 5776, 1048344, 1640, "b1309d0cab0bdd4d3e13475399533056c03dc844f406fe5f8b419ffae7b5e3e4"),
+    ("jemalloc", "churn"): (1024, 2080, 2600, 0, "0dedb0909ab1a87bf5a1e830f839a9cb920dc8dc777fc2be56b685e9b667f522"),
+    ("jemalloc", "randsize"): (2000, 7877, 107034, 0, "a87eeb05a5ad1a98c21a375f80e8223aa1e3889d779b2dbd5f0bebb4bef5c88d"),
+    ("jemalloc", "reallocramp"): (360, 5776, 1048344, 1640, "81922daa3fe53905919a57490e74adcf3a67662ca9c5570ff6599d3cf8a6064b"),
+    ("libmalloc-simple", "churn"): (1024, 2080, 2600, 0, "0dedb0909ab1a87bf5a1e830f839a9cb920dc8dc777fc2be56b685e9b667f522"),
+    ("libmalloc-simple", "randsize"): (2000, 7877, 107034, 0, "a87eeb05a5ad1a98c21a375f80e8223aa1e3889d779b2dbd5f0bebb4bef5c88d"),
+    ("libmalloc-simple", "reallocramp"): (2000, 32016, 32024, 0, "69a62c95731a7a700821e3c37dd66640f707d9c5a56a444f2e7f68766d29e9a1"),
+}
+
+
+@pytest.mark.parametrize("name, kind", sorted(BENCH_TRAFFIC))
+def test_bench_workload_traffic(name, kind):
+    assert bench_traffic(name, kind) == BENCH_TRAFFIC[name, kind]
+
+
+def engine_write_over_forged_header(name, shift):
+    """A client forges a 16-byte FREE header at 104 + ``shift`` through a
+    stale capability and frees at it, which lists it.  malloc(96) then
+    splits the chunk at 0 and writes the remainder's header at 104, over
+    bytes of the listed forged one (for shifts -7..7), changing its size,
+    its magic or both; the later mallocs show what the list makes of it."""
+    alloc = create(name)
+    a = alloc.malloc(600)
+    alloc.free(a)
+    at = 104 + shift
+    alloc.heap.store(a, at, _HEADER.pack(16, CHUNK_MAGIC, 0, 0))
+    out = [outcome(alloc.free, a.set_address(at + CHUNK_HEADER_SIZE)), list(alloc._free_list)]
+    out += [outcome(alloc.malloc, 96), list(alloc._free_list)]
+    out += [outcome(alloc.malloc, size) for size in (1000, 16, 4000, 64)]
+    out.append(list(alloc._free_list))
+    return out
+
+
+# Shift 4: the remainder's magic and status land on the forged size, so
+# the forged chunk at 108 claims 0xCA1B bytes and takes malloc(1000).
+ENGINE_WRITE_SHIFT_4 = [
+    "None",
+    [108, 0, 616],
+    "cap(tag=1,base=0,top=104,addr=8,perms={})",
+    [108, 104, 616],
+    "cap(tag=1,base=108,top=1124,addr=116,perms={})",
+    "cap(tag=1,base=1124,top=1148,addr=1132,perms={})",
+    "cap(tag=1,base=1148,top=5156,addr=1156,perms={})",
+    "cap(tag=1,base=5156,top=5228,addr=5164,perms={})",
+    [5228, 104, 616],
+]
+
+# SHA-256 over the outcomes for shifts -7..7, as JSON
+ENGINE_WRITE_DIGESTS = {
+    "dlmalloc-cheribuild": "f7960e7347333b81a7bd0a48550d0252be9bd52906f8823e5c1f60f9f5d44381",
+    "jemalloc": "dc708b44c52eab1e4b031076c9405606c057924da4890aedee82ed1a5914df6e",
+    "libmalloc-simple": "dc708b44c52eab1e4b031076c9405606c057924da4890aedee82ed1a5914df6e",
+}
+
+
+def engine_write_digest(name):
+    runs = [engine_write_over_forged_header(name, shift) for shift in range(-7, 8)]
+    return hashlib.sha256(json.dumps(runs).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("scan_limit", [None, 0], ids=["scanned", "indexed"])
+@pytest.mark.parametrize("name", FREE_LIST_NAMES)
+def test_engine_header_write_over_listed_forged_header(name, scan_limit, monkeypatch):
+    if scan_limit is not None:
+        monkeypatch.setattr(engines, "_SCAN_LIMIT", scan_limit)
+    got = engine_write_over_forged_header(name, 4)
+    perms = "0x2f" if TRAITS[name].strips_exec else "0x3f"
+    assert got == [x.format(perms) if isinstance(x, str) else x for x in ENGINE_WRITE_SHIFT_4]
+    assert engine_write_digest(name) == ENGINE_WRITE_DIGESTS[name]
+
+
+def test_chunk_walk_must_end_at_the_heap_end():
+    """A LIVE header claiming 10**6 bytes, stored at 0 through the block's
+    own capability, sends the walk past the end of a 16 KiB heap.  The
+    walk used to stop there and return ``[(0, 1000000, 1)]``."""
+    alloc = create("jemalloc", heap_size=1 << 14)
+    x = alloc.malloc(32)
+    alloc.heap.store(x, 0, _HEADER.pack(10**6, CHUNK_MAGIC, 1, 0))
+    with pytest.raises(AllocError) as exc:
+        alloc.chunks()
+    assert exc.value.kind is AllocErrorKind.CORRUPT_HEADER
+    assert str(exc.value) == "CorruptHeader: tiling ends at 1000008, past the heap end 16384"
+
+
+def sibling_header(name, size):
+    """Two listed headers in one granule: a header forged at 8, inside
+    the freed chunk at 0, is freed and so listed beside it.  malloc(64)
+    takes the chunk at 0 (whole for ``size`` 64, split for 600); the
+    client then breaks the magic of the header at 8, which must still be
+    watched, and mallocs again."""
+    alloc = create(name)
+    a = alloc.malloc(size)
+    alloc.malloc(64)
+    alloc.free(a)
+    alloc.heap.store(a, 8, _HEADER.pack(16, CHUNK_MAGIC, 0, 0))
+    out = [outcome(alloc.free, a.set_address(16)), list(alloc._free_list)]
+    b = alloc.malloc(64)
+    out += [b.describe(), list(alloc._free_list)]
+    alloc.heap.store(b, 12, b"\0\0")
+    out += [outcome(alloc.malloc, 16), outcome(alloc.malloc, 5000), list(alloc._free_list)]
+    alloc.heap.store(b, 12, struct.pack("<H", CHUNK_MAGIC))
+    out += [outcome(alloc.malloc, 16), list(alloc._free_list)]
+    return out
+
+
+# The broken header at 8 stops both mallocs, as a scan meets it first;
+# repaired, it is taken whole.
+SIBLING_600 = [
+    "None",
+    [8, 0, 688],
+    "cap(tag=1,base=0,top=72,addr=8,perms={})",
+    [8, 72, 688],
+    "AllocError:CorruptHeader",
+    "AllocError:CorruptHeader",
+    [8, 72, 688],
+    "cap(tag=1,base=8,top=32,addr=16,perms={})",
+    [72, 688],
+]
+SIBLING = {
+    64: [
+        "None",
+        [8, 0, 144],
+        "cap(tag=1,base=0,top=72,addr=8,perms={})",
+        [8, 144],
+        "AllocError:CorruptHeader",
+        "AllocError:CorruptHeader",
+        [8, 144],
+        "cap(tag=1,base=8,top=32,addr=16,perms={})",
+        [144],
+    ],
+    600: SIBLING_600,
+}
+
+
+@pytest.mark.parametrize("scan_limit", [None, 0], ids=["scanned", "indexed"])
+@pytest.mark.parametrize("size", [64, 600])
+@pytest.mark.parametrize("name", FREE_LIST_NAMES)
+def test_sibling_headers_share_a_granule(name, size, scan_limit, monkeypatch):
+    if scan_limit is not None:
+        monkeypatch.setattr(engines, "_SCAN_LIMIT", scan_limit)
+    perms = "0x2f" if TRAITS[name].strips_exec else "0x3f"
+    expected = [x.format(perms) if isinstance(x, str) else x for x in SIBLING[size]]
+    assert sibling_header(name, size) == expected

@@ -9,14 +9,19 @@ a capability narrowed to the payload, capability stores that tag
 payload granules, and resets.
 
 After every step the occurrence index must equal the free list's
-counts, and every granule under a header the engine wrote during the
-step must be untagged.  Until the client mounts one of the modelled
-attacks (a forged header, a free that lists a chunk that was not free,
-a store over a header), ``chunks()`` must tile the heap and agree with
-the free list and the blocks the client holds, and those blocks must be
-disjoint; afterwards ``chunks()`` may only fail as a classified
-``CorruptHeader`` or bounds fault.  Every malloc, attacked or not, must
-match a brute-force first fit over ``_free_list`` read from heap bytes.
+counts and every granule under a header the engine wrote during the
+step must be untagged.  Once the class index has started, every listed
+header's granules must be watched, and each slot's class must be its
+header's as read from the heap bytes, unless a write since the last
+malloc left the header's granule dirty.
+``chunks()`` may fail only as a classified ``CorruptHeader`` or bounds
+fault, and a list it returns must tile the heap exactly.  Until the
+client mounts one of the modelled attacks (a forged header, a free that
+lists a chunk that was not free, a store over a header), it must not
+fail, and must agree with the free list and the blocks the client
+holds, and those blocks must be disjoint.  Every malloc, attacked or
+not, must match a brute-force first fit over ``_free_list`` read from
+heap bytes.
 """
 
 import struct
@@ -33,9 +38,10 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
+from capheap import engines
 from capheap.allocator_api import AllocError, AllocErrorKind, FreeValidation, round16
 from capheap.capability import CapFault, Capability, FaultKind
-from capheap.engines import CHUNK_HEADER_SIZE, CHUNK_MAGIC
+from capheap.engines import _POISONED, CHUNK_HEADER_SIZE, CHUNK_MAGIC, _class
 from capheap.registry import TRAITS, create
 from capheap.tagged_memory import GRANULE
 
@@ -278,6 +284,24 @@ class FreeListMachine(RuleBasedStateMachine):
         assert self.alloc._listed == Counter(self.alloc._free_list)
 
     @invariant()
+    def classes_agree_with_heap_bytes(self):
+        """Every listed header's granules are watched, and each slot's
+        class is its header's, read from the heap bytes, unless the header
+        is over a granule written since the last malloc's re-read."""
+        alloc = self.alloc
+        heap = alloc.heap
+        if alloc._classes is None:  # a short list, scanned: nothing watched yet
+            assert heap.watch is None and not heap.dirty
+            return
+        assert len(alloc._classes) == len(alloc._free_list)
+        for chunk, cls in zip(alloc._free_list, alloc._classes):
+            granules = range(chunk // GRANULE, (chunk + CHUNK_HEADER_SIZE - 1) // GRANULE + 1)
+            assert all(heap.watch[g] for g in granules), chunk
+            if heap.dirty.isdisjoint(granules):
+                payload, magic, _, _ = self.header(chunk)
+                assert cls == (_class(payload) if magic == CHUNK_MAGIC else _POISONED), chunk
+
+    @invariant()
     def engine_headers_are_untagged(self):
         tags = self.alloc.heap.tags
         for chunk in self.written:
@@ -295,13 +319,14 @@ class FreeListMachine(RuleBasedStateMachine):
         except CapFault as exc:
             assert self.attacked and exc.kind is FaultKind.BOUNDS_VIOLATION
             return
-        if self.attacked:
-            return
         off = 0
         for chunk, payload, _ in chunks:
-            assert chunk == off and payload % CHUNK_HEADER_SIZE == 0
+            assert chunk == off
             off += CHUNK_HEADER_SIZE + payload
         assert off == HEAP
+        if self.attacked:
+            return
+        assert all(payload % CHUNK_HEADER_SIZE == 0 for _, payload, _ in chunks)
         status = {chunk: (payload, state) for chunk, payload, state in chunks}
         for chunk in self.alloc._free_list:
             assert status[chunk][1] == FREE
@@ -317,8 +342,7 @@ class FreeListMachine(RuleBasedStateMachine):
             assert top <= base
 
 
-@pytest.mark.parametrize("config", ["dlmalloc-cheribuild", "jemalloc", "libmalloc-simple"])
-def test_free_list_state_machine(config):
+def run_machine(config):
     assert TRAITS[config].free_validation is FreeValidation.INLINE_HEADER
     machine = type(f"FreeListMachine[{config}]", (FreeListMachine,), {"config": config})
     run_state_machine_as_test(
@@ -327,3 +351,17 @@ def test_free_list_state_machine(config):
             max_examples=60, stateful_step_count=40, deadline=None, derandomize=True, database=None
         ),
     )
+
+
+@pytest.mark.parametrize("config", ["dlmalloc-cheribuild", "jemalloc", "libmalloc-simple"])
+def test_free_list_state_machine(config):
+    run_machine(config)
+
+
+@pytest.mark.parametrize("config", ["dlmalloc-cheribuild", "jemalloc", "libmalloc-simple"])
+def test_free_list_state_machine_indexed(config, monkeypatch):
+    """The same machine with the class index starting at the first scan
+    that visits more than 4 entries instead of 64, so that most steps run
+    on the index and many cross into it."""
+    monkeypatch.setattr(engines, "_SCAN_LIMIT", 4)
+    run_machine(config)

@@ -1,7 +1,7 @@
 import pytest
 
 from capheap.capability import CapFault, Capability, FaultKind, PERM_ALL, Perm, make_root
-from capheap.tagged_memory import GRANULE, TaggedHeap
+from capheap.tagged_memory import GRANULE, TaggedHeap, WatchedHeap
 
 HEAP = 4096
 
@@ -257,3 +257,101 @@ def test_clear_resets_everything(heap, root):
     assert len(heap.data) == HEAP
     assert heap.load(root, 0, HEAP) == bytes(HEAP)
     assert heap.tags == bytes(HEAP // GRANULE)
+
+
+class TestUnrepresentablePayload:
+    """store_cap of a hand-built payload that the 16-byte layout cannot
+    encode is a bounds fault, raised before any byte or tag changes (it
+    used to escape as a bare ``struct.error``)."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            Capability(True, 0, 1 << 32, 0, 0x3F),  # top outside u32
+            Capability(True, 0, 64, (1 << 32) + 8, 0x3F),  # address outside u32
+            Capability(True, -64, 64, 0, 0x3F),  # negative base
+            Capability(False, 0, 64, -1, 0x3F),  # negative address, untagged
+            Capability(True, 0, 64, 0, 0x100),  # perms above 255
+            Capability(True, 0, 64, 0, -1),  # negative perms
+        ],
+        ids=["top", "address", "negative-base", "negative-address", "perms", "negative-perms"],
+    )
+    def test_is_bounds_fault_and_changes_nothing(self, heap, root, payload):
+        heap.store(root, 32, b"\xab" * GRANULE)
+        heap.store_cap(root, 48, root)
+        before = heap.snapshot()
+        for addr in (32, 48):
+            with pytest.raises(CapFault) as exc:
+                heap.store_cap(root, addr, payload)
+            assert exc.value.kind is FaultKind.BOUNDS_VIOLATION
+        assert heap.snapshot() == before
+
+    def test_access_faults_come_first(self, heap, root):
+        with pytest.raises(CapFault) as exc:
+            heap.store_cap(root.clear_tag(), 0, Capability(True, 0, 64, 0, 0x100))
+        assert exc.value.kind is FaultKind.TAG_VIOLATION
+        with pytest.raises(CapFault) as exc:
+            heap.store_cap(root, 8, Capability(True, 0, 64, 0, 0x100))
+        assert exc.value.kind is FaultKind.ALIGNMENT_VIOLATION
+
+    def test_largest_representable_fields_still_store(self, heap, root):
+        top = (1 << 32) - 1
+        heap.store_cap(root, 0, Capability(True, top, top, top, 0xFF))
+        assert heap.load_cap(root, 0) == Capability(True, top, top, top, 0x3F)
+
+
+class TestWatchedHeap:
+    """The write barrier: stores report the watched granules they write."""
+
+    @pytest.fixture
+    def watched(self):
+        heap = WatchedHeap(HEAP)
+        heap.watch = bytearray(HEAP // GRANULE)
+        return heap
+
+    def test_unwatched_until_a_watch_is_set(self, root):
+        heap = WatchedHeap(HEAP)
+        assert heap.watch is None and heap.dirty == set()
+        heap.store(root, 0, b"\xff" * 64)
+        heap.store_cap(root, 64, root)
+        heap.clear()
+        assert heap.dirty == set()
+        assert TaggedHeap(HEAP).watch is None
+
+    def test_store_marks_only_watched_granules_it_writes(self, watched, root):
+        watched.watch[3] = watched.watch[5] = watched.watch[9] = 1
+        watched.store(root, 40, bytes(60))  # granules 2..6
+        assert watched.dirty == {3, 5}
+        watched.store(root, 100, b"x")  # granule 6
+        assert watched.dirty == {3, 5}
+
+    def test_store_cap_marks_a_watched_granule(self, watched, root):
+        watched.watch[4] = 1
+        watched.store_cap(root, 48, root)
+        assert watched.dirty == set()
+        watched.store_cap(root, 64, root)
+        assert watched.dirty == {4}
+
+    def test_refused_store_marks_nothing(self, watched, root):
+        watched.watch[0] = 1
+        with pytest.raises(CapFault):
+            watched.store(root.clear_tag(), 0, b"x")
+        with pytest.raises(CapFault):
+            watched.store_cap(root, 0, Capability(True, -1, 0, 0, 0))
+        assert watched.dirty == set()
+
+    def test_bytes_and_tags_match_a_plain_heap(self, watched, heap, root):
+        for h in (heap, watched):
+            h.store(root, 10, bytes(range(40)))
+            h.store_cap(root, 64, root)
+            h.store(root, 70, b"\xff")
+            h.store_cap(root, 96, root)
+        assert watched.snapshot() == heap.snapshot()
+
+    def test_clear_marks_every_watched_granule(self, watched, root):
+        watched.watch[1] = watched.watch[200] = 1
+        watched.store(root, 0, b"\xff" * 64)
+        watched.dirty.clear()
+        watched.clear()
+        assert watched.dirty == {1, 200}
+        assert watched.load(root, 0, 64) == bytes(64)
