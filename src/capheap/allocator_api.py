@@ -1,8 +1,10 @@
 """The pluggable allocator contract: traits, errors, and the base class.
 
 An allocator binds to one TaggedHeap and hands out tagged capabilities
-derived from its region (root) capability.  The static traits record
-describes behavior the attack harness consults when deciding whether a
+derived from its region (root) capability.  The static traits record is
+the allocator's whole configuration: its ``free_validation`` picks the
+engine, the engine honours every other field or refuses the record, and
+the attack harness consults the same record when deciding whether a
 probe even applies.
 """
 
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import abc
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .capability import PERM_ALL, Capability, Perm, _derive, make_root
 from .tagged_memory import TaggedHeap
@@ -40,8 +42,14 @@ class AllocatorTraits:
     deferred_free: bool
     strips_exec: bool
     free_validation: FreeValidation
-    double_free_detect: bool
+    # derived, not set: only an allocation log tells a second free apart
+    double_free_detect: bool = field(init=False)
     realloc_grows_in_place: bool
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "double_free_detect", self.free_validation is FreeValidation.ALLOC_LOG
+        )
 
 
 class AllocErrorKind(enum.Enum):
@@ -73,15 +81,25 @@ class Allocator(abc.ABC):
     capabilities.
     """
 
-    heap_class = TaggedHeap  # what ``registry.create`` builds for an engine
+    # the free validations an engine implements; trait values it refuses
+    validations: tuple[FreeValidation, ...] = ()
+    refuses: dict[str, bool] = {}
 
     def __init__(self, heap: TaggedHeap, traits: AllocatorTraits, *, rounding_bounds: bool = False):
+        if traits.free_validation not in self.validations:
+            raise ValueError(
+                f"{type(self).__name__} does not implement {traits.free_validation.value} validation"
+            )
+        for trait, value in self.refuses.items():
+            if getattr(traits, trait) == value:
+                raise ValueError(f"{type(self).__name__} cannot honour {trait}={value}")
         self.heap = heap
         self._traits = traits
         self._rounding = rounding_bounds
         self.region: Capability = make_root(heap.size)
         # the permission mask every client capability is cut down to
         self._client_perms = int(PERM_ALL & ~Perm.EXEC if traits.strips_exec else PERM_ALL)
+        self._reset_state()
 
     def traits(self) -> AllocatorTraits:
         return self._traits

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .allocator_api import AllocError, AllocErrorKind, Allocator
 
-__all__ = ["BenchResult", "Workload", "Xorshift64", "emit_csv", "parse_csv", "run_workload"]
+__all__ = [
+    "BenchResult", "WORKLOADS", "Workload", "Xorshift64", "emit_csv", "parse_csv", "run_workload",
+]
 
 WINDOW = 64  # live blocks kept by the churn workload
 
@@ -42,6 +44,9 @@ class Xorshift64:
 
 @dataclass(frozen=True)
 class Workload:
+    """A kind, an op count, and the parameters that kind reads (see
+    ``WORKLOADS``), each positive, with ``min_size <= max_size``."""
+
     kind: str
     op_count: int
     size: int = 0
@@ -52,16 +57,13 @@ class Workload:
     def __post_init__(self):
         if self.op_count < 1:
             raise ValueError("op_count must be at least 1")
-        if self.kind == "churn":
-            if self.size < 1:
-                raise ValueError("churn needs a positive size")
-        elif self.kind == "randsize":
-            if self.seed < 1:
-                raise ValueError("randsize needs a positive seed")
-            if not 1 <= self.min_size <= self.max_size:
-                raise ValueError("randsize needs 1 <= min_size <= max_size")
-        elif self.kind != "reallocramp":
+        if self.kind not in WORKLOADS:
             raise ValueError(f"unknown workload kind {self.kind!r}")
+        for name in WORKLOADS[self.kind][0]:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{self.kind} needs a positive {name}")
+        if self.min_size > self.max_size:
+            raise ValueError(f"{self.kind} needs min_size <= max_size")
 
     @classmethod
     def churn(cls, op_count: int, size: int) -> "Workload":
@@ -76,14 +78,9 @@ class Workload:
         return cls("reallocramp", op_count)
 
     def describe(self) -> str:
-        if self.kind == "churn":
-            return f"churn;ops={self.op_count};size={self.size}"
-        if self.kind == "randsize":
-            return (
-                f"randsize;ops={self.op_count};seed={self.seed};"
-                f"min={self.min_size};max={self.max_size}"
-            )
-        return f"reallocramp;ops={self.op_count}"
+        # each parameter keyed by its name, min_size and max_size as min and max
+        fields = [f"{n.removesuffix('_size')}={getattr(self, n)}" for n in WORKLOADS[self.kind][0]]
+        return ";".join([self.kind, f"ops={self.op_count}", *fields])
 
 
 @dataclass(frozen=True)
@@ -98,13 +95,25 @@ class BenchResult:
 
 
 class _Meter:
-    """Workload-side accounting: requested sizes of live blocks and the
-    high-water mark of returned block extents."""
+    """Workload-side accounting: completed and out-of-memory ops, requested
+    sizes of live blocks and the high-water mark of returned extents."""
 
     def __init__(self):
+        self.completed = 0
+        self.oom = 0
         self.live_bytes = 0
         self.peak_live = 0
         self.peak_touched = 0
+
+    def attempt(self, op, *args):
+        """``op(*args)``, or None after counting an out-of-memory refusal."""
+        try:
+            return op(*args)
+        except AllocError as exc:
+            if exc.kind is not AllocErrorKind.OUT_OF_MEMORY:
+                raise
+            self.oom += 1
+            return None
 
     def placed(self, cap, size: int) -> None:
         self.live_bytes += size
@@ -115,94 +124,80 @@ class _Meter:
         self.live_bytes -= size
 
 
+def _churn(alloc: Allocator, workload: Workload, meter: _Meter) -> None:
+    live: deque = deque()
+    for _ in range(workload.op_count):
+        cap = meter.attempt(alloc.malloc, workload.size)
+        if cap is None:
+            continue
+        meter.placed(cap, workload.size)
+        live.append((cap, workload.size))
+        if len(live) > WINDOW:
+            old, old_size = live.popleft()
+            alloc.free(old)
+            meter.removed(old_size)
+        meter.completed += 1
+
+
+def _randsize(alloc: Allocator, workload: Workload, meter: _Meter) -> None:
+    rng = Xorshift64(workload.seed)
+    span = workload.max_size - workload.min_size + 1
+    live: deque = deque()
+    for _ in range(workload.op_count):
+        if (rng.next() & 1) == 1 or not live:
+            size = workload.min_size + rng.next() % span
+            cap = meter.attempt(alloc.malloc, size)
+            if cap is None:
+                continue
+            meter.placed(cap, size)
+            live.append((cap, size))
+        else:
+            cap, size = live.popleft()
+            alloc.free(cap)
+            meter.removed(size)
+        meter.completed += 1
+
+
+def _reallocramp(alloc: Allocator, workload: Workload, meter: _Meter) -> None:
+    cap = alloc.malloc(16)
+    size = 16
+    meter.placed(cap, size)
+    for _ in range(workload.op_count):
+        grown = meter.attempt(alloc.realloc, cap, size + 16)
+        if grown is None:
+            continue
+        meter.removed(size)
+        size += 16
+        cap = grown
+        meter.placed(cap, size)
+        meter.completed += 1
+
+
+# kind -> (the parameters it reads, in descriptor order; the function that drives it)
+WORKLOADS = {
+    "churn": (("size",), _churn),
+    "randsize": (("seed", "min_size", "max_size"), _randsize),
+    "reallocramp": ((), _reallocramp),
+}
+
+
 def run_workload(alloc: Allocator, workload: Workload) -> BenchResult:
     """Drive a fresh allocator through one workload.  Out-of-memory is
     recorded per failed operation, never fatal."""
     meter = _Meter()
-    completed = 0
-    oom = 0
     start = time.perf_counter_ns()
-
-    if workload.kind == "churn":
-        live: deque = deque()
-        for _ in range(workload.op_count):
-            try:
-                cap = alloc.malloc(workload.size)
-            except AllocError as exc:
-                if exc.kind is not AllocErrorKind.OUT_OF_MEMORY:
-                    raise
-                oom += 1
-                continue
-            meter.placed(cap, workload.size)
-            live.append((cap, workload.size))
-            if len(live) > WINDOW:
-                old, old_size = live.popleft()
-                alloc.free(old)
-                meter.removed(old_size)
-            completed += 1
-
-    elif workload.kind == "randsize":
-        rng = Xorshift64(workload.seed)
-        span = workload.max_size - workload.min_size + 1
-        live = deque()
-        for _ in range(workload.op_count):
-            do_alloc = (rng.next() & 1) == 1 or not live
-            if do_alloc:
-                size = workload.min_size + rng.next() % span
-                try:
-                    cap = alloc.malloc(size)
-                except AllocError as exc:
-                    if exc.kind is not AllocErrorKind.OUT_OF_MEMORY:
-                        raise
-                    oom += 1
-                    continue
-                meter.placed(cap, size)
-                live.append((cap, size))
-            else:
-                cap, size = live.popleft()
-                alloc.free(cap)
-                meter.removed(size)
-            completed += 1
-
-    else:  # reallocramp
-        cap = alloc.malloc(16)
-        size = 16
-        meter.placed(cap, size)
-        for _ in range(workload.op_count):
-            try:
-                grown = alloc.realloc(cap, size + 16)
-            except AllocError as exc:
-                if exc.kind is not AllocErrorKind.OUT_OF_MEMORY:
-                    raise
-                oom += 1
-                continue
-            meter.removed(size)
-            size += 16
-            cap = grown
-            meter.placed(cap, size)
-            completed += 1
-
+    WORKLOADS[workload.kind][1](alloc, workload, meter)
     elapsed = time.perf_counter_ns() - start
     return BenchResult(
-        allocator=alloc.traits().name,
-        workload=workload.describe(),
-        ops_completed=completed,
-        elapsed_ns=elapsed,
-        peak_live_bytes=meter.peak_live,
-        peak_touched_bytes=meter.peak_touched,
-        oom_count=oom,
+        alloc.traits().name, workload.describe(), meter.completed, elapsed,
+        meter.peak_live, meter.peak_touched, meter.oom,
     )
 
 
 def emit_csv(results: list[BenchResult]) -> bytes:
     if not results:
         raise ValueError("no results to emit")
-    lines = [CSV_HEADER]
-    for r in results:
-        lines.append(
-            f"{r.allocator},{r.workload},{r.ops_completed},{r.elapsed_ns},"
-            f"{r.peak_live_bytes},{r.peak_touched_bytes},{r.oom_count}"
-        )
+    lines = [CSV_HEADER] + [",".join(map(str, astuple(r))) for r in results]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -215,15 +210,5 @@ def parse_csv(data: bytes) -> list[BenchResult]:
         fields = line.split(",")
         if len(fields) != 7:
             raise ValueError(f"expected 7 columns, got {len(fields)}")
-        out.append(
-            BenchResult(
-                allocator=fields[0],
-                workload=fields[1],
-                ops_completed=int(fields[2]),
-                elapsed_ns=int(fields[3]),
-                peak_live_bytes=int(fields[4]),
-                peak_touched_bytes=int(fields[5]),
-                oom_count=int(fields[6]),
-            )
-        )
+        out.append(BenchResult(fields[0], fields[1], *map(int, fields[2:])))
     return out

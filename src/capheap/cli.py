@@ -17,7 +17,7 @@ import sys
 
 from .allocator_api import AllocError
 from .attacks import ATTACK_IDS, ATTACKS
-from .bench import Workload, emit_csv, run_workload
+from .bench import WORKLOADS, Workload, emit_csv, run_workload
 from .capability import CapFault
 from .harness import EXPECTED_MATRIX, diff_matrix, render, run_matrix
 from .registry import ALLOCATOR_NAMES, TRAITS, create, default_registry
@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.set_defaults(func=cmd_attack)
 
     p_bench = sub.add_parser("bench", help="run a micro-benchmark workload")
-    p_bench.add_argument("workload", choices=("churn", "randsize", "reallocramp"))
+    p_bench.add_argument("workload", choices=tuple(WORKLOADS))
     p_bench.add_argument("--allocator", required=True,
                          choices=ALLOCATOR_NAMES + ("all",))
     p_bench.add_argument("--ops", type=int, default=1000)
@@ -108,12 +108,13 @@ def cmd_attack(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.workload == "churn":
-        workload = Workload.churn(args.ops, args.size)
-    elif args.workload == "randsize":
-        workload = Workload.randsize(args.ops, args.seed, args.min_size, args.max_size)
-    else:
-        workload = Workload.reallocramp(args.ops)
+    # the workload's parameters are the options of the same name
+    params = {name: getattr(args, name) for name in WORKLOADS[args.workload][0]}
+    try:
+        workload = Workload(args.workload, args.ops, **params)
+    except ValueError as exc:
+        print(f"bad workload: {exc}", file=sys.stderr)
+        return 2
     names = ALLOCATOR_NAMES if args.allocator == "all" else (args.allocator,)
     results = [run_workload(create(name), workload) for name in names]
     sys.stdout.write(emit_csv(results).decode("utf-8"))
@@ -140,6 +141,12 @@ def cmd_list(args) -> int:
 
 def _run_script(alloc, text: str) -> None:
     results = []
+
+    def result(field: str):  # a negative index would count from the end
+        if int(field) < 0:
+            raise IndexError(f"negative result index {field}")
+        return results[int(field)]
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -149,9 +156,9 @@ def _run_script(alloc, text: str) -> None:
             if fields[0] == "malloc" and len(fields) == 2:
                 results.append(alloc.malloc(int(fields[1])))
             elif fields[0] == "free" and len(fields) == 2:
-                alloc.free(results[int(fields[1])])
+                alloc.free(result(fields[1]))
             elif fields[0] == "realloc" and len(fields) == 3:
-                results.append(alloc.realloc(results[int(fields[1])], int(fields[2])))
+                results.append(alloc.realloc(result(fields[1]), int(fields[2])))
             else:
                 raise ScriptError(f"line {lineno}: cannot parse {line!r}")
         except (ValueError, IndexError) as exc:

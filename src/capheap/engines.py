@@ -1,6 +1,7 @@
 """Three allocation engines behind the seven reference configurations.
 
 * bump: a cursor that only moves forward; memory is never reused.
+  Validates frees against an allocation log, or not at all.
 * free list: first-fit chunks with an inline 8-byte header before each
   payload; freeing validates by reading that header through the
   client's own capability.
@@ -8,6 +9,11 @@
   metadata keyed by address (a slotted record per slab with one byte
   per slot, and per class a byte map of the slabs with room);
   optionally defers frees.
+
+Each engine declares the ``FreeValidation`` values it implements, which
+pick it for a trait record, and refuses a trait value it would ignore
+(``refuses``).  A malloc derives the client capability before it
+commits anything, so a derivation fault leaves the heap as it was.
 
 The free-list chunk header, bit-exact:
 
@@ -65,12 +71,10 @@ from .allocator_api import (
     AllocError,
     AllocErrorKind,
     Allocator,
-    AllocatorTraits,
     FreeValidation,
     round16,
 )
 from .capability import ADDRESS_MAX, CapFault, Capability, FaultKind, Perm, _derive
-from .tagged_memory import TaggedHeap, WatchedHeap
 
 __all__ = [
     "BumpAllocator",
@@ -124,32 +128,30 @@ class BumpAllocator(Allocator):
     and invalid frees.  realloc always allocates fresh and copies.
     """
 
-    def __init__(self, heap: TaggedHeap, traits: AllocatorTraits, *, rounding_bounds: bool = False):
-        super().__init__(heap, traits, rounding_bounds=rounding_bounds)
-        self._keeps_log = traits.free_validation is FreeValidation.ALLOC_LOG
-        self._reset_state()
+    validations = (FreeValidation.NONE, FreeValidation.ALLOC_LOG)
+    refuses = {"deferred_free": True, "realloc_grows_in_place": True}
 
     def _reset_state(self) -> None:
         self._cursor = 0
-        # base -> [length, freed]; bump never reuses a base, so keys are unique
-        self._log: dict[int, list] = {}
+        # base -> [length, freed], kept only under ALLOC_LOG; bump never
+        # reuses a base, so keys are unique
+        self._log: dict[int, list] | None = {} if self._traits.double_free_detect else None
 
     def malloc(self, size: int) -> Capability:
         self._check_request(size)
         length = round16(size)
-        if self._cursor + length > self.heap.size:
-            raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"cursor at {self._cursor}")
         start = self._cursor
-        self._cursor += length
-        if self._keeps_log:
-            self._log[start] = [length, False]
-        if self._traits.narrow_bounds:
-            return self._client_cap(start, length)
-        # whole-region capability, cursor parked at the block start
+        if start + length > self.heap.size:
+            raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"cursor at {start}")
         region = self.region
-        return _derive(
-            region, region.base, region.length, start, region.perms & self._client_perms, False
-        )
+        if self._traits.narrow_bounds:
+            cap = self._client_cap(start, length)
+        else:  # whole-region capability, cursor parked at the block start
+            cap = _derive(region, 0, region.top, start, region.perms & self._client_perms, False)
+        self._cursor += length
+        if self._log is not None:
+            self._log[start] = [length, False]
+        return cap
 
     def _live_record(self, cap: Capability) -> list:
         """The log record of the live block at ``cap.address``."""
@@ -161,12 +163,12 @@ class BumpAllocator(Allocator):
         return record
 
     def free(self, cap: Capability) -> None:
-        if self._keeps_log:
+        if self._log is not None:
             self._live_record(cap)[1] = True
 
     def realloc(self, cap: Capability, new_size: int) -> Capability:
         self._check_request(new_size)
-        old_len = self._live_record(cap)[0] if self._keeps_log else cap.length
+        old_len = cap.length if self._log is None else self._live_record(cap)[0]
         new_cap = self.malloc(new_size)
         ncopy = min(old_len, new_size)
         if ncopy:
@@ -205,9 +207,9 @@ class FreeListAllocator(Allocator):
     the poisoned path runs the region's bounds check first, as the scan.
 
     Clients can overwrite headers, and the engine's own header writes
-    can land on a forged one, so the classes stand behind a write
-    barrier: the heap (a ``WatchedHeap``) watches the granule, or both
-    granules, under every indexed header, every write to a watched
+    can land on a forged one, so the classes stand behind the heap's
+    write barrier: the heap watches the granule, or both granules,
+    under every indexed header, every write to a watched
     granule marks it dirty, and malloc first re-reads just the listed
     headers over dirty granules and re-files each whose class moved.
     chunks() raises CORRUPT_HEADER on a bad magic or a walk that does
@@ -215,22 +217,14 @@ class FreeListAllocator(Allocator):
     header that is not listed.
     """
 
-    heap_class = WatchedHeap
-
-    def __init__(self, heap: TaggedHeap, traits: AllocatorTraits, *, rounding_bounds: bool = False):
-        if not isinstance(heap, WatchedHeap):
-            raise TypeError("the free-list engine needs a WatchedHeap")
-        super().__init__(heap, traits, rounding_bounds=rounding_bounds)
-        self._reset_state()
+    validations = (FreeValidation.INLINE_HEADER,)
+    refuses = {"narrow_bounds": False, "deferred_free": True}
 
     def reset(self) -> None:
-        # the plain clear, and no watch: marking every watched granule
-        # dirty, as a bare clear() does, would be wasted
-        heap = self.heap
-        TaggedHeap.clear(heap)
-        heap.watch = None
-        heap.dirty.clear()
-        self._reset_state()
+        # drop the watch first, or clear() marks every watched granule dirty
+        self.heap.watch = None
+        self.heap.dirty.clear()
+        super().reset()
 
     def _reset_state(self) -> None:
         heap = self.heap
@@ -401,11 +395,6 @@ class FreeListAllocator(Allocator):
             raise AllocError(AllocErrorKind.INVALID_FREE, f"bad chunk magic at {chunk}")
         return chunk, size
 
-    def _chunk_cap(self, chunk: int, payload_size: int) -> Capability:
-        return self._client_cap(
-            chunk, CHUNK_HEADER_SIZE + payload_size, address=chunk + CHUNK_HEADER_SIZE
-        )
-
     def malloc(self, size: int) -> Capability:
         self._check_request(size)
         want = round16(size)
@@ -424,6 +413,7 @@ class FreeListAllocator(Allocator):
                 raise AllocError(AllocErrorKind.CORRUPT_HEADER, f"free list entry at {chunk}")
             if payload < want:
                 continue
+            cap = self._chunk_cap(chunk, payload, want)
             if payload >= want + 32:
                 # split: keep `want`, the remainder takes the slot
                 rest = chunk + CHUNK_HEADER_SIZE + want
@@ -439,7 +429,7 @@ class FreeListAllocator(Allocator):
             self._write_header(chunk, payload, _STATUS_LIVE)
             if slot >= _SCAN_LIMIT:
                 self._index()  # a long scan: answer from the classes from now on
-            return self._chunk_cap(chunk, payload)
+            return cap
         if len(free_list) > _SCAN_LIMIT:
             self._index()
         raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"no free chunk holds {want} bytes")
@@ -481,6 +471,7 @@ class FreeListAllocator(Allocator):
                 raise AllocError(AllocErrorKind.CORRUPT_HEADER, f"free list entry at {chunk}")
             payload = _HEADER.unpack_from(heap.data, free_list[slot])[0]
         chunk = free_list[slot]
+        cap = self._chunk_cap(chunk, payload, want)
         if payload >= want + 32:
             # split: keep `want`, the remainder takes the slot
             rest = chunk + CHUNK_HEADER_SIZE + want
@@ -510,7 +501,19 @@ class FreeListAllocator(Allocator):
         else:
             self._drop(slot)
         self._write_header(chunk, payload, _STATUS_LIVE)
-        return self._chunk_cap(chunk, payload)
+        return cap
+
+    def _chunk_cap(self, chunk: int, payload: int, want: int) -> Capability:
+        """The client capability for ``want`` bytes of a chunk (all of its
+        ``payload`` unless the rest splits off), derived before anything
+        is committed.  A split remainder's header outside the heap faults
+        first, as writing it would."""
+        if payload >= want + 32:
+            rest = chunk + CHUNK_HEADER_SIZE + want
+            if rest + CHUNK_HEADER_SIZE > self.heap.size:
+                self.region.check_access(rest, CHUNK_HEADER_SIZE, Perm.STORE)
+            payload = want
+        return self._client_cap(chunk, CHUNK_HEADER_SIZE + payload, chunk + CHUNK_HEADER_SIZE)
 
     def free(self, cap: Capability) -> None:
         chunk, payload = self._client_header(cap)
@@ -531,22 +534,16 @@ class FreeListAllocator(Allocator):
             return
         self._push(chunk, payload)
 
-    def _free_chunk(self, chunk: int, payload: int) -> None:
-        """Internal free path (realloc moves); no client validation, so a
-        chunk already listed through a stale capability is listed twice."""
-        self._write_header(chunk, payload, _STATUS_FREE)
-        self._push(chunk, payload)
-
     def realloc(self, cap: Capability, new_size: int) -> Capability:
         self._check_request(new_size)
         chunk, payload = self._client_header(cap)
         want = round16(new_size)
         if want <= payload:
-            return self._chunk_cap(chunk, payload)
+            return self._chunk_cap(chunk, payload, payload)
         if self._traits.realloc_grows_in_place:
             grown = self._try_absorb(chunk, payload, want)
             if grown is not None:
-                return self._chunk_cap(chunk, grown)
+                return grown
         # move: allocate fresh, copy, zero the tail, release the old chunk
         new_cap = self.malloc(new_size)
         ncopy = min(payload, new_size)
@@ -555,15 +552,19 @@ class FreeListAllocator(Allocator):
             self.heap.store(self.region, new_cap.address, data)
         if new_size > ncopy:
             self.heap.store(self.region, new_cap.address + ncopy, bytes(new_size - ncopy))
-        self._free_chunk(chunk, payload)
+        # no client validation: a chunk already listed through a stale
+        # capability is listed twice
+        self._write_header(chunk, payload, _STATUS_FREE)
+        self._push(chunk, payload)
         return new_cap
 
-    def _try_absorb(self, chunk: int, payload: int, want: int) -> int | None:
+    def _try_absorb(self, chunk: int, payload: int, want: int) -> Capability | None:
         """Absorb physically-following free chunks until the payload covers
-        ``want`` bytes.  Scans first, commits only on success; absorbed
-        bytes (stale data and old headers) are left as they are.  A FREE
-        header that is not on the free list was written by a client, so
-        the scan refuses it as CORRUPT_HEADER before anything changes."""
+        ``want`` bytes; return the grown chunk's capability.  Scans and
+        derives first, commits only on success; absorbed bytes (stale data
+        and old headers) are left as they are.  A FREE header that is not
+        on the free list was written by a client, so the scan refuses it
+        as CORRUPT_HEADER before anything changes."""
         span = payload
         absorbed = []
         while span < want:
@@ -577,6 +578,7 @@ class FreeListAllocator(Allocator):
                 raise AllocError(AllocErrorKind.CORRUPT_HEADER, f"unlisted free header at {nxt}")
             absorbed.append(nxt)
             span += CHUNK_HEADER_SIZE + nxt_payload
+        cap = self._chunk_cap(chunk, span, want)
         for off in absorbed:
             self._drop(self._free_list.index(off))
         if span >= want + 32:
@@ -585,7 +587,7 @@ class FreeListAllocator(Allocator):
             self._push(rest, span - want - CHUNK_HEADER_SIZE)
             span = want
         self._write_header(chunk, span, _STATUS_LIVE)
-        return span
+        return cap
 
     def chunks(self) -> list[tuple[int, int, int]]:
         """Walk the heap by headers: (offset, payload size, status) per
@@ -641,9 +643,8 @@ class SlabAllocator(Allocator):
     are dropped there.
     """
 
-    def __init__(self, heap: TaggedHeap, traits: AllocatorTraits, *, rounding_bounds: bool = False):
-        super().__init__(heap, traits, rounding_bounds=rounding_bounds)
-        self._reset_state()
+    validations = (FreeValidation.METADATA_LOOKUP,)
+    refuses = {"narrow_bounds": False}
 
     def _reset_state(self) -> None:
         self._slab_cursor = 0

@@ -96,8 +96,9 @@ def run_matrix(
     if rows is None:
         names = ALLOCATOR_NAMES
     else:
-        names = tuple(n for n in ALLOCATOR_NAMES if n in set(rows))
-        unknown = set(rows) - set(ALLOCATOR_NAMES)
+        rows = set(rows)  # once: ``rows`` may be an iterator
+        names = tuple(n for n in ALLOCATOR_NAMES if n in rows)
+        unknown = rows - set(ALLOCATOR_NAMES)
         if unknown:
             raise ConfigurationError(f"unknown allocators: {sorted(unknown)}")
 

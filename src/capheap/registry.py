@@ -1,7 +1,8 @@
 """The seven canonical allocator configurations, in table order.
 
-The trait records are the single source of truth: each engine reads its
-configuration from its traits, and the attack harness consults the same
+The trait records are the single source of truth: ``free_validation``
+picks the engine, the engine honours every other trait or refuses the
+record with ``ValueError``, and the attack harness consults the same
 records for applicability decisions.
 """
 
@@ -11,8 +12,11 @@ from typing import Callable
 
 from .allocator_api import Allocator, AllocatorTraits, FreeValidation
 from .engines import BumpAllocator, FreeListAllocator, SlabAllocator
+from .tagged_memory import TaggedHeap
 
-__all__ = ["ALLOCATOR_NAMES", "DEFAULT_HEAP_SIZE", "TRAITS", "create", "default_registry"]
+__all__ = [
+    "ALLOCATOR_NAMES", "DEFAULT_HEAP_SIZE", "TRAITS", "create", "default_registry", "engine_for",
+]
 
 DEFAULT_HEAP_SIZE = 1 << 20  # 1 MiB
 
@@ -21,27 +25,26 @@ _V = FreeValidation
 TRAITS: dict[str, AllocatorTraits] = {
     t.name: t
     for t in (
-        AllocatorTraits("bump-alloc-cheri", True, False, False, _V.NONE, False, False),
-        AllocatorTraits("bump-alloc-nocheri", False, False, False, _V.ALLOC_LOG, True, False),
-        AllocatorTraits("dlmalloc-cheribuild", True, False, False, _V.INLINE_HEADER, False, False),
-        AllocatorTraits("jemalloc", True, False, True, _V.INLINE_HEADER, False, False),
-        AllocatorTraits("libmalloc-simple", True, False, True, _V.INLINE_HEADER, False, True),
-        AllocatorTraits("snmalloc-cheribuild", True, True, False, _V.METADATA_LOOKUP, False, True),
-        AllocatorTraits("snmalloc-repo", True, False, False, _V.METADATA_LOOKUP, False, True),
+        AllocatorTraits("bump-alloc-cheri", True, False, False, _V.NONE, False),
+        AllocatorTraits("bump-alloc-nocheri", False, False, False, _V.ALLOC_LOG, False),
+        AllocatorTraits("dlmalloc-cheribuild", True, False, False, _V.INLINE_HEADER, False),
+        AllocatorTraits("jemalloc", True, False, True, _V.INLINE_HEADER, False),
+        AllocatorTraits("libmalloc-simple", True, False, True, _V.INLINE_HEADER, True),
+        AllocatorTraits("snmalloc-cheribuild", True, True, False, _V.METADATA_LOOKUP, True),
+        AllocatorTraits("snmalloc-repo", True, False, False, _V.METADATA_LOOKUP, True),
     )
 }
 
 ALLOCATOR_NAMES: tuple[str, ...] = tuple(TRAITS)
 
-_ENGINES = {
-    "bump-alloc-cheri": BumpAllocator,
-    "bump-alloc-nocheri": BumpAllocator,
-    "dlmalloc-cheribuild": FreeListAllocator,
-    "jemalloc": FreeListAllocator,
-    "libmalloc-simple": FreeListAllocator,
-    "snmalloc-cheribuild": SlabAllocator,
-    "snmalloc-repo": SlabAllocator,
-}
+
+# each free validation's engine, from the validations the engines declare
+_ENGINE_OF = {v: e for e in (BumpAllocator, FreeListAllocator, SlabAllocator) for v in e.validations}
+
+
+def engine_for(traits: AllocatorTraits) -> type[Allocator]:
+    """The engine that implements ``traits.free_validation``."""
+    return _ENGINE_OF[traits.free_validation]
 
 
 def create(
@@ -50,8 +53,8 @@ def create(
     """Build a named allocator over a fresh heap of its own."""
     if name not in TRAITS:
         raise ValueError(f"unknown allocator {name!r}; choose from {', '.join(ALLOCATOR_NAMES)}")
-    engine = _ENGINES[name]
-    return engine(engine.heap_class(heap_size), TRAITS[name], rounding_bounds=rounding_bounds)
+    traits = TRAITS[name]
+    return engine_for(traits)(TaggedHeap(heap_size), traits, rounding_bounds=rounding_bounds)
 
 
 def default_registry(

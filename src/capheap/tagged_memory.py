@@ -21,10 +21,11 @@ hand-built ``Capability`` can hold one) with
 ``CapFault(BOUNDS_VIOLATION)``, after the access checks and before any
 byte or tag changes.
 
-``WatchedHeap`` adds a write barrier for an engine that keeps facts
-about heap bytes out of band: a ``watch`` byte per granule, set by the
-engine, and a ``dirty`` set of the watched granules that ``store`` and
-``store_cap`` wrote since the engine last looked.
+Every heap has a write barrier for an engine that mirrors heap bytes
+out of band: once the engine sets ``watch`` (one byte per granule, set
+under what it mirrors), ``store``, ``store_cap``, ``touch`` and
+``clear`` add every watched granule they write to ``dirty``, which the
+engine drains before it trusts its mirror.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import struct
 
 from .capability import CapFault, Capability, FaultKind, Perm
 
-__all__ = ["GRANULE", "TaggedHeap", "WatchedHeap"]
+__all__ = ["GRANULE", "TaggedHeap"]
 
 GRANULE = 16
 
@@ -54,19 +55,30 @@ class TaggedHeap:
     ``bytes``; it never resizes) and ``tags`` a ``bytearray``, one byte
     per granule.  ``clear()`` replaces both: hold the heap, not ``data``."""
 
-    watch: bytearray | None = None  # the write barrier's map (see WatchedHeap)
-
     def __init__(self, size: int):
         if size <= 0 or size % GRANULE != 0:
             raise ValueError("heap size must be a positive multiple of 16")
         self.size = size
         self.data = mmap.mmap(-1, size)
         self.tags = bytearray(size // GRANULE)
+        self.watch: bytearray | None = None  # the write barrier's map, one byte per granule
+        self.dirty: set[int] = set()  # watched granules written since the engine looked
 
     def clear(self) -> None:
-        """Re-zero all bytes and tags with fresh demand-zero memory."""
+        """Re-zero all bytes and tags with fresh demand-zero memory; every
+        watched granule is dirty."""
         self.data = mmap.mmap(-1, self.size)
         self.tags = bytearray(self.size // GRANULE)
+        if self.watch is not None:
+            self.touch(0, len(self.watch) - 1)
+
+    def touch(self, first: int, last: int) -> None:
+        """Mark dirty every watched granule in ``first..last``."""
+        watch = self.watch
+        g = watch.find(1, first, last + 1)
+        while g >= 0:
+            self.dirty.add(g)
+            g = watch.find(1, g + 1, last + 1)
 
     def fault_outside(self, addr: int, length: int) -> None:
         """Raise the heap's own bounds fault for [addr, addr + length)."""
@@ -143,33 +155,3 @@ class TaggedHeap:
                 bitmap[i // 8] |= 1 << (i % 8)
         return bytes(self.data) + bytes(bitmap)
 
-
-class WatchedHeap(TaggedHeap):
-    """A heap whose byte stores report the watched granules they touch.
-
-    ``watch`` is None until the engine that owns the heap starts one: a
-    bytearray with one byte per granule, set under what the engine
-    mirrors out of band.  ``store``, ``store_cap`` and ``touch`` then
-    add every watched granule they write to ``dirty``, which the engine
-    drains before it trusts its mirror.  ``clear()`` zeroes every byte,
-    so it marks every watched granule dirty and leaves the watch to the
-    engine.
-    """
-
-    def __init__(self, size: int):
-        super().__init__(size)
-        self.watch = None
-        self.dirty: set[int] = set()
-
-    def clear(self) -> None:
-        TaggedHeap.clear(self)
-        if self.watch is not None:
-            self.touch(0, len(self.watch) - 1)
-
-    def touch(self, first: int, last: int) -> None:
-        """Mark dirty every watched granule in ``first..last``."""
-        watch = self.watch
-        g = watch.find(1, first, last + 1)
-        while g >= 0:
-            self.dirty.add(g)
-            g = watch.find(1, g + 1, last + 1)

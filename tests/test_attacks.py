@@ -108,7 +108,7 @@ class RevokingAllocator(BumpAllocator):
 def _revoking_allocator():
     heap = RevokingHeap(1 << 16)
     traits = AllocatorTraits(
-        "revoking-double", True, False, False, FreeValidation.NONE, False, False
+        "revoking-double", True, False, False, FreeValidation.NONE, False
     )
     return RevokingAllocator(heap, traits)
 
@@ -123,7 +123,7 @@ class WideGapAllocator(BumpAllocator):
 
 def _wide_gap_allocator():
     traits = AllocatorTraits(
-        "wide-gap-double", True, False, False, FreeValidation.NONE, False, False
+        "wide-gap-double", True, False, False, FreeValidation.NONE, False
     )
     return WideGapAllocator(TaggedHeap(1 << 16), traits)
 

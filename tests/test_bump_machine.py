@@ -13,6 +13,10 @@ passes the heap's end) with the configured bounds
 and permissions.  After every step the engine's cursor and allocation
 log must equal the model's, the blocks the client holds must be
 disjoint, and each must still hold the bytes last written to it.
+
+A variant runs with ``rounding_bounds=True`` over a heap whose end is
+not 32-byte aligned: a request whose rounded top passes the heap's end
+must fault before the cursor moves.
 """
 
 import pytest
@@ -27,6 +31,7 @@ from hypothesis.stateful import (
 )
 
 from capheap.allocator_api import AllocError, AllocErrorKind, FreeValidation, round16
+from capheap.capability import ROUNDING_MANTISSA_BITS, ROUNDING_THRESHOLD, CapFault, FaultKind
 from capheap.registry import TRAITS, create
 
 HEAP = 8192  # small enough that the cursor reaches the end
@@ -34,12 +39,23 @@ SIZES = st.one_of(st.integers(1, 64), st.integers(1, 1024))
 INDEX = st.integers(0, 1 << 16)
 
 
+def rounded(base, length):
+    """The bounds a client capability for [base, base + length) gets
+    with rounding on."""
+    if length <= ROUNDING_THRESHOLD:
+        return base, base + length
+    align = 1 << ((length - 1).bit_length() - ROUNDING_MANTISSA_BITS)
+    return base // align * align, -(-(base + length) // align) * align
+
+
 class BumpMachine(RuleBasedStateMachine):
     config = "bump-alloc-cheri"
+    heap_size = HEAP
+    rounding = False
 
     def __init__(self):
         super().__init__()
-        self.alloc = create(self.config, heap_size=HEAP)
+        self.alloc = create(self.config, heap_size=self.heap_size, rounding_bounds=self.rounding)
         traits = TRAITS[self.config]
         self.narrow = traits.narrow_bounds
         self.logs = traits.free_validation is FreeValidation.ALLOC_LOG
@@ -48,6 +64,7 @@ class BumpMachine(RuleBasedStateMachine):
     def reset_model(self):
         self.cursor = 0
         self.log = {}  # base -> [length, freed], as the engine keeps it
+        self.blocks = {}  # base -> length of every block handed out
         self.live = []  # capabilities the client holds
         self.stale = []  # capabilities of blocks freed or moved since
         self.contents = {}  # block base -> bytes last written there
@@ -57,7 +74,23 @@ class BumpMachine(RuleBasedStateMachine):
 
     def length(self, cap):
         """The length of the block ``cap`` was handed out for."""
-        return cap.length if self.narrow else self.log[cap.address][0]
+        return self.blocks[cap.address]
+
+    def bounds(self, start, length):
+        """The bounds of the client capability for a block."""
+        if not self.narrow:
+            return 0, self.heap_size
+        return rounded(start, length) if self.rounding else (start, start + length)
+
+    def refused(self, exc, start, length):
+        """A malloc (or a realloc's) refused: out of memory, or a rounded
+        top past the heap's end, before the cursor moved."""
+        if isinstance(exc, CapFault):
+            assert exc.kind is FaultKind.MONOTONICITY_VIOLATION
+            assert start + length <= self.heap_size < self.bounds(start, length)[1]
+        else:
+            assert exc.kind is AllocErrorKind.OUT_OF_MEMORY
+            assert start + length > self.heap_size
 
     def expect_free(self, cap):
         """What free(cap) must raise, or None; updates the log model."""
@@ -73,11 +106,11 @@ class BumpMachine(RuleBasedStateMachine):
 
     def handed_out(self, cap, start, length):
         """Check a fresh block's capability and enter it in the model."""
-        assert start + length <= HEAP
-        bounds = (start, start + length) if self.narrow else (0, HEAP)
-        assert (cap.tag, cap.base, cap.top, cap.address) == (True, *bounds, start)
+        assert start + length <= self.heap_size
+        assert (cap.tag, cap.base, cap.top, cap.address) == (True, *self.bounds(start, length), start)
         assert cap.perms == self.alloc._client_perms
         self.cursor += length
+        self.blocks[start] = length
         if self.logs:
             self.log[start] = [length, False]
         self.live.append(cap)
@@ -97,18 +130,17 @@ class BumpMachine(RuleBasedStateMachine):
         start, length = self.cursor, round16(size)
         try:
             cap = self.alloc.malloc(size)
-        except AllocError as exc:
-            assert exc.kind is AllocErrorKind.OUT_OF_MEMORY
-            assert start + length > HEAP
+        except (AllocError, CapFault) as exc:
+            self.refused(exc, start, length)
             return
         self.handed_out(cap, start, length)
         self.contents[start] = bytes(length)
 
-    @precondition(lambda self: self.cursor < HEAP)
+    @precondition(lambda self: self.cursor < self.heap_size)
     @rule(short=st.integers(0, 15))
     def malloc_the_rest(self, short):
         """A request that rounds up to exactly the room left."""
-        self.malloc(max(1, HEAP - self.cursor - short))
+        self.malloc(max(1, self.heap_size - self.cursor - short))
 
     @precondition(lambda self: self.live)
     @rule(index=INDEX)
@@ -132,9 +164,8 @@ class BumpMachine(RuleBasedStateMachine):
         start, length = self.cursor, round16(size)
         try:
             new = self.alloc.realloc(cap, size)
-        except AllocError as exc:
-            assert exc.kind is AllocErrorKind.OUT_OF_MEMORY
-            assert start + length > HEAP
+        except (AllocError, CapFault) as exc:
+            self.refused(exc, start, length)
             return
         if self.logs:
             self.log[cap.address][1] = True
@@ -160,9 +191,8 @@ class BumpMachine(RuleBasedStateMachine):
         start, length = self.cursor, round16(size)
         try:
             new = self.alloc.realloc(cap, size)
-        except AllocError as exc:
-            assert exc.kind is AllocErrorKind.OUT_OF_MEMORY
-            assert start + length > HEAP
+        except (AllocError, CapFault) as exc:
+            self.refused(exc, start, length)
             return
         self.handed_out(new, start, length)
         kept = old[:size]
@@ -208,7 +238,7 @@ class BumpMachine(RuleBasedStateMachine):
     @invariant()
     def cursor_and_log_match_the_model(self):
         assert self.alloc._cursor == self.cursor
-        assert self.alloc._log == self.log
+        assert self.alloc._log == (self.log if self.logs else None)
 
     @invariant()
     def live_blocks_are_disjoint(self):
@@ -223,12 +253,21 @@ class BumpMachine(RuleBasedStateMachine):
             assert self.alloc.heap.load(cap, cap.address, len(data)) == data
 
 
-@pytest.mark.parametrize("config", ["bump-alloc-cheri", "bump-alloc-nocheri"])
-def test_bump_state_machine(config):
-    machine = type(f"BumpMachine[{config}]", (BumpMachine,), {"config": config})
+def run_machine(config, **attrs):
+    machine = type(f"BumpMachine[{config}]", (BumpMachine,), {"config": config, **attrs})
     run_state_machine_as_test(
         machine,
         settings=settings(
             max_examples=60, stateful_step_count=40, deadline=None, derandomize=True, database=None
         ),
     )
+
+
+@pytest.mark.parametrize("config", ["bump-alloc-cheri", "bump-alloc-nocheri"])
+def test_bump_state_machine(config):
+    run_machine(config)
+
+
+def test_bump_state_machine_rounding():
+    """Bounds rounding on, over a heap 16 bytes past a power of two."""
+    run_machine("bump-alloc-cheri", rounding=True, heap_size=HEAP + 16)

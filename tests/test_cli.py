@@ -81,9 +81,22 @@ class TestBenchCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 8
 
-    def test_bad_ops_rejected(self, capsys):
-        with pytest.raises(ValueError):
-            main(["bench", "churn", "--allocator", "jemalloc", "--ops", "0"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["churn", "--ops", "0"], "op_count must be at least 1"),
+            (["churn", "--size", "0"], "churn needs a positive size"),
+            (["randsize", "--seed", "0"], "randsize needs a positive seed"),
+            (["randsize", "--min-size", "300", "--max-size", "10"],
+             "randsize needs min_size <= max_size"),
+        ],
+        ids=["ops", "size", "seed", "sizes"],
+    )
+    def test_malformed_workload_is_usage_error(self, argv, message, capsys):
+        assert main(["bench", *argv, "--allocator", "jemalloc"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"bad workload: {message}\n"
 
 
 class TestDumpCommand:
@@ -120,6 +133,14 @@ class TestDumpCommand:
         script.write_text("free 5\n")
         rc = main(["dump", "--allocator", "jemalloc", "--script", str(script)])
         assert rc == 2
+
+    @pytest.mark.parametrize("line", ["free -1", "realloc -2 64"])
+    def test_negative_index_is_usage_error(self, line, tmp_path, capsys):
+        script = tmp_path / "script.txt"
+        script.write_text(f"malloc 32\nmalloc 48\n{line}\nfree -1\n")
+        rc = main(["dump", "--allocator", "bump-alloc-nocheri", "--script", str(script)])
+        assert rc == 2
+        assert "line 3: negative result index" in capsys.readouterr().err
 
     def test_malformed_line_is_usage_error(self, tmp_path, capsys):
         script = tmp_path / "script.txt"

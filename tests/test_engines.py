@@ -16,7 +16,7 @@ from capheap.engines import (
     SlabAllocator,
 )
 from capheap.registry import ALLOCATOR_NAMES, TRAITS, create
-from capheap.tagged_memory import TaggedHeap, WatchedHeap
+from capheap.tagged_memory import TaggedHeap
 
 
 def region_size(alloc):
@@ -560,9 +560,8 @@ def test_first_fit_header_reads_per_malloc(monkeypatch, workload, reads, mallocs
     assert (counter.reads, len(calls)) == (reads, mallocs)
 
 
-def test_free_list_engine_needs_a_watched_heap():
-    with pytest.raises(TypeError):
-        FreeListAllocator(TaggedHeap(4096), TRAITS["jemalloc"])
-    assert type(create("jemalloc").heap) is WatchedHeap
-    assert type(create("snmalloc-repo").heap) is TaggedHeap
-    assert type(create("bump-alloc-cheri").heap) is TaggedHeap
+def test_free_list_engine_runs_over_a_plain_heap():
+    alloc = FreeListAllocator(TaggedHeap(4096), TRAITS["jemalloc"])
+    alloc.free(alloc.malloc(32))
+    assert alloc.chunks() == [(0, 32, 0), (40, 4048, 0)]
+    assert all(type(create(name).heap) is TaggedHeap for name in ALLOCATOR_NAMES)

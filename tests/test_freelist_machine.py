@@ -21,7 +21,12 @@ lists a chunk that was not free, a store over a header), it must not
 fail, and must agree with the free list and the blocks the client
 holds, and those blocks must be disjoint.  Every malloc, attacked or
 not, must match a brute-force first fit over ``_free_list`` read from
-heap bytes.
+heap bytes, and a malloc that faults must leave the heap as it was.
+
+A variant runs with ``rounding_bounds=True`` over a heap whose end is
+not 32-byte aligned, with requests that take the chunk at the heap's
+end: rounding a block's top past the heap's end is a derivation fault
+that must come before the engine commits anything.
 """
 
 import struct
@@ -40,7 +45,13 @@ from hypothesis.stateful import (
 
 from capheap import engines
 from capheap.allocator_api import AllocError, AllocErrorKind, FreeValidation, round16
-from capheap.capability import CapFault, Capability, FaultKind
+from capheap.capability import (
+    ROUNDING_MANTISSA_BITS,
+    ROUNDING_THRESHOLD,
+    CapFault,
+    Capability,
+    FaultKind,
+)
 from capheap.engines import _POISONED, CHUNK_HEADER_SIZE, CHUNK_MAGIC, _class
 from capheap.registry import TRAITS, create
 from capheap.tagged_memory import GRANULE
@@ -57,6 +68,15 @@ FORGED_SIZES = st.one_of(st.integers(0, 64).map(lambda n: 16 * n), st.integers(0
 FORGE_OFFSETS = st.one_of(st.integers(0, 24), st.integers(0, 1 << 16))
 
 
+def rounded(base, length):
+    """The bounds a client capability for [base, base + length) gets
+    with rounding on."""
+    if length <= ROUNDING_THRESHOLD:
+        return base, base + length
+    align = 1 << ((length - 1).bit_length() - ROUNDING_MANTISSA_BITS)
+    return base // align * align, -(-(base + length) // align) * align
+
+
 def tagging_capability(header, at):
     """A capability whose stored bytes repeat the tail of an 8-byte
     header forged at ``at`` that spills into the next granule, so that
@@ -68,10 +88,12 @@ def tagging_capability(header, at):
 
 class FreeListMachine(RuleBasedStateMachine):
     config = "jemalloc"
+    heap_size = HEAP
+    rounding = False
 
     def __init__(self):
         super().__init__()
-        self.alloc = create(self.config, heap_size=HEAP)
+        self.alloc = create(self.config, heap_size=self.heap_size, rounding_bounds=self.rounding)
         self.written = []  # headers the engine wrote during the current step
         write = self.alloc._write_header
 
@@ -94,11 +116,16 @@ class FreeListMachine(RuleBasedStateMachine):
     def header(self, chunk):
         return HEADER.unpack(self.alloc.heap.data[chunk : chunk + CHUNK_HEADER_SIZE])
 
+    def bounds(self, chunk, payload):
+        """The bounds of the client capability for a chunk."""
+        length = CHUNK_HEADER_SIZE + payload
+        return rounded(chunk, length) if self.rounding else (chunk, chunk + length)
+
     def first_fit(self, size):
         """Brute force: what malloc must do, read from the heap bytes."""
         want = round16(size)
         for slot, chunk in enumerate(self.alloc._free_list):
-            if chunk < 0 or chunk + CHUNK_HEADER_SIZE > HEAP:
+            if chunk < 0 or chunk + CHUNK_HEADER_SIZE > self.heap_size:
                 return "fault", FaultKind.BOUNDS_VIOLATION
             payload, magic, _, _ = self.header(chunk)
             if magic != CHUNK_MAGIC:
@@ -108,10 +135,10 @@ class FreeListMachine(RuleBasedStateMachine):
             rest = None
             if payload >= want + 32:
                 rest = chunk + CHUNK_HEADER_SIZE + want
-                if rest + CHUNK_HEADER_SIZE > HEAP:
+                if rest + CHUNK_HEADER_SIZE > self.heap_size:
                     return "fault", FaultKind.BOUNDS_VIOLATION
                 payload = want
-            if chunk + CHUNK_HEADER_SIZE + payload > HEAP:
+            if self.bounds(chunk, payload)[1] > self.heap_size:
                 return "fault", FaultKind.MONOTONICITY_VIOLATION
             return "fit", (slot, chunk, payload, rest)
         return "oom", None
@@ -150,7 +177,9 @@ class FreeListMachine(RuleBasedStateMachine):
 
     @rule(size=SIZES)
     def malloc(self, size):
+        heap = self.alloc.heap
         before = list(self.alloc._free_list)
+        memory = bytes(heap.data), bytes(heap.tags)
         verdict, detail = self.first_fit(size)
         try:
             cap = self.alloc.malloc(size)
@@ -161,15 +190,17 @@ class FreeListMachine(RuleBasedStateMachine):
                 assert (verdict, exc.kind) == ("corrupt", AllocErrorKind.CORRUPT_HEADER)
                 assert str(exc) == f"CorruptHeader: free list entry at {detail}"
             assert self.alloc._free_list == before
+            assert (bytes(heap.data), bytes(heap.tags)) == memory
             return
         except CapFault as exc:
             assert (verdict, exc.kind) == ("fault", detail)
+            assert self.alloc._free_list == before
+            assert (bytes(heap.data), bytes(heap.tags)) == memory
             return
         assert verdict == "fit"
         slot, chunk, payload, rest = detail
         assert (cap.base, cap.top, cap.address) == (
-            chunk,
-            chunk + CHUNK_HEADER_SIZE + payload,
+            *self.bounds(chunk, payload),
             chunk + CHUNK_HEADER_SIZE,
         )
         assert cap.perms == self.alloc._client_perms
@@ -181,6 +212,17 @@ class FreeListMachine(RuleBasedStateMachine):
         assert self.alloc._free_list == before
         assert self.header(chunk) == (payload, CHUNK_MAGIC, LIVE, 0)
         self.live.append(cap)
+
+    @rule(short=st.integers(0, 47))
+    def malloc_at_the_end(self, short):
+        """A request for about the whole of a listed chunk that ends at
+        the heap's end."""
+        for chunk in self.alloc._free_list:
+            if 0 <= chunk <= self.heap_size - CHUNK_HEADER_SIZE:
+                payload = self.header(chunk)[0]
+                if chunk + CHUNK_HEADER_SIZE + payload == self.heap_size and payload > short:
+                    self.malloc(payload - short)
+                    return
 
     @precondition(lambda self: self.live)
     @rule(index=INDEX)
@@ -200,17 +242,33 @@ class FreeListMachine(RuleBasedStateMachine):
     @rule(index=INDEX, size=SIZES)
     def realloc(self, index, size):
         cap = self.pick(self.live, index)
+        heap = self.alloc.heap
+        before = list(self.alloc._free_list)
+        memory = bytes(heap.data), bytes(heap.tags)
         try:
             new = self.alloc.realloc(cap, size)
         except AllocError as exc:
             assert exc.kind is AllocErrorKind.OUT_OF_MEMORY or self.attacked
             return
-        except CapFault:
-            assert self.attacked
+        except CapFault as exc:
+            if self.attacked:
+                return
+            # a grown or moved block's rounded top may pass the heap's end,
+            # which must fault before anything changes
+            assert self.rounding and exc.kind is FaultKind.MONOTONICITY_VIOLATION
+            assert self.alloc._free_list == before
+            assert (bytes(heap.data), bytes(heap.tags)) == memory
             return
         if new != cap:
             self.live[self.live.index(cap)] = new
             self.stale.append(cap)
+
+    @precondition(lambda self: self.live)
+    @rule(index=INDEX, short=st.integers(0, 47))
+    def realloc_to_the_end(self, index, short):
+        """Grow a block to about the rest of the heap."""
+        cap = self.pick(self.live, index)
+        self.realloc(index, max(1, self.heap_size - cap.address - short))
 
     @precondition(lambda self: self.live or self.stale)
     @rule(
@@ -323,7 +381,7 @@ class FreeListMachine(RuleBasedStateMachine):
         for chunk, payload, _ in chunks:
             assert chunk == off
             off += CHUNK_HEADER_SIZE + payload
-        assert off == HEAP
+        assert off == self.heap_size
         if self.attacked:
             return
         assert all(payload % CHUNK_HEADER_SIZE == 0 for _, payload, _ in chunks)
@@ -331,20 +389,26 @@ class FreeListMachine(RuleBasedStateMachine):
         for chunk in self.alloc._free_list:
             assert status[chunk][1] == FREE
         for cap in self.live:
-            assert status[cap.base] == (cap.length - CHUNK_HEADER_SIZE, LIVE)
+            payload, state = status[cap.address - CHUNK_HEADER_SIZE]
+            assert state == LIVE
+            assert self.bounds(cap.address - CHUNK_HEADER_SIZE, payload) == (cap.base, cap.top)
 
     @invariant()
     def live_blocks_are_disjoint(self):
+        """The chunks of the blocks the client holds are disjoint; once
+        the capabilities are tied to them (``chunks_tile_the_heap``),
+        unrounded capabilities are too."""
         if self.attacked:
             return
-        spans = sorted((cap.base, cap.top) for cap in self.live)
+        chunks = [cap.address - CHUNK_HEADER_SIZE for cap in self.live]
+        spans = sorted((c, c + CHUNK_HEADER_SIZE + self.header(c)[0]) for c in chunks)
         for (_, top), (base, _) in zip(spans, spans[1:]):
             assert top <= base
 
 
-def run_machine(config):
+def run_machine(config, **attrs):
     assert TRAITS[config].free_validation is FreeValidation.INLINE_HEADER
-    machine = type(f"FreeListMachine[{config}]", (FreeListMachine,), {"config": config})
+    machine = type(f"FreeListMachine[{config}]", (FreeListMachine,), {"config": config, **attrs})
     run_state_machine_as_test(
         machine,
         settings=settings(
@@ -365,3 +429,14 @@ def test_free_list_state_machine_indexed(config, monkeypatch):
     on the index and many cross into it."""
     monkeypatch.setattr(engines, "_SCAN_LIMIT", 4)
     run_machine(config)
+
+
+@pytest.mark.parametrize(
+    "config, scan_limit", [("jemalloc", 64), ("jemalloc", 0), ("libmalloc-simple", 64)]
+)
+def test_free_list_state_machine_rounding(config, scan_limit, monkeypatch):
+    """Bounds rounding on, over a heap 16 bytes past a power of two:
+    scanned mallocs, indexed ones (the index starting at the first
+    malloc), and (``libmalloc-simple``) blocks grown in place."""
+    monkeypatch.setattr(engines, "_SCAN_LIMIT", scan_limit)
+    run_machine(config, rounding=True, heap_size=HEAP + 16)

@@ -55,6 +55,26 @@ def test_rejects_wrong_registry():
         run_matrix(registry)
 
 
+ITERATORS = pytest.mark.parametrize(
+    "make", [iter, lambda names: (n for n in names)], ids=["iter", "generator"]
+)
+
+
+@ITERATORS
+def test_row_restriction_from_an_iterator(make):
+    matrix = run_matrix(rows=make(["jemalloc"]))
+    assert matrix.names == ("jemalloc",)
+    assert matrix.cells == (EXPECTED_MATRIX.row("jemalloc"),)
+
+
+@ITERATORS
+def test_unknown_rows_from_an_iterator_are_rejected(make):
+    with pytest.raises(ConfigurationError):
+        run_matrix(rows=make(["tcmalloc"]))
+    with pytest.raises(ConfigurationError):
+        run_matrix(rows=make(["jemalloc", "tcmalloc"]))
+
+
 def test_rejects_unknown_row_restriction():
     with pytest.raises(ConfigurationError):
         run_matrix(rows=["tcmalloc"])

@@ -1,7 +1,7 @@
 import pytest
 
 from capheap.capability import CapFault, Capability, FaultKind, PERM_ALL, Perm, make_root
-from capheap.tagged_memory import GRANULE, TaggedHeap, WatchedHeap
+from capheap.tagged_memory import GRANULE, TaggedHeap
 
 HEAP = 4096
 
@@ -305,12 +305,12 @@ class TestWatchedHeap:
 
     @pytest.fixture
     def watched(self):
-        heap = WatchedHeap(HEAP)
+        heap = TaggedHeap(HEAP)
         heap.watch = bytearray(HEAP // GRANULE)
         return heap
 
     def test_unwatched_until_a_watch_is_set(self, root):
-        heap = WatchedHeap(HEAP)
+        heap = TaggedHeap(HEAP)
         assert heap.watch is None and heap.dirty == set()
         heap.store(root, 0, b"\xff" * 64)
         heap.store_cap(root, 64, root)
