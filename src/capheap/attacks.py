@@ -1,7 +1,8 @@
 """Five deterministic heap-attack probes.
 
-Each probe drives a fresh allocator through a short, fully recorded
-scenario and classifies the result:
+Each probe drives an allocator in its initial state (fresh, or reset:
+the two are the same state) through a short, fully recorded scenario
+and classifies the result:
 
 * A1  use-after-free read-back
 * A2  stale-data exposure through realloc bounds widening

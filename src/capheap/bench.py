@@ -13,6 +13,7 @@ import time
 from collections import deque
 from dataclasses import astuple, dataclass
 
+from . import _csv
 from .allocator_api import AllocError, AllocErrorKind, Allocator
 
 __all__ = [
@@ -23,15 +24,17 @@ WINDOW = 64  # live blocks kept by the churn workload
 
 CSV_HEADER = "allocator,workload,ops,elapsed_ns,peak_live_bytes,peak_touched_bytes,oom_count"
 
+SEED_MAX = 2**64 - 1  # seeds are the generator's whole 64-bit state; 0 is its fixed point
+
 
 class Xorshift64:
     """Tiny deterministic generator; the seed is part of the workload
     descriptor so runs are reproducible from the output alone."""
 
     def __init__(self, seed: int):
-        if seed <= 0:
-            raise ValueError("seed must be positive")
-        self.state = seed & 0xFFFFFFFFFFFFFFFF
+        if not 1 <= seed <= SEED_MAX:
+            raise ValueError("seed must be in [1, 2**64 - 1]")
+        self.state = seed
 
     def next(self) -> int:
         x = self.state
@@ -45,7 +48,8 @@ class Xorshift64:
 @dataclass(frozen=True)
 class Workload:
     """A kind, an op count, and the parameters that kind reads (see
-    ``WORKLOADS``), each positive, with ``min_size <= max_size``."""
+    ``WORKLOADS``), each positive, with ``min_size <= max_size`` and a
+    seed of at most ``SEED_MAX``."""
 
     kind: str
     op_count: int
@@ -64,6 +68,8 @@ class Workload:
                 raise ValueError(f"{self.kind} needs a positive {name}")
         if self.min_size > self.max_size:
             raise ValueError(f"{self.kind} needs min_size <= max_size")
+        if self.seed > SEED_MAX:
+            raise ValueError(f"{self.kind} needs a seed of at most 2**64 - 1")
 
     @classmethod
     def churn(cls, op_count: int, size: int) -> "Workload":
@@ -197,17 +203,15 @@ def run_workload(alloc: Allocator, workload: Workload) -> BenchResult:
 def emit_csv(results: list[BenchResult]) -> bytes:
     if not results:
         raise ValueError("no results to emit")
-    lines = [CSV_HEADER] + [",".join(map(str, astuple(r))) for r in results]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _csv.emit(CSV_HEADER.split(","), map(astuple, results))
 
 
 def parse_csv(data: bytes) -> list[BenchResult]:
-    lines = data.decode("utf-8").strip().splitlines()
-    if lines[0] != CSV_HEADER:
+    header, rows = _csv.parse(data)
+    if header != CSV_HEADER.split(","):
         raise ValueError("unexpected bench CSV header")
     out = []
-    for line in lines[1:]:
-        fields = line.split(",")
+    for fields in rows:
         if len(fields) != 7:
             raise ValueError(f"expected 7 columns, got {len(fields)}")
         out.append(BenchResult(fields[0], fields[1], *map(int, fields[2:])))

@@ -33,11 +33,12 @@ payloads at 8, 48 and 72.
 
 Headers are read and written in place on the heap bytes (``struct``
 ``unpack_from``/``pack_into``), not through ``TaggedHeap.load`` and
-``store``; a write clears the tags of the granules it overlaps, as a
-byte store would.  A client can forge a header anywhere its capability
-reaches, including at 9..15 modulo 16, where the 8 bytes straddle two
-granules; when the engine rewrites such a header (freeing at the
-forged address, or handing the forged chunk out) both tags are cleared.
+``store``; a write clears the tags of the granules it overlaps and
+raises the heap's written extent, as a byte store would.  A client can
+forge a header anywhere its capability reaches, including at 9..15
+modulo 16, where the 8 bytes straddle two granules; when the engine
+rewrites such a header (freeing at the forged address, or handing the
+forged chunk out) both tags are cleared.
 
 The free list itself is kept out of band (a list of chunk offsets, most
 recently freed first) rather than threaded through chunk payloads:
@@ -349,8 +350,8 @@ class FreeListAllocator(Allocator):
     # check_access raises the fault heap.load or heap.store would.  A
     # write clears the tag of every granule its 8 bytes overlap: one for
     # a chunk start, two for a header forged at 9..15 modulo 16; like a
-    # client's store, it marks the watched ones dirty.
-    # heap.data and heap.tags are fetched per call: reset() replaces them.
+    # client's store, it raises the heap's written extent and marks the
+    # watched ones dirty.
 
     def _write_header(self, chunk: int, payload_size: int, status: int) -> None:
         heap = self.heap
@@ -363,6 +364,8 @@ class FreeListAllocator(Allocator):
         tags[first] = 0
         if last != first:
             tags[last] = 0
+        if last >= heap.extent:
+            heap.extent = last + 1
         watch = heap.watch
         if watch is not None and (watch[first] or watch[last]):
             heap.touch(first, last)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Iterable, Mapping
 
+from . import _csv
 from .allocator_api import Allocator
 from .attacks import ATTACK_IDS, ATTACKS, Outcome
 from .registry import ALLOCATOR_NAMES, default_registry
@@ -82,9 +83,11 @@ def run_matrix(
     *,
     rows: Iterable[str] | None = None,
 ) -> ConformanceMatrix:
-    """Probe every (allocator, attack) cell on a fresh instance each,
-    serially: a cell is tens of microseconds of pure Python, too little
-    for a GIL-bound pool to pay.  The registry is never mutated.
+    """Probe every (allocator, attack) cell serially: a cell is tens of
+    microseconds of pure Python, too little for a GIL-bound pool to pay.
+    Each row builds one instance and resets it before every probe after
+    the first, so each cell starts from the state a fresh instance has,
+    without a heap of its own.  The registry is never mutated.
     ``rows`` restricts the run to a subset of allocators, in table order.
     """
     if registry is None:
@@ -102,10 +105,15 @@ def run_matrix(
         if unknown:
             raise ConfigurationError(f"unknown allocators: {sorted(unknown)}")
 
-    cells = tuple(
-        tuple(ATTACKS[attack](registry[name]()).outcome for attack in ATTACK_IDS)
-        for name in names
-    )
+    def row(alloc: Allocator) -> tuple[Outcome, ...]:
+        outcomes = []
+        for attack in ATTACK_IDS:
+            if outcomes:
+                alloc.reset()
+            outcomes.append(ATTACKS[attack](alloc).outcome)
+        return tuple(outcomes)
+
+    cells = tuple(row(registry[name]()) for name in names)
     return ConformanceMatrix(names, ATTACK_IDS, cells)
 
 
@@ -135,10 +143,8 @@ def render(matrix: ConformanceMatrix, fmt: str = "text") -> bytes:
             lines.append(name.ljust(width) + "  " + glyphs)
         return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "csv":
-        lines = ["allocator," + ",".join(matrix.attacks)]
-        for name, row in zip(matrix.names, matrix.cells):
-            lines.append(name + "," + ",".join(o.token for o in row))
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        rows = ((name, *(o.token for o in row)) for name, row in zip(matrix.names, matrix.cells))
+        return _csv.emit(("allocator", *matrix.attacks), rows)
     if fmt == "json":
         obj = {
             name: [o.value for o in row] for name, row in zip(matrix.names, matrix.cells)
@@ -148,18 +154,12 @@ def render(matrix: ConformanceMatrix, fmt: str = "text") -> bytes:
 
 
 def parse_csv(data: bytes) -> ConformanceMatrix:
-    lines = data.decode("utf-8").strip().splitlines()
-    header = lines[0].split(",")
+    header, rows = _csv.parse(data)
     if header[0] != "allocator":
         raise ValueError("missing allocator header column")
-    attacks = tuple(header[1:])
-    names = []
-    cells = []
-    for line in lines[1:]:
-        fields = line.split(",")
-        names.append(fields[0])
-        cells.append(tuple(Outcome.from_token(tok) for tok in fields[1:]))
-    return ConformanceMatrix(tuple(names), attacks, tuple(cells))
+    names = tuple(fields[0] for fields in rows)
+    cells = tuple(tuple(Outcome.from_token(tok) for tok in fields[1:]) for fields in rows)
+    return ConformanceMatrix(names, tuple(header[1:]), cells)
 
 
 def parse_json(data: bytes) -> ConformanceMatrix:

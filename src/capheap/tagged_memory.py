@@ -12,8 +12,11 @@ themselves can be stored in memory with a bit-exact 16-byte layout:
 A granule's tag is set only by ``store_cap`` with a tagged payload, and
 any plain byte store touching the granule clears it again.  The heap
 starts zeroed with all tags clear.  Its bytes are an anonymous memory
-map, so they are demand-zero: a fresh or cleared heap costs only the
-pages a run touches, not a zero-fill of the whole heap.
+map, so they are demand-zero: a fresh heap costs only the pages a run
+touches, not a zero-fill of the whole heap.  The heap keeps its written
+extent (one past the highest granule written since the last clear),
+and ``clear()`` re-zeroes just that prefix in place, so a cleared heap
+keeps its map and its pages and costs only what the last run wrote.
 
 ``store_cap`` refuses a payload the layout cannot encode (a field
 outside u32, a negative field, or a permission mask above 255; only a
@@ -25,7 +28,10 @@ Every heap has a write barrier for an engine that mirrors heap bytes
 out of band: once the engine sets ``watch`` (one byte per granule, set
 under what it mirrors), ``store``, ``store_cap``, ``touch`` and
 ``clear`` add every watched granule they write to ``dirty``, which the
-engine drains before it trusts its mirror.
+engine drains before it trusts its mirror.  A writer of ``data`` or
+``tags`` other than ``store`` and ``store_cap`` (the free-list engine's
+in-place header writes) raises ``extent`` past what it wrote, or
+``clear()`` leaves those bytes behind.
 """
 
 from __future__ import annotations
@@ -53,7 +59,10 @@ class TaggedHeap:
     """Single-owner mutable heap state.  One logical thread per heap;
     distinct heaps are independent.  ``data`` is an ``mmap`` (slices are
     ``bytes``; it never resizes) and ``tags`` a ``bytearray``, one byte
-    per granule.  ``clear()`` replaces both: hold the heap, not ``data``."""
+    per granule.  ``extent`` is one past the highest granule written
+    since the last clear; ``clear()`` zeroes both up to it in place and
+    keeps the map, so a cleared heap is a fresh one without a new
+    mapping."""
 
     def __init__(self, size: int):
         if size <= 0 or size % GRANULE != 0:
@@ -61,14 +70,18 @@ class TaggedHeap:
         self.size = size
         self.data = mmap.mmap(-1, size)
         self.tags = bytearray(size // GRANULE)
+        self.extent = 0  # one past the highest granule written since the last clear
         self.watch: bytearray | None = None  # the write barrier's map, one byte per granule
         self.dirty: set[int] = set()  # watched granules written since the engine looked
 
     def clear(self) -> None:
-        """Re-zero all bytes and tags with fresh demand-zero memory; every
-        watched granule is dirty."""
-        self.data = mmap.mmap(-1, self.size)
-        self.tags = bytearray(self.size // GRANULE)
+        """Re-zero every byte and tag written, in place; every watched
+        granule is dirty."""
+        extent = self.extent
+        if extent:
+            self.data[: extent * GRANULE] = bytes(extent * GRANULE)
+            self.tags[:extent] = bytes(extent)
+            self.extent = 0
         if self.watch is not None:
             self.touch(0, len(self.watch) - 1)
 
@@ -109,6 +122,8 @@ class TaggedHeap:
         first = addr // GRANULE
         last = (addr + len(payload) - 1) // GRANULE
         self.tags[first : last + 1] = bytes(last + 1 - first)
+        if last >= self.extent:
+            self.extent = last + 1
         watch = self.watch
         if watch is not None and watch.find(1, first, last + 1) >= 0:
             self.touch(first, last)
@@ -130,6 +145,8 @@ class TaggedHeap:
         self.data[addr : addr + GRANULE] = raw
         granule = addr // GRANULE
         self.tags[granule] = 1 if payload.tag else 0
+        if granule >= self.extent:
+            self.extent = granule + 1
         watch = self.watch
         if watch is not None and watch[granule]:
             self.dirty.add(granule)

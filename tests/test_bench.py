@@ -23,6 +23,12 @@ class TestWorkloadValidation:
         with pytest.raises(ValueError):
             Workload.randsize(100, 0, 16, 64)
 
+    @pytest.mark.parametrize("seed", [2**64, 2**64 + 1, 2**65])
+    def test_randsize_refuses_seeds_past_64_bits(self, seed):
+        # a seed the generator would truncate, to 0 for a multiple of 2**64
+        with pytest.raises(ValueError, match="seed of at most 2\\*\\*64 - 1"):
+            Workload.randsize(100, seed, 16, 64)
+
     def test_op_count_positive(self):
         with pytest.raises(ValueError):
             Workload.reallocramp(0)
@@ -41,6 +47,17 @@ def test_xorshift_is_deterministic():
 def test_xorshift_rejects_zero_seed():
     with pytest.raises(ValueError):
         Xorshift64(0)
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**65, -1])
+def test_xorshift_rejects_seeds_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="seed must be in"):
+        Xorshift64(seed)
+
+
+def test_xorshift_accepts_the_largest_seed():
+    rng = Xorshift64(2**64 - 1)
+    assert len({rng.next() for _ in range(8)}) == 8
 
 
 class TestChurn:

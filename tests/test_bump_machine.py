@@ -59,6 +59,7 @@ class BumpMachine(RuleBasedStateMachine):
         traits = TRAITS[self.config]
         self.narrow = traits.narrow_bounds
         self.logs = traits.free_validation is FreeValidation.ALLOC_LOG
+        self.fresh = self.alloc.heap.snapshot()  # the heap as a fresh instance has it
         self.reset_model()
 
     def reset_model(self):
@@ -233,6 +234,7 @@ class BumpMachine(RuleBasedStateMachine):
     @rule()
     def reset(self):
         self.alloc.reset()
+        assert self.alloc.heap.snapshot() == self.fresh
         self.reset_model()
 
     @invariant()

@@ -87,10 +87,11 @@ class TestBenchCommand:
             (["churn", "--ops", "0"], "op_count must be at least 1"),
             (["churn", "--size", "0"], "churn needs a positive size"),
             (["randsize", "--seed", "0"], "randsize needs a positive seed"),
+            (["randsize", "--seed", str(2**64)], "randsize needs a seed of at most 2**64 - 1"),
             (["randsize", "--min-size", "300", "--max-size", "10"],
              "randsize needs min_size <= max_size"),
         ],
-        ids=["ops", "size", "seed", "sizes"],
+        ids=["ops", "size", "seed", "seed-past-64-bits", "sizes"],
     )
     def test_malformed_workload_is_usage_error(self, argv, message, capsys):
         assert main(["bench", *argv, "--allocator", "jemalloc"]) == 2

@@ -16,7 +16,7 @@ from capheap.engines import (
     SlabAllocator,
 )
 from capheap.registry import ALLOCATOR_NAMES, TRAITS, create
-from capheap.tagged_memory import TaggedHeap
+from capheap.tagged_memory import GRANULE, TaggedHeap
 
 
 def region_size(alloc):
@@ -418,6 +418,60 @@ class TestContractAcrossAllEngines:
         alloc.heap.store(p, p.address, bytes(range(32)))
         q = alloc.realloc(p, 200)
         assert alloc.heap.load(q, q.address, 32) == bytes(range(32))
+
+
+class TestResetLeavesAFreshHeap:
+    """reset() re-zeroes only the heap's written extent, so every path
+    that writes heap bytes must raise it: after a reset the heap is byte
+    for byte the heap of a fresh instance."""
+
+    HEAP = 4 * SLAB_SIZE
+
+    def assert_fresh_after_reset(self, alloc):
+        alloc.reset()
+        fresh = create(alloc.traits().name, alloc.heap.size)
+        assert alloc.heap.snapshot() == fresh.heap.snapshot()
+
+    @pytest.mark.parametrize("name", ALLOCATOR_NAMES)
+    def test_store_and_store_cap_at_the_last_granule(self, name):
+        alloc = create(name, self.HEAP)
+        alloc.heap.store(alloc.region, self.HEAP - 3, b"\xff" * 3)
+        alloc.heap.store_cap(alloc.region, self.HEAP - 2 * GRANULE, alloc.region)
+        self.assert_fresh_after_reset(alloc)
+
+    @pytest.mark.parametrize("name", ["dlmalloc-cheribuild", "jemalloc", "libmalloc-simple"])
+    def test_free_list_header_writes(self, name):
+        alloc = create(name, self.HEAP)
+        p = alloc.malloc(32)  # splits: a FREE header past the block
+        alloc.realloc(alloc.malloc(64), 400)
+        alloc.free(p)
+        self.assert_fresh_after_reset(alloc)
+
+    def test_forged_header_straddling_two_granules(self):
+        # The whole heap as one block.  A 6-byte store forges payload and
+        # magic at 10 mod 16 in granule 250; the status byte sits in
+        # granule 251, which only the engine's LIVE header write touches.
+        alloc = create("jemalloc", 4096)
+        whole = alloc.malloc(4096 - 2 * CHUNK_HEADER_SIZE)
+        assert (whole.base, whole.top) == (0, 4096)
+        chunk = 250 * GRANULE + 10
+        alloc.heap.store(whole, chunk, (16).to_bytes(4, "little") + CHUNK_MAGIC.to_bytes(2, "little"))
+        alloc.free(whole.set_address(chunk + CHUNK_HEADER_SIZE))
+        assert alloc.malloc(16).address == chunk + CHUNK_HEADER_SIZE
+        assert alloc.heap.data[chunk + 6] == 1 and alloc.heap.extent == 252
+        self.assert_fresh_after_reset(alloc)
+
+    @pytest.mark.parametrize(
+        "name", ["bump-alloc-cheri", "bump-alloc-nocheri", "snmalloc-cheribuild", "snmalloc-repo"]
+    )
+    def test_moving_realloc(self, name):
+        alloc = create(name, self.HEAP)
+        p = alloc.malloc(32)
+        alloc.malloc(32)  # blocks growth in place on slab
+        alloc.heap.store(p, p.address, b"\xab" * 32)
+        q = alloc.realloc(p, 200)
+        assert q.address > p.address
+        self.assert_fresh_after_reset(alloc)
 
 
 class TestRoundingBoundsMode:

@@ -94,6 +94,7 @@ class FreeListMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.alloc = create(self.config, heap_size=self.heap_size, rounding_bounds=self.rounding)
+        self.fresh = self.alloc.heap.snapshot()  # the heap as a fresh instance has it
         self.written = []  # headers the engine wrote during the current step
         write = self.alloc._write_header
 
@@ -335,6 +336,7 @@ class FreeListMachine(RuleBasedStateMachine):
     @rule()
     def reset(self):
         self.alloc.reset()
+        assert self.alloc.heap.snapshot() == self.fresh
         self.reset_model()
 
     @invariant()

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from capheap.attacks import ATTACK_IDS, Outcome
+from capheap.attacks import ATTACK_IDS, ATTACKS, Outcome
 from capheap.harness import (
     ConfigurationError,
     ConformanceMatrix,
@@ -12,7 +14,7 @@ from capheap.harness import (
     render,
     run_matrix,
 )
-from capheap.registry import ALLOCATOR_NAMES, default_registry
+from capheap.registry import ALLOCATOR_NAMES, create, default_registry
 
 
 def test_expected_matrix_shape():
@@ -53,6 +55,39 @@ def test_rejects_wrong_registry():
     registry.pop("jemalloc")
     with pytest.raises(ConfigurationError):
         run_matrix(registry)
+
+
+@pytest.mark.parametrize("rounding", [False, True], ids=["exact", "rounding"])
+@pytest.mark.parametrize("name", ALLOCATOR_NAMES)
+def test_reset_instance_reports_equal_fresh_ones(name, rounding):
+    # run_matrix probes a row on one instance, reset before every probe
+    # after the first: each report (outcome, trace and note) must be the
+    # one a fresh instance gives
+    reused = create(name, rounding_bounds=rounding)
+    for i, attack in enumerate(ATTACK_IDS):
+        if i:
+            reused.reset()
+        fresh = ATTACKS[attack](create(name, rounding_bounds=rounding))
+        assert ATTACKS[attack](reused) == fresh
+
+
+def test_one_instance_per_row():
+    calls = Counter()
+    factories = default_registry()
+
+    def counting(name):
+        def make():
+            calls[name] += 1
+            return factories[name]()
+
+        return make
+
+    registry = {name: counting(name) for name in ALLOCATOR_NAMES}
+    assert run_matrix(registry) == EXPECTED_MATRIX
+    assert calls == Counter(ALLOCATOR_NAMES)
+    calls.clear()
+    run_matrix(registry, rows=["jemalloc", "snmalloc-repo"])
+    assert calls == Counter(["jemalloc", "snmalloc-repo"])
 
 
 ITERATORS = pytest.mark.parametrize(

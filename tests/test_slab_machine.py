@@ -38,6 +38,7 @@ class SlabMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.alloc = create(self.config, heap_size=SLABS * SLAB_SIZE)
+        self.fresh = self.alloc.heap.snapshot()  # the heap as a fresh instance has it
         self.deferred = TRAITS[self.config].deferred_free
         self.reset_model()
 
@@ -146,6 +147,7 @@ class SlabMachine(RuleBasedStateMachine):
     @rule()
     def reset(self):
         self.alloc.reset()
+        assert self.alloc.heap.snapshot() == self.fresh
         self.reset_model()
 
     @invariant()

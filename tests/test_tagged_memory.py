@@ -259,6 +259,49 @@ def test_clear_resets_everything(heap, root):
     assert heap.tags == bytes(HEAP // GRANULE)
 
 
+class TestClearInPlace:
+    """clear() re-zeroes only the written extent, in place: whichever path
+    wrote last, a cleared heap is byte for byte a fresh one, on the same
+    map and tag array."""
+
+    FRESH = TaggedHeap(HEAP).snapshot()
+
+    def assert_cleared(self, heap, extent):
+        data, tags = heap.data, heap.tags
+        assert heap.extent == extent
+        heap.clear()
+        assert heap.snapshot() == self.FRESH
+        assert heap.data is data and heap.tags is tags
+        assert heap.extent == 0
+
+    @pytest.mark.parametrize(
+        "addr, length",
+        [(0, 1), (10, 8), (HEAP - 40, 33), (HEAP - 5, 5), (0, HEAP)],
+        ids=["first-byte", "straddle", "before-last", "last-granule", "whole"],
+    )
+    def test_store(self, heap, root, addr, length):
+        heap.store(root, addr, b"\xff" * length)
+        self.assert_cleared(heap, (addr + length - 1) // GRANULE + 1)
+
+    @pytest.mark.parametrize("addr", [0, 48, HEAP - GRANULE])
+    def test_store_cap(self, heap, root, addr):
+        heap.store_cap(root, addr, root)
+        self.assert_cleared(heap, addr // GRANULE + 1)
+
+    def test_extent_only_grows_until_cleared(self, heap, root):
+        heap.store(root, HEAP - 5, b"\xff" * 5)
+        heap.store(root, 0, b"\xff")
+        heap.store_cap(root, 64, root)
+        self.assert_cleared(heap, HEAP // GRANULE)
+
+    def test_refused_writes_leave_the_extent(self, heap, root):
+        with pytest.raises(CapFault):
+            heap.store(root.clear_tag(), 64, b"x")
+        with pytest.raises(CapFault):
+            heap.store_cap(root, 64, Capability(True, -1, 0, 0, 0))
+        assert heap.extent == 0
+
+
 class TestUnrepresentablePayload:
     """store_cap of a hand-built payload that the 16-byte layout cannot
     encode is a bounds fault, raised before any byte or tag changes (it
