@@ -5,14 +5,15 @@ derived from its region (root) capability.  The static traits record is
 the allocator's whole configuration: its ``free_validation`` picks the
 engine, the engine honours every other field or refuses the record, and
 the attack harness consults the same record when deciding whether a
-probe even applies.
+probe even applies.  ``AllocatorTraits`` is a ``NamedTuple``, like
+``Capability``: immutable, with ``_replace`` for a changed copy.
 """
 
 from __future__ import annotations
 
 import abc
 import enum
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .capability import PERM_ALL, Capability, Perm, _derive, make_root
 from .tagged_memory import TaggedHeap
@@ -35,20 +36,27 @@ class FreeValidation(enum.Enum):
     ALLOC_LOG = "AllocLog"              # record of live allocations
 
 
-@dataclass(frozen=True)
-class AllocatorTraits:
+class AllocatorTraits(NamedTuple):
     name: str
     narrow_bounds: bool
     deferred_free: bool
     strips_exec: bool
     free_validation: FreeValidation
-    # derived, not set: only an allocation log tells a second free apart
-    double_free_detect: bool = field(init=False)
     realloc_grows_in_place: bool
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "double_free_detect", self.free_validation is FreeValidation.ALLOC_LOG
+    @property
+    def double_free_detect(self) -> bool:
+        """Derived, not set: only an allocation log tells a second free apart."""
+        return self.free_validation is FreeValidation.ALLOC_LOG
+
+    def __repr__(self) -> str:
+        # the derived field shown in its place among the set ones
+        return (
+            f"AllocatorTraits(name={self.name!r}, narrow_bounds={self.narrow_bounds!r}, "
+            f"deferred_free={self.deferred_free!r}, strips_exec={self.strips_exec!r}, "
+            f"free_validation={self.free_validation!r}, "
+            f"double_free_detect={self.double_free_detect!r}, "
+            f"realloc_grows_in_place={self.realloc_grows_in_place!r})"
         )
 
 

@@ -13,14 +13,16 @@ and classifies the result:
 Outcomes: the attack Succeeds, is Thwarted, or is NotApplicable when
 its precondition is absent for that allocator.  Every step goes through
 a recording tape, so a report's trace can be replayed against a fresh
-instance and must reproduce each step result.
+instance and must reproduce each step result.  Reports and their
+steps are ``NamedTuple`` records, immutable like ``Capability``; a
+step result keeps whether the op succeeded, never the caught exception,
+so a probe leaves no reference cycle behind for the cyclic collector.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .allocator_api import AllocError, Allocator, AllocatorTraits, FreeValidation
 from .capability import CapFault, Capability, Perm
@@ -44,6 +46,7 @@ __all__ = [
 A1_SENTINEL = b"\xa5" * 8
 A2_SENTINEL = b"\xab" * 32
 A2_MAX_VICTIMS = 8  # candidate victim allocations before giving up
+_EXEC = int(Perm.EXEC)  # a plain int: an IntFlag ``&`` costs microseconds
 
 
 class Outcome(enum.Enum):
@@ -67,15 +70,13 @@ class Outcome(enum.Enum):
         raise ValueError(f"unknown outcome token {token!r}")
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     op: str
     args: tuple
     result: str
 
 
-@dataclass(frozen=True)
-class AttackReport:
+class AttackReport(NamedTuple):
     attack: str
     allocator: str
     outcome: Outcome
@@ -93,18 +94,14 @@ class AttackReport:
 
 
 class StepResult:
-    """What a tape op produced: a capability ref and/or a caught error."""
+    """What a tape op produced: a capability ref, and whether it succeeded."""
 
-    __slots__ = ("ref", "text", "error")
+    __slots__ = ("ref", "text", "ok")
 
-    def __init__(self, ref: str | None, text: str, error: Exception | None):
+    def __init__(self, ref: str | None, text: str, ok: bool):
         self.ref = ref
         self.text = text
-        self.error = error
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
+        self.ok = ok
 
 
 class Tape:
@@ -132,13 +129,15 @@ class Tape:
 
     def do(self, op: str, *args) -> StepResult:
         ref = None
-        error = None
+        ok = False
         try:
             value = self._execute(op, args)
         except (AllocError, CapFault) as exc:
-            error = exc
+            # only the text survives the handler: the exception's traceback
+            # refers to this frame, so keeping it would make a cycle
             text = _error_text(exc)
         else:
+            ok = True
             if isinstance(value, Capability):
                 ref = self._register(value)
                 text = f"{ref}={value.describe()}"
@@ -147,7 +146,7 @@ class Tape:
             else:
                 text = "ok" if value is None else str(value)
         self.steps.append(TraceStep(op, args, text))
-        return StepResult(ref, text, error)
+        return StepResult(ref, text, ok)
 
     def _execute(self, op: str, args: tuple):
         if op == "malloc":
@@ -302,7 +301,7 @@ def a5_excess_permissions(alloc: Allocator) -> AttackReport:
     p = t.do("malloc", 32)
     if not p.ok:
         return AttackReport("A5", alloc.traits().name, Outcome.THWARTED, tuple(t.steps))
-    has_exec = bool(t.cap(p.ref).perms & Perm.EXEC)
+    has_exec = bool(t.cap(p.ref).perms & _EXEC)
     outcome = Outcome.SUCCEEDS if has_exec else Outcome.THWARTED
     return AttackReport("A5", alloc.traits().name, outcome, tuple(t.steps))
 

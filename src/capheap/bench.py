@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
 from . import _csv
 from .allocator_api import AllocError, AllocErrorKind, Allocator
@@ -45,12 +45,7 @@ class Xorshift64:
         return x
 
 
-@dataclass(frozen=True)
-class Workload:
-    """A kind, an op count, and the parameters that kind reads (see
-    ``WORKLOADS``), each positive, with ``min_size <= max_size`` and a
-    seed of at most ``SEED_MAX``."""
-
+class _Workload(NamedTuple):
     kind: str
     op_count: int
     size: int = 0
@@ -58,7 +53,16 @@ class Workload:
     min_size: int = 0
     max_size: int = 0
 
-    def __post_init__(self):
+
+class Workload(_Workload):
+    """A kind, an op count, and the parameters that kind reads (see
+    ``WORKLOADS``), each positive, with ``min_size <= max_size`` and a
+    seed of at most ``SEED_MAX``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.op_count < 1:
             raise ValueError("op_count must be at least 1")
         if self.kind not in WORKLOADS:
@@ -70,6 +74,12 @@ class Workload:
             raise ValueError(f"{self.kind} needs min_size <= max_size")
         if self.seed > SEED_MAX:
             raise ValueError(f"{self.kind} needs a seed of at most 2**64 - 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through here: check the copy as well
+        return cls(*iterable)
 
     @classmethod
     def churn(cls, op_count: int, size: int) -> "Workload":
@@ -89,8 +99,7 @@ class Workload:
         return ";".join([self.kind, f"ops={self.op_count}", *fields])
 
 
-@dataclass(frozen=True)
-class BenchResult:
+class BenchResult(NamedTuple):
     allocator: str
     workload: str
     ops_completed: int
@@ -203,7 +212,7 @@ def run_workload(alloc: Allocator, workload: Workload) -> BenchResult:
 def emit_csv(results: list[BenchResult]) -> bytes:
     if not results:
         raise ValueError("no results to emit")
-    return _csv.emit(CSV_HEADER.split(","), map(astuple, results))
+    return _csv.emit(CSV_HEADER.split(","), results)
 
 
 def parse_csv(data: bytes) -> list[BenchResult]:

@@ -147,10 +147,7 @@ class Capability(NamedTuple):
 
     def describe(self) -> str:
         """Canonical one-line rendering, stable across runs (used by traces)."""
-        return (
-            f"cap(tag={int(self.tag)},base={self.base},top={self.top},"
-            f"addr={self.address},perms={self.perms:#04x})"
-        )
+        return "cap(tag=%d,base=%d,top=%d,addr=%d,perms=%#04x)" % self
 
 
 _tuple_new = tuple.__new__

@@ -9,10 +9,7 @@ agree so transcription drift cannot go unnoticed.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from importlib import resources
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import _csv
 from .allocator_api import Allocator
@@ -36,18 +33,30 @@ class ConfigurationError(Exception):
     """A registry that does not describe the canonical seven allocators."""
 
 
-@dataclass(frozen=True)
-class ConformanceMatrix:
+class _Matrix(NamedTuple):
     names: tuple[str, ...]
     attacks: tuple[str, ...]
     cells: tuple[tuple[Outcome, ...], ...]
 
-    def __post_init__(self):
+
+class ConformanceMatrix(_Matrix):
+    """Outcome cells, one row per allocator and one column per attack."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.cells) != len(self.names):
             raise ValueError("one cell row per allocator required")
         for row in self.cells:
             if len(row) != len(self.attacks):
                 raise ValueError("one cell per attack required")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through here: check the copy as well
+        return cls(*iterable)
 
     def row(self, name: str) -> tuple[Outcome, ...]:
         return self.cells[self.names.index(name)]
@@ -75,6 +84,8 @@ EXPECTED_MATRIX = _matrix(
 
 def expected_matrix_fixture() -> bytes:
     """The canonical CSV fixture shipped with the package."""
+    from importlib import resources
+
     return resources.files("capheap").joinpath("data/expected_matrix.csv").read_bytes()
 
 
@@ -146,6 +157,8 @@ def render(matrix: ConformanceMatrix, fmt: str = "text") -> bytes:
         rows = ((name, *(o.token for o in row)) for name, row in zip(matrix.names, matrix.cells))
         return _csv.emit(("allocator", *matrix.attacks), rows)
     if fmt == "json":
+        import json
+
         obj = {
             name: [o.value for o in row] for name, row in zip(matrix.names, matrix.cells)
         }
@@ -163,6 +176,8 @@ def parse_csv(data: bytes) -> ConformanceMatrix:
 
 
 def parse_json(data: bytes) -> ConformanceMatrix:
+    import json
+
     obj = json.loads(data.decode("utf-8"))
     names = tuple(obj)
     cells = tuple(tuple(Outcome(v) for v in row) for row in obj.values())

@@ -54,6 +54,8 @@ _NEED_STORE = int(Perm.STORE)
 _NEED_STORE_CAP = int(Perm.STORE | Perm.STORE_CAP)
 _NEED_LOAD_CAP = int(Perm.LOAD | Perm.LOAD_CAP)
 
+_NONZERO_TO_1 = bytes([0] + [1] * 255)  # a tag byte's translation to its bit
+
 
 class TaggedHeap:
     """Single-owner mutable heap state.  One logical thread per heap;
@@ -166,9 +168,12 @@ class TaggedHeap:
     def snapshot(self) -> bytes:
         """Raw dump: all data bytes followed by the tag bitmap (one bit per
         granule, LSB first within each byte)."""
-        bitmap = bytearray((len(self.tags) + 7) // 8)
-        for i, t in enumerate(self.tags):
-            if t:
-                bitmap[i // 8] |= 1 << (i % 8)
-        return bytes(self.data) + bytes(bitmap)
+        # every 8th tag from granule j, as 0/1 bytes, read as a little-endian
+        # int has bit 8k set for granule 8k + j; shifted by j and OR-ed over
+        # j = 0..7, bit i is granule i's tag
+        bits = 0
+        for j in range(8):
+            bits |= int.from_bytes(self.tags[j::8].translate(_NONZERO_TO_1), "little") << j
+        # join reads the map through its buffer: one copy of the heap, not two
+        return b"".join((self.data, bits.to_bytes((len(self.tags) + 7) // 8, "little")))
 

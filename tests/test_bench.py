@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from capheap.bench import Workload, Xorshift64, emit_csv, parse_csv, run_workload
@@ -7,7 +5,7 @@ from capheap.registry import ALLOCATOR_NAMES, create
 
 
 def strip_elapsed(result):
-    return dataclasses.replace(result, elapsed_ns=0)
+    return result._replace(elapsed_ns=0)
 
 
 class TestWorkloadValidation:

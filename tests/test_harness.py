@@ -1,8 +1,9 @@
+import gc
 from collections import Counter
 
 import pytest
 
-from capheap.attacks import ATTACK_IDS, ATTACKS, Outcome
+from capheap.attacks import ATTACK_IDS, ATTACKS, Outcome, replay_trace
 from capheap.harness import (
     ConfigurationError,
     ConformanceMatrix,
@@ -88,6 +89,23 @@ def test_one_instance_per_row():
     calls.clear()
     run_matrix(registry, rows=["jemalloc", "snmalloc-repo"])
     assert calls == Counter(["jemalloc", "snmalloc-repo"])
+
+
+def test_grid_and_replay_leave_no_reference_cycles():
+    # a caught fault kept past its handler ties its traceback's frame to
+    # itself, so the heaps it reaches wait for the cyclic collector
+    run_matrix()
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_matrix() == EXPECTED_MATRIX
+        assert gc.collect() == 0
+        for name in ALLOCATOR_NAMES:
+            for attack in ATTACK_IDS:
+                replay_trace(ATTACKS[attack](create(name, 4096)), create(name, 4096))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 ITERATORS = pytest.mark.parametrize(

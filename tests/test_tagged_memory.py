@@ -249,6 +249,32 @@ def test_snapshot_is_data_plus_tag_bitmap(heap, root):
     assert snap[0] == 0xAA
     assert snap[HEAP] == 0b10  # granule 1 tagged
 
+
+def _reference_snapshot(heap):
+    """The layout spelled out one granule at a time."""
+    bitmap = bytearray((len(heap.tags) + 7) // 8)
+    for i, t in enumerate(heap.tags):
+        if t:
+            bitmap[i // 8] |= 1 << (i % 8)
+    return bytes(heap.data) + bytes(bitmap)
+
+
+@pytest.mark.parametrize("granules", [1, 7, 8, 9, 15, 17, 64, 1001, 65536])
+def test_snapshot_matches_per_granule_reference(granules):
+    import random
+
+    heap = TaggedHeap(granules * GRANULE)
+    root = make_root(heap.size)
+    assert heap.snapshot() == _reference_snapshot(heap)
+    rng = random.Random(granules)
+    # the first and last granule, then a seeded scatter
+    for g in {0, granules - 1, *(rng.randrange(granules) for _ in range(granules // 3))}:
+        heap.store_cap(root, g * GRANULE, root)
+    heap.store(root, heap.size - 1, b"\x5a")
+    assert heap.snapshot() == _reference_snapshot(heap)
+    heap.tags[rng.randrange(granules)] = 0xFF  # any nonzero tag byte is a set bit
+    assert heap.snapshot() == _reference_snapshot(heap)
+
 def test_clear_resets_everything(heap, root):
     heap.store(root, 0, b"\xaa" * HEAP)
     for addr in range(0, HEAP, 256):
