@@ -151,6 +151,9 @@ class Allocator(abc.ABC):
             self._rounding,
         )
 
-    def _check_request(self, size: int) -> None:
+    def _check_request(self, size: int) -> int:
+        """Refuse a size that is not a positive int; return it rounded up
+        to the granule."""
         if not isinstance(size, int) or size < 1:
             raise AllocError(AllocErrorKind.BAD_REQUEST, f"size {size!r}")
+        return (size + 15) & ~15  # round16(size), without a second call per request

@@ -49,19 +49,20 @@ It counts rather than flags because the list may hold a chunk twice: a
 moving realloc through a stale capability on a free chunk lists that
 chunk again, and each copy can be handed out once.
 
-malloc scans the list from the head, reading each header.  Once a
-scan has visited more than 64 entries (and until reset), a byte array
-beside the list holds each slot's size class instead, read from the
-chunk's header: linear in 16-byte steps below 2048 bytes, four per power of two
+In malloc a finder picks the slot and one tail carves it.  On a short
+list the finder scans from the head, reading each header.  Once a scan
+has visited more than 64 entries (and until reset), a byte array beside
+the list holds each slot's size class instead, read from the chunk's
+header: linear in 16-byte steps below 2048 bytes, four per power of two
 above, or poisoned for a bad magic.  One ``translate`` and one ``find``
-over those bytes give the first slot that surely fits or is poisoned,
-so malloc still returns the chunk, or raises the CorruptHeader or
-bounds fault, that the scan would.  The classes stay true to the heap
-bytes behind a write barrier: the heap watches the granules under every
-indexed header, any store or engine header write to one marks it
-dirty, and the next malloc first re-reads just the listed headers over
-dirty granules.  A header forged through a stale capability therefore
-still steers the next malloc.
+over those bytes pick the slot, or raise the CorruptHeader or bounds
+fault, that the scan would.  The tail, which realloc growing in place
+shares, splits off a remainder of 32 bytes or more.  The classes stay
+true to the heap bytes behind a write barrier: the heap watches the
+granules under every indexed header, any store or engine header write
+to one marks it dirty, and the next malloc first re-reads just the
+listed headers over dirty granules.  A header forged through a stale
+capability therefore still steers the next malloc.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ from .allocator_api import (
     AllocErrorKind,
     Allocator,
     FreeValidation,
-    round16,
 )
 from .capability import ADDRESS_MAX, CapFault, Capability, FaultKind, Perm, _derive
 
@@ -102,7 +102,14 @@ _STATUS_LIVE = 1
 # below _LINEAR, where requests are multiples of 16, of its own class too.
 # _FROM[c] maps the payload classes from c up, and _POISONED, to 1.
 _LINEAR = 2048
-_SCAN_LIMIT = 64  # a scan that visits more entries starts the index
+# A scan that visits more than _SCAN_LIMIT entries starts the index.  The
+# scan stays for short lists because class upkeep on every push and pop
+# costs more there than it saves: indexing from the first chunk slowed
+# the in-process free-list grid from 394 to 458-494 us (best of 8
+# interleaved runs), and in 6 perfbench pairs cut matrix
+# ops_per_s.freelist by 10.8 % and raised its op_p50_us by 16.9 %
+# (2-CPU host, Python 3.11).
+_SCAN_LIMIT = 64
 _TOP = 212  # one above the highest payload class
 _POISONED = 255
 _FROM = [bytes(c) + b"\1" * (_TOP - c) + bytes(_POISONED - _TOP) + b"\1" for c in range(_TOP + 1)]
@@ -139,8 +146,7 @@ class BumpAllocator(Allocator):
         self._log: dict[int, list] | None = {} if self._traits.double_free_detect else None
 
     def malloc(self, size: int) -> Capability:
-        self._check_request(size)
-        length = round16(size)
+        length = self._check_request(size)
         start = self._cursor
         if start + length > self.heap.size:
             raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"cursor at {start}")
@@ -170,8 +176,10 @@ class BumpAllocator(Allocator):
     def realloc(self, cap: Capability, new_size: int) -> Capability:
         self._check_request(new_size)
         old_len = cap.length if self._log is None else self._live_record(cap)[0]
-        new_cap = self.malloc(new_size)
         ncopy = min(old_len, new_size)
+        if ncopy and cap.address + ncopy > self.heap.size:  # fault before the cursor moves
+            self.heap.fault_outside(cap.address, ncopy)
+        new_cap = self.malloc(new_size)
         if ncopy:
             data = self.heap.load(self.region, cap.address, ncopy)
             self.heap.store(self.region, new_cap.address, data)
@@ -192,17 +200,18 @@ class FreeListAllocator(Allocator):
     coalescing happens except explicit realloc absorption.
 
     malloc takes the first listed chunk, from the head, whose header
-    payload covers the rounded request.  It reads the headers in turn:
-    a bad magic raises CORRUPT_HEADER, an entry outside the heap the
-    region's bounds fault, and none fitting is OUT_OF_MEMORY.  Once a
-    scan has visited more than ``_SCAN_LIMIT`` entries, and until reset,
-    it no longer reads the headers it passes over (``_malloc_indexed``):
+    payload covers the rounded request: a finder picks the slot and
+    ``_carve`` hands it out.  The scan reads the headers in turn: a bad
+    magic raises CORRUPT_HEADER, an entry outside the heap the region's
+    bounds fault, and none fitting is OUT_OF_MEMORY.  Once a scan has
+    visited more than ``_SCAN_LIMIT`` entries, and until reset,
+    ``_fit_indexed`` picks without reading the headers it passes over:
     ``_classes`` holds one byte per slot, the chunk's size
     class (see ``_class``) or _POISONED for a bad magic; the first slot
     of a class that surely fits, or a poisoned one, is found by one
     ``translate`` and one ``find`` over the bytes, and only for requests
     of 2048 bytes and more, whose own class may hold smaller chunks, are
-    the earlier slots of that class read.  It returns and raises exactly
+    the earlier slots of that class read.  It picks and raises exactly
     what the scan would.  No listed chunk lies outside the heap (each
     was listed right after a bounds-checked header read or write), but
     the poisoned path runs the region's bounds check first, as the scan.
@@ -228,15 +237,13 @@ class FreeListAllocator(Allocator):
         super().reset()
 
     def _reset_state(self) -> None:
-        heap = self.heap
-        first_payload = heap.size - CHUNK_HEADER_SIZE
-        self._write_header(0, first_payload, _STATUS_FREE)
-        self._free_list: list[int] = [0]  # chunk offsets, head first
-        self._listed: dict[int, int] = {0: 1}  # chunk -> occurrences in _free_list
+        self._free_list: list[int] = []  # chunk offsets, head first
+        self._listed: dict[int, int] = {}  # chunk -> occurrences in _free_list
         # the class index, None until a scan visits more than _SCAN_LIMIT entries
         self._classes: bytearray | None = None  # the class of each slot's chunk
         self._class_of: dict[int, int] = {}  # chunk -> the class of all its slots
         self._off_grid = False  # whether a chunk off the 8-byte grid was indexed since
+        self._push(0, self.heap.size - CHUNK_HEADER_SIZE)  # one free chunk tiles the heap
 
     # Listing.  All occurrences of a chunk share its header, so they share
     # a class: a chunk already listed is filed under its current class,
@@ -248,9 +255,10 @@ class FreeListAllocator(Allocator):
     # granule a header may overlap is searched instead.
 
     def _push(self, chunk: int, payload: int, slot: int = -1) -> None:
-        """List ``chunk`` at the head (the free list is LIFO), or in place
-        of the occurrence at ``slot``, which the caller then counts out.
-        ``payload`` is the header the engine has just written there."""
+        """Write a FREE header of ``payload`` bytes at ``chunk`` and list
+        it at the head (the free list is LIFO), or in place of the
+        occurrence at ``slot``, which the caller then counts out."""
+        self._write_header(chunk, payload, _STATUS_FREE)
         listed = self._listed
         n = listed.get(chunk, 0)
         listed[chunk] = n + 1
@@ -270,8 +278,13 @@ class FreeListAllocator(Allocator):
         else:
             self._free_list[slot] = chunk
 
-    def _leave(self, chunk: int) -> None:
-        """Count one occurrence of ``chunk`` out."""
+    def _leave(self, chunk: int, slot: int = -1) -> None:
+        """Count one occurrence of ``chunk`` out, and unlist the one at
+        ``slot`` if given."""
+        if slot >= 0:
+            del self._free_list[slot]
+            if self._classes is not None:
+                del self._classes[slot]
         listed = self._listed
         n = listed.pop(chunk) - 1
         if n:
@@ -288,12 +301,6 @@ class FreeListAllocator(Allocator):
         for granule in range(chunk >> 4, ((chunk + CHUNK_HEADER_SIZE - 1) >> 4) + 1):
             if not listed.keys() & self._over(granule):
                 watch[granule] = 0
-
-    def _drop(self, slot: int) -> None:
-        """Unlist the occurrence at ``slot``."""
-        if self._classes is not None:
-            del self._classes[slot]
-        self._leave(self._free_list.pop(slot))
 
     def _watch(self, chunk: int) -> None:
         watch = self.heap.watch
@@ -399,47 +406,37 @@ class FreeListAllocator(Allocator):
         return chunk, size
 
     def malloc(self, size: int) -> Capability:
-        self._check_request(size)
-        want = round16(size)
-        if self._classes is not None:
-            return self._malloc_indexed(want)
-        # a short list: scan it from the head, reading each header
-        data = self.heap.data
-        last = self.heap.size - CHUNK_HEADER_SIZE
+        want = self._check_request(size)
         free_list = self._free_list
-        listed = self._listed
-        for slot, chunk in enumerate(free_list):
-            if chunk < 0 or chunk > last:
-                self.region.check_access(chunk, CHUNK_HEADER_SIZE, Perm.LOAD)
-            payload, magic, _, _ = _HEADER.unpack_from(data, chunk)
-            if magic != CHUNK_MAGIC:
-                raise AllocError(AllocErrorKind.CORRUPT_HEADER, f"free list entry at {chunk}")
-            if payload < want:
-                continue
-            cap = self._chunk_cap(chunk, payload, want)
-            if payload >= want + 32:
-                # split: keep `want`, the remainder takes the slot
-                rest = chunk + CHUNK_HEADER_SIZE + want
-                self._write_header(rest, payload - want - CHUNK_HEADER_SIZE, _STATUS_FREE)
-                free_list[slot] = rest
-                listed[rest] = listed.get(rest, 0) + 1
-                payload = want
+        if self._classes is not None:
+            slot, payload = self._fit_indexed(want)
+        else:
+            # a short list: scan it from the head, reading each header
+            data = self.heap.data
+            last = self.heap.size - CHUNK_HEADER_SIZE
+            for slot, chunk in enumerate(free_list):
+                if chunk < 0 or chunk > last:
+                    self.region.check_access(chunk, CHUNK_HEADER_SIZE, Perm.LOAD)
+                payload, magic, _, _ = _HEADER.unpack_from(data, chunk)
+                if magic != CHUNK_MAGIC:
+                    raise AllocError(AllocErrorKind.CORRUPT_HEADER, f"free list entry at {chunk}")
+                if payload >= want:
+                    break
             else:
-                del free_list[slot]
-            left = listed.pop(chunk) - 1
-            if left:
-                listed[chunk] = left
-            self._write_header(chunk, payload, _STATUS_LIVE)
-            if slot >= _SCAN_LIMIT:
-                self._index()  # a long scan: answer from the classes from now on
-            return cap
-        if len(free_list) > _SCAN_LIMIT:
-            self._index()
-        raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"no free chunk holds {want} bytes")
+                slot = -1
+                if len(free_list) > _SCAN_LIMIT:
+                    self._index()
+        if slot < 0:
+            raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"no free chunk holds {want} bytes")
+        cap = self._carve(free_list[slot], payload, want, slot)
+        if slot >= _SCAN_LIMIT and self._classes is None:
+            self._index()  # a long scan: answer from the classes from now on
+        return cap
 
-    def _malloc_indexed(self, want: int) -> Capability:
-        """malloc on a long list: the scan's answer and faults, from the
-        class index."""
+    def _fit_indexed(self, want: int) -> tuple[int, int]:
+        """The scan's pick on a long list, from the class index: the slot
+        and its chunk's payload, or (-1, 0) when no chunk fits.  A
+        poisoned slot raises what the scan would raise there."""
         heap = self.heap
         if heap.dirty:
             self._resync()
@@ -462,112 +459,83 @@ class FreeListAllocator(Allocator):
         while slot >= 0:
             payload = _HEADER.unpack_from(heap.data, free_list[slot])[0]
             if payload >= want:
-                break
+                return slot, payload
             slot = classes.find(cls, slot + 1, end)
-        else:
-            if stop < 0:
-                raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"no free chunk holds {want} bytes")
-            slot = stop
-            if classes[slot] == _POISONED:
-                chunk = free_list[slot]
-                self.region.check_access(chunk, CHUNK_HEADER_SIZE, Perm.LOAD)
-                raise AllocError(AllocErrorKind.CORRUPT_HEADER, f"free list entry at {chunk}")
-            payload = _HEADER.unpack_from(heap.data, free_list[slot])[0]
-        chunk = free_list[slot]
-        cap = self._chunk_cap(chunk, payload, want)
-        if payload >= want + 32:
-            # split: keep `want`, the remainder takes the slot
-            rest = chunk + CHUNK_HEADER_SIZE + want
-            rest_payload = payload - want - CHUNK_HEADER_SIZE
-            self._write_header(rest, rest_payload, _STATUS_FREE)
-            listed = self._listed
-            if self._off_grid or listed[chunk] > 1 or rest in listed:
-                self._push(rest, rest_payload, slot)
-                self._leave(chunk)
-            else:
-                # _push and _leave, inlined for the common case: the
-                # remainder takes over the slot and the chunk's watch
-                del listed[chunk]
-                listed[rest] = 1
-                class_of = self._class_of
-                del class_of[chunk]
-                classes[slot] = class_of[rest] = (  # _class(rest_payload), inlined
-                    rest_payload >> 4 if rest_payload < _LINEAR
-                    else 4 * (top := rest_payload.bit_length()) + 80 + (rest_payload >> (top - 3) & 3)
-                )
-                free_list[slot] = rest
-                watch = heap.watch
-                watch[rest >> 4] = 1
-                if chunk ^ 8 not in listed:
-                    watch[chunk >> 4] = 0
-            payload = want
-        else:
-            self._drop(slot)
-        self._write_header(chunk, payload, _STATUS_LIVE)
-        return cap
+        if stop < 0:
+            return -1, 0
+        chunk = free_list[stop]
+        if classes[stop] == _POISONED:
+            self.region.check_access(chunk, CHUNK_HEADER_SIZE, Perm.LOAD)
+            raise AllocError(AllocErrorKind.CORRUPT_HEADER, f"free list entry at {chunk}")
+        return stop, _HEADER.unpack_from(heap.data, chunk)[0]
 
-    def _chunk_cap(self, chunk: int, payload: int, want: int) -> Capability:
-        """The client capability for ``want`` bytes of a chunk (all of its
-        ``payload`` unless the rest splits off), derived before anything
-        is committed.  A split remainder's header outside the heap faults
-        first, as writing it would."""
+    def _carve(self, chunk: int, payload: int, want: int, slot: int = -1) -> Capability:
+        """Hand out ``want`` bytes of ``chunk``, a FREE chunk of ``payload``
+        bytes listed at ``slot``, or a grown one not listed (slot -1).  A
+        payload 32 bytes or more above ``want`` splits, and the remainder,
+        under a FREE header, takes the slot (or the head).  The capability
+        is derived, and a remainder header outside the heap faults, before
+        anything is committed."""
+        region = self.region
+        at = chunk + CHUNK_HEADER_SIZE  # the payload
         if payload >= want + 32:
-            rest = chunk + CHUNK_HEADER_SIZE + want
+            rest = at + want
             if rest + CHUNK_HEADER_SIZE > self.heap.size:
-                self.region.check_access(rest, CHUNK_HEADER_SIZE, Perm.STORE)
-            payload = want
-        return self._client_cap(chunk, CHUNK_HEADER_SIZE + payload, chunk + CHUNK_HEADER_SIZE)
+                region.check_access(rest, CHUNK_HEADER_SIZE, Perm.STORE)
+        else:
+            rest, want = 0, payload
+        perms = region.perms & self._client_perms
+        cap = _derive(region, chunk, CHUNK_HEADER_SIZE + want, at, perms, self._rounding)
+        if rest:
+            self._push(rest, payload - want - CHUNK_HEADER_SIZE, slot)
+            if slot >= 0:
+                self._leave(chunk)
+        elif slot >= 0:
+            self._leave(chunk, slot)
+        self._write_header(chunk, want, _STATUS_LIVE)
+        return cap
 
     def free(self, cap: Capability) -> None:
         chunk, payload = self._client_header(cap)
-        self._write_header(chunk, payload, _STATUS_FREE)
-        listed = self._listed
-        classes = self._classes
-        if chunk in listed:
+        if chunk in self._listed:
             # silent relink: the first occurrence moves to the head
-            self._drop(self._free_list.index(chunk))
-        elif classes is None or not chunk & 7:
-            # _push, inlined for a chunk not listed, on the grid if indexed
-            if classes is not None:
-                classes.insert(0, _class(payload))
-                self._class_of[chunk] = classes[0]
-                self.heap.watch[chunk >> 4] = 1
-            listed[chunk] = 1
-            self._free_list.insert(0, chunk)
-            return
+            self._leave(chunk, self._free_list.index(chunk))
         self._push(chunk, payload)
 
     def realloc(self, cap: Capability, new_size: int) -> Capability:
-        self._check_request(new_size)
+        want = self._check_request(new_size)
         chunk, payload = self._client_header(cap)
-        want = round16(new_size)
         if want <= payload:
-            return self._chunk_cap(chunk, payload, payload)
+            return self._client_cap(chunk, CHUNK_HEADER_SIZE + payload, chunk + CHUNK_HEADER_SIZE)
         if self._traits.realloc_grows_in_place:
             grown = self._try_absorb(chunk, payload, want)
             if grown is not None:
                 return grown
-        # move: allocate fresh, copy, zero the tail, release the old chunk
-        new_cap = self.malloc(new_size)
+        # move: allocate fresh, copy, zero the tail, release the old chunk.
+        # The source is checked before malloc commits but read after it, as
+        # a forged header can stretch it over headers that malloc rewrites.
         ncopy = min(payload, new_size)
+        heap = self.heap
+        if ncopy and cap.address + ncopy > heap.size:
+            heap.fault_outside(cap.address, ncopy)
+        new_cap = self.malloc(new_size)
         if ncopy:  # a forged header may claim no payload at all
-            data = self.heap.load(self.region, cap.address, ncopy)
-            self.heap.store(self.region, new_cap.address, data)
+            data = heap.load(self.region, cap.address, ncopy)
+            heap.store(self.region, new_cap.address, data)
         if new_size > ncopy:
-            self.heap.store(self.region, new_cap.address + ncopy, bytes(new_size - ncopy))
+            heap.store(self.region, new_cap.address + ncopy, bytes(new_size - ncopy))
         # no client validation: a chunk already listed through a stale
         # capability is listed twice
-        self._write_header(chunk, payload, _STATUS_FREE)
         self._push(chunk, payload)
         return new_cap
 
     def _try_absorb(self, chunk: int, payload: int, want: int) -> Capability | None:
-        """Absorb physically-following free chunks until the payload covers
-        ``want`` bytes; return the grown chunk's capability.  Scans and
-        derives first, commits only on success; absorbed bytes (stale data
-        and old headers) are left as they are.  A FREE header that is not
-        on the free list was written by a client, so the scan refuses it
-        as CORRUPT_HEADER before anything changes."""
+        """Grow the chunk over the free chunks after it until its payload
+        covers ``want`` bytes, carve it and unlist them (after the carve,
+        which may fault); None where it cannot grow.  Absorbed bytes (stale
+        data, old headers) stay as they are.  A FREE header off the free
+        list was written by a client: the walk refuses it as CORRUPT_HEADER
+        before anything changes."""
         span = payload
         absorbed = []
         while span < want:
@@ -581,15 +549,9 @@ class FreeListAllocator(Allocator):
                 raise AllocError(AllocErrorKind.CORRUPT_HEADER, f"unlisted free header at {nxt}")
             absorbed.append(nxt)
             span += CHUNK_HEADER_SIZE + nxt_payload
-        cap = self._chunk_cap(chunk, span, want)
+        cap = self._carve(chunk, span, want)
         for off in absorbed:
-            self._drop(self._free_list.index(off))
-        if span >= want + 32:
-            rest = chunk + CHUNK_HEADER_SIZE + want
-            self._write_header(rest, span - want - CHUNK_HEADER_SIZE, _STATUS_FREE)
-            self._push(rest, span - want - CHUNK_HEADER_SIZE)
-            span = want
-        self._write_header(chunk, span, _STATUS_LIVE)
+            self._leave(off, self._free_list.index(off))
         return cap
 
     def chunks(self) -> list[tuple[int, int, int]]:

@@ -1,5 +1,6 @@
 from bisect import bisect_left, insort
 import random
+import struct
 
 import pytest
 
@@ -112,6 +113,19 @@ class TestBumpEngine:
             create("bump-alloc-cheri").malloc(0)
         assert exc.value.kind is AllocErrorKind.BAD_REQUEST
 
+    @pytest.mark.parametrize("full, top", [(False, 4112), (True, 4144)], ids=["room", "full"])
+    def test_realloc_source_past_the_heap_end_moves_no_cursor(self, full, top):
+        # the copy source faults before the new block is taken, and wins
+        # over the out-of-memory a full heap would raise
+        alloc = create("bump-alloc-cheri", heap_size=4096)
+        x = alloc.malloc(4096 if full else 32)
+        with pytest.raises(CapFault) as exc:
+            alloc.realloc(x.set_address(4080), 64)
+        assert str(exc.value) == f"BoundsViolation: [4080, {top}) outside [0, 4096)"
+        assert alloc._cursor == x.length
+        if not full:
+            assert alloc.malloc(16).address == 32
+
 
 class TestFreeListEngine:
     def test_client_bounds_cover_header_and_payload(self):
@@ -223,6 +237,28 @@ class TestFreeListEngine:
         assert moved.address != p.address
         assert alloc.heap.load(moved, moved.address, 40) == bytes(40)
         assert alloc._free_list[0] == p.base
+
+    def test_realloc_source_past_the_heap_end_commits_nothing(self):
+        # a LIVE header forged to claim 2200 bytes stretches the copy
+        # source past the heap's end: the realloc faults before malloc
+        # takes the free chunk at 0, so the heap is its untouched twin's
+        def forged():
+            alloc = create("jemalloc", heap_size=8192)
+            p = alloc.malloc(6000)
+            x = alloc.malloc(32)
+            alloc.free(p)
+            alloc.heap.store(x, x.address - 8, struct.pack("<IHBB", 2200, CHUNK_MAGIC, 1, 0))
+            return alloc, x
+
+        alloc, x = forged()
+        twin, _ = forged()
+        with pytest.raises(CapFault) as exc:
+            alloc.realloc(x, 2208)
+        assert str(exc.value) == "BoundsViolation: [6016, 8216) outside [0, 8192)"
+        assert alloc._free_list == twin._free_list == [0, 6048]
+        assert alloc._listed == twin._listed
+        assert alloc.heap.snapshot() == twin.heap.snapshot()
+        assert alloc.malloc(32).describe() == twin.malloc(32).describe()
 
     def test_absorb_refuses_free_header_off_the_free_list(self):
         # a stale capability rewrites live c's status byte to FREE; the

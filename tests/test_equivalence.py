@@ -41,6 +41,21 @@ from capheap.tagged_memory import TaggedHeap
 
 FREE_LIST_NAMES = ("dlmalloc-cheribuild", "jemalloc", "libmalloc-simple")
 
+
+def first_fits(names):
+    """``(name, scan_limit)`` runs: each of ``names`` as shipped, then each
+    free-list configuration with the class index on from the first malloc
+    (``_SCAN_LIMIT`` 0), which must give the same results."""
+    return [pytest.param(name, None, id=name) for name in names] + [
+        pytest.param(name, 0, id=f"{name}-indexed") for name in FREE_LIST_NAMES
+    ]
+
+
+def limit_scan(monkeypatch, scan_limit):
+    if scan_limit is not None:
+        monkeypatch.setattr(engines, "_SCAN_LIMIT", scan_limit)
+
+
 _HEADER = struct.Struct("<IHBB")
 
 
@@ -147,20 +162,23 @@ def expected(template, name):
     return [line.format(perms) for line in template]
 
 
-@pytest.mark.parametrize("name", FREE_LIST_NAMES)
-def test_forged_free_header_through_stale_capability(name):
+@pytest.mark.parametrize("name, scan_limit", first_fits(FREE_LIST_NAMES))
+def test_forged_free_header_through_stale_capability(name, scan_limit, monkeypatch):
+    limit_scan(monkeypatch, scan_limit)
     got = stale_forged_header(name)
     assert got[2].startswith("cap(tag=1,base=40,top=1056,addr=48,")
     assert got == expected(STALE_FORGED, name)
 
 
-@pytest.mark.parametrize("name", FREE_LIST_NAMES)
-def test_forged_header_through_live_capability(name):
+@pytest.mark.parametrize("name, scan_limit", first_fits(FREE_LIST_NAMES))
+def test_forged_header_through_live_capability(name, scan_limit, monkeypatch):
+    limit_scan(monkeypatch, scan_limit)
     assert live_forged_header(name) == expected(LIVE_FORGED, name)
 
 
-@pytest.mark.parametrize("name", FREE_LIST_NAMES)
-def test_realloc_over_forged_header(name):
+@pytest.mark.parametrize("name, scan_limit", first_fits(FREE_LIST_NAMES))
+def test_realloc_over_forged_header(name, scan_limit, monkeypatch):
+    limit_scan(monkeypatch, scan_limit)
     grows = TRAITS[name].realloc_grows_in_place
     template = ABSORB_FORGED_GROWS if grows else ABSORB_FORGED_MOVES
     assert absorb_forged_header(name) == expected(template, name)
@@ -178,8 +196,9 @@ def moving_realloc_over_forged_header(name):
     return alloc, alloc.realloc(a, 1000)
 
 
-@pytest.mark.parametrize("name", FREE_LIST_NAMES)
-def test_corrupt_free_list_header_is_classified(name):
+@pytest.mark.parametrize("name, scan_limit", first_fits(FREE_LIST_NAMES))
+def test_corrupt_free_list_header_is_classified(name, scan_limit, monkeypatch):
+    limit_scan(monkeypatch, scan_limit)
     alloc, moved = moving_realloc_over_forged_header(name)
     if TRAITS[name].realloc_grows_in_place:
         # libmalloc-simple grows in place over the forged chunk, so no
@@ -324,8 +343,9 @@ TRAFFIC = {
 }
 
 
-@pytest.mark.parametrize("name", ALLOCATOR_NAMES)
-def test_seeded_traffic_digest(name):
+@pytest.mark.parametrize("name, scan_limit", first_fits(ALLOCATOR_NAMES))
+def test_seeded_traffic_digest(name, scan_limit, monkeypatch):
+    limit_scan(monkeypatch, scan_limit)
     assert traffic_digest(name) == TRAFFIC[name]
 
 
@@ -426,8 +446,9 @@ DUPLICATE_RELINK = [
 ]
 
 
-@pytest.mark.parametrize("name", FREE_LIST_NAMES)
-def test_duplicate_relink(name):
+@pytest.mark.parametrize("name, scan_limit", first_fits(FREE_LIST_NAMES))
+def test_duplicate_relink(name, scan_limit, monkeypatch):
+    limit_scan(monkeypatch, scan_limit)
     b, out = duplicate_relink(name)
     assert b.describe() == expected(["cap(tag=1,base=40,top=80,addr=48,perms={})"], name)[0]
     assert out == expected(DUPLICATE_RELINK, name)
@@ -490,8 +511,9 @@ STRADDLING_SNAPSHOTS = {
 }
 
 
-@pytest.mark.parametrize("name", FREE_LIST_NAMES)
-def test_straddling_header_write_clears_both_granules(name):
+@pytest.mark.parametrize("name, scan_limit", first_fits(FREE_LIST_NAMES))
+def test_straddling_header_write_clears_both_granules(name, scan_limit, monkeypatch):
+    limit_scan(monkeypatch, scan_limit)
     (tags0, list0, _), after_free, (tags1, _, _), cap, after_malloc = straddling_header(name)
     freed, taken = STRADDLING_SNAPSHOTS[name]
     assert (tags0, list0) == ([7], [60008])
@@ -558,8 +580,9 @@ ROUNDING_TRAFFIC = {
 }
 
 
-@pytest.mark.parametrize("name", ALLOCATOR_NAMES)
-def test_rounding_traffic_digest(name):
+@pytest.mark.parametrize("name, scan_limit", first_fits(ALLOCATOR_NAMES))
+def test_rounding_traffic_digest(name, scan_limit, monkeypatch):
+    limit_scan(monkeypatch, scan_limit)
     assert rounding_traffic_digest(name) == ROUNDING_TRAFFIC[name]
 
 
@@ -726,8 +749,7 @@ def engine_write_digest(name):
 @pytest.mark.parametrize("scan_limit", [None, 0], ids=["scanned", "indexed"])
 @pytest.mark.parametrize("name", FREE_LIST_NAMES)
 def test_engine_header_write_over_listed_forged_header(name, scan_limit, monkeypatch):
-    if scan_limit is not None:
-        monkeypatch.setattr(engines, "_SCAN_LIMIT", scan_limit)
+    limit_scan(monkeypatch, scan_limit)
     got = engine_write_over_forged_header(name, 4)
     perms = "0x2f" if TRAITS[name].strips_exec else "0x3f"
     assert got == [x.format(perms) if isinstance(x, str) else x for x in ENGINE_WRITE_SHIFT_4]
@@ -801,8 +823,43 @@ SIBLING = {
 @pytest.mark.parametrize("size", [64, 600])
 @pytest.mark.parametrize("name", FREE_LIST_NAMES)
 def test_sibling_headers_share_a_granule(name, size, scan_limit, monkeypatch):
-    if scan_limit is not None:
-        monkeypatch.setattr(engines, "_SCAN_LIMIT", scan_limit)
+    limit_scan(monkeypatch, scan_limit)
     perms = "0x2f" if TRAITS[name].strips_exec else "0x3f"
     expected = [x.format(perms) if isinstance(x, str) else x for x in SIBLING[size]]
     assert sibling_header(name, size) == expected
+
+
+def poisoned_at_index_start(name):
+    """A chunk whose magic a client broke lies past the slot where the
+    scan that starts the class index stops: 80 small chunks, then the
+    64-byte chunk that malloc(32) takes, then the broken one.  The index
+    must file it as poisoned, so malloc(5000) raises what a scan would."""
+    alloc = create(name)
+    b = alloc.malloc(64)
+    c = alloc.malloc(16)
+    small = [alloc.malloc(16) for _ in range(80)]
+    alloc.free(c)
+    alloc.heap.store(c, c.address - 4, b"\0\0")  # the magic
+    alloc.free(b)
+    for cap in small:
+        alloc.free(cap)
+    out = [outcome(alloc.malloc, 32), alloc._classes is not None]
+    return out + [attempt(alloc.malloc, 5000, full=True)[0], alloc._free_list[78:]]
+
+
+POISONED_AT_INDEX_START = [
+    "cap(tag=1,base=0,top=40,addr=8,perms={})",
+    True,
+    "AllocError:CorruptHeader: free list entry at 72",
+    [120, 96, 40, 72, 2016],
+]
+
+
+@pytest.mark.parametrize("name", FREE_LIST_NAMES)
+def test_index_files_a_poisoned_header_past_the_scan(name, monkeypatch):
+    perms = "0x2f" if TRAITS[name].strips_exec else "0x3f"
+    expected = [x.format(perms) if isinstance(x, str) else x for x in POISONED_AT_INDEX_START]
+    assert poisoned_at_index_start(name) == expected
+    # a scan that never starts the index meets the broken header too
+    limit_scan(monkeypatch, 1000)
+    assert poisoned_at_index_start(name) == expected[:1] + [False] + expected[2:]
