@@ -75,6 +75,11 @@ class AllocError(Exception):
         self.detail = detail
 
 
+# the two client permission masks, as plain ints computed once
+_CLIENT_PERMS = int(PERM_ALL)
+_CLIENT_PERMS_NO_EXEC = int(PERM_ALL & ~Perm.EXEC)
+
+
 def round16(n: int) -> int:
     """Round up to the 16-byte granule."""
     return (n + 15) & ~15
@@ -106,7 +111,7 @@ class Allocator(abc.ABC):
         self._rounding = rounding_bounds
         self.region: Capability = make_root(heap.size)
         # the permission mask every client capability is cut down to
-        self._client_perms = int(PERM_ALL & ~Perm.EXEC if traits.strips_exec else PERM_ALL)
+        self._client_perms = _CLIENT_PERMS_NO_EXEC if traits.strips_exec else _CLIENT_PERMS
         self._reset_state()
 
     def traits(self) -> AllocatorTraits:

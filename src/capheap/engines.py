@@ -133,7 +133,10 @@ class BumpAllocator(Allocator):
 
     free() is a no-op unless the config keeps an allocation log, in
     which case it marks the matching record freed and detects double
-    and invalid frees.  realloc always allocates fresh and copies.
+    and invalid frees.  realloc always allocates fresh and copies: the
+    logged block at the cursor, or without a log ``min(length, new
+    size)`` bytes from the cursor, of which only those inside the
+    capability's bounds are read (the rest of the new block stays zero).
     """
 
     validations = (FreeValidation.NONE, FreeValidation.ALLOC_LOG)
@@ -177,12 +180,20 @@ class BumpAllocator(Allocator):
         self._check_request(new_size)
         old_len = cap.length if self._log is None else self._live_record(cap)[0]
         ncopy = min(old_len, new_size)
-        if ncopy and cap.address + ncopy > self.heap.size:  # fault before the cursor moves
-            self.heap.fault_outside(cap.address, ncopy)
+        src = cap.address
+        if ncopy and src + ncopy > self.heap.size:  # fault before the cursor moves
+            self.heap.fault_outside(src, ncopy)
         new_cap = self.malloc(new_size)
+        dst = new_cap.address
+        if self._log is None and (src < cap.base or src + ncopy > cap.top):
+            # a moved cursor: only the bounds say what the block is, so
+            # copy just the part of the window inside them
+            lo, hi = max(src, cap.base), min(src + ncopy, cap.top)
+            dst += lo - src
+            src, ncopy = lo, max(hi - lo, 0)
         if ncopy:
-            data = self.heap.load(self.region, cap.address, ncopy)
-            self.heap.store(self.region, new_cap.address, data)
+            data = self.heap.load(self.region, src, ncopy)
+            self.heap.store(self.region, dst, data)
         # fresh cursor memory is already zero; no tail zeroing needed
         self.free(cap)
         return new_cap

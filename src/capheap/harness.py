@@ -98,7 +98,11 @@ def run_matrix(
     microseconds of pure Python, too little for a GIL-bound pool to pay.
     Each row builds one instance and resets it before every probe after
     the first, so each cell starts from the state a fresh instance has,
-    without a heap of its own.  The registry is never mutated.
+    without a heap of its own.  A row's instance is dropped before the
+    next row's is built, so with the default registry each row's heap
+    takes the cleared map the row before left (see ``tagged_memory``):
+    a grid maps at most one heap, and none right after a heap of its
+    size was dropped.  The registry is never mutated.
     ``rows`` restricts the run to a subset of allocators, in table order.
     """
     if registry is None:

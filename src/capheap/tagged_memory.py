@@ -12,11 +12,20 @@ themselves can be stored in memory with a bit-exact 16-byte layout:
 A granule's tag is set only by ``store_cap`` with a tagged payload, and
 any plain byte store touching the granule clears it again.  The heap
 starts zeroed with all tags clear.  Its bytes are an anonymous memory
-map, so they are demand-zero: a fresh heap costs only the pages a run
+map, so they are demand-zero: a new map costs only the pages a run
 touches, not a zero-fill of the whole heap.  The heap keeps its written
 extent (one past the highest granule written since the last clear),
 and ``clear()`` re-zeroes just that prefix in place, so a cleared heap
 keeps its map and its pages and costs only what the last run wrote.
+
+A heap owns its map and tag array until it is dropped.  A dropped heap
+whose ``data`` and ``tags`` nothing else holds re-zeroes its extent as
+``clear()`` does and leaves the pair in a process-wide stock of one
+slot; the next heap of the same size takes it instead of mapping anew,
+so a process that builds and drops heaps in turn (a grid's rows, a test
+run) pays no ``mmap``, ``munmap`` or first-touch page faults per heap.
+A heap whose ``data`` or ``tags`` is still referenced when it dies is
+not stocked, so a live reference never aliases a later heap.
 
 ``store_cap`` refuses a payload the layout cannot encode (a field
 outside u32, a negative field, or a permission mask above 255; only a
@@ -38,6 +47,8 @@ from __future__ import annotations
 
 import mmap
 import struct
+import sys
+from collections import deque
 
 from .capability import CapFault, Capability, FaultKind, Perm
 
@@ -56,6 +67,23 @@ _NEED_LOAD_CAP = int(Perm.LOAD | Perm.LOAD_CAP)
 
 _NONZERO_TO_1 = bytes([0] + [1] * 255)  # a tag byte's translation to its bit
 
+_ZEROS = memoryview(bytes(1 << 16))  # the source of every re-zeroing
+
+
+def _zero_prefix(buf, n: int) -> None:
+    """Zero ``buf[:n]`` in place, ``_ZEROS`` at a time."""
+    step = len(_ZEROS)
+    for at in range(0, n, step):
+        buf[at : min(at + step, n)] = _ZEROS[: min(step, n - at)]
+
+
+# The stock: at most one cleared (data, tags) pair a dropped heap left
+# behind.  A deque's append and pop are atomic, so it needs no lock (a
+# lock taken in __del__ could deadlock, as the collector may run it on a
+# thread that holds the lock); when two heaps die at once on two threads,
+# ``maxlen`` drops the older pair.
+_stock: deque[tuple[mmap.mmap, bytearray]] = deque(maxlen=1)
+
 
 class TaggedHeap:
     """Single-owner mutable heap state.  One logical thread per heap;
@@ -64,28 +92,62 @@ class TaggedHeap:
     per granule.  ``extent`` is one past the highest granule written
     since the last clear; ``clear()`` zeroes both up to it in place and
     keeps the map, so a cleared heap is a fresh one without a new
-    mapping."""
+    mapping.  A new heap may get the cleared map and tag array of one
+    dropped earlier, but only one that nothing else held when it died
+    (see the module docstring)."""
 
     def __init__(self, size: int):
         if size <= 0 or size % GRANULE != 0:
             raise ValueError("heap size must be a positive multiple of 16")
         self.size = size
-        self.data = mmap.mmap(-1, size)
-        self.tags = bytearray(size // GRANULE)
+        try:
+            spare = _stock.pop()
+        except IndexError:
+            spare = None
+        if spare is not None and len(spare[0]) == size:
+            self.data, self.tags = spare
+        else:  # a spare of another size is dropped
+            self.data = mmap.mmap(-1, size)
+            self.tags = bytearray(size // GRANULE)
         self.extent = 0  # one past the highest granule written since the last clear
         self.watch: bytearray | None = None  # the write barrier's map, one byte per granule
         self.dirty: set[int] = set()  # watched granules written since the engine looked
 
+    def __del__(self, _finalizing=sys.is_finalizing):
+        # Stock the pair if the slot is empty and only this heap holds it
+        # (a count of 2 is the instance dict's and the call's own).  A heap
+        # that dies while the interpreter shuts down, when module globals
+        # may be gone (hence the default), or whose __init__ raised, is
+        # left alone.
+        if _finalizing() or _stock or "tags" not in self.__dict__:
+            return
+        if sys.getrefcount(self.data) > 2 or sys.getrefcount(self.tags) > 2:
+            return
+        self._zero()
+        _stock.append((self.data, self.tags))
+
     def clear(self) -> None:
         """Re-zero every byte and tag written, in place; every watched
         granule is dirty."""
-        extent = self.extent
-        if extent:
-            self.data[: extent * GRANULE] = bytes(extent * GRANULE)
-            self.tags[:extent] = bytes(extent)
-            self.extent = 0
+        self._zero()
         if self.watch is not None:
             self.touch(0, len(self.watch) - 1)
+
+    def _zero(self) -> None:
+        """Re-zero every byte and tag written, in place, copying from
+        ``_ZEROS``: a zero ``bytes`` as long as a large extent, once freed,
+        stays in the C allocator's pool and raises the process's peak
+        memory by its size."""
+        extent = self.extent
+        if extent:
+            n = extent * GRANULE
+            if n <= len(_ZEROS):  # one slice each, as for every probe's heap
+                self.data[:n] = _ZEROS[:n]
+                self.tags[:extent] = _ZEROS[:extent]
+            else:
+                _zero_prefix(self.data, n)
+                _zero_prefix(self.tags, extent)
+            self.extent = 0
 
     def touch(self, first: int, last: int) -> None:
         """Mark dirty every watched granule in ``first..last``."""

@@ -126,6 +126,41 @@ class TestBumpEngine:
         if not full:
             assert alloc.malloc(16).address == 32
 
+    def test_realloc_of_a_raised_cursor_reads_nothing_past_top(self):
+        # without a log the copy window starts at the cursor, but only the
+        # bytes inside the capability's bounds are read: y's secret, just
+        # past x's top, must not reach the new block
+        alloc = create("bump-alloc-cheri")
+        x = alloc.malloc(32)
+        y = alloc.malloc(32)
+        alloc.heap.store(x, x.address, bytes(range(1, 33)))
+        alloc.heap.store(y, y.address, b"SECRET-of-y-0123")
+        z = alloc.realloc(x.set_address(16), 32)
+        assert alloc.heap.load(z, z.address, 32) == bytes(range(17, 33)) + bytes(16)
+
+    def test_realloc_of_a_lowered_cursor_reads_nothing_below_base(self):
+        alloc = create("bump-alloc-cheri")
+        w = alloc.malloc(32)
+        x = alloc.malloc(32)
+        alloc.heap.store(w, w.address + 16, b"SECRET-of-w-0123")
+        alloc.heap.store(x, x.address, bytes(range(1, 33)))
+        z = alloc.realloc(x.set_address(x.base - 16), 32)
+        assert alloc.heap.load(z, z.address, 32) == bytes(16) + bytes(range(1, 17))
+
+    @pytest.mark.parametrize("name", ["bump-alloc-cheri", "bump-alloc-nocheri"])
+    @pytest.mark.parametrize("new_size", [16, 32, 64])
+    def test_untampered_realloc_copies_the_whole_block(self, name, new_size):
+        alloc = create(name)
+        x = alloc.malloc(32)
+        y = alloc.malloc(32)
+        alloc.heap.store(x, x.address, bytes(range(1, 33)))
+        alloc.heap.store(y, y.address, b"\xee" * 32)
+        z = alloc.realloc(x, new_size)
+        kept = min(32, new_size)
+        assert alloc.heap.load(z, z.address, new_size) == bytes(range(1, kept + 1)) + bytes(
+            new_size - kept
+        )
+
 
 class TestFreeListEngine:
     def test_client_bounds_cover_header_and_payload(self):

@@ -1,6 +1,20 @@
+import mmap
+import os
+import subprocess
+import sys
+import threading
+import weakref
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
+import capheap
+from capheap import tagged_memory
 from capheap.capability import CapFault, Capability, FaultKind, PERM_ALL, Perm, make_root
+from capheap.cli import main
+from capheap.harness import run_matrix
+from capheap.registry import create
 from capheap.tagged_memory import GRANULE, TaggedHeap
 
 HEAP = 4096
@@ -314,6 +328,20 @@ class TestClearInPlace:
         heap.store_cap(root, addr, root)
         self.assert_cleared(heap, addr // GRANULE + 1)
 
+    @pytest.mark.parametrize("size", [65536 + 16, 2 * 65536 * GRANULE + 48], ids=["64k+16", "2m+48"])
+    def test_extent_past_the_zero_source_is_cleared_slice_by_slice(self, size):
+        # past 64 KiB the zeros come one slice at a time, the last one short;
+        # the larger heap takes the sliced path for its tags too
+        heap = TaggedHeap(size)
+        root = make_root(size)
+        heap.store(root, 0, b"\xff" * size)
+        for addr in (0, 65536 - GRANULE, 65536, size // 2 // GRANULE * GRANULE, size - GRANULE):
+            heap.store_cap(root, addr, root)
+        data, tags = heap.data, heap.tags
+        heap.clear()
+        assert heap.snapshot() == bytes(size) + bytes((size // GRANULE + 7) // 8)
+        assert heap.data is data and heap.tags is tags and heap.extent == 0
+
     def test_extent_only_grows_until_cleared(self, heap, root):
         heap.store(root, HEAP - 5, b"\xff" * 5)
         heap.store(root, 0, b"\xff")
@@ -424,3 +452,189 @@ class TestWatchedHeap:
         watched.clear()
         assert watched.dirty == {1, 200}
         assert watched.load(root, 0, 64) == bytes(64)
+
+
+# A dropped heap leaves its cleared map and tag array to the next heap of
+# its size.  Every test here but the reuse and map-count ones also holds
+# for a build that maps every heap anew.
+
+FRESH_SNAPSHOT = bytes(HEAP) + bytes(HEAP // 128)  # a never-used heap's snapshot
+
+
+@pytest.fixture
+def drained():
+    """An empty stock: a new heap takes the spare, or drops one of another
+    size, and this one is held until the test ends."""
+    hold = TaggedHeap(HEAP)
+    yield
+    del hold
+
+
+def _write_last_granule(root):
+    heap = TaggedHeap(HEAP)
+    heap.store(root, HEAP - 5, b"\xff" * 5)
+    assert heap.extent == HEAP // GRANULE
+    return heap, heap
+
+
+def _tag_by_store_cap(root):
+    heap = TaggedHeap(HEAP)
+    heap.store_cap(root, 0, root)
+    heap.store_cap(root, HEAP - GRANULE, root)
+    assert heap.tags[0] == heap.tags[-1] == 1
+    return heap, heap
+
+
+def _free_list_header_at_the_end(root):
+    # a split leaves the remainder's header as close to the end as it goes
+    alloc = create("jemalloc", HEAP)
+    alloc.malloc(HEAP - 48)
+    assert alloc._free_list == [HEAP - 40]
+    assert alloc.heap.extent == (HEAP - 40) // GRANULE + 1
+    return alloc, alloc.heap
+
+
+def _free_list_indexed(root):
+    alloc = create("jemalloc", HEAP)
+    blocks = [alloc.malloc(16) for _ in range(100)]
+    for cap in blocks:
+        alloc.free(cap)
+    alloc.malloc(1000)  # scans past the 100 small chunks and starts the index
+    assert alloc._classes is not None and alloc.heap.watch is not None
+    alloc.heap.store(blocks[0], blocks[0].address, b"\xff")  # a watched granule goes dirty
+    assert alloc.heap.dirty
+    return alloc, alloc.heap
+
+
+class TestStockedHeapIsFresh:
+    @pytest.mark.parametrize(
+        "dirty",
+        [_write_last_granule, _tag_by_store_cap, _free_list_header_at_the_end, _free_list_indexed],
+        ids=["last-granule", "store-cap-tag", "free-list-end-header", "free-list-indexed"],
+    )
+    def test_next_heap_snapshots_as_never_used(self, drained, root, dirty):
+        owner, heap = dirty(root)
+        assert heap.snapshot() != FRESH_SNAPSHOT
+        spare = weakref.ref(heap.data)
+        del owner, heap
+        new = TaggedHeap(HEAP)
+        assert new.snapshot() == FRESH_SNAPSHOT
+        assert new.extent == 0 and new.watch is None and new.dirty == set()
+        assert new.data is spare()  # the dropped map, re-zeroed
+
+    def test_heap_of_another_size_never_gets_the_spare(self, drained):
+        heap = TaggedHeap(HEAP)
+        spare = weakref.ref(heap.data)
+        del heap
+        other = TaggedHeap(2 * HEAP)
+        assert other.data is not spare() and len(other.data) == 2 * HEAP
+        assert len(other.tags) == 2 * HEAP // GRANULE
+
+    @pytest.mark.parametrize("held", ["data", "tags", "view"])
+    def test_heap_still_referenced_is_not_stocked(self, drained, root, held):
+        heap = TaggedHeap(HEAP)
+        heap.store_cap(root, 0, root)
+        kept = memoryview(heap.data) if held == "view" else getattr(heap, held)
+        spare = weakref.ref(heap.data)
+        del heap
+        new = TaggedHeap(HEAP)
+        assert new.data is not spare() and new.tags is not kept
+        assert new.snapshot() == FRESH_SNAPSHOT
+        # and the holder still sees what it held
+        if held == "tags":
+            assert kept[0] == 1
+        else:
+            assert bytes(kept[:GRANULE]) != bytes(GRANULE)
+
+    def test_threads_only_get_zeroed_heaps(self, root):
+        # more threads than cores, switching often, each building, writing
+        # and dropping heaps: every heap a thread gets must be all zero
+        threads_n = (os.cpu_count() or 1) + 2
+        failures = []
+
+        def work(k):
+            try:
+                for i in range(300):
+                    heap = TaggedHeap(HEAP)
+                    if heap.extent or heap.snapshot() != FRESH_SNAPSHOT:
+                        failures.append((k, i))
+                    heap.store(root, (k * 97 + i * 31) % (HEAP - 64), b"\xff" * 64)
+                    heap.store_cap(root, HEAP - GRANULE, root)
+                    del heap
+            except BaseException as exc:  # reported below, not lost in the thread
+                failures.append((k, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(threads_n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+
+
+class TestNoMapChurn:
+    """Map creations, counted: a grid, the CLI and interpreter shutdown."""
+
+    @pytest.fixture
+    def maps(self, monkeypatch):
+        made = []
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return mmap.mmap(*args, **kwargs)
+
+        monkeypatch.setattr(tagged_memory, "mmap", SimpleNamespace(mmap=counting))
+        return made
+
+    def test_dropped_heap_backs_the_next_one(self, drained):
+        heap = TaggedHeap(HEAP)
+        spare = weakref.ref(heap.data)
+        del heap
+        assert TaggedHeap(HEAP).data is spare()
+
+    def test_grids_after_a_warm_up_map_nothing(self, maps):
+        run_matrix()
+        maps.clear()
+        run_matrix()
+        run_matrix(rows=["jemalloc", "bump-alloc-cheri", "snmalloc-repo"])
+        assert maps == []
+
+    def test_cli_matrix_maps_one_heap(self, maps, capsys):
+        tagged_memory._stock.clear()
+        assert main(["matrix", "--expect"]) == 0
+        assert len(maps) == 1  # the first row's; each later row takes the one before
+
+    def test_shutdown_is_silent_in_dev_mode(self):
+        # a heap whose __init__ raised, heaps dropped before exit, heaps
+        # alive at exit (in a cycle, with their map held, and one held by
+        # a module global that shutdown clears after the module's own)
+        script = (
+            "from capheap import create, tagged_memory\n"
+            "from capheap.tagged_memory import TaggedHeap\n"
+            "from capheap.capability import make_root\n"
+            "try:\n"
+            "    TaggedHeap(24)\n"
+            "except ValueError:\n"
+            "    pass\n"
+            "for _ in range(3):\n"
+            "    create('jemalloc').malloc(64)\n"
+            "alive = [create(name) for name in ('bump-alloc-cheri', 'jemalloc', 'snmalloc-repo')]\n"
+            "held = TaggedHeap(4096)\n"
+            "data = held.data\n"
+            "cycle = TaggedHeap(4096)\n"
+            "cycle.me = cycle\n"
+            "cycle.store_cap(make_root(4096), 0, make_root(4096))\n"
+            "tagged_memory.kept = TaggedHeap(4096)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(capheap.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-c", script],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (run.returncode, run.stderr) == (0, "")
