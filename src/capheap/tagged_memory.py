@@ -11,21 +11,25 @@ themselves can be stored in memory with a bit-exact 16-byte layout:
 
 A granule's tag is set only by ``store_cap`` with a tagged payload, and
 any plain byte store touching the granule clears it again.  The heap
-starts zeroed with all tags clear.  Its bytes are an anonymous memory
-map, so they are demand-zero: a new map costs only the pages a run
-touches, not a zero-fill of the whole heap.  The heap keeps its written
-extent (one past the highest granule written since the last clear),
-and ``clear()`` re-zeroes just that prefix in place, so a cleared heap
-keeps its map and its pages and costs only what the last run wrote.
+starts zeroed with all tags clear.  Its bytes are a private anonymous
+memory map, so they are demand-zero: a new map costs only the pages a
+run touches, not a zero-fill of the whole heap; and a forked child
+gets a copy-on-write image, so no two processes share a heap's bytes.
+The heap keeps its written extent (one past the highest granule
+written since the last clear), and ``clear()`` re-zeroes just that
+prefix in place, so a cleared heap keeps its map and its pages and
+costs only what the last run wrote.
 
 A heap owns its map and tag array until it is dropped.  A dropped heap
-whose ``data`` and ``tags`` nothing else holds re-zeroes its extent as
-``clear()`` does and leaves the pair in a process-wide stock of one
-slot; the next heap of the same size takes it instead of mapping anew,
-so a process that builds and drops heaps in turn (a grid's rows, a test
-run) pays no ``mmap``, ``munmap`` or first-touch page faults per heap.
-A heap whose ``data`` or ``tags`` is still referenced when it dies is
-not stocked, so a live reference never aliases a later heap.
+no larger than the default 1 MiB whose ``data`` and ``tags`` nothing
+else holds re-zeroes its extent as ``clear()`` does and leaves the pair
+in a process-wide stock of one slot; the next heap of the same size
+takes it instead of mapping anew, so a process that builds and drops
+heaps in turn (a grid's rows, a test run) pays no ``mmap``, ``munmap``
+or first-touch page faults per heap.  A heap whose ``data`` or ``tags``
+is still referenced when it dies is not stocked, so a live reference
+never aliases a later heap; a larger heap is unmapped at once, so its
+pages do not stay resident.
 
 ``store_cap`` refuses a payload the layout cannot encode (a field
 outside u32, a negative field, or a permission mask above 255; only a
@@ -69,12 +73,20 @@ _NONZERO_TO_1 = bytes([0] + [1] * 255)  # a tag byte's translation to its bit
 
 _ZEROS = memoryview(bytes(1 << 16))  # the source of every re-zeroing
 
+_STOCK_MAX = 1 << 20  # registry.DEFAULT_HEAP_SIZE: the largest heap stocked
+
+# a private map wherever there is fork (a forked child copies it on write)
+_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+
 
 def _zero_prefix(buf, n: int) -> None:
-    """Zero ``buf[:n]`` in place, ``_ZEROS`` at a time."""
-    step = len(_ZEROS)
-    for at in range(0, n, step):
-        buf[at : min(at + step, n)] = _ZEROS[: min(step, n - at)]
+    """Zero ``buf[:n]`` in place, ``_ZEROS`` at a time: one slice for a
+    prefix no longer than ``_ZEROS``, as every probe's heap has."""
+    at, step = 0, len(_ZEROS)
+    while n - at > step:
+        buf[at : at + step] = _ZEROS
+        at += step
+    buf[at:n] = _ZEROS[: n - at]
 
 
 # The stock: at most one cleared (data, tags) pair a dropped heap left
@@ -107,19 +119,19 @@ class TaggedHeap:
         if spare is not None and len(spare[0]) == size:
             self.data, self.tags = spare
         else:  # a spare of another size is dropped
-            self.data = mmap.mmap(-1, size)
+            self.data = mmap.mmap(-1, size, **_PRIVATE)
             self.tags = bytearray(size // GRANULE)
         self.extent = 0  # one past the highest granule written since the last clear
         self.watch: bytearray | None = None  # the write barrier's map, one byte per granule
         self.dirty: set[int] = set()  # watched granules written since the engine looked
 
     def __del__(self, _finalizing=sys.is_finalizing):
-        # Stock the pair if the slot is empty and only this heap holds it
-        # (a count of 2 is the instance dict's and the call's own).  A heap
-        # that dies while the interpreter shuts down, when module globals
-        # may be gone (hence the default), or whose __init__ raised, is
-        # left alone.
-        if _finalizing() or _stock or "tags" not in self.__dict__:
+        # Stock the pair if the slot is empty, the heap is no larger than
+        # _STOCK_MAX and only this heap holds the pair (a count of 2 is the
+        # instance dict's and the call's own).  A heap that dies while the
+        # interpreter shuts down, when module globals may be gone (hence
+        # the default), or whose __init__ raised, is left alone.
+        if _finalizing() or _stock or "tags" not in self.__dict__ or self.size > _STOCK_MAX:
             return
         if sys.getrefcount(self.data) > 2 or sys.getrefcount(self.tags) > 2:
             return
@@ -138,16 +150,9 @@ class TaggedHeap:
         ``_ZEROS``: a zero ``bytes`` as long as a large extent, once freed,
         stays in the C allocator's pool and raises the process's peak
         memory by its size."""
-        extent = self.extent
-        if extent:
-            n = extent * GRANULE
-            if n <= len(_ZEROS):  # one slice each, as for every probe's heap
-                self.data[:n] = _ZEROS[:n]
-                self.tags[:extent] = _ZEROS[:extent]
-            else:
-                _zero_prefix(self.data, n)
-                _zero_prefix(self.tags, extent)
-            self.extent = 0
+        _zero_prefix(self.data, self.extent * GRANULE)
+        _zero_prefix(self.tags, self.extent)
+        self.extent = 0
 
     def touch(self, first: int, last: int) -> None:
         """Mark dirty every watched granule in ``first..last``."""

@@ -1,9 +1,11 @@
+import gc
 import mmap
 import os
 import subprocess
 import sys
 import threading
 import weakref
+from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,7 +16,7 @@ from capheap import tagged_memory
 from capheap.capability import CapFault, Capability, FaultKind, PERM_ALL, Perm, make_root
 from capheap.cli import main
 from capheap.harness import run_matrix
-from capheap.registry import create
+from capheap.registry import DEFAULT_HEAP_SIZE, create
 from capheap.tagged_memory import GRANULE, TaggedHeap
 
 HEAP = 4096
@@ -456,7 +458,21 @@ class TestWatchedHeap:
 
 # A dropped heap leaves its cleared map and tag array to the next heap of
 # its size.  Every test here but the reuse and map-count ones also holds
-# for a build that maps every heap anew.
+# for a build that maps every heap anew.  The reuse and map-count ones
+# run with the collector off: a garbage heap from an earlier test (one in
+# a traceback's cycle) collected mid-test would fill the stock first.
+
+
+@contextmanager
+def _collector_off():
+    """Collect every garbage heap now and none until the block ends."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
 
 FRESH_SNAPSHOT = bytes(HEAP) + bytes(HEAP // 128)  # a never-used heap's snapshot
 
@@ -465,9 +481,10 @@ FRESH_SNAPSHOT = bytes(HEAP) + bytes(HEAP // 128)  # a never-used heap's snapsho
 def drained():
     """An empty stock: a new heap takes the spare, or drops one of another
     size, and this one is held until the test ends."""
-    hold = TaggedHeap(HEAP)
-    yield
-    del hold
+    with _collector_off():
+        hold = TaggedHeap(HEAP)
+        yield
+        del hold
 
 
 def _write_last_granule(root):
@@ -590,13 +607,59 @@ class TestNoMapChurn:
             return mmap.mmap(*args, **kwargs)
 
         monkeypatch.setattr(tagged_memory, "mmap", SimpleNamespace(mmap=counting))
-        return made
+        with _collector_off():
+            yield made
 
     def test_dropped_heap_backs_the_next_one(self, drained):
         heap = TaggedHeap(HEAP)
         spare = weakref.ref(heap.data)
         del heap
         assert TaggedHeap(HEAP).data is spare()
+
+    @pytest.mark.parametrize(
+        "size, stocked", [(DEFAULT_HEAP_SIZE, True), (2 * DEFAULT_HEAP_SIZE, False)]
+    )
+    def test_only_heaps_up_to_the_default_size_are_stocked(self, drained, size, stocked):
+        heap = TaggedHeap(size)
+        spare = weakref.ref(heap.data)
+        del heap
+        assert (spare() is not None) == stocked  # a larger map is unmapped at once
+        assert (TaggedHeap(size).data is spare()) == stocked
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_processes_share_no_heap_bytes(self):
+        # the parent stocks a written heap and holds a live one, then forks;
+        # the child takes its copy of the spare and writes both heaps; the
+        # parent's own next heap and its live heap must not see those bytes
+        script = (
+            "import os, weakref\n"
+            "from capheap.tagged_memory import TaggedHeap\n"
+            "from capheap.capability import make_root\n"
+            "root = make_root(4096)\n"
+            "fresh = TaggedHeap(4096).snapshot()\n"
+            "live = TaggedHeap(4096)\n"
+            "dropped = TaggedHeap(4096)\n"
+            "dropped.store(root, 0, b'parent')\n"
+            "spare = weakref.ref(dropped.data)\n"
+            "del dropped\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    new = TaggedHeap(4096)\n"
+            "    ok = new.data is spare() and new.snapshot() == fresh\n"
+            "    new.store(root, 0, b'child!')\n"
+            "    live.store(root, 0, b'child!')\n"
+            "    os._exit(0 if ok else 3)\n"
+            "assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0, 'child'\n"
+            "new = TaggedHeap(4096)\n"
+            "assert new.data is spare(), 'not reused'\n"
+            "assert new.load(root, 0, 6) == bytes(6), 'new heap shared'\n"
+            "assert live.load(root, 0, 6) == bytes(6), 'live heap shared'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(capheap.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (run.returncode, run.stderr) == (0, "")
 
     def test_grids_after_a_warm_up_map_nothing(self, maps):
         run_matrix()
