@@ -174,7 +174,9 @@ def _randsize(alloc: Allocator, workload: Workload, meter: _Meter) -> None:
 
 
 def _reallocramp(alloc: Allocator, workload: Workload, meter: _Meter) -> None:
-    cap = alloc.malloc(16)
+    cap = meter.attempt(alloc.malloc, 16)
+    if cap is None:  # not even the first block: nothing to grow
+        return
     size = 16
     meter.placed(cap, size)
     for _ in range(workload.op_count):

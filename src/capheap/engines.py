@@ -49,20 +49,25 @@ It counts rather than flags because the list may hold a chunk twice: a
 moving realloc through a stale capability on a free chunk lists that
 chunk again, and each copy can be handed out once.
 
+Every listed chunk lies inside the heap: a chunk is listed only by
+writing its FREE header, and that write is bounds-checked.
+
 In malloc a finder picks the slot and one tail carves it.  On a short
 list the finder scans from the head, reading each header.  Once a scan
 has visited more than 64 entries (and until reset), a byte array beside
 the list holds each slot's size class instead, read from the chunk's
 header: linear in 16-byte steps below 2048 bytes, four per power of two
 above, or poisoned for a bad magic.  One ``translate`` and one ``find``
-over those bytes pick the slot, or raise the CorruptHeader or bounds
-fault, that the scan would.  The tail, which realloc growing in place
-shares, splits off a remainder of 32 bytes or more.  The classes stay
-true to the heap bytes behind a write barrier: the heap watches the
-granules under every indexed header, any store or engine header write
-to one marks it dirty, and the next malloc first re-reads just the
-listed headers over dirty granules.  A header forged through a stale
-capability therefore still steers the next malloc.
+over those bytes pick the slot, or raise the CorruptHeader, that the
+scan would.  The tail, which realloc growing in place shares, splits
+off a remainder of 32 bytes or more.  The classes stay true to the heap
+bytes behind a write barrier: the heap watches the granule under every
+indexed header, any store or engine header write to one marks it
+dirty, and the next malloc first re-reads just the listed headers over
+dirty granules.  A header forged through a stale capability therefore
+still steers the next malloc.  The index holds only chunks on the
+8-byte grid, whose header lies in one granule: while a forged chunk off
+the grid is listed, there is no index and the scan answers.
 """
 
 from __future__ import annotations
@@ -76,6 +81,7 @@ from .allocator_api import (
     FreeValidation,
 )
 from .capability import ADDRESS_MAX, CapFault, Capability, FaultKind, Perm, _derive
+from .tagged_memory import _NEED_LOAD
 
 __all__ = [
     "BumpAllocator",
@@ -121,8 +127,6 @@ def _class(payload: int) -> int:
     top = payload.bit_length()
     return 4 * top + 80 + (payload >> (top - 3) & 3)
 
-
-_NEED_LOAD = int(Perm.LOAD)
 
 SLAB_SIZE = 4096
 SIZE_CLASSES = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
@@ -213,57 +217,56 @@ class FreeListAllocator(Allocator):
     malloc takes the first listed chunk, from the head, whose header
     payload covers the rounded request: a finder picks the slot and
     ``_carve`` hands it out.  The scan reads the headers in turn: a bad
-    magic raises CORRUPT_HEADER, an entry outside the heap the region's
-    bounds fault, and none fitting is OUT_OF_MEMORY.  Once a scan has
-    visited more than ``_SCAN_LIMIT`` entries, and until reset,
-    ``_fit_indexed`` picks without reading the headers it passes over:
-    ``_classes`` holds one byte per slot, the chunk's size
-    class (see ``_class``) or _POISONED for a bad magic; the first slot
+    magic raises CORRUPT_HEADER, and none fitting is OUT_OF_MEMORY.
+    Once a scan has visited more than ``_SCAN_LIMIT`` entries, and until
+    reset, ``_fit_indexed`` picks without reading the headers it passes
+    over: ``_classes`` holds one byte per slot, the chunk's size class
+    (see ``_class``) or _POISONED for a bad magic; the first slot
     of a class that surely fits, or a poisoned one, is found by one
     ``translate`` and one ``find`` over the bytes, and only for requests
     of 2048 bytes and more, whose own class may hold smaller chunks, are
     the earlier slots of that class read.  It picks and raises exactly
-    what the scan would.  No listed chunk lies outside the heap (each
-    was listed right after a bounds-checked header read or write), but
-    the poisoned path runs the region's bounds check first, as the scan.
+    what the scan would.  Neither finder checks bounds: no listed chunk
+    lies outside the heap, as each was listed by a bounds-checked write
+    of its header.  Listing a chunk off the 8-byte grid (only a forged
+    header makes one) drops the index, and no scan starts it again
+    while such a chunk is listed.
 
     Clients can overwrite headers, and the engine's own header writes
     can land on a forged one, so the classes stand behind the heap's
-    write barrier: the heap watches the granule, or both granules,
-    under every indexed header, every write to a watched
-    granule marks it dirty, and malloc first re-reads just the listed
-    headers over dirty granules and re-files each whose class moved.
-    chunks() raises CORRUPT_HEADER on a bad magic or a walk that does
-    not end exactly at the heap's end, and realloc absorption on a FREE
-    header that is not listed.
+    write barrier: the heap watches the granule under every indexed
+    header, every write to a watched granule (a header write tests both
+    granules it may overlap) marks it dirty, and malloc first re-reads
+    just the listed headers over dirty granules and re-files each whose
+    class moved.  chunks() raises CORRUPT_HEADER on a bad magic or a walk
+    that does not end exactly at the heap's end, and realloc absorption
+    on a FREE header that is not listed.
     """
 
     validations = (FreeValidation.INLINE_HEADER,)
     refuses = {"narrow_bounds": False, "deferred_free": True}
 
-    def reset(self) -> None:
-        # drop the watch first, or clear() marks every watched granule dirty
-        self.heap.watch = None
-        self.heap.dirty.clear()
-        super().reset()
-
     def _reset_state(self) -> None:
         self._free_list: list[int] = []  # chunk offsets, head first
         self._listed: dict[int, int] = {}  # chunk -> occurrences in _free_list
-        # the class index, None until a scan visits more than _SCAN_LIMIT entries
+        self._unindex()
+        self._push(0, self.heap.size - CHUNK_HEADER_SIZE)  # one free chunk tiles the heap
+
+    def _unindex(self) -> None:
+        """Drop the class index: the scan answers until it starts again."""
         self._classes: bytearray | None = None  # the class of each slot's chunk
         self._class_of: dict[int, int] = {}  # chunk -> the class of all its slots
-        self._off_grid = False  # whether a chunk off the 8-byte grid was indexed since
-        self._push(0, self.heap.size - CHUNK_HEADER_SIZE)  # one free chunk tiles the heap
+        self.heap.watch = None
+        self.heap.dirty.clear()
 
     # Listing.  All occurrences of a chunk share its header, so they share
     # a class: a chunk already listed is filed under its current class,
     # and the engine's write that changed its header left the granule
-    # dirty for the next re-read.  An indexed chunk's header granules are
-    # watched.  Chunks on the 8-byte grid (every one but a forged one)
-    # have one header granule, shared at most with the chunk at offset
-    # ^ 8; once a chunk off the grid is indexed, until reset, every
-    # granule a header may overlap is searched instead.
+    # dirty for the next re-read.  The index holds only chunks on the
+    # 8-byte grid (every one but a forged one), whose header lies in one
+    # granule, shared at most with the chunk at offset ^ 8; that granule
+    # is watched.  Listing a chunk off the grid drops the index, and it
+    # does not start again while such a chunk is listed.
 
     def _push(self, chunk: int, payload: int, slot: int = -1) -> None:
         """Write a FREE header of ``payload`` bytes at ``chunk`` and list
@@ -274,12 +277,14 @@ class FreeListAllocator(Allocator):
         n = listed.get(chunk, 0)
         listed[chunk] = n + 1
         classes = self._classes
-        if classes is not None:
+        if classes is not None and chunk & 7:
+            self._unindex()
+        elif classes is not None:
             if n:
                 cls = self._class_of[chunk]
             else:
                 cls = self._class_of[chunk] = _class(payload)
-                self._watch(chunk)
+                self.heap.watch[chunk >> 4] = 1
             if slot < 0:
                 classes.insert(0, cls)
             else:
@@ -304,39 +309,22 @@ class FreeListAllocator(Allocator):
         if self._classes is None:
             return
         del self._class_of[chunk]
-        watch = self.heap.watch
-        if not self._off_grid:
-            if chunk ^ 8 not in listed:
-                watch[chunk >> 4] = 0
-            return
-        for granule in range(chunk >> 4, ((chunk + CHUNK_HEADER_SIZE - 1) >> 4) + 1):
-            if not listed.keys() & self._over(granule):
-                watch[granule] = 0
-
-    def _watch(self, chunk: int) -> None:
-        watch = self.heap.watch
-        watch[chunk >> 4] = 1
-        if chunk & 7:
-            self._off_grid = True
-            watch[(chunk + CHUNK_HEADER_SIZE - 1) >> 4] = 1
-
-    def _over(self, granule: int) -> range | tuple[int, int]:
-        """Where a header over ``granule`` can start."""
-        start = granule << 4
-        if self._off_grid:
-            return range(start - CHUNK_HEADER_SIZE + 1, start + 16)
-        return start, start + 8
+        if chunk ^ 8 not in listed:
+            self.heap.watch[chunk >> 4] = 0
 
     def _index(self) -> None:
-        """Start the class index: file every listed chunk by its header,
-        read once from the heap bytes, and watch it from now on."""
+        """Start the class index, unless a chunk off the grid is listed:
+        file every listed chunk by its header, read once from the heap
+        bytes, and watch it from now on."""
+        if any(chunk & 7 for chunk in self._listed):
+            return
         heap = self.heap
-        heap.watch = bytearray(len(heap.tags))
+        watch = heap.watch = bytearray(len(heap.tags))
         class_of = self._class_of
         for chunk in self._listed:
             payload, magic, _, _ = _HEADER.unpack_from(heap.data, chunk)
             class_of[chunk] = _class(payload) if magic == CHUNK_MAGIC else _POISONED
-            self._watch(chunk)
+            watch[chunk >> 4] = 1
         self._classes = bytearray(class_of[chunk] for chunk in self._free_list)
 
     def _resync(self) -> None:
@@ -347,7 +335,7 @@ class FreeListAllocator(Allocator):
         listed = self._listed
         class_of = self._class_of
         for granule in heap.dirty:
-            for chunk in self._over(granule):
+            for chunk in (granule << 4, (granule << 4) + 8):
                 cls = class_of.get(chunk)
                 if cls is None:
                     continue
@@ -424,10 +412,7 @@ class FreeListAllocator(Allocator):
         else:
             # a short list: scan it from the head, reading each header
             data = self.heap.data
-            last = self.heap.size - CHUNK_HEADER_SIZE
             for slot, chunk in enumerate(free_list):
-                if chunk < 0 or chunk > last:
-                    self.region.check_access(chunk, CHUNK_HEADER_SIZE, Perm.LOAD)
                 payload, magic, _, _ = _HEADER.unpack_from(data, chunk)
                 if magic != CHUNK_MAGIC:
                     raise AllocError(AllocErrorKind.CORRUPT_HEADER, f"free list entry at {chunk}")
@@ -476,7 +461,6 @@ class FreeListAllocator(Allocator):
             return -1, 0
         chunk = free_list[stop]
         if classes[stop] == _POISONED:
-            self.region.check_access(chunk, CHUNK_HEADER_SIZE, Perm.LOAD)
             raise AllocError(AllocErrorKind.CORRUPT_HEADER, f"free list entry at {chunk}")
         return stop, _HEADER.unpack_from(heap.data, chunk)[0]
 
@@ -585,30 +569,31 @@ class FreeListAllocator(Allocator):
 
 
 class _Slab:
-    """One carved slab: its offset, size class, one byte per slot (1 when
-    taken) and its rank among the slabs of its class in carve order."""
+    """One carved slab: its number in carve order, its offset (the number
+    times ``SLAB_SIZE``), size class and one byte per slot (1 when taken)."""
 
-    __slots__ = ("offset", "cls", "bits", "rank")
+    __slots__ = ("index", "offset", "cls", "bits")
 
-    def __init__(self, offset: int, cls: int, rank: int):
-        self.offset = offset
+    def __init__(self, index: int, cls: int):
+        self.index = index
+        self.offset = index * SLAB_SIZE
         self.cls = cls
         self.bits = bytearray(SLAB_SIZE // cls)
-        self.rank = rank
 
 
 class SlabAllocator(Allocator):
     """Size-class slabs with metadata kept out of band.
 
     Slabs are carved contiguously from 0, so the slab holding an address
-    is ``addr // SLAB_SIZE``.  Each slab record keeps one byte per slot,
-    1 while the slot is taken.  Each class keeps an open-slab map: one
-    byte per slab of the class in carve order (the slab's rank), 1 exactly
-    while that slab has a clear slot.  A take that fills a slab clears
-    its byte and every applied free sets it, whether strict, deferred or
-    a realloc move.  malloc takes ``find(1)`` on the map, then
-    ``find(0)`` on that slab's slots: the lowest clear slot of the lowest
-    open slab in carve order, found without visiting full slabs in Python.
+    is number ``addr // SLAB_SIZE``.  Each slab record keeps one byte per
+    slot, 1 while the slot is taken.  Each class keeps an open-slab map:
+    one byte per slab number up to its last slab, 1 exactly while that
+    slab is of the class and has a clear slot.  A take that fills a slab
+    clears its byte and every applied free sets it, whether strict,
+    deferred or a realloc move.  malloc takes ``find(1)`` on the map,
+    then ``find(0)`` on that slab's slots: the lowest clear slot of the
+    lowest open slab of the class, found without visiting full slabs in
+    Python.
 
     free() maps the capability's address to (slab, slot) without ever
     dereferencing through it, so narrowed capabilities are accepted.
@@ -623,10 +608,8 @@ class SlabAllocator(Allocator):
     refuses = {"narrow_bounds": False}
 
     def _reset_state(self) -> None:
-        self._slab_cursor = 0
-        self._slabs: list[_Slab] = []  # carve order, so index = offset // SLAB_SIZE
-        self._by_class: dict[int, list[_Slab]] = {}
-        # class -> open-slab map: one byte per slab of the class, by rank
+        self._slabs: list[_Slab] = []  # by number, which is offset // SLAB_SIZE
+        # class -> open-slab map: one byte per slab number
         self._open: dict[int, bytearray] = {}
         # block address -> (slab, first slot, slot count, requested size)
         self._live: dict[int, tuple[_Slab, int, int, int]] = {}
@@ -652,18 +635,17 @@ class SlabAllocator(Allocator):
         cls = self.size_class(size)
         open_map = self._open.get(cls)
         if open_map is not None:
-            rank = open_map.find(1)
-            if rank >= 0:
-                slab = self._by_class[cls][rank]
+            index = open_map.find(1)
+            if index >= 0:
+                slab = self._slabs[index]
                 return self._take(slab, slab.bits.find(0), 1, size)
-        if self._slab_cursor + SLAB_SIZE > self.heap.size:
+        index = len(self._slabs)
+        if (index + 1) * SLAB_SIZE > self.heap.size:
             raise AllocError(AllocErrorKind.OUT_OF_MEMORY, "no room for another slab")
-        slabs = self._by_class.setdefault(cls, [])
-        slab = _Slab(self._slab_cursor, cls, len(slabs))
-        self._slab_cursor += SLAB_SIZE
+        slab = _Slab(index, cls)
         self._slabs.append(slab)
-        slabs.append(slab)
-        self._open.setdefault(cls, bytearray()).append(1)
+        open_map = self._open.setdefault(cls, bytearray())
+        open_map.extend(bytes(index - len(open_map)) + b"\1")  # 0 for the slabs of other classes
         return self._take(slab, 0, 1, size)
 
     def _take(self, slab: _Slab, slot: int, nslots: int, size: int) -> Capability:
@@ -674,7 +656,7 @@ class SlabAllocator(Allocator):
         else:
             slab.bits[slot : slot + nslots] = b"\x01" * nslots
         if 0 not in slab.bits:
-            self._open[slab.cls][slab.rank] = 0
+            self._open[slab.cls][slab.index] = 0
         addr = slab.offset + slot * slab.cls
         self._live[addr] = (slab, slot, nslots, size)
         return self._client_cap(addr, nslots * slab.cls)
@@ -682,7 +664,7 @@ class SlabAllocator(Allocator):
     def _slot_of(self, addr: int) -> tuple[_Slab, int] | None:
         """Map an address to (slab, slot index), or None when it falls
         outside every carved slab."""
-        if not 0 <= addr < self._slab_cursor:
+        if not 0 <= addr < len(self._slabs) * SLAB_SIZE:
             return None
         slab = self._slabs[addr // SLAB_SIZE]
         return slab, (addr - slab.offset) // slab.cls
@@ -707,7 +689,7 @@ class SlabAllocator(Allocator):
             slab.bits[slot] = 0
         else:
             slab.bits[slot : slot + nslots] = bytes(nslots)
-        self._open[slab.cls][slab.rank] = 1
+        self._open[slab.cls][slab.index] = 1
 
     def free(self, cap: Capability) -> None:
         if self._traits.deferred_free:

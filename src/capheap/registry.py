@@ -12,13 +12,11 @@ from typing import Callable
 
 from .allocator_api import Allocator, AllocatorTraits, FreeValidation
 from .engines import BumpAllocator, FreeListAllocator, SlabAllocator
-from .tagged_memory import TaggedHeap
+from .tagged_memory import DEFAULT_HEAP_SIZE, TaggedHeap
 
 __all__ = [
     "ALLOCATOR_NAMES", "DEFAULT_HEAP_SIZE", "TRAITS", "create", "default_registry", "engine_for",
 ]
-
-DEFAULT_HEAP_SIZE = 1 << 20  # 1 MiB
 
 _V = FreeValidation
 

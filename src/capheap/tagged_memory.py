@@ -56,9 +56,13 @@ from collections import deque
 
 from .capability import CapFault, Capability, FaultKind, Perm
 
-__all__ = ["GRANULE", "TaggedHeap"]
+__all__ = ["DEFAULT_HEAP_SIZE", "GRANULE", "TaggedHeap"]
 
 GRANULE = 16
+
+# 1 MiB: an allocator's heap unless its creator asks otherwise, and the
+# largest heap stocked
+DEFAULT_HEAP_SIZE = 1 << 20
 
 _CAP_LAYOUT = struct.Struct("<IIIB3x")
 assert _CAP_LAYOUT.size == GRANULE
@@ -72,8 +76,6 @@ _NEED_LOAD_CAP = int(Perm.LOAD | Perm.LOAD_CAP)
 _NONZERO_TO_1 = bytes([0] + [1] * 255)  # a tag byte's translation to its bit
 
 _ZEROS = memoryview(bytes(1 << 16))  # the source of every re-zeroing
-
-_STOCK_MAX = 1 << 20  # registry.DEFAULT_HEAP_SIZE: the largest heap stocked
 
 # a private map wherever there is fork (a forked child copies it on write)
 _PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
@@ -127,11 +129,11 @@ class TaggedHeap:
 
     def __del__(self, _finalizing=sys.is_finalizing):
         # Stock the pair if the slot is empty, the heap is no larger than
-        # _STOCK_MAX and only this heap holds the pair (a count of 2 is the
-        # instance dict's and the call's own).  A heap that dies while the
-        # interpreter shuts down, when module globals may be gone (hence
-        # the default), or whose __init__ raised, is left alone.
-        if _finalizing() or _stock or "tags" not in self.__dict__ or self.size > _STOCK_MAX:
+        # DEFAULT_HEAP_SIZE and only this heap holds the pair (a count of 2
+        # is the instance dict's and the call's own).  A heap that dies
+        # while the interpreter shuts down, when module globals may be gone
+        # (hence the default), or whose __init__ raised, is left alone.
+        if _finalizing() or _stock or "tags" not in self.__dict__ or self.size > DEFAULT_HEAP_SIZE:
             return
         if sys.getrefcount(self.data) > 2 or sys.getrefcount(self.tags) > 2:
             return

@@ -110,6 +110,16 @@ class TestReallocRamp:
         assert result.oom_count == 300 - 255
         assert result.ops_completed == 255
 
+    @pytest.mark.parametrize("name", ["bump-alloc-cheri", "jemalloc", "snmalloc-repo"])
+    def test_first_malloc_out_of_memory_is_recorded_not_fatal(self, name):
+        # a 16-byte heap: the free list's one chunk holds 8 bytes, no slab
+        # fits, and the bump cursor is already at the end
+        alloc = create(name, heap_size=16)
+        if name.startswith("bump"):
+            alloc.malloc(16)
+        result = run_workload(alloc, Workload.reallocramp(3))
+        assert strip_elapsed(result) == (name, "reallocramp;ops=3", 0, 0, 0, 0, 1)
+
 
 class TestCsv:
     def test_one_result_two_lines(self):

@@ -1,6 +1,9 @@
 import pytest
 
+from capheap import cli
+from capheap.attacks import Outcome
 from capheap.cli import main
+from capheap.harness import EXPECTED_MATRIX, render, run_matrix
 from capheap.registry import ALLOCATOR_NAMES
 
 
@@ -10,6 +13,21 @@ class TestMatrixCommand:
         out = capsys.readouterr()
         assert "all 35 cells match" in out.err
         assert out.out.splitlines()[1].startswith("bump-alloc-cheri")
+
+    def test_expect_reports_a_mismatch_and_exits_one(self, capsys, monkeypatch):
+        # jemalloc A2 is thwarted; a reference that says it succeeds differs
+        # in exactly that cell
+        row = EXPECTED_MATRIX.names.index("jemalloc")
+        col = EXPECTED_MATRIX.attacks.index("A2")
+        cells = [list(r) for r in EXPECTED_MATRIX.cells]
+        assert cells[row][col] is Outcome.THWARTED
+        cells[row][col] = Outcome.SUCCEEDS
+        flipped = EXPECTED_MATRIX._replace(cells=tuple(map(tuple, cells)))
+        monkeypatch.setattr(cli, "EXPECTED_MATRIX", flipped)
+        assert main(["matrix", "--expect"]) == 1
+        out = capsys.readouterr()
+        assert out.err == "mismatch jemalloc A2: got T, expected S\n"
+        assert out.out == render(run_matrix()).decode("utf-8")
 
     def test_text_table_lists_rows_in_order(self, capsys):
         main(["matrix", "--format", "text"])

@@ -7,7 +7,7 @@ import pytest
 from capheap import engines
 from capheap.allocator_api import AllocError, AllocErrorKind, round16
 from capheap.bench import Workload, run_workload
-from capheap.capability import CapFault, FaultKind, Perm
+from capheap.capability import CapFault, Capability, FaultKind, Perm
 from capheap.engines import (
     CHUNK_HEADER_SIZE,
     CHUNK_MAGIC,
@@ -18,6 +18,9 @@ from capheap.engines import (
 )
 from capheap.registry import ALLOCATOR_NAMES, TRAITS, create
 from capheap.tagged_memory import GRANULE, TaggedHeap
+
+
+FREE_LIST_NAMES = ["dlmalloc-cheribuild", "jemalloc", "libmalloc-simple"]
 
 
 def region_size(alloc):
@@ -312,6 +315,29 @@ class TestFreeListEngine:
         assert alloc.chunks() == chunks
         assert alloc._free_list == free_list
 
+    @pytest.mark.parametrize("name", FREE_LIST_NAMES)
+    @pytest.mark.parametrize("op", ["free", "realloc"])
+    def test_header_below_the_heap_faults_and_commits_nothing(self, name, op):
+        # a cursor moved to 4 puts the header at -4
+        alloc = create(name, heap_size=4096)
+        p = alloc.malloc(32)
+        free_list, snapshot = list(alloc._free_list), alloc.heap.snapshot()
+        args = (p.set_address(4),) if op == "free" else (p.set_address(4), 64)
+        with pytest.raises(CapFault) as exc:
+            getattr(alloc, op)(*args)
+        assert str(exc.value) == "BoundsViolation: header would sit below the heap"
+        assert alloc._free_list == free_list
+        assert alloc.heap.snapshot() == snapshot
+
+    @pytest.mark.parametrize("name", FREE_LIST_NAMES)
+    def test_header_past_the_heap_end_is_the_heaps_bounds_fault(self, name):
+        # a hand-built capability wider than the heap passes its own check
+        alloc = create(name, heap_size=4096)
+        with pytest.raises(CapFault) as exc:
+            alloc.free(Capability(True, 0, 8192, 4100, 0x3F))
+        assert str(exc.value) == "BoundsViolation: [4092, 4100) outside [0, 4096)"
+        assert alloc._free_list == [0]
+
     def test_out_of_memory(self):
         alloc = create("dlmalloc-cheribuild", heap_size=128)
         alloc.malloc(64)
@@ -489,6 +515,108 @@ class TestContractAcrossAllEngines:
         alloc.heap.store(p, p.address, bytes(range(32)))
         q = alloc.realloc(p, 200)
         assert alloc.heap.load(q, q.address, 32) == bytes(range(32))
+
+
+class TestOffGridFallback:
+    """The class index holds only chunks on the 8-byte grid.  A header
+    forged off the grid (at 4 modulo 8) and listed drops the index, no
+    scan starts it again while that chunk is listed, and once it is
+    handed out the next long scan does.  One grown in place is never
+    listed, so the index stays on, and its header write must still mark
+    the listed header its second granule holds.  Each scenario runs with
+    the index on from the first malloc (``_SCAN_LIMIT`` 0) and again on a
+    scan-only twin (a limit no list reaches): every result, fault text,
+    free list and heap snapshot must be the same."""
+
+    HEAP = 1 << 14
+    FORGED = struct.Struct("<IHBB")
+
+    def forge(self, alloc, cap, chunk, payload, status):
+        alloc.heap.store(cap, chunk, self.FORGED.pack(payload, CHUNK_MAGIC, status, 0))
+
+    def listed_by_free(self, alloc, step):
+        a = alloc.malloc(600)  # chunk 0
+        alloc.malloc(64)  # keeps a apart from the tail
+        alloc.free(a)
+        self.forge(alloc, a, 36, 16, 0)
+        step(alloc.free, a.set_address(44))  # lists the chunk at 36
+        step(alloc.malloc, 64)  # splits the chunk at 0 behind it
+        step(alloc.malloc, 16)  # takes the chunk at 36
+
+    def listed_by_a_moving_realloc(self, alloc, step):
+        a = alloc.malloc(600)
+        alloc.malloc(64)
+        self.forge(alloc, a, 36, 16, 1)
+        step(alloc.realloc, a.set_address(44), 100)  # moves; lists the chunk at 36
+        step(alloc.malloc, 5000)
+        step(alloc.malloc, 16)
+
+    def listed_by_a_split_after_absorbing(self, alloc, step):
+        a = alloc.malloc(600)  # chunk 0, payload 608
+        b = alloc.malloc(64)  # chunk 616
+        alloc.malloc(64)
+        alloc.free(b)
+        # 12 bytes of payload reach the listed chunk at 616: the grown
+        # chunk at 596 splits, and its remainder at 652 is listed
+        self.forge(alloc, a, 596, 12, 1)
+        step(alloc.realloc, a.set_address(604), 48)
+        step(alloc.malloc, 16)
+
+    def grown_in_place_over_a_listed_header(self, alloc, step):
+        a = alloc.malloc(600)
+        for chunk in (176, 208):  # listed, in granules 11 and 13
+            self.forge(alloc, a, chunk, 16, 0)
+            alloc.free(a.set_address(chunk + CHUNK_HEADER_SIZE))
+        # a FREE header at 172 reaches the chunk at 208; its magic and
+        # status are the payload bytes of the header at 176, now 0xCA1B
+        self.forge(alloc, a, 172, 28, 0)
+        step(alloc.malloc, 60000)  # re-reads 176, then takes the heap's tail
+        # grows 172 over 208 without a split: the LIVE status byte it
+        # writes in granule 11 makes the chunk at 176 claim 0x1CA1B bytes
+        step(alloc.realloc, a.set_address(180), 32)
+        step(alloc.malloc, 100000)  # fits only the chunk at 176 before the tail
+
+    SCENARIOS = {
+        "free": (listed_by_free, FREE_LIST_NAMES, [False, False, True]),
+        "move": (listed_by_a_moving_realloc, FREE_LIST_NAMES, [False, False, True]),
+        "absorb": (listed_by_a_split_after_absorbing, ["libmalloc-simple"], [False, True]),
+        "grow": (grown_in_place_over_a_listed_header, ["libmalloc-simple"], [True, True, True]),
+    }
+
+    def run(self, scenario, name):
+        """Each step's outcome (a capability, None or a fault text), the
+        free list after it and whether the index is on, then the final
+        heap snapshot."""
+        alloc = create(name, self.HEAP)
+        steps = []
+
+        def step(fn, *args):
+            try:
+                got = fn(*args)
+                got = None if got is None else got.describe()
+            except (AllocError, CapFault) as exc:
+                got = f"{type(exc).__name__}: {exc}"
+            steps.append((got, list(alloc._free_list), alloc._classes is not None))
+            if alloc._classes is None:
+                assert alloc.heap.watch is None and not alloc.heap.dirty
+
+        scenario(self, alloc, step)
+        return steps, alloc.heap.snapshot()
+
+    @pytest.mark.parametrize(
+        "scenario, name",
+        [(key, name) for key, (_, names, _) in SCENARIOS.items() for name in names],
+    )
+    def test_indexed_run_matches_a_scan_only_twin(self, scenario, name, monkeypatch):
+        run, _, indexed = self.SCENARIOS[scenario]
+        monkeypatch.setattr(engines, "_SCAN_LIMIT", 0)
+        steps, snapshot = self.run(run, name)
+        assert [on for _, _, on in steps] == indexed
+        monkeypatch.setattr(engines, "_SCAN_LIMIT", 1 << 20)
+        twin_steps, twin_snapshot = self.run(run, name)
+        assert not any(on for _, _, on in twin_steps)
+        assert [s[:2] for s in steps] == [s[:2] for s in twin_steps]
+        assert snapshot == twin_snapshot
 
 
 class TestResetLeavesAFreshHeap:

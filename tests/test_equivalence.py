@@ -756,6 +756,39 @@ def test_engine_header_write_over_listed_forged_header(name, scan_limit, monkeyp
     assert engine_write_digest(name) == ENGINE_WRITE_DIGESTS[name]
 
 
+def split_onto_a_listed_header(name):
+    """Shift 0 of the fixture above, on the 8-byte grid: the remainder
+    header malloc(96) writes at 104 is the listed forged chunk's own, and
+    grows it from 16 to 504 bytes under the same listing.  malloc(64)
+    must see 504 and take it, as a scan reading the header does."""
+    alloc = create(name)
+    a = alloc.malloc(600)
+    alloc.free(a)
+    alloc.heap.store(a, 104, _HEADER.pack(16, CHUNK_MAGIC, 0, 0))
+    out = [outcome(alloc.free, a.set_address(104 + CHUNK_HEADER_SIZE)), list(alloc._free_list)]
+    out += [outcome(alloc.malloc, 96), list(alloc._free_list)]
+    return out + [outcome(alloc.malloc, 64), list(alloc._free_list)]
+
+
+SPLIT_ONTO_A_LISTED_HEADER = [
+    "None",
+    [104, 0, 616],
+    "cap(tag=1,base=0,top=104,addr=8,perms={})",
+    [104, 104, 616],
+    "cap(tag=1,base=104,top=176,addr=112,perms={})",
+    [176, 104, 616],
+]
+
+
+@pytest.mark.parametrize("scan_limit", [None, 0], ids=["scanned", "indexed"])
+@pytest.mark.parametrize("name", FREE_LIST_NAMES)
+def test_engine_header_write_refiles_a_listed_chunk(name, scan_limit, monkeypatch):
+    limit_scan(monkeypatch, scan_limit)
+    perms = "0x2f" if TRAITS[name].strips_exec else "0x3f"
+    expected = [x.format(perms) if isinstance(x, str) else x for x in SPLIT_ONTO_A_LISTED_HEADER]
+    assert split_onto_a_listed_header(name) == expected
+
+
 def test_chunk_walk_must_end_at_the_heap_end():
     """A LIVE header claiming 10**6 bytes, stored at 0 through the block's
     own capability, sends the walk past the end of a 16 KiB heap.  The

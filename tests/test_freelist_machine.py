@@ -10,10 +10,10 @@ payload granules, and resets.
 
 After every step the occurrence index must equal the free list's
 counts and every granule under a header the engine wrote during the
-step must be untagged.  Once the class index has started, every listed
-header's granules must be watched, and each slot's class must be its
-header's as read from the heap bytes, unless a write since the last
-malloc left the header's granule dirty.
+step must be untagged.  While the class index is on, every listed
+chunk must be on the 8-byte grid, its header's granules watched, and
+each slot's class must be its header's as read from the heap bytes,
+unless a write since the last malloc left the header's granule dirty.
 ``chunks()`` may fail only as a classified ``CorruptHeader`` or bounds
 fault, and a list it returns must tile the heap exactly.  Until the
 client mounts one of the modelled attacks (a forged header, a free that
@@ -345,14 +345,16 @@ class FreeListMachine(RuleBasedStateMachine):
 
     @invariant()
     def classes_agree_with_heap_bytes(self):
-        """Every listed header's granules are watched, and each slot's
-        class is its header's, read from the heap bytes, unless the header
-        is over a granule written since the last malloc's re-read."""
+        """Every listed chunk is on the 8-byte grid, its header's granules
+        are watched, and each slot's class is its header's, read from the
+        heap bytes, unless the header is over a granule written since the
+        last malloc's re-read."""
         alloc = self.alloc
         heap = alloc.heap
-        if alloc._classes is None:  # a short list, scanned: nothing watched yet
+        if alloc._classes is None:  # scanned: a short list, or one off the grid
             assert heap.watch is None and not heap.dirty
             return
+        assert not any(chunk & 7 for chunk in alloc._free_list)
         assert len(alloc._classes) == len(alloc._free_list)
         for chunk, cls in zip(alloc._free_list, alloc._classes):
             granules = range(chunk // GRANULE, (chunk + CHUNK_HEADER_SIZE - 1) // GRANULE + 1)

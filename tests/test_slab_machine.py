@@ -160,7 +160,7 @@ class SlabMachine(RuleBasedStateMachine):
             expected[slab.offset][slot : slot + nslots] = b"\x01" * nslots
         for slab in self.alloc._slabs:
             assert slab.bits == expected[slab.offset]
-            assert self.alloc._open[slab.cls][slab.rank] == (0 in slab.bits)
+            assert self.alloc._open[slab.cls][slab.index] == (0 in slab.bits)
         assert set(records) == {cap.base for cap in self.live} | self.pending
 
     @invariant()
