@@ -40,6 +40,15 @@ modulo 16, where the 8 bytes straddle two granules; when the engine
 rewrites such a header (freeing at the forged address, or handing the
 forged chunk out) both tags are cleared.
 
+The free-list operations keep their Python frames few, since a call
+costs about as much as a handful of the byte and dict operations an op
+is made of: malloc checks its request itself, free reads the header
+through the client's capability in line while every check passes
+(``_client_header`` runs, and raises, where one fails), and ``_push``
+(FREE) and ``_carve`` (LIVE) each write their header in line.  A
+malloc(48)+free pair that takes and gives back the head chunk runs six
+frames on the scan and seven with the class index.
+
 The free list itself is kept out of band (a list of chunk offsets, most
 recently freed first) rather than threaded through chunk payloads:
 freeing deliberately leaves payload bytes untouched, which is part of
@@ -216,7 +225,10 @@ class FreeListAllocator(Allocator):
 
     malloc takes the first listed chunk, from the head, whose header
     payload covers the rounded request: a finder picks the slot and
-    ``_carve`` hands it out.  The scan reads the headers in turn: a bad
+    ``_carve`` hands it out, writing the LIVE header itself; ``_push``
+    writes the FREE ones.  free reads the header in line and falls back
+    to ``_client_header``, which raises the fault or error, whenever a
+    check would fail.  The scan reads the headers in turn: a bad
     magic raises CORRUPT_HEADER, and none fitting is OUT_OF_MEMORY.
     Once a scan has visited more than ``_SCAN_LIMIT`` entries, and until
     reset, ``_fit_indexed`` picks without reading the headers it passes
@@ -259,20 +271,33 @@ class FreeListAllocator(Allocator):
         self.heap.watch = None
         self.heap.dirty.clear()
 
-    # Listing.  All occurrences of a chunk share its header, so they share
-    # a class: a chunk already listed is filed under its current class,
-    # and the engine's write that changed its header left the granule
-    # dirty for the next re-read.  The index holds only chunks on the
-    # 8-byte grid (every one but a forged one), whose header lies in one
-    # granule, shared at most with the chunk at offset ^ 8; that granule
-    # is watched.  Listing a chunk off the grid drops the index, and it
-    # does not start again while such a chunk is listed.
+    # Listing goes through _push and _leave; the one exception is the
+    # split in _carve, which counts out the chunk whose slot the remainder
+    # took in line, as _leave(chunk) would.  All occurrences of a chunk
+    # share its header, so they share a class (linear ones are computed in
+    # line): a chunk already listed is filed under its current class, and
+    # the engine's write that changed its header left the granule dirty
+    # for the next re-read.  The index holds only chunks on the 8-byte grid
+    # (every one but a forged one), whose header lies in one granule,
+    # shared at most with the chunk at offset ^ 8; that granule is
+    # watched.  Listing a chunk off the grid drops the index, and it does
+    # not start again while such a chunk is listed.
 
     def _push(self, chunk: int, payload: int, slot: int = -1) -> None:
         """Write a FREE header of ``payload`` bytes at ``chunk`` and list
         it at the head (the free list is LIFO), or in place of the
         occurrence at ``slot``, which the caller then counts out."""
-        self._write_header(chunk, payload, _STATUS_FREE)
+        heap = self.heap
+        if chunk < 0 or chunk + CHUNK_HEADER_SIZE > heap.size:
+            self.region.check_access(chunk, CHUNK_HEADER_SIZE, Perm.STORE)
+        _HEADER.pack_into(heap.data, chunk, payload, CHUNK_MAGIC, _STATUS_FREE, 0)
+        first, last = chunk >> 4, (chunk + CHUNK_HEADER_SIZE - 1) >> 4
+        heap.tags[first] = heap.tags[last] = 0
+        if last >= heap.extent:
+            heap.extent = last + 1
+        watch = heap.watch
+        if watch is not None and (watch[first] or watch[last]):
+            heap.touch(first, last)
         listed = self._listed
         n = listed.get(chunk, 0)
         listed[chunk] = n + 1
@@ -283,8 +308,8 @@ class FreeListAllocator(Allocator):
             if n:
                 cls = self._class_of[chunk]
             else:
-                cls = self._class_of[chunk] = _class(payload)
-                self.heap.watch[chunk >> 4] = 1
+                cls = self._class_of[chunk] = payload >> 4 if payload < _LINEAR else _class(payload)
+                watch[chunk >> 4] = 1
             if slot < 0:
                 classes.insert(0, cls)
             else:
@@ -353,28 +378,13 @@ class FreeListAllocator(Allocator):
     # docstring).  The engine's authority is the region capability, which
     # is tagged, holds every permission and spans the heap, so its check
     # can only fail on bounds: that test stays inline, and when it fails
-    # check_access raises the fault heap.load or heap.store would.  A
-    # write clears the tag of every granule its 8 bytes overlap: one for
-    # a chunk start, two for a header forged at 9..15 modulo 16; like a
-    # client's store, it raises the heap's written extent and marks the
-    # watched ones dirty.
-
-    def _write_header(self, chunk: int, payload_size: int, status: int) -> None:
-        heap = self.heap
-        if chunk < 0 or chunk + CHUNK_HEADER_SIZE > heap.size:
-            self.region.check_access(chunk, CHUNK_HEADER_SIZE, Perm.STORE)
-        _HEADER.pack_into(heap.data, chunk, payload_size, CHUNK_MAGIC, status, 0)
-        first = chunk >> 4
-        last = (chunk + CHUNK_HEADER_SIZE - 1) >> 4
-        tags = heap.tags
-        tags[first] = 0
-        if last != first:
-            tags[last] = 0
-        if last >= heap.extent:
-            heap.extent = last + 1
-        watch = heap.watch
-        if watch is not None and (watch[first] or watch[last]):
-            heap.touch(first, last)
+    # check_access raises the fault heap.load or heap.store would.  The
+    # two header writers, _push (FREE) and _carve (LIVE), each write in
+    # line rather than through a shared helper, to save a Python frame
+    # per op: a write clears the tag of every granule its 8 bytes
+    # overlap (one for a chunk start, two for a header forged at 9..15
+    # modulo 16) and, like a client's store, raises the heap's written
+    # extent and marks the watched ones dirty.
 
     def _read_header(self, chunk: int) -> tuple[int, int, int]:
         if chunk < 0 or chunk + CHUNK_HEADER_SIZE > self.heap.size:
@@ -405,7 +415,9 @@ class FreeListAllocator(Allocator):
         return chunk, size
 
     def malloc(self, size: int) -> Capability:
-        want = self._check_request(size)
+        if not isinstance(size, int) or size < 1:  # _check_request, in line
+            raise AllocError(AllocErrorKind.BAD_REQUEST, f"size {size!r}")
+        want = (size + 15) & ~15
         free_list = self._free_list
         if self._classes is not None:
             slot, payload = self._fit_indexed(want)
@@ -472,10 +484,11 @@ class FreeListAllocator(Allocator):
         is derived, and a remainder header outside the heap faults, before
         anything is committed."""
         region = self.region
+        heap = self.heap
         at = chunk + CHUNK_HEADER_SIZE  # the payload
         if payload >= want + 32:
             rest = at + want
-            if rest + CHUNK_HEADER_SIZE > self.heap.size:
+            if rest + CHUNK_HEADER_SIZE > heap.size:
                 region.check_access(rest, CHUNK_HEADER_SIZE, Perm.STORE)
         else:
             rest, want = 0, payload
@@ -483,15 +496,41 @@ class FreeListAllocator(Allocator):
         cap = _derive(region, chunk, CHUNK_HEADER_SIZE + want, at, perms, self._rounding)
         if rest:
             self._push(rest, payload - want - CHUNK_HEADER_SIZE, slot)
-            if slot >= 0:
-                self._leave(chunk)
+            if slot >= 0:  # the remainder took the slot: _leave(chunk)'s count-out
+                listed = self._listed
+                n = listed.pop(chunk) - 1
+                if n:
+                    listed[chunk] = n
+                elif self._classes is not None:
+                    del self._class_of[chunk]
+                    if chunk ^ 8 not in listed:
+                        heap.watch[chunk >> 4] = 0
         elif slot >= 0:
             self._leave(chunk, slot)
-        self._write_header(chunk, want, _STATUS_LIVE)
+        # the LIVE header, written as _push writes a FREE one
+        if chunk < 0 or at > heap.size:
+            region.check_access(chunk, CHUNK_HEADER_SIZE, Perm.STORE)
+        _HEADER.pack_into(heap.data, chunk, want, CHUNK_MAGIC, _STATUS_LIVE, 0)
+        first, last = chunk >> 4, (at - 1) >> 4
+        heap.tags[first] = heap.tags[last] = 0
+        if last >= heap.extent:
+            heap.extent = last + 1
+        watch = heap.watch
+        if watch is not None and (watch[first] or watch[last]):
+            heap.touch(first, last)
         return cap
 
     def free(self, cap: Capability) -> None:
-        chunk, payload = self._client_header(cap)
+        # _client_header's checks in line while they all pass and the
+        # capability ends inside the heap, as every one malloc hands out
+        # does; otherwise it runs, and raises or returns the same
+        tag, base, top, address, perms = cap
+        chunk = address - CHUNK_HEADER_SIZE
+        magic = None
+        if tag and perms & _NEED_LOAD and 0 <= chunk >= base and address <= top <= self.heap.size:
+            payload, magic, _, _ = _HEADER.unpack_from(self.heap.data, chunk)
+        if magic != CHUNK_MAGIC:
+            chunk, payload = self._client_header(cap)
         if chunk in self._listed:
             # silent relink: the first occurrence moves to the head
             self._leave(chunk, self._free_list.index(chunk))
@@ -514,11 +553,11 @@ class FreeListAllocator(Allocator):
         if ncopy and cap.address + ncopy > heap.size:
             heap.fault_outside(cap.address, ncopy)
         new_cap = self.malloc(new_size)
-        if ncopy:  # a forged header may claim no payload at all
-            data = heap.load(self.region, cap.address, ncopy)
-            heap.store(self.region, new_cap.address, data)
-        if new_size > ncopy:
-            heap.store(self.region, new_cap.address + ncopy, bytes(new_size - ncopy))
+        # the copy, read in place (the source is inside the heap, so the
+        # region's check cannot fail), and the zero tail in one store; a
+        # forged header may claim no payload at all, so the copy may be empty
+        data = heap.data[cap.address : cap.address + ncopy]
+        heap.store(self.region, new_cap.address, data + bytes(new_size - ncopy))
         # no client validation: a chunk already listed through a stale
         # capability is listed twice
         self._push(chunk, payload)

@@ -1,6 +1,7 @@
 from bisect import bisect_left, insort
 import random
 import struct
+import sys
 
 import pytest
 
@@ -207,6 +208,21 @@ class TestFreeListEngine:
         assert int.from_bytes(raw[4:6], "little") == CHUNK_MAGIC
         assert raw[6] == 1  # live
         assert raw[7] == 0
+
+    @pytest.mark.parametrize("name", FREE_LIST_NAMES)
+    def test_header_writes_clear_the_tag_of_the_header_granule(self, name):
+        """A capability stored over a header whose first 8 bytes encode the
+        header itself (base = payload, top = magic and status) tags the
+        granule and leaves the header intact; the FREE header write of
+        ``free`` and the LIVE one of ``malloc`` must each clear that tag."""
+        alloc = create(name)
+        x = alloc.malloc(64)
+        assert x.base == 0
+        for status, op in ((1, lambda: alloc.free(x)), (0, lambda: alloc.malloc(64))):
+            alloc.heap.store_cap(x, 0, Capability(True, 64, CHUNK_MAGIC | status << 16, 0, 0))
+            assert alloc.heap.tags[0] == 1 and alloc.chunks()[0] == (0, 64, status)
+            op()
+            assert alloc.heap.tags[0] == 0 and alloc.chunks()[0] == (0, 64, 1 - status)
 
     def test_chunks_tile_the_region(self):
         # oracle: sum of (header + payload) must equal the region size
@@ -660,6 +676,30 @@ class TestResetLeavesAFreshHeap:
         assert alloc.heap.data[chunk + 6] == 1 and alloc.heap.extent == 252
         self.assert_fresh_after_reset(alloc)
 
+    @pytest.mark.parametrize("name", FREE_LIST_NAMES)
+    def test_indexed_free_list_reset_marks_nothing_dirty(self, name, monkeypatch):
+        """With the class index on, the heap watches a granule per listed
+        chunk; reset drops the barrier before clearing the heap, so no
+        granule is marked dirty just to be forgotten (before, ``clear()``
+        did, one ``touch`` over the whole heap)."""
+        alloc = create(name)
+        blocks = [alloc.malloc(16) for _ in range(1200)]
+        for cap in blocks[::2]:
+            alloc.free(cap)
+        alloc.malloc(4096)  # a scan past 600 listed chunks starts the index
+        assert alloc._classes is not None and len(alloc._listed) >= 500
+        touches = []
+        touch = TaggedHeap.touch
+
+        def counted(heap, first, last):
+            touches.append((first, last))
+            touch(heap, first, last)
+
+        monkeypatch.setattr(TaggedHeap, "touch", counted)
+        self.assert_fresh_after_reset(alloc)
+        assert touches == []
+        assert alloc.heap.watch is None and not alloc.heap.dirty
+
     @pytest.mark.parametrize(
         "name", ["bump-alloc-cheri", "bump-alloc-nocheri", "snmalloc-cheribuild", "snmalloc-repo"]
     )
@@ -759,7 +799,10 @@ def test_random_sequences_keep_live_blocks_disjoint(name):
 
 class CountingHeader:
     """Stands in for ``engines._HEADER``: counts ``unpack_from`` calls made
-    while ``inside`` is non-zero and passes everything through."""
+    while ``inside`` is non-zero and passes everything through.  Every
+    header read of the free-list engine, folded into its caller or not,
+    goes through ``_HEADER.unpack_from``, so none inside ``malloc`` goes
+    uncounted."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -811,6 +854,48 @@ def test_first_fit_header_reads_per_malloc(monkeypatch, workload, reads, mallocs
     monkeypatch.setattr(FreeListAllocator, "malloc", counted)
     run_workload(create("jemalloc"), workload)
     assert (counter.reads, len(calls)) == (reads, mallocs)
+
+
+def calls_into_capheap(run):
+    """The Python calls into capheap's modules while ``run()`` runs,
+    counted by a profile hook: a cost count that needs no timing."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_globals.get("__name__", "").partition(".")[0] == "capheap":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("name", FREE_LIST_NAMES)
+@pytest.mark.parametrize("scan_limit, calls", [(64, 6000), (0, 7000)], ids=["scanned", "indexed"])
+def test_python_calls_per_malloc_free_pair(name, scan_limit, calls, monkeypatch):
+    """1,000 ``malloc(48)`` + ``free`` pairs, each taking and giving back
+    the same chunk at the head of the list.  A pair made 11 calls into
+    capheap on the scan and 13 with the class index on, before
+    ``_check_request``, ``_write_header``, the count-out of ``_leave``,
+    ``_client_header`` (in its common case), ``check_access`` and the
+    linear ``_class`` were folded into their callers; now it makes 6
+    (``malloc``, ``_carve``, ``_derive``, ``_leave``, ``free``,
+    ``_push``) and 7 (``_fit_indexed`` too)."""
+    monkeypatch.setattr(engines, "_SCAN_LIMIT", scan_limit)
+    alloc = create(name)
+    alloc.free(alloc.malloc(48))  # with _SCAN_LIMIT 0 this malloc starts the index
+    assert (alloc._classes is not None) == (scan_limit == 0)
+
+    def pairs():
+        for _ in range(1000):
+            alloc.free(alloc.malloc(48))
+
+    assert calls_into_capheap(pairs) == calls
+    assert alloc._free_list[0] == 0 and alloc.chunks()[0] == (0, 48, 0)
 
 
 def test_free_list_engine_runs_over_a_plain_heap():

@@ -2,15 +2,18 @@
 
 Hypothesis drives mallocs, frees, re-frees through stale capabilities
 (a relink when the chunk is still listed), reallocs, headers forged
-through stale or live capabilities (at any offset, so some straddle two
-granules, optionally with the second granule tagged by a capability
-store), frees aimed inside a block or at a forged header, frees through
+through stale or live capabilities (most on the 8-byte grid, where a
+listed one stays in the class index, the rest at any offset, so some
+straddle two granules, optionally with the second granule tagged by a
+capability store), frees aimed inside a block or at a forged header,
+frees through
 a capability narrowed to the payload, capability stores that tag
 payload granules, and resets.
 
 After every step the occurrence index must equal the free list's
 counts and every granule under a header the engine wrote during the
-step must be untagged.  While the class index is on, every listed
+step must be untagged; the writes are recorded at ``_HEADER.pack_into``,
+which every header write of the engine goes through.  While the class index is on, every listed
 chunk must be on the 8-byte grid, its header's granules watched, and
 each slot's class must be its header's as read from the heap bytes,
 unless a write since the last malloc left the header's granule dirty.
@@ -64,8 +67,13 @@ SIZES = st.one_of(st.integers(1, 64), st.integers(1, 600), st.integers(1, 6000))
 INDEX = st.integers(0, 1 << 16)
 # forged payload sizes: mostly granule multiples, some arbitrary or huge
 FORGED_SIZES = st.one_of(st.integers(0, 64).map(lambda n: 16 * n), st.integers(0, 1 << 20))
-# forged header offsets inside the capability: near its base, or anywhere
+# forged header offsets inside the capability: near its base, or anywhere;
+# forge_header moves most down to the 8-byte grid (see FORGE_ON_GRID)
 FORGE_OFFSETS = st.one_of(st.integers(0, 24), st.integers(0, 1 << 16))
+# non-zero for a forged header moved down to the 8-byte grid: once listed
+# it leaves the class index on, so that engine writes over it exercise the
+# write barrier (one off the grid switches the index off while listed)
+FORGE_ON_GRID = st.integers(0, 7)
 
 
 def rounded(base, length):
@@ -86,23 +94,34 @@ def tagging_capability(header, at):
     return Capability(True, base, top, address, 0)
 
 
+class RecordingHeader:
+    """Stands in for ``engines._HEADER`` while a machine runs: appends the
+    offset of every header written through ``pack_into`` to ``written``
+    and passes everything through."""
+
+    def __init__(self, inner, written):
+        self.inner = inner
+        self.written = written
+
+    def pack_into(self, buffer, offset, *fields):
+        self.inner.pack_into(buffer, offset, *fields)
+        self.written.append(offset)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
 class FreeListMachine(RuleBasedStateMachine):
     config = "jemalloc"
     heap_size = HEAP
     rounding = False
+    written = []  # headers the engine wrote during the current step, set by run_machine
 
     def __init__(self):
         super().__init__()
         self.alloc = create(self.config, heap_size=self.heap_size, rounding_bounds=self.rounding)
         self.fresh = self.alloc.heap.snapshot()  # the heap as a fresh instance has it
-        self.written = []  # headers the engine wrote during the current step
-        write = self.alloc._write_header
-
-        def recording(chunk, payload, status):
-            write(chunk, payload, status)
-            self.written.append(chunk)
-
-        self.alloc._write_header = recording
+        self.written.clear()
         self.reset_model()
 
     def reset_model(self):
@@ -275,13 +294,16 @@ class FreeListMachine(RuleBasedStateMachine):
     @rule(
         index=INDEX,
         offset=FORGE_OFFSETS,
+        on_grid=FORGE_ON_GRID,
         size=FORGED_SIZES,
         status=st.sampled_from([FREE, LIVE]),
         tag=st.booleans(),
     )
-    def forge_header(self, index, offset, size, status, tag):
+    def forge_header(self, index, offset, on_grid, size, status, tag):
         cap = self.pick(self.stale + self.live, index)
         at = cap.base + offset % (cap.length - CHUNK_HEADER_SIZE + 1)
+        if on_grid and at & ~7 >= cap.base:  # cap.base is off it only for a forged chunk
+            at &= ~7
         header = HEADER.pack(size, CHUNK_MAGIC, status, 0)
         self.alloc.heap.store(cap, at, header)
         spill = (at | (GRANULE - 1)) + 1  # the next granule, if the header reaches it
@@ -410,9 +432,15 @@ class FreeListMachine(RuleBasedStateMachine):
             assert top <= base
 
 
-def run_machine(config, **attrs):
+def run_machine(config, monkeypatch, **attrs):
     assert TRAITS[config].free_validation is FreeValidation.INLINE_HEADER
-    machine = type(f"FreeListMachine[{config}]", (FreeListMachine,), {"config": config, **attrs})
+    written = []
+    monkeypatch.setattr(engines, "_HEADER", RecordingHeader(engines._HEADER, written))
+    machine = type(
+        f"FreeListMachine[{config}]",
+        (FreeListMachine,),
+        {"config": config, "written": written, **attrs},
+    )
     run_state_machine_as_test(
         machine,
         settings=settings(
@@ -422,8 +450,8 @@ def run_machine(config, **attrs):
 
 
 @pytest.mark.parametrize("config", ["dlmalloc-cheribuild", "jemalloc", "libmalloc-simple"])
-def test_free_list_state_machine(config):
-    run_machine(config)
+def test_free_list_state_machine(config, monkeypatch):
+    run_machine(config, monkeypatch)
 
 
 @pytest.mark.parametrize("config", ["dlmalloc-cheribuild", "jemalloc", "libmalloc-simple"])
@@ -432,7 +460,7 @@ def test_free_list_state_machine_indexed(config, monkeypatch):
     that visits more than 4 entries instead of 64, so that most steps run
     on the index and many cross into it."""
     monkeypatch.setattr(engines, "_SCAN_LIMIT", 4)
-    run_machine(config)
+    run_machine(config, monkeypatch)
 
 
 @pytest.mark.parametrize(
@@ -443,4 +471,4 @@ def test_free_list_state_machine_rounding(config, scan_limit, monkeypatch):
     scanned mallocs, indexed ones (the index starting at the first
     malloc), and (``libmalloc-simple``) blocks grown in place."""
     monkeypatch.setattr(engines, "_SCAN_LIMIT", scan_limit)
-    run_machine(config, rounding=True, heap_size=HEAP + 16)
+    run_machine(config, monkeypatch, rounding=True, heap_size=HEAP + 16)
