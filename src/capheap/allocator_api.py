@@ -120,7 +120,7 @@ class Allocator(abc.ABC):
     def reset(self) -> None:
         """Back to the initial state over a freshly zeroed heap."""
         # _reset_state drops whatever the engine mirrored of the heap, so
-        # the barrier goes first and clear() marks no watched granule dirty
+        # the barrier goes first and clear() marks no watched unit dirty
         self.heap.watch = None
         self.heap.clear()
         self._reset_state()

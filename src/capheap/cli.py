@@ -7,7 +7,8 @@ allocator names), and ``dump`` (drive an allocator from a script and
 write a raw heap snapshot).
 
 Exit codes: 0 on success or a matching matrix, 1 when ``--expect``
-finds mismatches or a dump script op fails, 2 on malformed input.
+finds mismatches or a dump script op fails, 2 on malformed input or a
+file ``dump`` cannot read or write.
 """
 
 from __future__ import annotations
@@ -188,8 +189,12 @@ def cmd_dump(args) -> int:
         sys.stdout.buffer.write(snapshot)
         sys.stdout.buffer.flush()
     else:
-        with open(args.out, "wb") as fh:
-            fh.write(snapshot)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(snapshot)
+        except OSError as exc:
+            print(f"cannot write snapshot: {exc}", file=sys.stderr)
+            return 2
     return 0
 
 

@@ -70,12 +70,12 @@ above, or poisoned for a bad magic.  One ``translate`` and one ``find``
 over those bytes pick the slot, or raise the CorruptHeader, that the
 scan would.  The tail, which realloc growing in place shares, splits
 off a remainder of 32 bytes or more.  The classes stay true to the heap
-bytes behind a write barrier: the heap watches the granule under every
+bytes behind a write barrier: the heap watches the 8-byte unit of every
 indexed header, any store or engine header write to one marks it
-dirty, and the next malloc first re-reads just the listed headers over
-dirty granules.  A header forged through a stale capability therefore
+dirty, and the next malloc first re-reads just the listed headers at
+dirty units.  A header forged through a stale capability therefore
 still steers the next malloc.  The index holds only chunks on the
-8-byte grid, whose header lies in one granule: while a forged chunk off
+8-byte grid, whose header is exactly one unit: while a forged chunk off
 the grid is listed, there is no index and the scan answers.
 """
 
@@ -246,13 +246,13 @@ class FreeListAllocator(Allocator):
 
     Clients can overwrite headers, and the engine's own header writes
     can land on a forged one, so the classes stand behind the heap's
-    write barrier: the heap watches the granule under every indexed
-    header, every write to a watched granule (a header write tests both
-    granules it may overlap) marks it dirty, and malloc first re-reads
-    just the listed headers over dirty granules and re-files each whose
-    class moved.  chunks() raises CORRUPT_HEADER on a bad magic or a walk
-    that does not end exactly at the heap's end, and realloc absorption
-    on a FREE header that is not listed.
+    write barrier: the heap watches the 8-byte unit of every indexed
+    header, every write to a watched unit (the LIVE header of a chunk
+    grown in place tests both units it may overlap) marks it dirty, and
+    malloc first re-reads the header at each dirty unit that is listed
+    and re-files its slots.  chunks() raises CORRUPT_HEADER on a bad
+    magic or a walk that does not end exactly at the heap's end, and
+    realloc absorption on a FREE header that is not listed.
     """
 
     validations = (FreeValidation.INLINE_HEADER,)
@@ -267,21 +267,19 @@ class FreeListAllocator(Allocator):
     def _unindex(self) -> None:
         """Drop the class index: the scan answers until it starts again."""
         self._classes: bytearray | None = None  # the class of each slot's chunk
-        self._class_of: dict[int, int] = {}  # chunk -> the class of all its slots
         self.heap.watch = None
         self.heap.dirty.clear()
 
     # Listing goes through _push and _leave; the one exception is the
     # split in _carve, which counts out the chunk whose slot the remainder
-    # took in line, as _leave(chunk) would.  All occurrences of a chunk
-    # share its header, so they share a class (linear ones are computed in
-    # line): a chunk already listed is filed under its current class, and
-    # the engine's write that changed its header left the granule dirty
-    # for the next re-read.  The index holds only chunks on the 8-byte grid
-    # (every one but a forged one), whose header lies in one granule,
-    # shared at most with the chunk at offset ^ 8; that granule is
-    # watched.  Listing a chunk off the grid drops the index, and it does
-    # not start again while such a chunk is listed.
+    # took in line, as _leave(chunk) would.  The index holds only chunks
+    # on the 8-byte grid (every one but a forged one), so a chunk's header
+    # is exactly the unit the heap watches at chunk >> 3, and that unit
+    # is watched exactly while the chunk is listed.  A push files the
+    # chunk by the payload it writes; re-listing a chunk already listed
+    # leaves its unit dirty, so the next re-read re-files its other slots.
+    # Listing a chunk off the grid drops the index, and it does not start
+    # again while such a chunk is listed.
 
     def _push(self, chunk: int, payload: int, slot: int = -1) -> None:
         """Write a FREE header of ``payload`` bytes at ``chunk`` and list
@@ -295,9 +293,6 @@ class FreeListAllocator(Allocator):
         heap.tags[first] = heap.tags[last] = 0
         if last >= heap.extent:
             heap.extent = last + 1
-        watch = heap.watch
-        if watch is not None and (watch[first] or watch[last]):
-            heap.touch(first, last)
         listed = self._listed
         n = listed.get(chunk, 0)
         listed[chunk] = n + 1
@@ -305,11 +300,10 @@ class FreeListAllocator(Allocator):
         if classes is not None and chunk & 7:
             self._unindex()
         elif classes is not None:
-            if n:
-                cls = self._class_of[chunk]
-            else:
-                cls = self._class_of[chunk] = payload >> 4 if payload < _LINEAR else _class(payload)
-                watch[chunk >> 4] = 1
+            heap.watch[chunk >> 3] = 1
+            if n:  # its other slots keep the old class until the re-read
+                heap.dirty.add(chunk >> 3)
+            cls = payload >> 4 if payload < _LINEAR else _class(payload)
             if slot < 0:
                 classes.insert(0, cls)
             else:
@@ -330,12 +324,8 @@ class FreeListAllocator(Allocator):
         n = listed.pop(chunk) - 1
         if n:
             listed[chunk] = n
-            return
-        if self._classes is None:
-            return
-        del self._class_of[chunk]
-        if chunk ^ 8 not in listed:
-            self.heap.watch[chunk >> 4] = 0
+        elif self._classes is not None:
+            self.heap.watch[chunk >> 3] = 0
 
     def _index(self) -> None:
         """Start the class index, unless a chunk off the grid is listed:
@@ -344,34 +334,25 @@ class FreeListAllocator(Allocator):
         if any(chunk & 7 for chunk in self._listed):
             return
         heap = self.heap
-        watch = heap.watch = bytearray(len(heap.tags))
-        class_of = self._class_of
+        watch = heap.watch = bytearray(heap.size >> 3)
+        class_of = {}
         for chunk in self._listed:
             payload, magic, _, _ = _HEADER.unpack_from(heap.data, chunk)
             class_of[chunk] = _class(payload) if magic == CHUNK_MAGIC else _POISONED
-            watch[chunk >> 4] = 1
+            watch[chunk >> 3] = 1
         self._classes = bytearray(class_of[chunk] for chunk in self._free_list)
 
     def _resync(self) -> None:
-        """Re-read the header of every listed chunk over a dirty granule,
-        and re-file its slots if its class moved."""
+        """Re-read the header at every dirty unit whose chunk is listed,
+        and re-file each of its slots."""
         heap = self.heap
-        data = heap.data
-        listed = self._listed
-        class_of = self._class_of
-        for granule in heap.dirty:
-            for chunk in (granule << 4, (granule << 4) + 8):
-                cls = class_of.get(chunk)
-                if cls is None:
-                    continue
-                payload, magic, _, _ = _HEADER.unpack_from(data, chunk)
-                new = _class(payload) if magic == CHUNK_MAGIC else _POISONED
-                if new != cls:
-                    class_of[chunk] = new
-                    slot = -1
-                    for _ in range(listed[chunk]):
-                        slot = self._free_list.index(chunk, slot + 1)
-                        self._classes[slot] = new
+        for chunk in self._listed.keys() & {unit << 3 for unit in heap.dirty}:
+            payload, magic, _, _ = _HEADER.unpack_from(heap.data, chunk)
+            cls = _class(payload) if magic == CHUNK_MAGIC else _POISONED
+            slot = -1
+            for _ in range(self._listed[chunk]):
+                slot = self._free_list.index(chunk, slot + 1)
+                self._classes[slot] = cls
         heap.dirty.clear()
 
     # Header I/O is done in place on the heap bytes (see the module
@@ -384,7 +365,11 @@ class FreeListAllocator(Allocator):
     # per op: a write clears the tag of every granule its 8 bytes
     # overlap (one for a chunk start, two for a header forged at 9..15
     # modulo 16) and, like a client's store, raises the heap's written
-    # extent and marks the watched ones dirty.
+    # extent.  Of the watched units it may write, _push needs no test: an
+    # on-grid header is its own unit, watched only while that chunk is
+    # listed, and an off-grid push drops the index.  _carve's LIVE header
+    # may be that of an off-grid chunk grown in place, over two units, so
+    # it tests both and marks the watched ones dirty.
 
     def _read_header(self, chunk: int) -> tuple[int, int, int]:
         if chunk < 0 or chunk + CHUNK_HEADER_SIZE > self.heap.size:
@@ -502,9 +487,7 @@ class FreeListAllocator(Allocator):
                 if n:
                     listed[chunk] = n
                 elif self._classes is not None:
-                    del self._class_of[chunk]
-                    if chunk ^ 8 not in listed:
-                        heap.watch[chunk >> 4] = 0
+                    heap.watch[chunk >> 3] = 0
         elif slot >= 0:
             self._leave(chunk, slot)
         # the LIVE header, written as _push writes a FREE one
@@ -516,8 +499,8 @@ class FreeListAllocator(Allocator):
         if last >= heap.extent:
             heap.extent = last + 1
         watch = heap.watch
-        if watch is not None and (watch[first] or watch[last]):
-            heap.touch(first, last)
+        if watch is not None and (watch[chunk >> 3] or watch[(at - 1) >> 3]):
+            heap.touch(chunk >> 3, (at - 1) >> 3)
         return cap
 
     def free(self, cap: Capability) -> None:

@@ -38,13 +38,13 @@ hand-built ``Capability`` can hold one) with
 byte or tag changes.
 
 Every heap has a write barrier for an engine that mirrors heap bytes
-out of band: once the engine sets ``watch`` (one byte per granule, set
-under what it mirrors), ``store``, ``store_cap``, ``touch`` and
-``clear`` add every watched granule they write to ``dirty``, which the
-engine drains before it trusts its mirror.  A writer of ``data`` or
-``tags`` other than ``store`` and ``store_cap`` (the free-list engine's
-in-place header writes) raises ``extent`` past what it wrote, or
-``clear()`` leaves those bytes behind.
+out of band: once the engine sets ``watch`` (one byte per 8 bytes of
+heap, set at the units it mirrors; unit ``u`` is bytes ``8u..8u+7``),
+``store``, ``store_cap``, ``touch`` and ``clear`` add every watched unit
+they write to ``dirty``, which the engine drains before it trusts its
+mirror.  A writer of ``data`` or ``tags`` other than ``store`` and
+``store_cap`` (the free-list engine's in-place header writes) raises
+``extent`` past what it wrote, or ``clear()`` leaves those bytes behind.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ class TaggedHeap:
             self.data = mmap.mmap(-1, size, **_PRIVATE)
             self.tags = bytearray(size // GRANULE)
         self.extent = 0  # one past the highest granule written since the last clear
-        self.watch: bytearray | None = None  # the write barrier's map, one byte per granule
-        self.dirty: set[int] = set()  # watched granules written since the engine looked
+        self.watch: bytearray | None = None  # the write barrier's map, one byte per 8 bytes
+        self.dirty: set[int] = set()  # watched units written since the engine looked
 
     def __del__(self, _finalizing=sys.is_finalizing):
         # Stock the pair if the slot is empty, the heap is no larger than
@@ -142,7 +142,7 @@ class TaggedHeap:
 
     def clear(self) -> None:
         """Re-zero every byte and tag written, in place; every watched
-        granule is dirty."""
+        unit is dirty."""
         self._zero()
         if self.watch is not None:
             self.touch(0, len(self.watch) - 1)
@@ -157,12 +157,12 @@ class TaggedHeap:
         self.extent = 0
 
     def touch(self, first: int, last: int) -> None:
-        """Mark dirty every watched granule in ``first..last``."""
+        """Mark dirty every watched unit in ``first..last``."""
         watch = self.watch
-        g = watch.find(1, first, last + 1)
-        while g >= 0:
-            self.dirty.add(g)
-            g = watch.find(1, g + 1, last + 1)
+        u = watch.find(1, first, last + 1)
+        while u >= 0:
+            self.dirty.add(u)
+            u = watch.find(1, u + 1, last + 1)
 
     def fault_outside(self, addr: int, length: int) -> None:
         """Raise the heap's own bounds fault for [addr, addr + length)."""
@@ -196,8 +196,8 @@ class TaggedHeap:
         if last >= self.extent:
             self.extent = last + 1
         watch = self.watch
-        if watch is not None and watch.find(1, first, last + 1) >= 0:
-            self.touch(first, last)
+        if watch is not None and watch.find(1, addr >> 3, (addr + len(payload) + 7) >> 3) >= 0:
+            self.touch(addr >> 3, (addr + len(payload) - 1) >> 3)
 
     def store_cap(self, cap: Capability, addr: int, payload: Capability) -> None:
         """Serialize ``payload`` into one granule; the granule tag becomes
@@ -219,8 +219,8 @@ class TaggedHeap:
         if granule >= self.extent:
             self.extent = granule + 1
         watch = self.watch
-        if watch is not None and watch[granule]:
-            self.dirty.add(granule)
+        if watch is not None and (watch[addr >> 3] or watch[(addr >> 3) + 1]):
+            self.touch(addr >> 3, (addr >> 3) + 1)
 
     def load_cap(self, cap: Capability, addr: int) -> Capability:
         """Deserialize one granule; the result's tag is the granule tag,

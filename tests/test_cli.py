@@ -178,6 +178,15 @@ class TestDumpCommand:
         rc = main(["dump", "--allocator", "jemalloc", "--script", "/nonexistent/x.txt"])
         assert rc == 2
 
+    def test_out_into_a_missing_directory_is_usage_error(self, tmp_path, capsys):
+        script = tmp_path / "script.txt"
+        script.write_text("malloc 32\n")
+        out = tmp_path / "no" / "such" / "x.bin"
+        rc = main(["dump", "--allocator", "jemalloc", "--script", str(script), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("cannot write snapshot: ")
+        assert not out.parent.exists()
+
 
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 2

@@ -539,7 +539,7 @@ class TestOffGridFallback:
     scan starts it again while that chunk is listed, and once it is
     handed out the next long scan does.  One grown in place is never
     listed, so the index stays on, and its header write must still mark
-    the listed header its second granule holds.  Each scenario runs with
+    the listed header in its second 8-byte unit.  Each scenario runs with
     the index on from the first malloc (``_SCAN_LIMIT`` 0) and again on a
     scan-only twin (a limit no list reaches): every result, fault text,
     free list and heap snapshot must be the same."""
@@ -580,7 +580,7 @@ class TestOffGridFallback:
 
     def grown_in_place_over_a_listed_header(self, alloc, step):
         a = alloc.malloc(600)
-        for chunk in (176, 208):  # listed, in granules 11 and 13
+        for chunk in (176, 208):  # listed, units 22 and 26
             self.forge(alloc, a, chunk, 16, 0)
             alloc.free(a.set_address(chunk + CHUNK_HEADER_SIZE))
         # a FREE header at 172 reaches the chunk at 208; its magic and
@@ -588,7 +588,7 @@ class TestOffGridFallback:
         self.forge(alloc, a, 172, 28, 0)
         step(alloc.malloc, 60000)  # re-reads 176, then takes the heap's tail
         # grows 172 over 208 without a split: the LIVE status byte it
-        # writes in granule 11 makes the chunk at 176 claim 0x1CA1B bytes
+        # writes in unit 22 makes the chunk at 176 claim 0x1CA1B bytes
         step(alloc.realloc, a.set_address(180), 32)
         step(alloc.malloc, 100000)  # fits only the chunk at 176 before the tail
 
@@ -678,9 +678,9 @@ class TestResetLeavesAFreshHeap:
 
     @pytest.mark.parametrize("name", FREE_LIST_NAMES)
     def test_indexed_free_list_reset_marks_nothing_dirty(self, name, monkeypatch):
-        """With the class index on, the heap watches a granule per listed
+        """With the class index on, the heap watches a unit per listed
         chunk; reset drops the barrier before clearing the heap, so no
-        granule is marked dirty just to be forgotten (before, ``clear()``
+        unit is marked dirty just to be forgotten (before, ``clear()``
         did, one ``touch`` over the whole heap)."""
         alloc = create(name)
         blocks = [alloc.malloc(16) for _ in range(1200)]
@@ -822,7 +822,7 @@ class CountingHeader:
     "workload, reads, mallocs",
     [
         (Workload.randsize(2000, 1, 16, 512), 2059, 1010),
-        (Workload.reallocramp(2000), 74527, 2001),
+        (Workload.reallocramp(2000), 74379, 2001),
     ],
     ids=["randsize", "reallocramp"],
 )
@@ -837,7 +837,9 @@ def test_first_fit_header_reads_per_malloc(monkeypatch, workload, reads, mallocs
     randsize reads just the chunk it takes (2.04 per malloc overall);
     reallocramp's requests pass 2048 bytes, where a class spans a quarter
     of a power of two, so smaller free chunks of the request's own class
-    are read too (37.2 per malloc)."""
+    are read too (37.2 per malloc).  Reallocramp read 74,527 while the
+    barrier watched 16-byte granules, 148 of them re-reads of headers
+    whose granule only a payload store had written."""
     counter = CountingHeader(engines._HEADER)
     monkeypatch.setattr(engines, "_HEADER", counter)
     malloc = FreeListAllocator.malloc
@@ -896,6 +898,61 @@ def test_python_calls_per_malloc_free_pair(name, scan_limit, calls, monkeypatch)
 
     assert calls_into_capheap(pairs) == calls
     assert alloc._free_list[0] == 0 and alloc.chunks()[0] == (0, 48, 0)
+
+
+@pytest.mark.parametrize("name", FREE_LIST_NAMES)
+def test_client_fills_leave_no_header_dirty(name, monkeypatch):
+    """Long-lived-style traffic with the class index on from the first
+    malloc: each block filled to its requested size, a back-pointer
+    stored in its first whole granule, some blocks freed.  No client
+    write reaches a header, so none is re-read.  While the barrier
+    watched 16-byte granules, a fill ending in the low half of a granule
+    whose high half held a listed header marked that header dirty."""
+    monkeypatch.setattr(engines, "_SCAN_LIMIT", 0)
+    resyncs = []
+    resync = FreeListAllocator._resync
+
+    def counted(self):
+        resyncs.append(set(self.heap.dirty))
+        resync(self)
+
+    monkeypatch.setattr(FreeListAllocator, "_resync", counted)
+    rng = random.Random(1)
+    alloc = create(name)
+    live = []
+    for _ in range(600):
+        if live and rng.random() < 0.4:
+            alloc.free(live.pop(rng.randrange(len(live))))
+            continue
+        size = rng.randint(16, 2048)
+        cap = alloc.malloc(size)
+        alloc.heap.store(cap, cap.address, b"\xa5" * size)
+        granule = -(-cap.address // GRANULE) * GRANULE
+        if granule + GRANULE <= cap.address + size:
+            alloc.heap.store_cap(cap, granule, cap)
+        live.append(cap)
+    assert alloc._classes is not None and len(alloc._free_list) > 1
+    assert resyncs == [] and not alloc.heap.dirty
+
+
+@pytest.mark.parametrize("scan_limit", [0, 1 << 20], ids=["indexed", "scanned"])
+@pytest.mark.parametrize("name", FREE_LIST_NAMES)
+def test_capability_stored_over_a_listed_header_poisons_it(name, scan_limit, monkeypatch):
+    """A capability stored through a stale capability over the granule
+    whose high half is a listed header breaks that header's magic, so
+    the next malloc that reaches it raises CorruptHeader, indexed (the
+    ``store_cap`` barrier marks the header dirty) as scanned."""
+    monkeypatch.setattr(engines, "_SCAN_LIMIT", scan_limit)
+    alloc = create(name)
+    a = alloc.malloc(600)
+    alloc.malloc(64)  # keeps a apart from the tail
+    alloc.free(a)
+    alloc.malloc(16)  # splits the chunk at 0: the remainder at 24 heads the list
+    assert alloc._free_list[0] == 24 and (alloc._classes is not None) == (scan_limit == 0)
+    alloc.heap.store_cap(a, 16, a)
+    with pytest.raises(AllocError) as exc:
+        alloc.malloc(5000)
+    assert str(exc.value) == "CorruptHeader: free list entry at 24"
 
 
 def test_free_list_engine_runs_over_a_plain_heap():

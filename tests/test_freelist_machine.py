@@ -5,18 +5,18 @@ Hypothesis drives mallocs, frees, re-frees through stale capabilities
 through stale or live capabilities (most on the 8-byte grid, where a
 listed one stays in the class index, the rest at any offset, so some
 straddle two granules, optionally with the second granule tagged by a
-capability store), frees aimed inside a block or at a forged header,
-frees through
-a capability narrowed to the payload, capability stores that tag
-payload granules, and resets.
+capability store), frees and reallocs aimed at a forged header, frees
+aimed inside a block or through a capability narrowed to the payload,
+capability stores that tag payload granules, and resets.
 
 After every step the occurrence index must equal the free list's
 counts and every granule under a header the engine wrote during the
 step must be untagged; the writes are recorded at ``_HEADER.pack_into``,
-which every header write of the engine goes through.  While the class index is on, every listed
-chunk must be on the 8-byte grid, its header's granules watched, and
-each slot's class must be its header's as read from the heap bytes,
-unless a write since the last malloc left the header's granule dirty.
+which every header write of the engine goes through.  While the class
+index is on, every listed chunk must be on the 8-byte grid, the heap
+must watch exactly the 8-byte units of listed headers, and each slot's
+class must be its header's as read from the heap bytes, unless a write
+since the last malloc left the header's unit dirty.
 ``chunks()`` may fail only as a classified ``CorruptHeader`` or bounds
 fault, and a list it returns must tile the heap exactly.  Until the
 client mounts one of the modelled attacks (a forged header, a free that
@@ -319,6 +319,48 @@ class FreeListMachine(RuleBasedStateMachine):
         cap, at = self.pick(self.forged, index)
         self.try_free(cap.set_address(at + CHUNK_HEADER_SIZE))
 
+    @precondition(lambda self: self.forged)
+    @rule(index=INDEX, size=SIZES)
+    def realloc_at_forged_header(self, index, size):
+        """Resize the chunk a forged header makes: it may fit, grow in
+        place, or move and list the forged chunk.  Once attacked, any
+        ``AllocError`` or ``CapFault`` is accepted, as in ``realloc``."""
+        cap, at = self.pick(self.forged, index)
+        try:
+            new = self.alloc.realloc(cap.set_address(at + CHUNK_HEADER_SIZE), size)
+        except (AllocError, CapFault):
+            return
+        self.live.append(new)
+
+    @precondition(lambda self: self.live or self.stale)
+    @rule(index=INDEX, which=INDEX, back=st.integers(1, 7), size=SIZES, short=st.integers(0, 31))
+    def forge_beside_listed(self, index, which, back, size, short):
+        """Forge a FREE header ``back`` bytes before a listed one, over two
+        8-byte units, whose payload ends at the next listed chunk; malloc,
+        so the class index re-reads the listed header; then realloc
+        through the forged header to about its payload and the next
+        chunk's together, which may grow it in place over that chunk
+        without a split, its LIVE header rewriting the listed header's
+        first bytes; and malloc again, which must see that rewrite."""
+        cap = self.pick(self.live + self.stale, index)
+        listed = sorted(self.alloc._listed)
+        spans = [
+            (c - back, d)
+            for c, d in zip(listed, listed[1:])
+            if cap.base <= c - back <= min(cap.top, d) - CHUNK_HEADER_SIZE
+        ]
+        if not spans:
+            return
+        at, end = self.pick(spans, which)
+        payload = end - at - CHUNK_HEADER_SIZE
+        self.alloc.heap.store(cap, at, HEADER.pack(payload, CHUNK_MAGIC, FREE, 0))
+        self.forged.append((cap, at))
+        self.attacked = True
+        self.malloc(size)
+        span = payload + CHUNK_HEADER_SIZE + self.header(end)[0]
+        self.realloc_at_forged_header(len(self.forged) - 1, max(1, span - short))
+        self.malloc(size)
+
     @precondition(lambda self: self.live)
     @rule(index=INDEX, offset=st.integers(1, 1 << 16))
     def interior_free(self, index, offset):
@@ -367,10 +409,10 @@ class FreeListMachine(RuleBasedStateMachine):
 
     @invariant()
     def classes_agree_with_heap_bytes(self):
-        """Every listed chunk is on the 8-byte grid, its header's granules
-        are watched, and each slot's class is its header's, read from the
-        heap bytes, unless the header is over a granule written since the
-        last malloc's re-read."""
+        """Every listed chunk is on the 8-byte grid, the heap watches
+        exactly the unit of each listed header (``chunk >> 3``), and each
+        slot's class is its header's, read from the heap bytes, unless
+        that unit was written since the last malloc's re-read."""
         alloc = self.alloc
         heap = alloc.heap
         if alloc._classes is None:  # scanned: a short list, or one off the grid
@@ -378,10 +420,12 @@ class FreeListMachine(RuleBasedStateMachine):
             return
         assert not any(chunk & 7 for chunk in alloc._free_list)
         assert len(alloc._classes) == len(alloc._free_list)
+        watch = bytearray(self.heap_size >> 3)
+        for chunk in alloc._listed:
+            watch[chunk >> 3] = 1
+        assert heap.watch == watch
         for chunk, cls in zip(alloc._free_list, alloc._classes):
-            granules = range(chunk // GRANULE, (chunk + CHUNK_HEADER_SIZE - 1) // GRANULE + 1)
-            assert all(heap.watch[g] for g in granules), chunk
-            if heap.dirty.isdisjoint(granules):
+            if chunk >> 3 not in heap.dirty:
                 payload, magic, _, _ = self.header(chunk)
                 assert cls == (_class(payload) if magic == CHUNK_MAGIC else _POISONED), chunk
 

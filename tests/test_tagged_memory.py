@@ -15,6 +15,7 @@ import capheap
 from capheap import tagged_memory
 from capheap.capability import CapFault, Capability, FaultKind, PERM_ALL, Perm, make_root
 from capheap.cli import main
+from capheap.engines import CHUNK_HEADER_SIZE
 from capheap.harness import run_matrix
 from capheap.registry import DEFAULT_HEAP_SIZE, create
 from capheap.tagged_memory import GRANULE, TaggedHeap
@@ -400,12 +401,13 @@ class TestUnrepresentablePayload:
 
 
 class TestWatchedHeap:
-    """The write barrier: stores report the watched granules they write."""
+    """The write barrier: stores report the watched 8-byte units they
+    write (unit ``u`` is bytes ``8u..8u+7``)."""
 
     @pytest.fixture
     def watched(self):
         heap = TaggedHeap(HEAP)
-        heap.watch = bytearray(HEAP // GRANULE)
+        heap.watch = bytearray(HEAP // 8)
         return heap
 
     def test_unwatched_until_a_watch_is_set(self, root):
@@ -417,19 +419,29 @@ class TestWatchedHeap:
         assert heap.dirty == set()
         assert TaggedHeap(HEAP).watch is None
 
-    def test_store_marks_only_watched_granules_it_writes(self, watched, root):
-        watched.watch[3] = watched.watch[5] = watched.watch[9] = 1
-        watched.store(root, 40, bytes(60))  # granules 2..6
-        assert watched.dirty == {3, 5}
-        watched.store(root, 100, b"x")  # granule 6
-        assert watched.dirty == {3, 5}
+    def test_store_marks_only_watched_units_it_writes(self, watched, root):
+        watched.watch[6] = watched.watch[10] = watched.watch[13] = 1
+        watched.store(root, 40, bytes(60))  # units 5..12
+        assert watched.dirty == {6, 10}
+        watched.store(root, 100, b"x")  # unit 12
+        assert watched.dirty == {6, 10}
 
-    def test_store_cap_marks_a_watched_granule(self, watched, root):
-        watched.watch[4] = 1
-        watched.store_cap(root, 48, root)
+    def test_store_ending_in_a_granules_low_half_leaves_its_high_half_clean(self, watched, root):
+        watched.watch[5] = 1  # bytes 40..47, the high half of granule 2
+        watched.store(root, 20, bytes(20))  # bytes 20..39
         assert watched.dirty == set()
-        watched.store_cap(root, 64, root)
-        assert watched.dirty == {4}
+        watched.store(root, 47, b"x")
+        assert watched.dirty == {5}
+
+    def test_store_cap_marks_a_watched_unit(self, watched, root):
+        watched.watch[9] = 1  # the high half of granule 4
+        watched.store_cap(root, 48, root)  # units 6 and 7
+        assert watched.dirty == set()
+        watched.store_cap(root, 64, root)  # units 8 and 9
+        assert watched.dirty == {9}
+        watched.watch[10] = watched.watch[11] = 1
+        watched.store_cap(root, 80, root)
+        assert watched.dirty == {9, 10, 11}
 
     def test_refused_store_marks_nothing(self, watched, root):
         watched.watch[0] = 1
@@ -447,7 +459,7 @@ class TestWatchedHeap:
             h.store_cap(root, 96, root)
         assert watched.snapshot() == heap.snapshot()
 
-    def test_clear_marks_every_watched_granule(self, watched, root):
+    def test_clear_marks_every_watched_unit(self, watched, root):
         watched.watch[1] = watched.watch[200] = 1
         watched.store(root, 0, b"\xff" * 64)
         watched.dirty.clear()
@@ -518,7 +530,8 @@ def _free_list_indexed(root):
         alloc.free(cap)
     alloc.malloc(1000)  # scans past the 100 small chunks and starts the index
     assert alloc._classes is not None and alloc.heap.watch is not None
-    alloc.heap.store(blocks[0], blocks[0].address, b"\xff")  # a watched granule goes dirty
+    # a listed header's unit goes dirty
+    alloc.heap.store(blocks[0], blocks[0].address - CHUNK_HEADER_SIZE, b"\xff")
     assert alloc.heap.dirty
     return alloc, alloc.heap
 
