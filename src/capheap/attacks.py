@@ -13,10 +13,13 @@ and classifies the result:
 Outcomes: the attack Succeeds, is Thwarted, or is NotApplicable when
 its precondition is absent for that allocator.  Every step goes through
 a recording tape, so a report's trace can be replayed against a fresh
-instance and must reproduce each step result.  Reports and their
-steps are ``NamedTuple`` records, immutable like ``Capability``; a
-step result keeps whether the op succeeded, never the caught exception,
-so a probe leaves no reference cycle behind for the cyclic collector.
+instance and must reproduce each step result.  The tape is the one
+interpreter of op names: ``capheap dump`` scripts run through it too,
+with a script's result index ``K`` naming the tape's ``rK``.  Reports
+and their steps are ``NamedTuple`` records, immutable like
+``Capability``; a step result keeps a refusal's text, never the caught
+exception, so a probe leaves no reference cycle behind for the cyclic
+collector.
 """
 
 from __future__ import annotations
@@ -94,22 +97,27 @@ class AttackReport(NamedTuple):
 
 
 class StepResult:
-    """What a tape op produced: a capability ref, and whether it succeeded."""
+    """What a tape op produced: a capability ref, its trace text, whether
+    it succeeded, and the text of the refusal when it did not."""
 
-    __slots__ = ("ref", "text", "ok")
+    __slots__ = ("ref", "text", "ok", "error")
 
-    def __init__(self, ref: str | None, text: str, ok: bool):
+    def __init__(self, ref: str | None, text: str, error: str | None):
         self.ref = ref
         self.text = text
-        self.ok = ok
+        self.ok = error is None
+        self.error = error
 
 
 class Tape:
-    """Executes probe operations against one allocator while recording
-    (op, args, result) steps.  Capabilities are referenced by the ids
-    assigned on creation ("r0", "r1", ...), which makes the recording
-    self-contained: replaying the same ops on a fresh instance assigns
-    the same ids."""
+    """Executes probe and dump-script operations against one allocator
+    while recording (op, args, result) steps.  Capabilities are
+    referenced by the ids assigned on creation ("r0", "r1", ...), which
+    makes the recording self-contained: replaying the same ops on a
+    fresh instance assigns the same ids.  An op the allocator refuses
+    records ``error:Kind`` or ``fault:Kind``; any other exception, such
+    as a ``ValueError`` for an argument the model rejects, propagates
+    and records no step."""
 
     def __init__(self, alloc: Allocator):
         self.alloc = alloc
@@ -128,16 +136,15 @@ class Tape:
         return ref
 
     def do(self, op: str, *args) -> StepResult:
-        ref = None
-        ok = False
+        ref = error = None
         try:
             value = self._execute(op, args)
         except (AllocError, CapFault) as exc:
-            # only the text survives the handler: the exception's traceback
+            # only text survives the handler: the exception's traceback
             # refers to this frame, so keeping it would make a cycle
             text = _error_text(exc)
+            error = str(exc)
         else:
-            ok = True
             if isinstance(value, Capability):
                 ref = self._register(value)
                 text = f"{ref}={value.describe()}"
@@ -146,7 +153,7 @@ class Tape:
             else:
                 text = "ok" if value is None else str(value)
         self.steps.append(TraceStep(op, args, text))
-        return StepResult(ref, text, ok)
+        return StepResult(ref, text, error)
 
     def _execute(self, op: str, args: tuple):
         if op == "malloc":

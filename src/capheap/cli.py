@@ -6,9 +6,17 @@ step trace), ``bench`` (micro-benchmarks as CSV), ``list`` (canonical
 allocator names), and ``dump`` (drive an allocator from a script and
 write a raw heap snapshot).
 
+A dump script is the probes' op language, one op per line: ``malloc
+N``, ``free K``, ``realloc K N``, ``store K HEX``, ``load K ADDR LEN``
+and ``set_bounds K BASE LEN``, where ``K`` names the K-th capability an
+earlier op returned (a trace's ``rK``) and ``#`` starts a comment.  This
+module only parses the lines; ``attacks.Tape`` runs them.
+
 Exit codes: 0 on success or a matching matrix, 1 when ``--expect``
-finds mismatches or a dump script op fails, 2 on malformed input or a
-file ``dump`` cannot read or write.
+finds mismatches or the allocator refuses a dump script op, 2 on
+malformed input (a dump script's syntax, an index no op returned, or
+an argument the model rejects) or a file ``dump`` cannot read, decode
+as UTF-8, or write.
 """
 
 from __future__ import annotations
@@ -16,22 +24,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .allocator_api import AllocError
-from .attacks import ATTACK_IDS, ATTACKS
+from .attacks import ATTACK_IDS, ATTACKS, Tape
 from .bench import WORKLOADS, Workload, emit_csv, run_workload
-from .capability import CapFault
 from .harness import EXPECTED_MATRIX, diff_matrix, render, run_matrix
 from .registry import ALLOCATOR_NAMES, TRAITS, create, default_registry
 
 __all__ = ["main"]
-
-
-class ScriptError(Exception):
-    """Malformed dump script: unparseable line or bad result index."""
-
-
-class ScriptOpError(Exception):
-    """A well-formed script op that the allocator refused."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,51 +138,60 @@ def cmd_list(args) -> int:
     return 0
 
 
-def _run_script(alloc, text: str) -> None:
-    results = []
+# the script ops are the tape's heap ops; each field is a result index (K),
+# a number (N) or bytes written in hex (H), which the tape decodes
+_SCRIPT_OPS = {"malloc": "N", "free": "K", "realloc": "KN", "store": "KH",
+               "load": "KNN", "set_bounds": "KNN"}
 
-    def result(field: str):  # a negative index would count from the end
-        if int(field) < 0:
-            raise IndexError(f"negative result index {field}")
-        return results[int(field)]
 
+def _run_script(tape: Tape, text: str) -> int:
+    """Run each script line through ``tape`` and return the exit code: 0,
+    1 at the first op the allocator refuses, 2 at the first malformed
+    line.  Either failure is reported on stderr."""
+
+    def result(field: str) -> str:  # K names the K-th capability returned: rK
+        k = int(field)
+        if k < 0:
+            raise ValueError(f"negative result index {field}")
+        try:
+            tape.cap(f"r{k}")
+        except KeyError:
+            raise ValueError(f"no result {field}") from None
+        return f"r{k}"
+
+    convert = {"K": result, "N": int, "H": str}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
+        op, *fields = line.split()
+        kinds = _SCRIPT_OPS.get(op)
+        if kinds is None or len(fields) != len(kinds):
+            print(f"line {lineno}: cannot parse {line!r}", file=sys.stderr)
+            return 2
         try:
-            if fields[0] == "malloc" and len(fields) == 2:
-                results.append(alloc.malloc(int(fields[1])))
-            elif fields[0] == "free" and len(fields) == 2:
-                alloc.free(result(fields[1]))
-            elif fields[0] == "realloc" and len(fields) == 3:
-                results.append(alloc.realloc(result(fields[1]), int(fields[2])))
-            else:
-                raise ScriptError(f"line {lineno}: cannot parse {line!r}")
-        except (ValueError, IndexError) as exc:
-            raise ScriptError(f"line {lineno}: {exc}") from exc
-        except (AllocError, CapFault) as exc:
-            raise ScriptOpError(f"line {lineno}: {line!r} failed: {exc}") from exc
+            step = tape.do(op, *(convert[k](f) for k, f in zip(kinds, fields)))
+        except ValueError as exc:  # a bad field, or an argument the model refuses
+            print(f"line {lineno}: {exc}", file=sys.stderr)
+            return 2
+        if not step.ok:
+            print(f"line {lineno}: {line!r} failed: {step.error}", file=sys.stderr)
+            return 1
+    return 0
 
 
 def cmd_dump(args) -> int:
     try:
         with open(args.script, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read script: {exc}", file=sys.stderr)
         return 2
-    alloc = create(args.allocator)
-    try:
-        _run_script(alloc, text)
-    except ScriptError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except ScriptOpError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    snapshot = alloc.heap.snapshot()
+    tape = Tape(create(args.allocator))
+    status = _run_script(tape, text)
+    if status:
+        return status
+    snapshot = tape.heap.snapshot()
     if args.out == "-":
         sys.stdout.buffer.write(snapshot)
         sys.stdout.buffer.flush()

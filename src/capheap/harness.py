@@ -1,14 +1,15 @@
 """Run the full allocator-by-attack conformance matrix and compare it
-against the embedded reference matrix.
+against the reference matrix.
 
 The reference matrix is the package's golden target: 7 allocators by
-5 attacks.  It is embedded as constant data here and also shipped as a
-CSV fixture (``data/expected_matrix.csv``); a test asserts the two
-agree so transcription drift cannot go unnoticed.
+5 attacks.  It is stored once, as the CSV fixture
+``data/expected_matrix.csv`` shipped with the package, and
+``EXPECTED_MATRIX`` is that file read with ``parse_csv`` at import.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import _csv
@@ -60,33 +61,6 @@ class ConformanceMatrix(_Matrix):
 
     def row(self, name: str) -> tuple[Outcome, ...]:
         return self.cells[self.names.index(name)]
-
-
-def _matrix(rows: Mapping[str, str]) -> ConformanceMatrix:
-    cells = tuple(
-        tuple(Outcome.from_token(tok) for tok in row.split()) for row in rows.values()
-    )
-    return ConformanceMatrix(tuple(rows), ATTACK_IDS, cells)
-
-
-EXPECTED_MATRIX = _matrix(
-    {
-        "bump-alloc-cheri": "S T S S S",
-        "bump-alloc-nocheri": "S NA S T S",
-        "dlmalloc-cheribuild": "S T T S S",
-        "jemalloc": "S T T S T",
-        "libmalloc-simple": "S S T S T",
-        "snmalloc-cheribuild": "S S S NA S",
-        "snmalloc-repo": "S S S S S",
-    }
-)
-
-
-def expected_matrix_fixture() -> bytes:
-    """The canonical CSV fixture shipped with the package."""
-    from importlib import resources
-
-    return resources.files("capheap").joinpath("data/expected_matrix.csv").read_bytes()
 
 
 def run_matrix(
@@ -186,3 +160,12 @@ def parse_json(data: bytes) -> ConformanceMatrix:
     names = tuple(obj)
     cells = tuple(tuple(Outcome(v) for v in row) for row in obj.values())
     return ConformanceMatrix(names, ATTACK_IDS, cells)
+
+
+def expected_matrix_fixture() -> bytes:
+    """The canonical CSV fixture shipped with the package."""
+    with open(os.path.join(os.path.dirname(__file__), "data", "expected_matrix.csv"), "rb") as fh:
+        return fh.read()
+
+
+EXPECTED_MATRIX = parse_csv(expected_matrix_fixture())

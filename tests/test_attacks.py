@@ -5,6 +5,7 @@ from capheap.attacks import (
     ATTACK_IDS,
     ATTACKS,
     Outcome,
+    Tape,
     a1_use_after_free,
     a2_realloc_widening,
     a4_double_free,
@@ -176,6 +177,16 @@ class TestTraces:
         report = ATTACKS[attack_id](create(name))
         replayed = replay_trace(report, create(name))
         assert tuple(replayed) == report.trace
+
+    def test_refused_step_keeps_the_refusal_text(self):
+        t = Tape(create("bump-alloc-nocheri"))
+        p = t.do("malloc", 32)
+        t.do("free", p.ref)
+        again = t.do("free", p.ref)
+        assert (p.ok, p.error) == (True, None)
+        assert (again.ok, again.text) == (False, "error:DoubleFree")
+        assert again.error == "DoubleFree: block 0 already freed"
+        assert t.steps[-1].result == "error:DoubleFree"
 
     def test_probe_is_deterministic(self):
         a = ATTACKS["A2"](create("libmalloc-simple"))

@@ -1,10 +1,14 @@
+import os
+import random
+import struct
+
 import pytest
 
 from capheap import cli
-from capheap.attacks import Outcome
+from capheap.attacks import ATTACK_IDS, ATTACKS, Outcome
 from capheap.cli import main
 from capheap.harness import EXPECTED_MATRIX, render, run_matrix
-from capheap.registry import ALLOCATOR_NAMES
+from capheap.registry import ALLOCATOR_NAMES, create
 
 
 class TestMatrixCommand:
@@ -174,6 +178,65 @@ class TestDumpCommand:
         assert rc == 1
         assert "DoubleFree" in capsys.readouterr().err
 
+    def test_refused_op_prints_its_line_and_the_refusal(self, tmp_path, capsys):
+        script = tmp_path / "script.txt"
+        script.write_text("malloc 32\nfree 0  # again below\nfree 0\n")
+        rc = main(["dump", "--allocator", "bump-alloc-nocheri", "--script", str(script)])
+        assert rc == 1
+        assert capsys.readouterr().err == "line 3: 'free 0' failed: DoubleFree: block 0 already freed\n"
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "store 0 abc",
+            "store 0 zz",
+            "load 0 0 0",
+            "set_bounds 0 0 -1",
+            "malloc " + "9" * 4301,
+            "free 1",
+            "free ١",
+            "traits narrow_bounds",
+            "note hello",
+            "load 0 0",
+        ],
+        ids=["odd-hex", "non-hex", "zero-load", "negative-bounds", "past-4300-digits",
+             "index-past-end", "non-ascii-index", "traits", "note", "missing-field"],
+    )
+    def test_malformed_argument_is_usage_error(self, line, tmp_path, capsys):
+        script = tmp_path / "script.txt"
+        script.write_text(f"malloc 32\n{line}\n")
+        rc = main(["dump", "--allocator", "jemalloc", "--script", str(script)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("line 2: ")
+
+    def test_script_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        script = tmp_path / "script.txt"
+        script.write_bytes(b"malloc 16\n\xff\n")
+        rc = main(["dump", "--allocator", "jemalloc", "--script", str(script)])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("cannot read script: 'utf-8' codec can't decode byte 0xff")
+
+    def test_forged_header_reproducer(self, tmp_path, capsysbinary):
+        # the stale-capability forgery of tests/test_equivalence.py as a
+        # script: a FREE header claiming 4096 bytes written over the freed
+        # second block's, which the next malloc carves from
+        script = tmp_path / "script.txt"
+        script.write_text(
+            "malloc 32\n"
+            "malloc 32\n"
+            "free 1\n"
+            "set_bounds 1 40 8       # r2: the freed block's header\n"
+            "store 2 001000001bca0000  # size 4096, magic 0xCA1B, FREE\n"
+            "malloc 1000\n"
+        )
+        rc = main(["dump", "--allocator", "jemalloc", "--script", str(script)])
+        assert rc == 0
+        blob = capsysbinary.readouterr().out
+        size, magic, status, _ = struct.unpack_from("<IHBB", blob, 40)
+        assert (size, magic, status) == (1008, 0xCA1B, 1)  # LIVE, base=40,top=1056
+
     def test_missing_script_file(self, capsys):
         rc = main(["dump", "--allocator", "jemalloc", "--script", "/nonexistent/x.txt"])
         assert rc == 2
@@ -186,6 +249,80 @@ class TestDumpCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("cannot write snapshot: ")
         assert not out.parent.exists()
+
+
+def trace_script(report) -> list[str]:
+    """A probe's heap ops as dump script lines: ``rK`` becomes ``K``, and
+    ``traits`` and ``note``, which only steer the probe, are left out."""
+    return [
+        " ".join([step.op] + [a[1:] if str(a).startswith("r") else str(a) for a in step.args])
+        for step in report.trace
+        if step.op not in ("traits", "note")
+    ]
+
+
+@pytest.mark.parametrize("attack_id", ATTACK_IDS)
+@pytest.mark.parametrize("name", ALLOCATOR_NAMES)
+def test_probe_trace_replays_as_dump_script(name, attack_id, tmp_path, capsysbinary):
+    alloc = create(name)
+    report = ATTACKS[attack_id](alloc)
+    lines = trace_script(report)
+    script = tmp_path / "script.txt"
+    script.write_text("".join(line + "\n" for line in lines))
+    rc = main(["dump", "--allocator", name, "--script", str(script)])
+    out = capsysbinary.readouterr()
+    refused = [s.result for s in report.trace if s.result.startswith(("error:", "fault:"))]
+    if not refused:
+        assert rc == 0
+        assert out.out == alloc.heap.snapshot()
+    else:
+        # a probe stops at its first refused heap op
+        assert rc == 1
+        assert len(refused) == 1
+        kind = refused[0].split(":", 1)[1]
+        assert out.err.decode().startswith(f"line {len(lines)}: {lines[-1]!r} failed: {kind}")
+
+
+def hostile_script(rng: random.Random) -> bytes:
+    """A few lines of the six script ops in which about one field in five
+    is hostile, and now and then an unknown op or a byte that is not UTF-8."""
+    def field(kind, results):
+        if kind == "K" and results and rng.random() < 0.8:
+            return str(rng.randrange(results))
+        if kind == "N" and rng.random() < 0.8:
+            return str(rng.randrange(1, 2048))
+        if kind == "H" and rng.random() < 0.8:
+            return "a5" * rng.randrange(1, 40)
+        return rng.choice({
+            "K": [str(results), str(results + 7), "-1", "٠"],
+            "N": ["0", str(-rng.randrange(1, 1 << 40)), "9" * 4301, "١٦", "1e3"],
+            "H": ["abc", "zz", "é0"],
+        }[kind])
+
+    kinds = {"malloc": "N", "free": "K", "realloc": "KN", "store": "KH",
+             "load": "KNN", "set_bounds": "KNN"}
+    lines, results = [], 0
+    for _ in range(rng.randrange(1, 10)):
+        op = rng.choice(["malloc"] * 3 + list(kinds) + ["mallok"] * (rng.random() < 0.1))
+        if not results and rng.random() < 0.8:
+            op = "malloc"
+        lines.append(" ".join([op] + [field(kind, results) for kind in kinds.get(op, "N")]))
+        results += op in ("malloc", "realloc", "set_bounds")
+    return "\n".join(lines).encode() + (b"\n\xff\n" if rng.random() < 0.05 else b"\n")
+
+
+def test_seeded_sweep_of_hostile_dump_scripts(tmp_path, capsys):
+    rng = random.Random(20231)
+    script = tmp_path / "script.txt"
+    codes = set()
+    for _ in range(150):
+        script.write_bytes(hostile_script(rng))
+        name = rng.choice(ALLOCATOR_NAMES)
+        rc = main(["dump", "--allocator", name, "--script", str(script), "--out", os.devnull])
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+        codes.add(rc)
+    assert codes == {0, 1, 2}
 
 
 def test_no_command_is_usage_error(capsys):

@@ -9,7 +9,6 @@ from capheap.harness import (
     ConformanceMatrix,
     EXPECTED_MATRIX,
     diff_matrix,
-    expected_matrix_fixture,
     parse_csv,
     parse_json,
     render,
@@ -23,11 +22,6 @@ def test_expected_matrix_shape():
     assert EXPECTED_MATRIX.attacks == ATTACK_IDS
     assert len(EXPECTED_MATRIX.cells) == 7
     assert all(len(row) == 5 for row in EXPECTED_MATRIX.cells)
-
-
-def test_embedded_constant_agrees_with_shipped_fixture():
-    # guards transcription drift between the code constant and the CSV
-    assert parse_csv(expected_matrix_fixture()) == EXPECTED_MATRIX
 
 
 def test_full_run_equals_expected_matrix():
