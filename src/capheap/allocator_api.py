@@ -15,7 +15,7 @@ import abc
 import enum
 from typing import NamedTuple
 
-from .capability import PERM_ALL, Capability, Perm, _derive, make_root
+from .capability import PERM_ALL, Capability, Perm, make_root
 from .tagged_memory import TaggedHeap
 
 __all__ = [
@@ -121,7 +121,7 @@ class Allocator(abc.ABC):
         """Back to the initial state over a freshly zeroed heap."""
         # _reset_state drops whatever the engine mirrored of the heap, so
         # the barrier goes first and clear() marks no watched unit dirty
-        self.heap.watch = None
+        self.heap.set_watch(None)
         self.heap.clear()
         self._reset_state()
 
@@ -142,26 +142,3 @@ class Allocator(abc.ABC):
     @abc.abstractmethod
     def _reset_state(self) -> None:
         ...
-
-    # Shared derivation helpers.  Client capabilities always descend from
-    # the region capability in one construction (bounds, cursor and the
-    # cut-down permissions at once); internal bookkeeping I/O goes
-    # straight through the region capability itself.
-
-    def _client_cap(self, base: int, length: int, address: int | None = None) -> Capability:
-        region = self.region
-        return _derive(
-            region,
-            base,
-            length,
-            base if address is None else address,
-            region.perms & self._client_perms,
-            self._rounding,
-        )
-
-    def _check_request(self, size: int) -> int:
-        """Refuse a size that is not a positive int; return it rounded up
-        to the granule."""
-        if not isinstance(size, int) or size < 1:
-            raise AllocError(AllocErrorKind.BAD_REQUEST, f"size {size!r}")
-        return (size + 15) & ~15  # round16(size), without a second call per request

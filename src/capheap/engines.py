@@ -40,14 +40,31 @@ modulo 16, where the 8 bytes straddle two granules; when the engine
 rewrites such a header (freeing at the forged address, or handing the
 forged chunk out) both tags are cleared.
 
-The free-list operations keep their Python frames few, since a call
-costs about as much as a handful of the byte and dict operations an op
-is made of: malloc checks its request itself, free reads the header
-through the client's capability in line while every check passes
-(``_client_header`` runs, and raises, where one fails), and ``_push``
-(FREE) and ``_carve`` (LIVE) each write their header in line.  A
-malloc(48)+free pair that takes and gives back the head chunk runs six
-frames on the scan and seven with the class index.
+Every engine op keeps its Python frames few, since a call costs about
+as much as a handful of the byte and dict operations an op is made of.
+Each op checks its request in line, derives the client capability with
+one ``_derive`` call, and copies in place on ``heap.data``, ``tags``
+and ``extent`` where it copies (the free list's moving realloc, whose
+destination may hold watched headers, stores through ``heap.store``).
+A check folded into an op keeps its order and its fault text, and runs
+the helper it replaces only where it fails.  The region capability is
+tagged, holds every permission and spans the heap, so its check can
+only fail on bounds, and a folded copy tests just those.  Calls into
+capheap per op (``tests/test_engines.py`` pins them):
+
+* bump: malloc 2; free 1, or 2 with the allocation log; realloc, which
+  always moves and takes its block as malloc does, in line, 2, or 3
+  with the log.
+* free list: malloc 4, or 6 with the class index; free 2; realloc 3
+  when the block holds the request, 9 or more when it moves.  malloc
+  checks its request itself and ``_carve`` and ``_push`` each write
+  their header in line; free reads the header through the client's
+  capability in line while every check passes, and realloc does the
+  same in ``_client_header``.
+* slab: malloc 2, 3 when it carves a slab, more while deferred frees
+  are queued; free 1; realloc 2 when it fits or grows in place, 5 when
+  it moves.  malloc does the size class and the single-slot take in
+  line, and free the strict single-slot free.
 
 The free list itself is kept out of band (a list of chunk offsets, most
 recently freed first) rather than threaded through chunk payloads:
@@ -139,6 +156,7 @@ def _class(payload: int) -> int:
 
 SLAB_SIZE = 4096
 SIZE_CLASSES = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
+_SMALLEST, _LARGEST = SIZE_CLASSES[0], SIZE_CLASSES[-1]
 
 
 class BumpAllocator(Allocator):
@@ -149,7 +167,16 @@ class BumpAllocator(Allocator):
     and invalid frees.  realloc always allocates fresh and copies: the
     logged block at the cursor, or without a log ``min(length, new
     size)`` bytes from the cursor, of which only those inside the
-    capability's bounds are read (the rest of the new block stays zero).
+    capability's bounds are read (the rest of the new block stays zero;
+    a capability with inverted bounds has none, so nothing is copied).
+
+    realloc takes its block as malloc does, in line, and copies in place
+    on the heap bytes: its faults come in malloc's order with the copy's
+    between them.  A copy window past the heap's end faults first, then
+    the out-of-memory test, then the derivation, then a window below the
+    heap's start (only a hand-built capability has one), and only then
+    does the cursor move, so a refused realloc leaves the cursor where
+    it was.
     """
 
     validations = (FreeValidation.NONE, FreeValidation.ALLOC_LOG)
@@ -162,16 +189,19 @@ class BumpAllocator(Allocator):
         self._log: dict[int, list] | None = {} if self._traits.double_free_detect else None
 
     def malloc(self, size: int) -> Capability:
-        length = self._check_request(size)
+        if not isinstance(size, int) or size < 1:
+            raise AllocError(AllocErrorKind.BAD_REQUEST, f"size {size!r}")
+        length = (size + 15) & ~15
         start = self._cursor
         if start + length > self.heap.size:
             raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"cursor at {start}")
         region = self.region
+        perms = region.perms & self._client_perms
         if self._traits.narrow_bounds:
-            cap = self._client_cap(start, length)
+            cap = _derive(region, start, length, start, perms, self._rounding)
         else:  # whole-region capability, cursor parked at the block start
-            cap = _derive(region, 0, region.top, start, region.perms & self._client_perms, False)
-        self._cursor += length
+            cap = _derive(region, 0, region.top, start, perms, False)
+        self._cursor = start + length
         if self._log is not None:
             self._log[start] = [length, False]
         return cap
@@ -190,25 +220,48 @@ class BumpAllocator(Allocator):
             self._live_record(cap)[1] = True
 
     def realloc(self, cap: Capability, new_size: int) -> Capability:
-        self._check_request(new_size)
-        old_len = cap.length if self._log is None else self._live_record(cap)[0]
-        ncopy = min(old_len, new_size)
-        src = cap.address
-        if ncopy and src + ncopy > self.heap.size:  # fault before the cursor moves
-            self.heap.fault_outside(src, ncopy)
-        new_cap = self.malloc(new_size)
-        dst = new_cap.address
-        if self._log is None and (src < cap.base or src + ncopy > cap.top):
-            # a moved cursor: only the bounds say what the block is, so
-            # copy just the part of the window inside them
-            lo, hi = max(src, cap.base), min(src + ncopy, cap.top)
+        if not isinstance(new_size, int) or new_size < 1:
+            raise AllocError(AllocErrorKind.BAD_REQUEST, f"size {new_size!r}")
+        _, base, top, src, _ = cap
+        record = None if self._log is None else self._live_record(cap)
+        ncopy = min(top - base if record is None else record[0], new_size)
+        heap = self.heap
+        if ncopy and src + ncopy > heap.size:
+            heap.fault_outside(src, ncopy)
+        # malloc(new_size), in line
+        length = (new_size + 15) & ~15
+        start = self._cursor
+        if start + length > heap.size:
+            raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"cursor at {start}")
+        region = self.region
+        perms = region.perms & self._client_perms
+        if self._traits.narrow_bounds:
+            new_cap = _derive(region, start, length, start, perms, self._rounding)
+        else:
+            new_cap = _derive(region, 0, region.top, start, perms, False)
+        dst = start
+        if record is None:
+            # the cursor may have moved: only the bounds say what the block
+            # is, so copy just the part of the window inside them
+            lo = max(src, base)
             dst += lo - src
-            src, ncopy = lo, max(hi - lo, 0)
-        if ncopy:
-            data = self.heap.load(self.region, src, ncopy)
-            self.heap.store(self.region, dst, data)
-        # fresh cursor memory is already zero; no tail zeroing needed
-        self.free(cap)
+            src, ncopy = lo, min(src + ncopy, top) - lo
+        if ncopy > 0 and src < 0:  # heap.load's fault, before the cursor moves
+            heap.fault_outside(src, ncopy)
+        self._cursor = start + length
+        if record is not None:
+            self._log[start] = [length, False]
+            record[1] = True  # free(cap)
+        if ncopy > 0:
+            # the copy in place, as heap.store would make it (the window is
+            # inside the heap, and only the free-list engine sets a write
+            # barrier); fresh cursor memory is already zero
+            data = heap.data
+            data[dst : dst + ncopy] = data[src : src + ncopy]
+            first, last = dst >> 4, (dst + ncopy - 1) >> 4
+            heap.tags[first : last + 1] = bytes(last + 1 - first)
+            if last >= heap.extent:
+                heap.extent = last + 1
         return new_cap
 
 
@@ -267,7 +320,7 @@ class FreeListAllocator(Allocator):
     def _unindex(self) -> None:
         """Drop the class index: the scan answers until it starts again."""
         self._classes: bytearray | None = None  # the class of each slot's chunk
-        self.heap.watch = None
+        self.heap.set_watch(None)
         self.heap.dirty.clear()
 
     # Listing goes through _push and _leave; the one exception is the
@@ -334,7 +387,8 @@ class FreeListAllocator(Allocator):
         if any(chunk & 7 for chunk in self._listed):
             return
         heap = self.heap
-        watch = heap.watch = bytearray(heap.size >> 3)
+        watch = bytearray(heap.size >> 3)
+        heap.set_watch(watch)
         class_of = {}
         for chunk in self._listed:
             payload, magic, _, _ = _HEADER.unpack_from(heap.data, chunk)
@@ -384,13 +438,20 @@ class FreeListAllocator(Allocator):
 
         The checks are those of moving the cursor onto the header and
         loading through the copy (``set_address``, then ``heap.load``),
-        in the same order, without building the copy."""
-        chunk = cap.address - CHUNK_HEADER_SIZE
+        in the same order, without building the copy.  An address
+        ``set_address`` refuses, below the heap or past the 32-bit
+        address space, is a bounds fault; ``check_access`` runs only
+        when its test fails."""
+        tag, base, top, address, perms = cap
+        chunk = address - CHUNK_HEADER_SIZE
         if chunk < 0:
             raise CapFault(FaultKind.BOUNDS_VIOLATION, "header would sit below the heap")
         if chunk > ADDRESS_MAX:
-            raise ValueError(f"address {chunk} outside 32-bit range")
-        cap.check_access(chunk, CHUNK_HEADER_SIZE, _NEED_LOAD)
+            raise CapFault(
+                FaultKind.BOUNDS_VIOLATION, "header would sit past the 32-bit address space"
+            )
+        if not (tag and perms & _NEED_LOAD and base <= chunk and address <= top):
+            cap.check_access(chunk, CHUNK_HEADER_SIZE, _NEED_LOAD)
         heap = self.heap
         if chunk + CHUNK_HEADER_SIZE > heap.size:
             heap.fault_outside(chunk, CHUNK_HEADER_SIZE)
@@ -520,10 +581,15 @@ class FreeListAllocator(Allocator):
         self._push(chunk, payload)
 
     def realloc(self, cap: Capability, new_size: int) -> Capability:
-        want = self._check_request(new_size)
+        if not isinstance(new_size, int) or new_size < 1:
+            raise AllocError(AllocErrorKind.BAD_REQUEST, f"size {new_size!r}")
+        want = (new_size + 15) & ~15
         chunk, payload = self._client_header(cap)
         if want <= payload:
-            return self._client_cap(chunk, CHUNK_HEADER_SIZE + payload, chunk + CHUNK_HEADER_SIZE)
+            region = self.region
+            perms = region.perms & self._client_perms
+            at = chunk + CHUNK_HEADER_SIZE
+            return _derive(region, chunk, CHUNK_HEADER_SIZE + payload, at, perms, self._rounding)
         if self._traits.realloc_grows_in_place:
             grown = self._try_absorb(chunk, payload, want)
             if grown is not None:
@@ -624,6 +690,13 @@ class SlabAllocator(Allocator):
     multi-slot block, are invalid.  With deferred_free, frees queue up
     and are applied when the next malloc or realloc begins; invalid ones
     are dropped there.
+
+    malloc applies ``size_class`` and takes its single slot in line; a
+    strict free of a one-slot block named by its own address, which is
+    every block malloc hands out, clears it in line, and any other free
+    goes through ``_apply_free``.  realloc grows a block in place over
+    the clear slots after it, or moves it with one in-place copy that
+    also zeroes the tail.
     """
 
     validations = (FreeValidation.METADATA_LOOKUP,)
@@ -639,49 +712,50 @@ class SlabAllocator(Allocator):
 
     @staticmethod
     def size_class(size: int) -> int:
-        if size > SIZE_CLASSES[-1]:
+        """The class malloc puts a request of ``size`` bytes in (malloc
+        applies this rule in line)."""
+        if size > _LARGEST:
             raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"{size} exceeds the largest size class")
-        return 1 << (size - 1).bit_length() if size > SIZE_CLASSES[0] else SIZE_CLASSES[0]
+        return 1 << (size - 1).bit_length() if size > _SMALLEST else _SMALLEST
 
     def _flush_pending(self) -> None:
-        if not self._pending:
-            return
         pending, self._pending = self._pending, []
         for addr in pending:
             self._apply_free(addr, strict=False)
 
     def malloc(self, size: int) -> Capability:
-        self._check_request(size)
-        if self._traits.deferred_free:
+        if not isinstance(size, int) or size < 1:
+            raise AllocError(AllocErrorKind.BAD_REQUEST, f"size {size!r}")
+        if self._pending:  # only a deferred free queues
             self._flush_pending()
-        cls = self.size_class(size)
+        if size > _LARGEST:  # size_class, in line
+            raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"{size} exceeds the largest size class")
+        cls = 1 << (size - 1).bit_length() if size > _SMALLEST else _SMALLEST
         open_map = self._open.get(cls)
-        if open_map is not None:
-            index = open_map.find(1)
-            if index >= 0:
-                slab = self._slabs[index]
-                return self._take(slab, slab.bits.find(0), 1, size)
-        index = len(self._slabs)
-        if (index + 1) * SLAB_SIZE > self.heap.size:
-            raise AllocError(AllocErrorKind.OUT_OF_MEMORY, "no room for another slab")
-        slab = _Slab(index, cls)
-        self._slabs.append(slab)
-        open_map = self._open.setdefault(cls, bytearray())
-        open_map.extend(bytes(index - len(open_map)) + b"\1")  # 0 for the slabs of other classes
-        return self._take(slab, 0, 1, size)
-
-    def _take(self, slab: _Slab, slot: int, nslots: int, size: int) -> Capability:
-        # a single-slot take (every malloc) is an item store, several
-        # times cheaper than a slice store
-        if nslots == 1:
-            slab.bits[slot] = 1
+        index = -1 if open_map is None else open_map.find(1)
+        if index >= 0:
+            slab = self._slabs[index]
         else:
-            slab.bits[slot : slot + nslots] = b"\x01" * nslots
-        if 0 not in slab.bits:
-            self._open[slab.cls][slab.index] = 0
-        addr = slab.offset + slot * slab.cls
-        self._live[addr] = (slab, slot, nslots, size)
-        return self._client_cap(addr, nslots * slab.cls)
+            index = len(self._slabs)
+            if (index + 1) * SLAB_SIZE > self.heap.size:
+                raise AllocError(AllocErrorKind.OUT_OF_MEMORY, "no room for another slab")
+            slab = _Slab(index, cls)
+            self._slabs.append(slab)
+            if open_map is None:
+                open_map = self._open[cls] = bytearray()
+            open_map.extend(bytes(index - len(open_map)) + b"\1")  # 0 for the slabs of other classes
+        # the take: the lowest clear slot, so the slab is full when no
+        # clear slot follows it
+        bits = slab.bits
+        slot = bits.find(0)
+        addr = slab.offset + slot * cls
+        region = self.region
+        cap = _derive(region, addr, cls, addr, region.perms & self._client_perms, self._rounding)
+        bits[slot] = 1
+        if bits.find(0, slot + 1) < 0:
+            open_map[index] = 0
+        self._live[addr] = (slab, slot, 1, size)
+        return cap
 
     def _slot_of(self, addr: int) -> tuple[_Slab, int] | None:
         """Map an address to (slab, slot index), or None when it falls
@@ -692,21 +766,25 @@ class SlabAllocator(Allocator):
         return slab, (addr - slab.offset) // slab.cls
 
     def _apply_free(self, addr: int, *, strict: bool) -> None:
-        mapped = self._slot_of(addr)
-        if mapped is None:
-            if strict:
-                raise AllocError(AllocErrorKind.INVALID_FREE, f"{addr} maps outside any slab")
-            return
-        slab, slot = mapped
-        record = self._live.pop(slab.offset + slot * slab.cls, None)
+        # a block's record is keyed by its own address, which a free
+        # names unless its capability's cursor has moved
+        record = self._live.pop(addr, None)
         if record is None:
-            # A set bit with no record at its slot is an interior slot of
-            # a live multi-slot block: refuse rather than half-free it.
-            # Re-clearing a clear bit is silent.
-            if strict and slab.bits[slot]:
-                raise AllocError(AllocErrorKind.INVALID_FREE, f"{addr} is inside a live block")
-            return
-        nslots = record[2]
+            mapped = self._slot_of(addr)
+            if mapped is None:
+                if strict:
+                    raise AllocError(AllocErrorKind.INVALID_FREE, f"{addr} maps outside any slab")
+                return
+            slab, slot = mapped
+            record = self._live.pop(slab.offset + slot * slab.cls, None)
+            if record is None:
+                # A set bit with no record at its slot is an interior slot
+                # of a live multi-slot block: refuse rather than half-free
+                # it.  Re-clearing a clear bit is silent.
+                if strict and slab.bits[slot]:
+                    raise AllocError(AllocErrorKind.INVALID_FREE, f"{addr} is inside a live block")
+                return
+        slab, slot, nslots, _ = record
         if nslots == 1:
             slab.bits[slot] = 0
         else:
@@ -714,35 +792,61 @@ class SlabAllocator(Allocator):
         self._open[slab.cls][slab.index] = 1
 
     def free(self, cap: Capability) -> None:
+        addr = cap.address
         if self._traits.deferred_free:
-            self._pending.append(cap.address)
+            self._pending.append(addr)
             return
-        self._apply_free(cap.address, strict=True)
+        # _apply_free(addr, strict=True), in line for a one-slot block at
+        # its own address, as every malloc hands out
+        record = self._live.get(addr)
+        if record is None or record[2] != 1:
+            self._apply_free(addr, strict=True)
+            return
+        del self._live[addr]
+        slab = record[0]
+        slab.bits[record[1]] = 0
+        self._open[slab.cls][slab.index] = 1
 
     def realloc(self, cap: Capability, new_size: int) -> Capability:
-        self._check_request(new_size)
-        if self._traits.deferred_free:
+        if not isinstance(new_size, int) or new_size < 1:
+            raise AllocError(AllocErrorKind.BAD_REQUEST, f"size {new_size!r}")
+        if self._pending:
             self._flush_pending()
-        record = self._live.get(cap.address)
+        addr = cap.address
+        record = self._live.get(addr)
         if record is None:
-            raise AllocError(AllocErrorKind.INVALID_FREE, f"no allocation at {cap.address}")
+            raise AllocError(AllocErrorKind.INVALID_FREE, f"no allocation at {addr}")
         slab, slot, nslots, _ = record
         cls = slab.cls
         current = nslots * cls
+        region = self.region
+        perms = region.perms & self._client_perms
         if new_size <= current:
-            self._live[cap.address] = (slab, slot, nslots, new_size)
-            return self._client_cap(cap.address, current)
+            self._live[addr] = (slab, slot, nslots, new_size)
+            return _derive(region, addr, current, addr, perms, self._rounding)
         if self._traits.realloc_grows_in_place:
             need = -(-new_size // cls)
-            if slot + need <= len(slab.bits) and slab.bits.find(1, slot + nslots, slot + need) < 0:
-                return self._take(slab, slot, need, new_size)
-        # move: fresh slot in the right class, copy, zero the tail
+            bits = slab.bits
+            if slot + need <= len(bits) and bits.find(1, slot + nslots, slot + need) < 0:
+                bits[slot : slot + need] = b"\1" * need
+                if 0 not in bits:
+                    self._open[cls][slab.index] = 0
+                self._live[addr] = (slab, slot, need, new_size)
+                return _derive(region, addr, need * cls, addr, perms, self._rounding)
+        # move: a fresh slot in the right class; the copy and the zero
+        # tail are one write in place, as heap.store would make it (both
+        # blocks lie in carved slabs, and only the free-list engine sets
+        # a write barrier)
         new_cap = self.malloc(new_size)
-        data = self.heap.load(self.region, cap.address, current)
-        self.heap.store(self.region, new_cap.address, data)
-        if new_size > current:
-            self.heap.store(self.region, new_cap.address + current, bytes(new_size - current))
-        self._apply_free(cap.address, strict=False)
+        dst = new_cap.address
+        heap = self.heap
+        data = heap.data
+        data[dst : dst + new_size] = data[addr : addr + current] + bytes(new_size - current)
+        first, last = dst >> 4, (dst + new_size - 1) >> 4
+        heap.tags[first : last + 1] = bytes(last + 1 - first)
+        if last >= heap.extent:
+            heap.extent = last + 1
+        self._apply_free(addr, strict=False)
         return new_cap
 
     def occupancy(self, addr: int) -> bool:

@@ -38,13 +38,16 @@ hand-built ``Capability`` can hold one) with
 byte or tag changes.
 
 Every heap has a write barrier for an engine that mirrors heap bytes
-out of band: once the engine sets ``watch`` (one byte per 8 bytes of
-heap, set at the units it mirrors; unit ``u`` is bytes ``8u..8u+7``),
-``store``, ``store_cap``, ``touch`` and ``clear`` add every watched unit
-they write to ``dirty``, which the engine drains before it trusts its
-mirror.  A writer of ``data`` or ``tags`` other than ``store`` and
-``store_cap`` (the free-list engine's in-place header writes) raises
-``extent`` past what it wrote, or ``clear()`` leaves those bytes behind.
+out of band: once the engine sets ``watch`` with ``set_watch`` (one byte
+per 8 bytes of heap, set at the units it mirrors; unit ``u`` is bytes
+``8u..8u+7``), ``store``, ``store_cap``, ``touch`` and ``clear`` add
+every watched unit they write to ``dirty``, which the engine drains
+before it trusts its mirror.  ``watch16`` is a 16-bit view of the same
+map, one item per granule, so ``store_cap`` tests the two units of its
+granule with one index.  A writer of ``data`` or ``tags`` other than
+``store`` and ``store_cap`` (the engines' in-place header writes and
+copies) raises ``extent`` past what it wrote, or ``clear()`` leaves
+those bytes behind.
 """
 
 from __future__ import annotations
@@ -125,7 +128,14 @@ class TaggedHeap:
             self.tags = bytearray(size // GRANULE)
         self.extent = 0  # one past the highest granule written since the last clear
         self.watch: bytearray | None = None  # the write barrier's map, one byte per 8 bytes
+        self.watch16: memoryview | None = None  # the same map, two bytes per granule
         self.dirty: set[int] = set()  # watched units written since the engine looked
+
+    def set_watch(self, watch: bytearray | None) -> None:
+        """Set the write barrier's map (``heap.size >> 3`` bytes), or drop
+        it with None; ``watch16`` follows it."""
+        self.watch = watch
+        self.watch16 = None if watch is None else memoryview(watch).cast("H")
 
     def __del__(self, _finalizing=sys.is_finalizing):
         # Stock the pair if the slot is empty, the heap is no larger than
@@ -218,8 +228,8 @@ class TaggedHeap:
         self.tags[granule] = 1 if payload.tag else 0
         if granule >= self.extent:
             self.extent = granule + 1
-        watch = self.watch
-        if watch is not None and (watch[addr >> 3] or watch[(addr >> 3) + 1]):
+        watch16 = self.watch16
+        if watch16 is not None and watch16[granule]:  # either unit of the granule
             self.touch(addr >> 3, (addr >> 3) + 1)
 
     def load_cap(self, cap: Capability, addr: int) -> Capability:

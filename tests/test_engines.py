@@ -130,6 +130,32 @@ class TestBumpEngine:
         if not full:
             assert alloc.malloc(16).address == 32
 
+    def test_realloc_window_below_the_heap_moves_no_cursor(self):
+        # a hand-built capability whose window starts below the heap: the
+        # copy faults as heap.load would, after the out-of-memory test and
+        # before the cursor moves
+        alloc = create("bump-alloc-cheri")
+        alloc.malloc(64)
+        snapshot = alloc.heap.snapshot()
+        with pytest.raises(CapFault) as exc:
+            alloc.realloc(Capability(True, -32, 64, -16, 0x3F), 32)
+        assert str(exc.value) == "BoundsViolation: [-16, 16) outside [0, 1048576)"
+        assert alloc._cursor == 64 and alloc.heap.snapshot() == snapshot
+        full = create("bump-alloc-cheri", heap_size=64)
+        full.malloc(64)
+        with pytest.raises(AllocError) as exc:
+            full.realloc(Capability(True, -32, 64, -16, 0x3F), 32)
+        assert str(exc.value) == "OutOfMemory: cursor at 64"
+
+    def test_realloc_through_inverted_bounds_copies_nothing(self):
+        # no byte lies inside bounds whose top is below their base
+        alloc = create("bump-alloc-cheri")
+        x = alloc.malloc(32)
+        alloc.heap.store(x, x.address, b"\x77" * 32)
+        z = alloc.realloc(Capability(True, 32, 0, 32, 0x3F), 32)
+        assert (z.base, z.top, alloc._cursor) == (32, 64, 64)
+        assert alloc.heap.load(z, z.address, 32) == bytes(32)
+
     def test_realloc_of_a_raised_cursor_reads_nothing_past_top(self):
         # without a log the copy window starts at the cursor, but only the
         # bytes inside the capability's bounds are read: y's secret, just
@@ -346,6 +372,43 @@ class TestFreeListEngine:
         assert alloc.heap.snapshot() == snapshot
 
     @pytest.mark.parametrize("name", FREE_LIST_NAMES)
+    @pytest.mark.parametrize("op", ["free", "realloc"])
+    @pytest.mark.parametrize(
+        "tamper, kind",
+        [
+            (lambda p: p.clear_tag(), FaultKind.TAG_VIOLATION),
+            (lambda p: p.and_perms(~Perm.LOAD), FaultKind.PERMISSION_VIOLATION),
+            (lambda p: p.set_bounds(p.address, 16), FaultKind.BOUNDS_VIOLATION),
+            (lambda p: p.set_bounds(p.base, 4).set_address(p.address), FaultKind.BOUNDS_VIOLATION),
+        ],
+        ids=["untagged", "no-load", "header-below-base", "header-past-top"],
+    )
+    def test_header_read_through_a_tampered_capability_faults(self, name, op, tamper, kind):
+        # the header is read through the client's capability, as a load
+        # through it would be, for a realloc the block holds too
+        alloc = create(name)
+        p = alloc.malloc(64)
+        free_list, snapshot = list(alloc._free_list), alloc.heap.snapshot()
+        args = (tamper(p),) if op == "free" else (tamper(p), 16)
+        with pytest.raises(CapFault) as exc:
+            getattr(alloc, op)(*args)
+        assert exc.value.kind is kind
+        assert alloc._free_list == free_list and alloc.heap.snapshot() == snapshot
+
+    @pytest.mark.parametrize("name", FREE_LIST_NAMES)
+    @pytest.mark.parametrize("op", ["free", "realloc"])
+    def test_header_past_32_bits_faults_and_commits_nothing(self, name, op):
+        # set_address would refuse the header's address; the engine
+        # classifies that as a bounds fault, ahead of the tag check
+        alloc = create(name, heap_size=4096)
+        cap = Capability(False, 0, 1 << 40, (1 << 32) + 8, 0x3F)
+        args = (cap,) if op == "free" else (cap, 64)
+        with pytest.raises(CapFault) as exc:
+            getattr(alloc, op)(*args)
+        assert str(exc.value) == "BoundsViolation: header would sit past the 32-bit address space"
+        assert alloc._free_list == [0]
+
+    @pytest.mark.parametrize("name", FREE_LIST_NAMES)
     def test_header_past_the_heap_end_is_the_heaps_bounds_fault(self, name):
         # a hand-built capability wider than the heap passes its own check
         alloc = create(name, heap_size=4096)
@@ -371,6 +434,23 @@ class TestSlabEngine:
             assert SlabAllocator.size_class(size) == expected
             cap = alloc.malloc(size)
             assert cap.top - cap.base == expected
+
+    @pytest.mark.parametrize("name", ["snmalloc-cheribuild", "snmalloc-repo"])
+    def test_malloc_classes_every_size_as_size_class_does(self, name):
+        # malloc applies size_class's rule in line: the two must agree on
+        # every size up to one past the largest class
+        alloc = create(name)
+        for size in range(1, SIZE_CLASSES[-1] + 2):
+            try:
+                expected = SlabAllocator.size_class(size)
+            except AllocError as exc:
+                with pytest.raises(AllocError) as got:
+                    alloc.malloc(size)
+                assert str(got.value) == str(exc)
+                continue
+            cap = alloc.malloc(size)
+            assert cap.top - cap.base == expected
+            alloc.free(cap)
 
     def test_oversized_request_is_out_of_memory(self):
         with pytest.raises(AllocError) as exc:
@@ -489,6 +569,22 @@ class TestContractAcrossAllEngines:
         with pytest.raises(AllocError) as exc:
             create(name).malloc(0)
         assert exc.value.kind is AllocErrorKind.BAD_REQUEST
+
+    @pytest.mark.parametrize("name", ALLOCATOR_NAMES)
+    @pytest.mark.parametrize("size", [0, -16, 1.5, "32"])
+    def test_realloc_to_a_bad_size_is_bad_request(self, name, size):
+        # checked first, before the block is looked up, and nothing moves
+        alloc = create(name)
+        cap = alloc.malloc(32)
+        snapshot = alloc.heap.snapshot()
+        for target in (cap, cap.set_address(8)):
+            with pytest.raises(AllocError) as exc:
+                alloc.realloc(target, size)
+            assert str(exc.value) == f"BadRequest: size {size!r}"
+        assert alloc.heap.snapshot() == snapshot
+        twin = create(name)
+        twin.malloc(32)
+        assert alloc.malloc(32) == twin.malloc(32)
 
     @pytest.mark.parametrize("name", ALLOCATOR_NAMES)
     def test_reset_reproduces_fresh_instance(self, name):
@@ -797,6 +893,54 @@ def test_random_sequences_keep_live_blocks_disjoint(name):
                 live.append((new_cap, new_size))
 
 
+def _hostile_field(rng, live, heap_size):
+    """A bound or address: negative, inside the heap, past its end, past
+    32 bits, or near a live block's."""
+    near = [x for cap in live for x in (cap.base, cap.top, cap.address)]
+    pick = rng.choice(
+        [-(1 << 40), -4096, -32, -16, -8, 0, 8, 16, 48, heap_size - 16, heap_size,
+         heap_size + 16, (1 << 32) - 8, 1 << 32, (1 << 32) + 8, 1 << 40] + near
+    )
+    return pick + rng.choice([0, 0, 0, 8, -8, 16])
+
+
+@pytest.mark.parametrize("name", ALLOCATOR_NAMES)
+def test_hand_built_capabilities_are_refused_cleanly(name):
+    """free and realloc through hand-built capabilities: negative, huge
+    and inverted bounds, untagged ones, addresses past 32 bits, any
+    permission byte.  Each call returns or raises AllocError or
+    CapFault, never another exception, and a refused call leaves the
+    heap's bytes and tags (and the bump cursor) as they were."""
+    heap_size = 1 << 16
+    rng = random.Random(f"hand-built {name}")
+    alloc = create(name, heap_size=heap_size)
+    live = [alloc.malloc(64)]
+    # first the two that escaped or leaked on bump: a copy window below
+    # the heap, and inverted bounds
+    calls = [(Capability(True, -32, 64, -16, 0x3F), 32), (Capability(True, 32, 0, 32, 0x3F), 32)]
+    for step in range(600):
+        if rng.random() < 0.3:
+            try:
+                live.append(alloc.malloc(rng.choice([16, 48, 100, 600])))
+            except AllocError:
+                pass
+        if step < len(calls):
+            cap, size = calls[step]
+        else:
+            fields = (_hostile_field(rng, live, heap_size) for _ in range(3))
+            cap = Capability(rng.random() < 0.7, *fields, rng.choice([0, 1, 3, 0x3D, 0x3F, 0xFF]))
+            size = rng.choice([None, 1, 16, 48, 100, 600, 4096, 5000, 0, -1])
+        snapshot, cursor = alloc.heap.snapshot(), getattr(alloc, "_cursor", None)
+        try:
+            if size is None:
+                alloc.free(cap)
+            else:
+                live.append(alloc.realloc(cap, size))
+        except (AllocError, CapFault):
+            assert alloc.heap.snapshot() == snapshot, cap
+            assert getattr(alloc, "_cursor", None) == cursor, cap
+
+
 class CountingHeader:
     """Stands in for ``engines._HEADER``: counts ``unpack_from`` calls made
     while ``inside`` is non-zero and passes everything through.  Every
@@ -876,28 +1020,71 @@ def calls_into_capheap(run):
     return calls
 
 
-@pytest.mark.parametrize("name", FREE_LIST_NAMES)
-@pytest.mark.parametrize("scan_limit, calls", [(64, 6000), (0, 7000)], ids=["scanned", "indexed"])
-def test_python_calls_per_malloc_free_pair(name, scan_limit, calls, monkeypatch):
-    """1,000 ``malloc(48)`` + ``free`` pairs, each taking and giving back
-    the same chunk at the head of the list.  A pair made 11 calls into
-    capheap on the scan and 13 with the class index on, before
-    ``_check_request``, ``_write_header``, the count-out of ``_leave``,
-    ``_client_header`` (in its common case), ``check_access`` and the
-    linear ``_class`` were folded into their callers; now it makes 6
-    (``malloc``, ``_carve``, ``_derive``, ``_leave``, ``free``,
-    ``_push``) and 7 (``_fit_indexed`` too)."""
-    monkeypatch.setattr(engines, "_SCAN_LIMIT", scan_limit)
+# Python calls into capheap per engine op on a fresh 1 MiB heap, as
+# (malloc, free, realloc that fits, realloc that moves, pair):
+#   malloc  the second malloc(48);
+#   free    free of that block, once both reallocs have run;
+#   fits    realloc of that block to 40 bytes, which its block holds;
+#   moves   realloc of the first block to 200 bytes, which the second
+#           keeps from growing in place (into a new slab on slab);
+#   pair    one of 1,000 malloc(48) + free pairs: on the free list each
+#           takes and gives back the head chunk whole, and on a deferring
+#           slab each malloc applies the free queued before it.
+# The "-indexed" rows run the free list with its class index on from the
+# first malloc.  The counts are pinned so that any change to one is a
+# reviewed number; the test also holds each engine to the maxima its ops
+# were folded to.
+CALLS_PER_OP = {
+    "bump-alloc-cheri": (2, 1, 2, 2, 3),
+    "bump-alloc-nocheri": (2, 2, 3, 3, 4),
+    "dlmalloc-cheribuild": (4, 2, 3, 9, 6),
+    "jemalloc": (4, 2, 3, 9, 6),
+    "libmalloc-simple": (4, 2, 3, 11, 6),
+    "snmalloc-cheribuild": (2, 1, 2, 5, 5),
+    "snmalloc-repo": (2, 1, 2, 5, 3),
+    "dlmalloc-cheribuild-indexed": (6, 2, 3, 11, 7),
+    "jemalloc-indexed": (6, 2, 3, 11, 7),
+    "libmalloc-simple-indexed": (6, 2, 3, 13, 7),
+}
+
+
+@pytest.mark.parametrize("row", CALLS_PER_OP)
+def test_python_calls_per_engine_op(row, monkeypatch):
+    name = row.removesuffix("-indexed")
+    if name != row:
+        monkeypatch.setattr(engines, "_SCAN_LIMIT", 0)
     alloc = create(name)
-    alloc.free(alloc.malloc(48))  # with _SCAN_LIMIT 0 this malloc starts the index
-    assert (alloc._classes is not None) == (scan_limit == 0)
+    first = alloc.malloc(48)
+    results = []
+
+    def calls(op, *args):
+        n = calls_into_capheap(lambda: results.append(op(*args)))
+        return n, results[-1]
+
+    malloc, block = calls(alloc.malloc, 48)
+    fits, block = calls(alloc.realloc, block, 40)
+    moves, moved = calls(alloc.realloc, first, 200)
+    free, _ = calls(alloc.free, block)
+    assert moved.address != first.address
+    alloc.free(alloc.malloc(48))
 
     def pairs():
         for _ in range(1000):
             alloc.free(alloc.malloc(48))
 
-    assert calls_into_capheap(pairs) == calls
-    assert alloc._free_list[0] == 0 and alloc.chunks()[0] == (0, 48, 0)
+    counts = (malloc, free, fits, moves, calls_into_capheap(pairs) / 1000)
+    assert counts == CALLS_PER_OP[row]
+    if name in FREE_LIST_NAMES:
+        assert (alloc._classes is not None) == (name != row)
+        assert (alloc._free_list[0], 48, 0) in alloc.chunks()
+    # the maxima the folds were held to
+    engine = type(alloc)
+    if engine is engines.BumpAllocator:
+        assert malloc <= 2 and max(fits, moves) <= 3
+    elif engine is SlabAllocator:
+        assert malloc <= 4 and free <= 2
+    else:
+        assert fits <= 3
 
 
 @pytest.mark.parametrize("name", FREE_LIST_NAMES)

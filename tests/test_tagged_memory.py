@@ -407,7 +407,7 @@ class TestWatchedHeap:
     @pytest.fixture
     def watched(self):
         heap = TaggedHeap(HEAP)
-        heap.watch = bytearray(HEAP // 8)
+        heap.set_watch(bytearray(HEAP // 8))
         return heap
 
     def test_unwatched_until_a_watch_is_set(self, root):
