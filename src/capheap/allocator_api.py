@@ -110,18 +110,18 @@ class Allocator(abc.ABC):
         self._traits = traits
         self._rounding = rounding_bounds
         self.region: Capability = make_root(heap.size)
-        # the permission mask every client capability is cut down to
-        self._client_perms = _CLIENT_PERMS_NO_EXEC if traits.strips_exec else _CLIENT_PERMS
+        # the permissions of every client capability: the region's, cut
+        # down once here rather than on every op
+        perms = _CLIENT_PERMS_NO_EXEC if traits.strips_exec else _CLIENT_PERMS
+        self._client_perms = self.region.perms & perms
         self._reset_state()
 
     def traits(self) -> AllocatorTraits:
         return self._traits
 
     def reset(self) -> None:
-        """Back to the initial state over a freshly zeroed heap."""
-        # _reset_state drops whatever the engine mirrored of the heap, so
-        # the barrier goes first and clear() marks no watched unit dirty
-        self.heap.set_watch(None)
+        """Back to the initial state over a freshly zeroed heap (whose
+        ``clear()`` drops its watch map)."""
         self.heap.clear()
         self._reset_state()
 

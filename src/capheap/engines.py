@@ -55,12 +55,12 @@ capheap per op (``tests/test_engines.py`` pins them):
 * bump: malloc 2; free 1, or 2 with the allocation log; realloc, which
   always moves and takes its block as malloc does, in line, 2, or 3
   with the log.
-* free list: malloc 4, or 6 with the class index; free 2; realloc 3
-  when the block holds the request, 9 or more when it moves.  malloc
-  checks its request itself and ``_carve`` and ``_push`` each write
-  their header in line; free reads the header through the client's
-  capability in line while every check passes, and realloc does the
-  same in ``_client_header``.
+* free list: malloc 4 when it scans, or 6 while the class index is on;
+  free 2; realloc 3 when the block holds the request, 9 or more when it
+  moves.  malloc checks its request itself and ``_carve`` and ``_push``
+  each write their header in line; free reads the header through the
+  client's capability in line while every check passes, and realloc
+  does the same in ``_client_header``.
 * slab: malloc 2, 3 when it carves a slab, more while deferred frees
   are queued; free 1; realloc 2 when it fits or grows in place, 5 when
   it moves.  malloc does the size class and the single-slot take in
@@ -87,13 +87,18 @@ above, or poisoned for a bad magic.  One ``translate`` and one ``find``
 over those bytes pick the slot, or raise the CorruptHeader, that the
 scan would.  The tail, which realloc growing in place shares, splits
 off a remainder of 32 bytes or more.  The classes stay true to the heap
-bytes behind a write barrier: the heap watches the 8-byte unit of every
-indexed header, any store or engine header write to one marks it
-dirty, and the next malloc first re-reads just the listed headers at
-dirty units.  A header forged through a stale capability therefore
-still steers the next malloc.  The index holds only chunks on the
-8-byte grid, whose header is exactly one unit: while a forged chunk off
-the grid is listed, there is no index and the scan answers.
+bytes behind a write barrier that is a fuse: the heap watches the
+8-byte unit of every indexed header, and the index is on exactly while
+it does (``heap.watch`` is set).  Any store or engine header write that
+reaches a watched unit, and any ``clear``, drops the watch map, and
+with it the index; so does re-listing a chunk already listed, whose
+other slots would keep the old class.  The next malloc scans from the
+head, and a scan that visits more than 64 entries starts the index
+again from the headers as they are.  A header forged through a stale
+capability therefore still steers the next malloc.  The index holds
+only chunks on the 8-byte grid, whose header is exactly one unit: while
+a forged chunk off the grid is listed, there is no index and the scan
+answers.
 """
 
 from __future__ import annotations
@@ -167,8 +172,11 @@ class BumpAllocator(Allocator):
     and invalid frees.  realloc always allocates fresh and copies: the
     logged block at the cursor, or without a log ``min(length, new
     size)`` bytes from the cursor, of which only those inside the
-    capability's bounds are read (the rest of the new block stays zero;
-    a capability with inverted bounds has none, so nothing is copied).
+    capability's bounds are read (a capability with inverted bounds has
+    none, so nothing is copied).  Bump never zeroes: the rest of the new
+    block, like every block malloc hands out, holds what the heap holds
+    there, which is zero unless a client wrote past the cursor (a
+    bump-alloc-nocheri block's capability spans the whole region).
 
     realloc takes its block as malloc does, in line, and copies in place
     on the heap bytes: its faults come in malloc's order with the copy's
@@ -196,7 +204,7 @@ class BumpAllocator(Allocator):
         if start + length > self.heap.size:
             raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"cursor at {start}")
         region = self.region
-        perms = region.perms & self._client_perms
+        perms = self._client_perms
         if self._traits.narrow_bounds:
             cap = _derive(region, start, length, start, perms, self._rounding)
         else:  # whole-region capability, cursor parked at the block start
@@ -234,7 +242,7 @@ class BumpAllocator(Allocator):
         if start + length > heap.size:
             raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"cursor at {start}")
         region = self.region
-        perms = region.perms & self._client_perms
+        perms = self._client_perms
         if self._traits.narrow_bounds:
             new_cap = _derive(region, start, length, start, perms, self._rounding)
         else:
@@ -255,7 +263,7 @@ class BumpAllocator(Allocator):
         if ncopy > 0:
             # the copy in place, as heap.store would make it (the window is
             # inside the heap, and only the free-list engine sets a write
-            # barrier); fresh cursor memory is already zero
+            # barrier); the rest of the block is left as it is
             data = heap.data
             data[dst : dst + ncopy] = data[src : src + ncopy]
             first, last = dst >> 4, (dst + ncopy - 1) >> 4
@@ -300,28 +308,27 @@ class FreeListAllocator(Allocator):
     Clients can overwrite headers, and the engine's own header writes
     can land on a forged one, so the classes stand behind the heap's
     write barrier: the heap watches the 8-byte unit of every indexed
-    header, every write to a watched unit (the LIVE header of a chunk
-    grown in place tests both units it may overlap) marks it dirty, and
-    malloc first re-reads the header at each dirty unit that is listed
-    and re-files its slots.  chunks() raises CORRUPT_HEADER on a bad
-    magic or a walk that does not end exactly at the heap's end, and
-    realloc absorption on a FREE header that is not listed.
+    header, and the index is on exactly while ``heap.watch`` is set.
+    Every write to a watched unit (the LIVE header of a chunk grown in
+    place tests both units it may overlap) drops the watch map, as does
+    re-listing a listed chunk, and malloc scans until a long scan starts
+    the index again.  chunks() raises CORRUPT_HEADER on a bad magic or a
+    walk that does not end exactly at the heap's end, and realloc
+    absorption on a FREE header that is not listed.
     """
 
     validations = (FreeValidation.INLINE_HEADER,)
     refuses = {"narrow_bounds": False, "deferred_free": True}
 
+    # the class of each slot's chunk, kept and read only while the heap
+    # watches (``heap.watch`` is set), which is exactly while the index is on
+    _classes: bytearray
+
     def _reset_state(self) -> None:
         self._free_list: list[int] = []  # chunk offsets, head first
         self._listed: dict[int, int] = {}  # chunk -> occurrences in _free_list
-        self._unindex()
+        self.heap.set_watch(None)  # no index: the scan answers
         self._push(0, self.heap.size - CHUNK_HEADER_SIZE)  # one free chunk tiles the heap
-
-    def _unindex(self) -> None:
-        """Drop the class index: the scan answers until it starts again."""
-        self._classes: bytearray | None = None  # the class of each slot's chunk
-        self.heap.set_watch(None)
-        self.heap.dirty.clear()
 
     # Listing goes through _push and _leave; the one exception is the
     # split in _carve, which counts out the chunk whose slot the remainder
@@ -329,10 +336,10 @@ class FreeListAllocator(Allocator):
     # on the 8-byte grid (every one but a forged one), so a chunk's header
     # is exactly the unit the heap watches at chunk >> 3, and that unit
     # is watched exactly while the chunk is listed.  A push files the
-    # chunk by the payload it writes; re-listing a chunk already listed
-    # leaves its unit dirty, so the next re-read re-files its other slots.
-    # Listing a chunk off the grid drops the index, and it does not start
-    # again while such a chunk is listed.
+    # chunk by the payload it writes.  Re-listing a chunk already listed
+    # drops the index, as its other slots hold the old class, and so does
+    # listing a chunk off the grid; the index does not start again while
+    # such a chunk is listed.
 
     def _push(self, chunk: int, payload: int, slot: int = -1) -> None:
         """Write a FREE header of ``payload`` bytes at ``chunk`` and list
@@ -349,18 +356,16 @@ class FreeListAllocator(Allocator):
         listed = self._listed
         n = listed.get(chunk, 0)
         listed[chunk] = n + 1
-        classes = self._classes
-        if classes is not None and chunk & 7:
-            self._unindex()
-        elif classes is not None:
-            heap.watch[chunk >> 3] = 1
-            if n:  # its other slots keep the old class until the re-read
-                heap.dirty.add(chunk >> 3)
+        watch = heap.watch
+        if watch is not None and (n or chunk & 7):
+            heap.set_watch(None)
+        elif watch is not None:
+            watch[chunk >> 3] = 1
             cls = payload >> 4 if payload < _LINEAR else _class(payload)
             if slot < 0:
-                classes.insert(0, cls)
+                self._classes.insert(0, cls)
             else:
-                classes[slot] = cls
+                self._classes[slot] = cls
         if slot < 0:
             self._free_list.insert(0, chunk)
         else:
@@ -369,16 +374,17 @@ class FreeListAllocator(Allocator):
     def _leave(self, chunk: int, slot: int = -1) -> None:
         """Count one occurrence of ``chunk`` out, and unlist the one at
         ``slot`` if given."""
+        watch = self.heap.watch
         if slot >= 0:
             del self._free_list[slot]
-            if self._classes is not None:
+            if watch is not None:
                 del self._classes[slot]
         listed = self._listed
         n = listed.pop(chunk) - 1
         if n:
             listed[chunk] = n
-        elif self._classes is not None:
-            self.heap.watch[chunk >> 3] = 0
+        elif watch is not None:
+            watch[chunk >> 3] = 0
 
     def _index(self) -> None:
         """Start the class index, unless a chunk off the grid is listed:
@@ -396,19 +402,6 @@ class FreeListAllocator(Allocator):
             watch[chunk >> 3] = 1
         self._classes = bytearray(class_of[chunk] for chunk in self._free_list)
 
-    def _resync(self) -> None:
-        """Re-read the header at every dirty unit whose chunk is listed,
-        and re-file each of its slots."""
-        heap = self.heap
-        for chunk in self._listed.keys() & {unit << 3 for unit in heap.dirty}:
-            payload, magic, _, _ = _HEADER.unpack_from(heap.data, chunk)
-            cls = _class(payload) if magic == CHUNK_MAGIC else _POISONED
-            slot = -1
-            for _ in range(self._listed[chunk]):
-                slot = self._free_list.index(chunk, slot + 1)
-                self._classes[slot] = cls
-        heap.dirty.clear()
-
     # Header I/O is done in place on the heap bytes (see the module
     # docstring).  The engine's authority is the region capability, which
     # is tagged, holds every permission and spans the heap, so its check
@@ -421,9 +414,10 @@ class FreeListAllocator(Allocator):
     # modulo 16) and, like a client's store, raises the heap's written
     # extent.  Of the watched units it may write, _push needs no test: an
     # on-grid header is its own unit, watched only while that chunk is
-    # listed, and an off-grid push drops the index.  _carve's LIVE header
-    # may be that of an off-grid chunk grown in place, over two units, so
-    # it tests both and marks the watched ones dirty.
+    # listed, and both a re-list and an off-grid push drop the index.
+    # _carve's LIVE header may be that of an off-grid chunk grown in
+    # place, over two units, so it tests both and drops the watch map if
+    # either is watched.
 
     def _read_header(self, chunk: int) -> tuple[int, int, int]:
         if chunk < 0 or chunk + CHUNK_HEADER_SIZE > self.heap.size:
@@ -465,11 +459,13 @@ class FreeListAllocator(Allocator):
             raise AllocError(AllocErrorKind.BAD_REQUEST, f"size {size!r}")
         want = (size + 15) & ~15
         free_list = self._free_list
-        if self._classes is not None:
+        heap = self.heap
+        if heap.watch is not None:
             slot, payload = self._fit_indexed(want)
         else:
-            # a short list: scan it from the head, reading each header
-            data = self.heap.data
+            # a short list, or the index dropped: scan it from the head,
+            # reading each header
+            data = heap.data
             for slot, chunk in enumerate(free_list):
                 payload, magic, _, _ = _HEADER.unpack_from(data, chunk)
                 if magic != CHUNK_MAGIC:
@@ -483,7 +479,7 @@ class FreeListAllocator(Allocator):
         if slot < 0:
             raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"no free chunk holds {want} bytes")
         cap = self._carve(free_list[slot], payload, want, slot)
-        if slot >= _SCAN_LIMIT and self._classes is None:
+        if slot >= _SCAN_LIMIT and heap.watch is None:
             self._index()  # a long scan: answer from the classes from now on
         return cap
 
@@ -492,8 +488,6 @@ class FreeListAllocator(Allocator):
         and its chunk's payload, or (-1, 0) when no chunk fits.  A
         poisoned slot raises what the scan would raise there."""
         heap = self.heap
-        if heap.dirty:
-            self._resync()
         free_list = self._free_list
         classes = self._classes
         # the first slot whose class surely fits, or that is poisoned
@@ -538,7 +532,7 @@ class FreeListAllocator(Allocator):
                 region.check_access(rest, CHUNK_HEADER_SIZE, Perm.STORE)
         else:
             rest, want = 0, payload
-        perms = region.perms & self._client_perms
+        perms = self._client_perms
         cap = _derive(region, chunk, CHUNK_HEADER_SIZE + want, at, perms, self._rounding)
         if rest:
             self._push(rest, payload - want - CHUNK_HEADER_SIZE, slot)
@@ -547,7 +541,7 @@ class FreeListAllocator(Allocator):
                 n = listed.pop(chunk) - 1
                 if n:
                     listed[chunk] = n
-                elif self._classes is not None:
+                elif heap.watch is not None:
                     heap.watch[chunk >> 3] = 0
         elif slot >= 0:
             self._leave(chunk, slot)
@@ -561,7 +555,7 @@ class FreeListAllocator(Allocator):
             heap.extent = last + 1
         watch = heap.watch
         if watch is not None and (watch[chunk >> 3] or watch[(at - 1) >> 3]):
-            heap.touch(chunk >> 3, (at - 1) >> 3)
+            heap.set_watch(None)
         return cap
 
     def free(self, cap: Capability) -> None:
@@ -587,7 +581,7 @@ class FreeListAllocator(Allocator):
         chunk, payload = self._client_header(cap)
         if want <= payload:
             region = self.region
-            perms = region.perms & self._client_perms
+            perms = self._client_perms
             at = chunk + CHUNK_HEADER_SIZE
             return _derive(region, chunk, CHUNK_HEADER_SIZE + payload, at, perms, self._rounding)
         if self._traits.realloc_grows_in_place:
@@ -706,8 +700,8 @@ class SlabAllocator(Allocator):
         self._slabs: list[_Slab] = []  # by number, which is offset // SLAB_SIZE
         # class -> open-slab map: one byte per slab number
         self._open: dict[int, bytearray] = {}
-        # block address -> (slab, first slot, slot count, requested size)
-        self._live: dict[int, tuple[_Slab, int, int, int]] = {}
+        # block address -> (slab, first slot, slot count)
+        self._live: dict[int, tuple[_Slab, int, int]] = {}
         self._pending: list[int] = []
 
     @staticmethod
@@ -749,12 +743,11 @@ class SlabAllocator(Allocator):
         bits = slab.bits
         slot = bits.find(0)
         addr = slab.offset + slot * cls
-        region = self.region
-        cap = _derive(region, addr, cls, addr, region.perms & self._client_perms, self._rounding)
+        cap = _derive(self.region, addr, cls, addr, self._client_perms, self._rounding)
         bits[slot] = 1
         if bits.find(0, slot + 1) < 0:
             open_map[index] = 0
-        self._live[addr] = (slab, slot, 1, size)
+        self._live[addr] = (slab, slot, 1)
         return cap
 
     def _slot_of(self, addr: int) -> tuple[_Slab, int] | None:
@@ -784,7 +777,7 @@ class SlabAllocator(Allocator):
                 if strict and slab.bits[slot]:
                     raise AllocError(AllocErrorKind.INVALID_FREE, f"{addr} is inside a live block")
                 return
-        slab, slot, nslots, _ = record
+        slab, slot, nslots = record
         if nslots == 1:
             slab.bits[slot] = 0
         else:
@@ -816,13 +809,12 @@ class SlabAllocator(Allocator):
         record = self._live.get(addr)
         if record is None:
             raise AllocError(AllocErrorKind.INVALID_FREE, f"no allocation at {addr}")
-        slab, slot, nslots, _ = record
+        slab, slot, nslots = record
         cls = slab.cls
         current = nslots * cls
         region = self.region
-        perms = region.perms & self._client_perms
+        perms = self._client_perms
         if new_size <= current:
-            self._live[addr] = (slab, slot, nslots, new_size)
             return _derive(region, addr, current, addr, perms, self._rounding)
         if self._traits.realloc_grows_in_place:
             need = -(-new_size // cls)
@@ -831,7 +823,7 @@ class SlabAllocator(Allocator):
                 bits[slot : slot + need] = b"\1" * need
                 if 0 not in bits:
                     self._open[cls][slab.index] = 0
-                self._live[addr] = (slab, slot, need, new_size)
+                self._live[addr] = (slab, slot, need)
                 return _derive(region, addr, need * cls, addr, perms, self._rounding)
         # move: a fresh slot in the right class; the copy and the zero
         # tail are one write in place, as heap.store would make it (both

@@ -38,16 +38,17 @@ hand-built ``Capability`` can hold one) with
 byte or tag changes.
 
 Every heap has a write barrier for an engine that mirrors heap bytes
-out of band: once the engine sets ``watch`` with ``set_watch`` (one byte
-per 8 bytes of heap, set at the units it mirrors; unit ``u`` is bytes
-``8u..8u+7``), ``store``, ``store_cap``, ``touch`` and ``clear`` add
-every watched unit they write to ``dirty``, which the engine drains
-before it trusts its mirror.  ``watch16`` is a 16-bit view of the same
-map, one item per granule, so ``store_cap`` tests the two units of its
-granule with one index.  A writer of ``data`` or ``tags`` other than
-``store`` and ``store_cap`` (the engines' in-place header writes and
-copies) raises ``extent`` past what it wrote, or ``clear()`` leaves
-those bytes behind.
+out of band, and it is a fuse: once the engine sets ``watch`` with
+``set_watch`` (one byte per 8 bytes of heap, set at the units it
+mirrors; unit ``u`` is bytes ``8u..8u+7``), a ``store`` or
+``store_cap`` that writes a watched unit, and every ``clear``, drops the
+map (``watch`` becomes None), and the engine trusts its mirror only
+while the map is set.  ``watch16`` is a 16-bit view of the same map, one
+item per granule, so ``store_cap`` tests the two units of its granule
+with one index.  A writer of ``data`` or ``tags`` other than ``store``
+and ``store_cap`` (the engines' in-place header writes and copies)
+raises ``extent`` past what it wrote, or ``clear()`` leaves those bytes
+behind.
 """
 
 from __future__ import annotations
@@ -129,7 +130,6 @@ class TaggedHeap:
         self.extent = 0  # one past the highest granule written since the last clear
         self.watch: bytearray | None = None  # the write barrier's map, one byte per 8 bytes
         self.watch16: memoryview | None = None  # the same map, two bytes per granule
-        self.dirty: set[int] = set()  # watched units written since the engine looked
 
     def set_watch(self, watch: bytearray | None) -> None:
         """Set the write barrier's map (``heap.size >> 3`` bytes), or drop
@@ -151,11 +151,10 @@ class TaggedHeap:
         _stock.append((self.data, self.tags))
 
     def clear(self) -> None:
-        """Re-zero every byte and tag written, in place; every watched
-        unit is dirty."""
+        """Re-zero every byte and tag written, in place, and drop the
+        watch map."""
         self._zero()
-        if self.watch is not None:
-            self.touch(0, len(self.watch) - 1)
+        self.set_watch(None)
 
     def _zero(self) -> None:
         """Re-zero every byte and tag written, in place, copying from
@@ -165,14 +164,6 @@ class TaggedHeap:
         _zero_prefix(self.data, self.extent * GRANULE)
         _zero_prefix(self.tags, self.extent)
         self.extent = 0
-
-    def touch(self, first: int, last: int) -> None:
-        """Mark dirty every watched unit in ``first..last``."""
-        watch = self.watch
-        u = watch.find(1, first, last + 1)
-        while u >= 0:
-            self.dirty.add(u)
-            u = watch.find(1, u + 1, last + 1)
 
     def fault_outside(self, addr: int, length: int) -> None:
         """Raise the heap's own bounds fault for [addr, addr + length)."""
@@ -207,7 +198,7 @@ class TaggedHeap:
             self.extent = last + 1
         watch = self.watch
         if watch is not None and watch.find(1, addr >> 3, (addr + len(payload) + 7) >> 3) >= 0:
-            self.touch(addr >> 3, (addr + len(payload) - 1) >> 3)
+            self.set_watch(None)
 
     def store_cap(self, cap: Capability, addr: int, payload: Capability) -> None:
         """Serialize ``payload`` into one granule; the granule tag becomes
@@ -230,7 +221,7 @@ class TaggedHeap:
             self.extent = granule + 1
         watch16 = self.watch16
         if watch16 is not None and watch16[granule]:  # either unit of the granule
-            self.touch(addr >> 3, (addr >> 3) + 1)
+            self.set_watch(None)
 
     def load_cap(self, cap: Capability, addr: int) -> Capability:
         """Deserialize one granule; the result's tag is the granule tag,

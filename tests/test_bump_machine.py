@@ -20,7 +20,6 @@ must fault before the cursor moves.
 """
 
 import pytest
-from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -33,6 +32,7 @@ from hypothesis.stateful import (
 from capheap.allocator_api import AllocError, AllocErrorKind, FreeValidation, round16
 from capheap.capability import ROUNDING_MANTISSA_BITS, ROUNDING_THRESHOLD, CapFault, FaultKind
 from capheap.registry import TRAITS, create
+from stateful_settings import STATEFUL
 
 HEAP = 8192  # small enough that the cursor reaches the end
 SIZES = st.one_of(st.integers(1, 64), st.integers(1, 1024))
@@ -257,12 +257,7 @@ class BumpMachine(RuleBasedStateMachine):
 
 def run_machine(config, **attrs):
     machine = type(f"BumpMachine[{config}]", (BumpMachine,), {"config": config, **attrs})
-    run_state_machine_as_test(
-        machine,
-        settings=settings(
-            max_examples=60, stateful_step_count=40, deadline=None, derandomize=True, database=None
-        ),
-    )
+    run_state_machine_as_test(machine, settings=STATEFUL)
 
 
 @pytest.mark.parametrize("config", ["bump-alloc-cheri", "bump-alloc-nocheri"])

@@ -325,6 +325,69 @@ def test_seeded_sweep_of_hostile_dump_scripts(tmp_path, capsys):
     assert codes == {0, 1, 2}
 
 
+# The exit codes README documents for each command: 0 on success, 1 for a
+# matrix mismatch under --expect or a dump script op the allocator
+# refuses, 2 on malformed input.
+DOCUMENTED_EXIT_CODES = {
+    "matrix": {0, 1, 2},
+    "attack": {0, 2},
+    "bench": {0, 2},
+    "list": {0, 2},
+    "dump": {0, 1, 2},
+}
+
+
+def edge_argv(rng: random.Random, tmp_path) -> list[str]:
+    """One command line with option values at and just past their limits:
+    counts and sizes at 0, -1 and 1, seeds at 0 and 2**64, sizes far
+    past the heap (with small op counts, so a run stays short), unknown
+    formats, attacks and allocators, and ``dump --out`` paths that
+    cannot be written."""
+
+    def maybe(*argv):
+        return list(argv) if rng.random() < 0.5 else []
+
+    command = rng.choice(list(DOCUMENTED_EXIT_CODES))
+    allocator = rng.choice(ALLOCATOR_NAMES + ("all", "nope", ""))
+    if command == "matrix":
+        fmt = rng.choice(["text", "csv", "json", "yaml", "TEXT", ""])
+        return ["matrix", *maybe("--expect"), *maybe("--rounding-bounds"), *maybe("--format", fmt)]
+    if command == "attack":
+        attack = rng.choice(ATTACK_IDS + ("A0", "A6", "a1"))
+        return ["attack", attack, *maybe("--allocator", allocator), *maybe("--trace")]
+    if command == "bench":
+        sizes = ["0", "-1", "1", "16", "4097", str(2**32), str(2**64), str(2**70), "x"]
+        argv = ["bench", rng.choice(["churn", "randsize", "reallocramp", "ramp"])]
+        argv += maybe("--allocator", allocator) or ["--allocator", "all"]
+        argv += ["--ops", rng.choice(["0", "-1", "1", "3", "x"])]
+        argv += maybe("--seed", rng.choice(["0", "-1", "1", str(2**64 - 1), str(2**64)]))
+        for option in ("--size", "--min-size", "--max-size"):
+            argv += maybe(option, rng.choice(sizes))
+        return argv
+    if command == "list":
+        return ["list", *maybe("--traits"), *maybe("--bogus")]
+    script = tmp_path / "script.txt"
+    script.write_text("malloc 32\nmalloc 4096\nfree 0\n")
+    out = rng.choice([tmp_path, tmp_path / "missing" / "x.bin", tmp_path / "heap.bin", os.devnull])
+    return ["dump", "--allocator", allocator, "--script", str(script), "--out", str(out)]
+
+
+def test_seeded_sweep_of_command_lines_at_their_limits(tmp_path, capsys):
+    rng = random.Random("cli edges")
+    codes = {command: set() for command in DOCUMENTED_EXIT_CODES}
+    for _ in range(120):
+        argv = edge_argv(rng, tmp_path)
+        rc = main(argv)
+        out = capsys.readouterr()
+        assert rc in DOCUMENTED_EXIT_CODES[argv[0]], argv
+        assert "Traceback" not in out.err, argv
+        if rc == 2:
+            assert out.out == "", argv
+        codes[argv[0]].add(rc)
+    # every command both ran and refused a command line
+    assert all({0, 2} <= seen for seen in codes.values()), codes
+
+
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 2
 

@@ -876,7 +876,7 @@ def poisoned_at_index_start(name):
     alloc.free(b)
     for cap in small:
         alloc.free(cap)
-    out = [outcome(alloc.malloc, 32), alloc._classes is not None]
+    out = [outcome(alloc.malloc, 32), alloc.heap.watch is not None]
     return out + [attempt(alloc.malloc, 5000, full=True)[0], alloc._free_list[78:]]
 
 

@@ -15,8 +15,7 @@ step must be untagged; the writes are recorded at ``_HEADER.pack_into``,
 which every header write of the engine goes through.  While the class
 index is on, every listed chunk must be on the 8-byte grid, the heap
 must watch exactly the 8-byte units of listed headers, and each slot's
-class must be its header's as read from the heap bytes, unless a write
-since the last malloc left the header's unit dirty.
+class must be its header's as read from the heap bytes.
 ``chunks()`` may fail only as a classified ``CorruptHeader`` or bounds
 fault, and a list it returns must tile the heap exactly.  Until the
 client mounts one of the modelled attacks (a forged header, a free that
@@ -36,7 +35,6 @@ import struct
 from collections import Counter
 
 import pytest
-from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -58,6 +56,7 @@ from capheap.capability import (
 from capheap.engines import _POISONED, CHUNK_HEADER_SIZE, CHUNK_MAGIC, _class
 from capheap.registry import TRAITS, create
 from capheap.tagged_memory import GRANULE
+from stateful_settings import STATEFUL
 
 HEAP = 16384  # small enough that mallocs run out
 HEADER = struct.Struct("<IHBB")
@@ -409,14 +408,13 @@ class FreeListMachine(RuleBasedStateMachine):
 
     @invariant()
     def classes_agree_with_heap_bytes(self):
-        """Every listed chunk is on the 8-byte grid, the heap watches
-        exactly the unit of each listed header (``chunk >> 3``), and each
-        slot's class is its header's, read from the heap bytes, unless
-        that unit was written since the last malloc's re-read."""
+        """While the index is on (the heap watches), every listed chunk
+        is on the 8-byte grid, the heap watches exactly the unit of each
+        listed header (``chunk >> 3``), and each slot's class is its
+        header's, read from the heap bytes."""
         alloc = self.alloc
         heap = alloc.heap
-        if alloc._classes is None:  # scanned: a short list, or one off the grid
-            assert heap.watch is None and not heap.dirty
+        if heap.watch is None:  # scanned: a short list, one off the grid, or a write tripped it
             return
         assert not any(chunk & 7 for chunk in alloc._free_list)
         assert len(alloc._classes) == len(alloc._free_list)
@@ -425,9 +423,8 @@ class FreeListMachine(RuleBasedStateMachine):
             watch[chunk >> 3] = 1
         assert heap.watch == watch
         for chunk, cls in zip(alloc._free_list, alloc._classes):
-            if chunk >> 3 not in heap.dirty:
-                payload, magic, _, _ = self.header(chunk)
-                assert cls == (_class(payload) if magic == CHUNK_MAGIC else _POISONED), chunk
+            payload, magic, _, _ = self.header(chunk)
+            assert cls == (_class(payload) if magic == CHUNK_MAGIC else _POISONED), chunk
 
     @invariant()
     def engine_headers_are_untagged(self):
@@ -485,12 +482,7 @@ def run_machine(config, monkeypatch, **attrs):
         (FreeListMachine,),
         {"config": config, "written": written, **attrs},
     )
-    run_state_machine_as_test(
-        machine,
-        settings=settings(
-            max_examples=60, stateful_step_count=40, deadline=None, derandomize=True, database=None
-        ),
-    )
+    run_state_machine_as_test(machine, settings=STATEFUL)
 
 
 @pytest.mark.parametrize("config", ["dlmalloc-cheribuild", "jemalloc", "libmalloc-simple"])

@@ -10,7 +10,6 @@ in carve order, or slot 0 of a newly carved slab.
 """
 
 import pytest
-from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -23,6 +22,7 @@ from hypothesis.stateful import (
 from capheap.allocator_api import AllocError, AllocErrorKind
 from capheap.engines import SLAB_SIZE, SlabAllocator
 from capheap.registry import TRAITS, create
+from stateful_settings import STATEFUL
 
 SLABS = 8  # small enough that carving runs out
 # small classes share slabs, the 4096 class fills one slab per block
@@ -154,7 +154,7 @@ class SlabMachine(RuleBasedStateMachine):
     def slot_bits_are_the_live_records(self):
         records = self.alloc._live
         expected = {slab.offset: bytearray(len(slab.bits)) for slab in self.alloc._slabs}
-        for addr, (slab, slot, nslots, _) in records.items():
+        for addr, (slab, slot, nslots) in records.items():
             assert addr == slab.offset + slot * slab.cls
             assert expected[slab.offset][slot : slot + nslots] == bytes(nslots)
             expected[slab.offset][slot : slot + nslots] = b"\x01" * nslots
@@ -173,9 +173,4 @@ class SlabMachine(RuleBasedStateMachine):
 @pytest.mark.parametrize("config", ["snmalloc-cheribuild", "snmalloc-repo"])
 def test_slab_state_machine(config):
     machine = type(f"SlabMachine[{config}]", (SlabMachine,), {"config": config})
-    run_state_machine_as_test(
-        machine,
-        settings=settings(
-            max_examples=60, stateful_step_count=40, deadline=None, derandomize=True, database=None
-        ),
-    )
+    run_state_machine_as_test(machine, settings=STATEFUL)

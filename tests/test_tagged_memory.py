@@ -400,58 +400,87 @@ class TestUnrepresentablePayload:
         assert heap.load_cap(root, 0) == Capability(True, top, top, top, 0x3F)
 
 
-class TestWatchedHeap:
-    """The write barrier: stores report the watched 8-byte units they
-    write (unit ``u`` is bytes ``8u..8u+7``)."""
+def watching(*units):
+    """A heap that watches the 8-byte ``units`` (unit ``u`` is bytes
+    ``8u..8u+7``)."""
+    heap = TaggedHeap(HEAP)
+    heap.set_watch(bytearray(HEAP // 8))
+    for unit in units:
+        heap.watch[unit] = 1
+    return heap
 
-    @pytest.fixture
-    def watched(self):
-        heap = TaggedHeap(HEAP)
-        heap.set_watch(bytearray(HEAP // 8))
-        return heap
+
+class TestWatchedHeap:
+    """The write barrier is a fuse: a store or ``store_cap`` that writes a
+    watched 8-byte unit, and every ``clear``, drops the watch map; one
+    that writes none keeps it.  Each boundary has its own case."""
 
     def test_unwatched_until_a_watch_is_set(self, root):
         heap = TaggedHeap(HEAP)
-        assert heap.watch is None and heap.dirty == set()
+        assert heap.watch is None and heap.watch16 is None
         heap.store(root, 0, b"\xff" * 64)
         heap.store_cap(root, 64, root)
         heap.clear()
-        assert heap.dirty == set()
+        assert heap.watch is None and heap.watch16 is None
         assert TaggedHeap(HEAP).watch is None
 
-    def test_store_marks_only_watched_units_it_writes(self, watched, root):
-        watched.watch[6] = watched.watch[10] = watched.watch[13] = 1
-        watched.store(root, 40, bytes(60))  # units 5..12
-        assert watched.dirty == {6, 10}
-        watched.store(root, 100, b"x")  # unit 12
-        assert watched.dirty == {6, 10}
+    def test_set_watch_sets_and_drops_the_map_and_its_view(self):
+        heap = watching(9)
+        assert heap.watch16[4] == 1 << 8  # unit 9 is the high half of granule 4
+        heap.set_watch(None)
+        assert heap.watch is None and heap.watch16 is None
 
-    def test_store_ending_in_a_granules_low_half_leaves_its_high_half_clean(self, watched, root):
-        watched.watch[5] = 1  # bytes 40..47, the high half of granule 2
-        watched.store(root, 20, bytes(20))  # bytes 20..39
-        assert watched.dirty == set()
-        watched.store(root, 47, b"x")
-        assert watched.dirty == {5}
+    @pytest.mark.parametrize(
+        "unit, dropped",
+        [(4, False), (5, True), (12, True), (13, False)],
+        ids=["unit-before", "first-unit", "last-unit", "unit-after"],
+    )
+    def test_store_drops_the_map_at_its_first_and_last_unit(self, root, unit, dropped):
+        heap = watching(unit)
+        heap.store(root, 40, bytes(60))  # bytes 40..99: units 5..12
+        assert (heap.watch is None) == dropped
+        assert (heap.watch16 is None) == dropped
 
-    def test_store_cap_marks_a_watched_unit(self, watched, root):
-        watched.watch[9] = 1  # the high half of granule 4
-        watched.store_cap(root, 48, root)  # units 6 and 7
-        assert watched.dirty == set()
-        watched.store_cap(root, 64, root)  # units 8 and 9
-        assert watched.dirty == {9}
-        watched.watch[10] = watched.watch[11] = 1
-        watched.store_cap(root, 80, root)
-        assert watched.dirty == {9, 10, 11}
+    @pytest.mark.parametrize(
+        "unit, addr, length, dropped",
+        [
+            (5, 20, 20, False),  # bytes 20..39 end in the low half of granule 2
+            (5, 47, 1, True),  # the last byte of its high half
+            (4, 40, 8, False),  # the whole high half; unit 4 is the low one
+            (4, 39, 1, True),  # the last byte of the low half
+            (4, 32, 1, True),  # its first byte
+            (5, 48, 8, False),  # the next granule
+        ],
+        ids=["low-of-5", "high-of-5", "high-of-4", "low-end", "low-start", "next-granule"],
+    )
+    def test_store_tells_a_granules_halves_apart(self, root, unit, addr, length, dropped):
+        heap = watching(unit)
+        heap.store(root, addr, b"x" * length)
+        assert (heap.watch is None) == dropped
 
-    def test_refused_store_marks_nothing(self, watched, root):
-        watched.watch[0] = 1
+    @pytest.mark.parametrize(
+        "unit, dropped", [(7, False), (8, True), (9, True), (10, False)], ids=["7", "8", "9", "10"]
+    )
+    def test_store_cap_drops_the_map_at_either_unit_of_its_granule(self, root, unit, dropped):
+        heap = watching(unit)
+        heap.store_cap(root, 64, root)  # granule 4: units 8 and 9
+        assert (heap.watch is None) == dropped
+
+    def test_refused_store_keeps_the_map(self, root):
+        heap = watching(0)
+        watch = heap.watch
         with pytest.raises(CapFault):
-            watched.store(root.clear_tag(), 0, b"x")
+            heap.store(root.clear_tag(), 0, b"x")
         with pytest.raises(CapFault):
-            watched.store_cap(root, 0, Capability(True, -1, 0, 0, 0))
-        assert watched.dirty == set()
+            heap.store(root, HEAP - 4, b"x" * 8)
+        with pytest.raises(CapFault):
+            heap.store_cap(root, 0, Capability(True, -1, 0, 0, 0))
+        with pytest.raises(CapFault):
+            heap.store_cap(root, 8, root)
+        assert heap.watch is watch and heap.watch[0] == 1
 
-    def test_bytes_and_tags_match_a_plain_heap(self, watched, heap, root):
+    def test_bytes_and_tags_match_a_plain_heap(self, heap, root):
+        watched = watching(1, 9, 12)
         for h in (heap, watched):
             h.store(root, 10, bytes(range(40)))
             h.store_cap(root, 64, root)
@@ -459,13 +488,13 @@ class TestWatchedHeap:
             h.store_cap(root, 96, root)
         assert watched.snapshot() == heap.snapshot()
 
-    def test_clear_marks_every_watched_unit(self, watched, root):
-        watched.watch[1] = watched.watch[200] = 1
-        watched.store(root, 0, b"\xff" * 64)
-        watched.dirty.clear()
-        watched.clear()
-        assert watched.dirty == {1, 200}
-        assert watched.load(root, 0, 64) == bytes(64)
+    def test_clear_drops_the_map(self, root):
+        heap = watching(1, 200)
+        heap.store(root, 64, b"\xff" * 64)  # units 8..15, none watched
+        assert heap.watch is not None
+        heap.clear()
+        assert heap.watch is None and heap.watch16 is None
+        assert heap.load(root, 64, 64) == bytes(64)
 
 
 # A dropped heap leaves its cleared map and tag array to the next heap of
@@ -529,10 +558,10 @@ def _free_list_indexed(root):
     for cap in blocks:
         alloc.free(cap)
     alloc.malloc(1000)  # scans past the 100 small chunks and starts the index
-    assert alloc._classes is not None and alloc.heap.watch is not None
-    # a listed header's unit goes dirty
+    assert alloc.heap.watch is not None
+    # a store to a listed header's unit drops the index
     alloc.heap.store(blocks[0], blocks[0].address - CHUNK_HEADER_SIZE, b"\xff")
-    assert alloc.heap.dirty
+    assert alloc.heap.watch is None
     return alloc, alloc.heap
 
 
@@ -549,7 +578,7 @@ class TestStockedHeapIsFresh:
         del owner, heap
         new = TaggedHeap(HEAP)
         assert new.snapshot() == FRESH_SNAPSHOT
-        assert new.extent == 0 and new.watch is None and new.dirty == set()
+        assert new.extent == 0 and new.watch is None
         assert new.data is spare()  # the dropped map, re-zeroed
 
     def test_heap_of_another_size_never_gets_the_spare(self, drained):
