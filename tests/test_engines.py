@@ -8,7 +8,7 @@ import pytest
 from capheap import engines
 from capheap.allocator_api import AllocError, AllocErrorKind, round16
 from capheap.bench import Workload, run_workload
-from capheap.capability import CapFault, Capability, FaultKind, Perm
+from capheap.capability import CapFault, Capability, FaultKind, Perm, make_root
 from capheap.engines import (
     CHUNK_HEADER_SIZE,
     CHUNK_MAGIC,
@@ -1096,6 +1096,48 @@ def test_python_calls_per_engine_op(row, monkeypatch):
         assert malloc <= 4 and free <= 2
     else:
         assert fits <= 3
+
+
+# Python calls into capheap per heap access that passes, on a fresh heap:
+# load, load_cap and store_cap test their capability in line, so each is
+# one call.  store is two, itself and check_access: it still calls the
+# check on every access, because the benchmark's traced counts require a
+# check_access call in every small workload, and on mix-reset only the
+# free list's moving realloc, through heap.store, makes one.
+CALLS_PER_HEAP_OP = {"load": 1, "load_cap": 1, "store_cap": 1, "store": 2}
+HEAP_OPS = {
+    "load": lambda heap, cap: heap.load(cap, 16, 8),
+    "load_cap": lambda heap, cap: heap.load_cap(cap, 16),
+    "store_cap": lambda heap, cap: heap.store_cap(cap, 16, cap),
+    "store": lambda heap, cap: heap.store(cap, 16, b"x" * 8),
+}
+
+
+@pytest.mark.parametrize("op", HEAP_OPS)
+def test_python_calls_per_heap_op(op, monkeypatch):
+    heap = TaggedHeap(4096)
+    root = make_root(4096)
+    assert calls_into_capheap(lambda: HEAP_OPS[op](heap, root)) == CALLS_PER_HEAP_OP[op]
+    # a faulting access still raises through check_access, each kind once
+    checks = []
+    check_access = Capability.check_access
+
+    def counted(cap, *args):
+        checks.append(args)
+        check_access(cap, *args)
+
+    monkeypatch.setattr(Capability, "check_access", counted)
+    faulting = {
+        FaultKind.TAG_VIOLATION: root.clear_tag(),
+        FaultKind.PERMISSION_VIOLATION: root.and_perms(Perm.EXEC),
+        FaultKind.BOUNDS_VIOLATION: root.set_bounds(32, 64),
+    }
+    for kind, cap in faulting.items():
+        del checks[:]
+        with pytest.raises(CapFault) as exc:
+            HEAP_OPS[op](heap, cap)
+        assert exc.value.kind is kind
+        assert len(checks) == 1
 
 
 @pytest.mark.parametrize("name", FREE_LIST_NAMES)

@@ -1,6 +1,7 @@
 import gc
 import mmap
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -495,6 +496,171 @@ class TestWatchedHeap:
         heap.clear()
         assert heap.watch is None and heap.watch16 is None
         assert heap.load(root, 64, 64) == bytes(64)
+
+
+# load, load_cap and store_cap test the capability in line and call
+# check_access only when that test fails; store still calls it.  The sweep
+# holds all four to the order before the fold: alignment (the ``*_cap``
+# ops), check_access, then the heap's own bounds.  Each case runs once on
+# each of two heaps in the same state, through the op and through
+# ``reference_access``, and everything observable must match.
+
+SWEEP_HEAP = 512
+SWEEP_NEED = {
+    "load": Perm.LOAD,
+    "store": Perm.STORE,
+    "load_cap": Perm.LOAD | Perm.LOAD_CAP,
+    "store_cap": Perm.STORE | Perm.STORE_CAP,
+}
+SWEEP_OPS = {
+    "load": lambda heap, cap, addr, length: heap.load(cap, addr, length),
+    "store": lambda heap, cap, addr, payload: heap.store(cap, addr, payload),
+    "load_cap": lambda heap, cap, addr, _: heap.load_cap(cap, addr),
+    "store_cap": lambda heap, cap, addr, payload: heap.store_cap(cap, addr, payload),
+}
+# the last argument of each op: load lengths, store and store_cap payloads
+SWEEP_ARGS = {
+    "load": [0, -1, 1, 8, 16, 17],
+    "store": [
+        b"", b"\x5a", bytes(range(8)), b"\xa5" * 17, bytearray(b"ab"), memoryview(b"xyz"),
+        [1, 2], "ab", 7, None,
+    ],
+    "load_cap": [None],
+    "store_cap": [
+        Capability(True, 64, 128, 80, 0x3F),
+        Capability(False, 0, 16, 0, 0x01),
+        Capability(True, 0, 1 << 32, 0, 0x3F),  # no 16-byte encoding
+        bytes(GRANULE),  # not a capability
+    ],
+}
+# (base, top) of the capabilities the sweep builds by hand
+SWEEP_BOUNDS = [
+    (0, SWEEP_HEAP),  # the whole heap
+    (64, 192),
+    (192, 64),  # inverted
+    (-64, 64),  # negative base
+    (SWEEP_HEAP - 64, SWEEP_HEAP + 64),  # top past the heap
+    (96, 96),  # empty
+]
+
+# the outcomes each op's sweep must reach: every fault kind the op raises,
+# the ValueError of a load length below 1 or of an empty store, the
+# TypeError of an address that is not an int, and the type of a value
+# returned
+_FAULTS = {FaultKind.TAG_VIOLATION, FaultKind.PERMISSION_VIOLATION, FaultKind.BOUNDS_VIOLATION}
+SWEEP_OUTCOMES = {
+    "load": {*_FAULTS, ValueError, TypeError, bytes},
+    "store": {*_FAULTS, ValueError, TypeError, type(None)},
+    "load_cap": {*_FAULTS, FaultKind.ALIGNMENT_VIOLATION, TypeError, Capability},
+    "store_cap": {*_FAULTS, FaultKind.ALIGNMENT_VIOLATION, TypeError, type(None)},
+}
+
+
+def sweep_heap() -> TaggedHeap:
+    """A heap with bytes, two tagged granules and five watched units."""
+    heap = TaggedHeap(SWEEP_HEAP)
+    root = make_root(SWEEP_HEAP)
+    heap.store(root, 0, bytes(range(200)))
+    heap.store_cap(root, 32, root)
+    heap.store_cap(root, SWEEP_HEAP - GRANULE, root.set_bounds(64, 64))
+    heap.set_watch(bytearray(SWEEP_HEAP // 8))
+    for unit in (1, 8, 9, 40, SWEEP_HEAP // 8 - 1):
+        heap.watch[unit] = 1
+    return heap
+
+
+def reference_access(heap, op, cap, addr, arg):
+    """``op`` in the order before the fold: the ``*_cap`` alignment test,
+    ``check_access``, the heap's own bounds, and then the access through
+    the root capability, which passes both checks."""
+    if op == "load":
+        length = arg
+    elif op == "store":
+        if not arg:
+            raise ValueError("store payload must be non-empty")
+        length = len(arg)
+    else:
+        if addr % GRANULE != 0:
+            raise CapFault(FaultKind.ALIGNMENT_VIOLATION, f"{op} at {addr}")
+        length = GRANULE
+    cap.check_access(addr, length, int(SWEEP_NEED[op]))
+    if addr < 0 or addr + length > heap.size:
+        heap.fault_outside(addr, length)
+    return SWEEP_OPS[op](heap, make_root(heap.size), addr, arg)
+
+
+def observed(heap, run):
+    """What a caller can see of ``run()`` on ``heap``: the value (its type
+    and repr) or the exception (type, text, fault kind), then the heap's
+    snapshot, extent and watch map."""
+    try:
+        value = run()
+    except Exception as exc:  # noqa: BLE001 - the exception is the result
+        result = ("raised", type(exc), str(exc), getattr(exc, "kind", None))
+    else:
+        result = ("value", type(value), repr(value), None)
+    watch = None if heap.watch is None else bytes(heap.watch)
+    return result, heap.snapshot(), heap.extent, watch
+
+
+def sweep_addresses(base, top, length):
+    """Addresses at and just past each end of the capability and of the
+    heap, misaligned ones, and addresses that are not ints."""
+    ends = (base - GRANULE, base - 1, base, base + 1, base + 8, top - length, top - length + 1)
+    heap_ends = (-GRANULE, SWEEP_HEAP - length, SWEEP_HEAP - length + 1, top, 1 << 40)
+    return (*ends, *heap_ends, 16.0, 16.5, "16")
+
+
+def sweep_cases(op):
+    """(capability, address, argument) for ``op``: every permission subset,
+    as an int and as a ``Perm``, tagged and untagged, at a random edge;
+    then every bounds shape, argument and edge address, tagged."""
+    rng = random.Random(f"inline check sweep {op}")
+
+    def length_of(arg):
+        if op == "load":
+            return arg
+        if op == "store":
+            return len(arg) if hasattr(arg, "__len__") and arg else 1
+        return GRANULE
+
+    for tag in (True, False):
+        for bits in range(64):
+            for perms in (bits, Perm(bits)):
+                base, top = rng.choice(SWEEP_BOUNDS)
+                arg = rng.choice(SWEEP_ARGS[op])
+                addr = rng.choice(sweep_addresses(base, top, length_of(arg)))
+                yield Capability(tag, base, top, base, perms), addr, arg
+    for base, top in SWEEP_BOUNDS:
+        for arg in SWEEP_ARGS[op]:
+            for addr in sweep_addresses(base, top, length_of(arg)):
+                perms = rng.choice([0x3F, int(SWEEP_NEED[op]), PERM_ALL])
+                yield Capability(True, base, top, rng.randrange(SWEEP_HEAP), perms), addr, arg
+
+
+@pytest.mark.parametrize("op", SWEEP_OPS)
+def test_inline_check_acts_as_check_access(op):
+    kinds = set()
+    for cap, addr, arg in sweep_cases(op):
+        heap, ref = sweep_heap(), sweep_heap()
+        got = observed(heap, lambda: SWEEP_OPS[op](heap, cap, addr, arg))
+        want = observed(ref, lambda: reference_access(ref, op, cap, addr, arg))
+        assert got == want, (op, cap, addr, arg)
+        kinds.add(got[0][3] or got[0][1])
+    assert kinds >= SWEEP_OUTCOMES[op]
+
+
+@pytest.mark.parametrize("op", SWEEP_OPS)
+def test_permission_mask_that_is_no_int_escapes_as_type_error(op):
+    # the one outcome the sweep leaves out: the in-line test raises where
+    # check_access did, with the text for ``&`` instead of ``~``
+    heap = sweep_heap()
+    before = heap.snapshot()
+    arg = {"load": 8, "store": b"x", "load_cap": None, "store_cap": make_root(SWEEP_HEAP)}[op]
+    for perms in (15.0, None):
+        with pytest.raises(TypeError):
+            SWEEP_OPS[op](heap, Capability(True, 0, SWEEP_HEAP, 0, perms), 16, arg)
+    assert heap.snapshot() == before and heap.watch is not None
 
 
 # A dropped heap leaves its cleared map and tag array to the next heap of
