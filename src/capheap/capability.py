@@ -11,12 +11,16 @@ Addresses are unsigned 32-bit byte offsets.  Bounds are exact by
 default; an optional rounding mode pads large bounds to a power-of-two
 alignment to mimic representability limits of compressed encodings.
 
-Narrowing has one implementation, the private ``_derive``: it checks
-and builds a child's bounds, cursor and permissions in a single
-construction.  ``set_bounds`` is ``_derive`` with the cursor on the new
-base and the parent's permissions; the allocators call it directly for
-every capability they hand out, rather than chaining ``set_bounds``,
-``set_address`` and ``and_perms`` through two intermediate values.
+Narrowing is the private ``_derive``: it checks and builds a child's
+bounds, cursor and permissions in a single construction.  ``set_bounds``
+is ``_derive`` with the cursor on the new base and the parent's
+permissions, and the allocators call it directly rather than chaining
+``set_bounds``, ``set_address`` and ``and_perms`` through two
+intermediate values.  Where ``_derive`` could neither round nor fault (a
+block inside the heap, and rounding off or the block no longer than
+``ROUNDING_THRESHOLD``), an engine builds the capability in line with
+``_tuple_new`` instead, the tuple ``_derive`` would return, and calls
+``_derive`` only where it can do more.
 
 ``Perm`` names the permission bits, but a capability carries its mask
 as a plain ``int``: on the access-check path, ``IntFlag`` operators
@@ -156,9 +160,12 @@ _tuple_new = tuple.__new__
 def _derive(
     parent: Capability, base: int, length: int, address: int, perms: int, rounding: bool
 ) -> Capability:
-    """The one derivation path: narrow ``parent`` to [base, base + length)
+    """The derivation path: narrow ``parent`` to [base, base + length)
     (rounded as ``set_bounds`` describes), put the cursor at ``address``
-    and the permission mask to ``perms``, in a single construction.
+    and the permission mask to ``perms``, in a single construction.  The
+    engines build a child in line where this could neither round nor
+    fault, and call it where the child's top may pass the parent's or
+    rounding applies.
 
     The checks run in the order the chained ``set_bounds`` ->
     ``set_address`` -> ``and_perms`` would run them; the address is only

@@ -12,8 +12,8 @@
 
 Each engine declares the ``FreeValidation`` values it implements, which
 pick it for a trait record, and refuses a trait value it would ignore
-(``refuses``).  A malloc derives the client capability before it
-commits anything, so a derivation fault leaves the heap as it was.
+(``refuses``).  A malloc builds the client capability before it commits
+anything, so a derivation fault leaves the heap as it was.
 
 The free-list chunk header, bit-exact:
 
@@ -42,29 +42,35 @@ forged chunk out) both tags are cleared.
 
 Every engine op keeps its Python frames few, since a call costs about
 as much as a handful of the byte and dict operations an op is made of.
-Each op checks its request in line, derives the client capability with
-one ``_derive`` call, and copies in place on ``heap.data``, ``tags``
+Each op checks its request in line, builds the client capability in line
+as ``_tuple_new(Capability, ...)`` (the tuple ``_derive`` returns,
+without the NamedTuple constructor's frame) wherever ``_derive`` could
+neither round nor fault, and copies in place on ``heap.data``, ``tags``
 and ``extent`` where it copies (the free list's moving realloc, whose
 destination may hold watched headers, stores through ``heap.store``).
-A check folded into an op keeps its order and its fault text, and runs
-the helper it replaces only where it fails.  The region capability is
-tagged, holds every permission and spans the heap, so its check can
-only fail on bounds, and a folded copy tests just those.  Calls into
-capheap per op (``tests/test_engines.py`` pins them):
+``_derive`` runs only where it can do more: with ``rounding_bounds`` on
+and a length above ``ROUNDING_THRESHOLD``, or, on the free list, where a
+forged header makes a block's top pass the heap's end.  No slab block
+passes 4096 bytes or its slab, and bump's out-of-memory test keeps its
+blocks inside the heap.  A check folded into an op keeps its order and
+its fault text, and runs the helper it replaces only where it fails.
+The region capability is tagged, holds every permission and spans the
+heap, so its check can only fail on bounds, and a folded copy tests just
+those.  Calls into capheap per op (``tests/test_engines.py`` pins them):
 
-* bump: malloc 2; free 1, or 2 with the allocation log; realloc, which
-  always moves and takes its block as malloc does, in line, 2, or 3
-  with the log.
-* free list: malloc 4 when it scans, or 6 while the class index is on;
-  free 2; realloc 3 when the block holds the request, 9 or more when it
+* bump: 1 for each of malloc, free and realloc; with the allocation
+  log, free and realloc call ``_live_record`` only to raise.  realloc
+  always moves, and takes its block as malloc does, in line.
+* free list: malloc 3 when it scans, or 5 while the class index is on;
+  free 2; realloc 2 when the block holds the request, 8 or more when it
   moves.  malloc checks its request itself and ``_carve`` and ``_push``
   each write their header in line; free reads the header through the
   client's capability in line while every check passes, and realloc
   does the same in ``_client_header``.
-* slab: malloc 2, 3 when it carves a slab, more while deferred frees
-  are queued; free 1; realloc 2 when it fits or grows in place, 5 when
-  it moves.  malloc does the size class and the single-slot take in
-  line, and free the strict single-slot free.
+* slab: malloc 1, 2 when it carves a slab, more while deferred frees
+  are queued; free 1; realloc 1 when it fits or grows in place, 3 when
+  it moves, 4 into a new slab.  malloc does the size class and the
+  single-slot take in line, and free the strict single-slot free.
 
 The free list itself is kept out of band (a list of chunk offsets, most
 recently freed first) rather than threaded through chunk payloads:
@@ -111,7 +117,16 @@ from .allocator_api import (
     Allocator,
     FreeValidation,
 )
-from .capability import ADDRESS_MAX, CapFault, Capability, FaultKind, Perm, _derive
+from .capability import (
+    ADDRESS_MAX,
+    ROUNDING_THRESHOLD,
+    CapFault,
+    Capability,
+    FaultKind,
+    Perm,
+    _derive,
+    _tuple_new,
+)
 from .tagged_memory import _NEED_LOAD
 
 __all__ = [
@@ -201,15 +216,18 @@ class BumpAllocator(Allocator):
             raise AllocError(AllocErrorKind.BAD_REQUEST, f"size {size!r}")
         length = (size + 15) & ~15
         start = self._cursor
-        if start + length > self.heap.size:
+        end = start + length
+        if end > self.heap.size:
             raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"cursor at {start}")
-        region = self.region
-        perms = self._client_perms
-        if self._traits.narrow_bounds:
-            cap = _derive(region, start, length, start, perms, self._rounding)
-        else:  # whole-region capability, cursor parked at the block start
-            cap = _derive(region, 0, region.top, start, perms, False)
-        self._cursor = start + length
+        # the OOM test keeps the block inside the heap, so only rounding
+        # can move or refuse its bounds
+        if not self._traits.narrow_bounds:  # whole region, cursor at the block start
+            cap = _tuple_new(Capability, (True, 0, self.heap.size, start, self._client_perms))
+        elif self._rounding and length > ROUNDING_THRESHOLD:
+            cap = _derive(self.region, start, length, start, self._client_perms, True)
+        else:
+            cap = _tuple_new(Capability, (True, start, end, start, self._client_perms))
+        self._cursor = end
         if self._log is not None:
             self._log[start] = [length, False]
         return cap
@@ -224,14 +242,24 @@ class BumpAllocator(Allocator):
         return record
 
     def free(self, cap: Capability) -> None:
-        if self._log is not None:
-            self._live_record(cap)[1] = True
+        log = self._log
+        if log is not None:
+            # _live_record in line: it runs only to raise
+            record = log.get(cap.address)
+            if record is None or record[1]:
+                self._live_record(cap)
+            record[1] = True
 
     def realloc(self, cap: Capability, new_size: int) -> Capability:
         if not isinstance(new_size, int) or new_size < 1:
             raise AllocError(AllocErrorKind.BAD_REQUEST, f"size {new_size!r}")
         _, base, top, src, _ = cap
-        record = None if self._log is None else self._live_record(cap)
+        log = self._log
+        record = None
+        if log is not None:
+            record = log.get(src)
+            if record is None or record[1]:
+                self._live_record(cap)
         ncopy = min(top - base if record is None else record[0], new_size)
         heap = self.heap
         if ncopy and src + ncopy > heap.size:
@@ -239,14 +267,15 @@ class BumpAllocator(Allocator):
         # malloc(new_size), in line
         length = (new_size + 15) & ~15
         start = self._cursor
-        if start + length > heap.size:
+        end = start + length
+        if end > heap.size:
             raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"cursor at {start}")
-        region = self.region
-        perms = self._client_perms
-        if self._traits.narrow_bounds:
-            new_cap = _derive(region, start, length, start, perms, self._rounding)
+        if not self._traits.narrow_bounds:
+            new_cap = _tuple_new(Capability, (True, 0, heap.size, start, self._client_perms))
+        elif self._rounding and length > ROUNDING_THRESHOLD:
+            new_cap = _derive(self.region, start, length, start, self._client_perms, True)
         else:
-            new_cap = _derive(region, 0, region.top, start, perms, False)
+            new_cap = _tuple_new(Capability, (True, start, end, start, self._client_perms))
         dst = start
         if record is None:
             # the cursor may have moved: only the bounds say what the block
@@ -256,9 +285,9 @@ class BumpAllocator(Allocator):
             src, ncopy = lo, min(src + ncopy, top) - lo
         if ncopy > 0 and src < 0:  # heap.load's fault, before the cursor moves
             heap.fault_outside(src, ncopy)
-        self._cursor = start + length
+        self._cursor = end
         if record is not None:
-            self._log[start] = [length, False]
+            log[start] = [length, False]
             record[1] = True  # free(cap)
         if ncopy > 0:
             # the copy in place, as heap.store would make it (the window is
@@ -532,8 +561,14 @@ class FreeListAllocator(Allocator):
                 region.check_access(rest, CHUNK_HEADER_SIZE, Perm.STORE)
         else:
             rest, want = 0, payload
-        perms = self._client_perms
-        cap = _derive(region, chunk, CHUNK_HEADER_SIZE + want, at, perms, self._rounding)
+        # a chunk handed out whole may end past the heap, if a forged
+        # header says so; only there, or when rounding, can _derive refuse
+        # or move its bounds
+        length = CHUNK_HEADER_SIZE + want
+        if at + want > heap.size or (self._rounding and length > ROUNDING_THRESHOLD):
+            cap = _derive(region, chunk, length, at, self._client_perms, self._rounding)
+        else:
+            cap = _tuple_new(Capability, (True, chunk, at + want, at, self._client_perms))
         if rest:
             self._push(rest, payload - want - CHUNK_HEADER_SIZE, slot)
             if slot >= 0:  # the remainder took the slot: _leave(chunk)'s count-out
@@ -579,11 +614,12 @@ class FreeListAllocator(Allocator):
             raise AllocError(AllocErrorKind.BAD_REQUEST, f"size {new_size!r}")
         want = (new_size + 15) & ~15
         chunk, payload = self._client_header(cap)
-        if want <= payload:
-            region = self.region
-            perms = self._client_perms
+        if want <= payload:  # the block keeps its chunk, as _carve hands it out
             at = chunk + CHUNK_HEADER_SIZE
-            return _derive(region, chunk, CHUNK_HEADER_SIZE + payload, at, perms, self._rounding)
+            length = CHUNK_HEADER_SIZE + payload
+            if at + payload > self.heap.size or (self._rounding and length > ROUNDING_THRESHOLD):
+                return _derive(self.region, chunk, length, at, self._client_perms, self._rounding)
+            return _tuple_new(Capability, (True, chunk, at + payload, at, self._client_perms))
         if self._traits.realloc_grows_in_place:
             grown = self._try_absorb(chunk, payload, want)
             if grown is not None:
@@ -743,7 +779,9 @@ class SlabAllocator(Allocator):
         bits = slab.bits
         slot = bits.find(0)
         addr = slab.offset + slot * cls
-        cap = _derive(self.region, addr, cls, addr, self._client_perms, self._rounding)
+        # no slab block passes 4096 bytes or its slab, so _derive could
+        # neither round nor refuse it: each is built in line
+        cap = _tuple_new(Capability, (True, addr, addr + cls, addr, self._client_perms))
         bits[slot] = 1
         if bits.find(0, slot + 1) < 0:
             open_map[index] = 0
@@ -812,10 +850,8 @@ class SlabAllocator(Allocator):
         slab, slot, nslots = record
         cls = slab.cls
         current = nslots * cls
-        region = self.region
-        perms = self._client_perms
         if new_size <= current:
-            return _derive(region, addr, current, addr, perms, self._rounding)
+            return _tuple_new(Capability, (True, addr, addr + current, addr, self._client_perms))
         if self._traits.realloc_grows_in_place:
             need = -(-new_size // cls)
             bits = slab.bits
@@ -824,7 +860,8 @@ class SlabAllocator(Allocator):
                 if 0 not in bits:
                     self._open[cls][slab.index] = 0
                 self._live[addr] = (slab, slot, need)
-                return _derive(region, addr, need * cls, addr, perms, self._rounding)
+                top = addr + need * cls
+                return _tuple_new(Capability, (True, addr, top, addr, self._client_perms))
         # move: a fresh slot in the right class; the copy and the zero
         # tail are one write in place, as heap.store would make it (both
         # blocks lie in carved slabs, and only the free-list engine sets

@@ -48,6 +48,18 @@ mix-reset the free list's moving realloc, through ``store``, makes the
 only ones.  Once the benchmark counts something a folded check keeps,
 ``store`` can be folded too.
 
+An address that is no int (``16.0``, ``"16"``, None) is refused with
+``CapFault(BOUNDS_VIOLATION)``, text ``address 16.0 is not an int``,
+wherever the access would otherwise end in a ``TypeError`` (a slice, a
+shift or a comparison), and always before any byte, tag or watch byte
+changes.  The test is each access's ``except TypeError``, which costs a
+passing access nothing, where an ``isinstance`` would run on every one.
+A float outside the capability's bounds gets the bounds fault's own
+text, and ``load_cap`` and ``store_cap`` refuse a misaligned address
+(``16.5``) with ``AlignmentViolation`` first, as for an int.  A
+permission mask that is no int still raises ``TypeError`` at an int
+address.
+
 ``store_cap`` refuses a payload the layout cannot encode (a field
 outside u32, a negative field, or a permission mask above 255; only a
 hand-built ``Capability`` can hold one) with
@@ -100,6 +112,13 @@ _ZEROS = memoryview(bytes(1 << 16))  # the source of every re-zeroing
 
 # a private map wherever there is fork (a forked child copies it on write)
 _PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+
+
+def _refuse_no_int(addr) -> None:
+    """An access's ``except TypeError``: refuse an address that is no int
+    with a bounds fault; for an int, return, and the caller re-raises."""
+    if not isinstance(addr, int):
+        raise CapFault(FaultKind.BOUNDS_VIOLATION, f"address {addr!r} is not an int") from None
 
 
 def _zero_prefix(buf, n: int) -> None:
@@ -197,31 +216,39 @@ class TaggedHeap:
     # is true exactly when ``check_access`` raises.
 
     def load(self, cap: Capability, addr: int, length: int) -> bytes:
-        tag, base, top, _, perms = cap
-        if (
-            length < 1
-            or not tag
-            or perms & _NEED_LOAD != _NEED_LOAD
-            or addr < base
-            or addr + length > top
-        ):
-            cap.check_access(addr, length, _NEED_LOAD)
-        if addr < 0 or addr + length > self.size:
-            self.fault_outside(addr, length)
-        return self.data[addr : addr + length]
+        try:
+            tag, base, top, _, perms = cap
+            if (
+                length < 1
+                or not tag
+                or perms & _NEED_LOAD != _NEED_LOAD
+                or addr < base
+                or addr + length > top
+            ):
+                cap.check_access(addr, length, _NEED_LOAD)
+            if addr < 0 or addr + length > self.size:
+                self.fault_outside(addr, length)
+            return self.data[addr : addr + length]
+        except TypeError:
+            _refuse_no_int(addr)
+            raise
 
     def store(self, cap: Capability, addr: int, payload: bytes) -> None:
         """Write bytes and clear the tag of every overlapped granule."""
-        if not payload:
-            raise ValueError("store payload must be non-empty")
-        length = len(payload)
-        cap.check_access(addr, length, _NEED_STORE)
-        end = addr + length
-        if addr < 0 or end > self.size:
-            self.fault_outside(addr, length)
-        self.data[addr:end] = payload
-        first = addr >> 4
-        last = (end - 1) >> 4
+        try:
+            if not payload:
+                raise ValueError("store payload must be non-empty")
+            length = len(payload)
+            cap.check_access(addr, length, _NEED_STORE)
+            end = addr + length
+            if addr < 0 or end > self.size:
+                self.fault_outside(addr, length)
+            first = addr >> 4
+            last = (end - 1) >> 4
+            self.data[addr:end] = payload
+        except TypeError:
+            _refuse_no_int(addr)
+            raise
         self.tags[first : last + 1] = bytes(last + 1 - first)
         if last >= self.extent:
             self.extent = last + 1
@@ -232,26 +259,31 @@ class TaggedHeap:
     def store_cap(self, cap: Capability, addr: int, payload: Capability) -> None:
         """Serialize ``payload`` into one granule; the granule tag becomes
         the payload's tag.  Alignment is checked before authority."""
-        if addr % GRANULE != 0:
-            raise CapFault(FaultKind.ALIGNMENT_VIOLATION, f"store_cap at {addr}")
-        tag, base, top, _, perms = cap
-        if (
-            not tag
-            or perms & _NEED_STORE_CAP != _NEED_STORE_CAP
-            or addr < base
-            or addr + GRANULE > top
-        ):
-            cap.check_access(addr, GRANULE, _NEED_STORE_CAP)
-        if addr < 0 or addr + GRANULE > self.size:
-            self.fault_outside(addr, GRANULE)
         try:
-            raw = _CAP_LAYOUT.pack(payload.base, payload.top, payload.address, payload.perms)
-        except struct.error:
-            raise CapFault(
-                FaultKind.BOUNDS_VIOLATION, f"store_cap payload {payload!r} has no 16-byte encoding"
-            ) from None
-        self.data[addr : addr + GRANULE] = raw
-        granule = addr >> 4
+            if addr % GRANULE != 0:
+                raise CapFault(FaultKind.ALIGNMENT_VIOLATION, f"store_cap at {addr}")
+            tag, base, top, _, perms = cap
+            if (
+                not tag
+                or perms & _NEED_STORE_CAP != _NEED_STORE_CAP
+                or addr < base
+                or addr + GRANULE > top
+            ):
+                cap.check_access(addr, GRANULE, _NEED_STORE_CAP)
+            if addr < 0 or addr + GRANULE > self.size:
+                self.fault_outside(addr, GRANULE)
+            try:
+                raw = _CAP_LAYOUT.pack(payload.base, payload.top, payload.address, payload.perms)
+            except struct.error:
+                raise CapFault(
+                    FaultKind.BOUNDS_VIOLATION,
+                    f"store_cap payload {payload!r} has no 16-byte encoding",
+                ) from None
+            granule = addr >> 4
+            self.data[addr : addr + GRANULE] = raw
+        except TypeError:
+            _refuse_no_int(addr)
+            raise
         self.tags[granule] = 1 if payload.tag else 0
         if granule >= self.extent:
             self.extent = granule + 1
@@ -262,19 +294,23 @@ class TaggedHeap:
     def load_cap(self, cap: Capability, addr: int) -> Capability:
         """Deserialize one granule; the result's tag is the granule tag,
         so anything clobbered by byte stores comes back untagged."""
-        if addr % GRANULE != 0:
-            raise CapFault(FaultKind.ALIGNMENT_VIOLATION, f"load_cap at {addr}")
-        tag, base, top, _, perms = cap
-        if (
-            not tag
-            or perms & _NEED_LOAD_CAP != _NEED_LOAD_CAP
-            or addr < base
-            or addr + GRANULE > top
-        ):
-            cap.check_access(addr, GRANULE, _NEED_LOAD_CAP)
-        if addr < 0 or addr + GRANULE > self.size:
-            self.fault_outside(addr, GRANULE)
-        base, top, address, perm_bits = _CAP_LAYOUT.unpack_from(self.data, addr)
+        try:
+            if addr % GRANULE != 0:
+                raise CapFault(FaultKind.ALIGNMENT_VIOLATION, f"load_cap at {addr}")
+            tag, base, top, _, perms = cap
+            if (
+                not tag
+                or perms & _NEED_LOAD_CAP != _NEED_LOAD_CAP
+                or addr < base
+                or addr + GRANULE > top
+            ):
+                cap.check_access(addr, GRANULE, _NEED_LOAD_CAP)
+            if addr < 0 or addr + GRANULE > self.size:
+                self.fault_outside(addr, GRANULE)
+            base, top, address, perm_bits = _CAP_LAYOUT.unpack_from(self.data, addr)
+        except TypeError:
+            _refuse_no_int(addr)
+            raise
         return _tuple_new(
             Capability, (self.tags[addr >> 4] != 0, base, top, address, perm_bits & 0x3F)
         )

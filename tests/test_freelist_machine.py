@@ -5,9 +5,11 @@ Hypothesis drives mallocs, frees, re-frees through stale capabilities
 through stale or live capabilities (most on the 8-byte grid, where a
 listed one stays in the class index, the rest at any offset, so some
 straddle two granules, optionally with the second granule tagged by a
-capability store), frees and reallocs aimed at a forged header, frees
-aimed inside a block or through a capability narrowed to the payload,
-capability stores that tag payload granules, and resets.
+capability store), frees and reallocs aimed at a forged header, a chunk
+forged off the grid and grown in place while the class index is on (so
+that its LIVE header straddles a watched unit), frees aimed inside a
+block or through a capability narrowed to the payload, capability stores
+that tag payload granules, and resets.
 
 After every step the occurrence index must equal the free list's
 counts and every granule under a header the engine wrote during the
@@ -359,6 +361,43 @@ class FreeListMachine(RuleBasedStateMachine):
         span = payload + CHUNK_HEADER_SIZE + self.header(end)[0]
         self.realloc_at_forged_header(len(self.forged) - 1, max(1, span - short))
         self.malloc(size)
+
+    @precondition(lambda self: self.live or self.stale)
+    @rule(index=INDEX, which=INDEX, back=st.sampled_from([4, 5]))
+    def grow_off_grid_indexed(self, index, which, back):
+        """Forge a FREE header ``back`` bytes before a listed chunk on the
+        grid, through a capability that reaches it, whose payload ends at
+        a later listed chunk; start the class index as a long scan would;
+        then realloc through the forged header to all but the last 16
+        bytes of its payload and that chunk's together, which grows it in
+        place over that chunk without a split where the engine grows in
+        place.  The grown LIVE header then covers two 8-byte units, the
+        second the listed chunk's, which the index watches: the write
+        must drop the index.  At 4 or 5 bytes back the rewrite's status
+        byte lands in the listed chunk's payload and changes its class,
+        so an index kept on shows in ``classes_agree_with_heap_bytes``;
+        nearer, the forged header has already broken that chunk's magic,
+        and farther only its lowest payload bits change."""
+        cap = self.pick(self.live + self.stale, index)
+        listed = sorted(self.alloc._listed)
+        spans = [
+            (c - back, e)
+            for c in listed
+            if not c & 7 and cap.base <= c - back <= cap.top - CHUNK_HEADER_SIZE
+            for e in listed
+            if e >= c - back + CHUNK_HEADER_SIZE
+        ]
+        if not spans:
+            return
+        at, end = self.pick(spans, which)
+        payload = end - at - CHUNK_HEADER_SIZE
+        self.alloc.heap.store(cap, at, HEADER.pack(payload, CHUNK_MAGIC, FREE, 0))
+        self.forged.append((cap, at))
+        self.attacked = True
+        if self.alloc.heap.watch is None:
+            self.alloc._index()  # what a malloc's long scan ends with
+        span = payload + CHUNK_HEADER_SIZE + self.header(end)[0]
+        self.realloc_at_forged_header(len(self.forged) - 1, max(1, span - 16))
 
     @precondition(lambda self: self.live)
     @rule(index=INDEX, offset=st.integers(1, 1 << 16))

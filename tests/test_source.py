@@ -19,6 +19,20 @@ def asserts_in_functions(tree):
     }
 
 
+def capability_constructor_calls(tree):
+    """The lines of every call of ``Capability(...)``, by name or as an
+    attribute (``capability.Capability(...)``)."""
+    return {
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name) and node.func.id == "Capability"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "Capability"
+        )
+    }
+
+
 def test_sources_are_found():
     assert {p.name for p in SOURCES} >= {"engines.py", "tagged_memory.py", "cli.py"}
 
@@ -46,3 +60,31 @@ def test_the_rule_sees_nested_and_method_asserts():
         "        assert z\n"
     )
     assert asserts_in_functions(tree) == {5, 6}
+
+
+def test_hot_modules_never_call_the_capability_constructor():
+    """``engines`` and ``tagged_memory`` build capabilities with
+    ``_tuple_new(Capability, (...))``: the NamedTuple's ``__new__`` is a
+    Python function, a frame more per capability built (about 330 ns a
+    build against about 140 ns, on Python 3.11)."""
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name in ("engines.py", "tagged_memory.py")
+        for line in sorted(capability_constructor_calls(ast.parse(path.read_text(), str(path))))
+    ]
+    assert not found
+
+
+def test_the_rule_sees_constructor_calls_in_any_form():
+    tree = ast.parse(
+        "def f(cap):\n"
+        "    a = Capability(True, 0, 16, 0, 3)\n"
+        "    b = _tuple_new(Capability, (True, 0, 16, 0, 3))\n"
+        "    class C:\n"
+        "        def m(self):\n"
+        "            return [capability.Capability(*t) for t in self.ts]\n"
+        "    return isinstance(cap, Capability), Capability\n"
+        "x = g(Capability(False, 0, 0, 0, 0))\n"
+    )
+    assert capability_constructor_calls(tree) == {2, 6, 8}

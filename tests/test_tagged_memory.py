@@ -501,8 +501,10 @@ class TestWatchedHeap:
 # load, load_cap and store_cap test the capability in line and call
 # check_access only when that test fails; store still calls it.  The sweep
 # holds all four to the order before the fold: alignment (the ``*_cap``
-# ops), check_access, then the heap's own bounds.  Each case runs once on
-# each of two heaps in the same state, through the op and through
+# ops), check_access, then the heap's own bounds; and to one rule for an
+# address that is no int: where that order ends in a TypeError, the
+# access raises a bounds fault instead.  Each case runs once on each of
+# two heaps in the same state, through the op and through
 # ``reference_access``, and everything observable must match.
 
 SWEEP_HEAP = 512
@@ -545,14 +547,14 @@ SWEEP_BOUNDS = [
 
 # the outcomes each op's sweep must reach: every fault kind the op raises,
 # the ValueError of a load length below 1 or of an empty store, the
-# TypeError of an address that is not an int, and the type of a value
+# TypeError of a store payload that is not bytes, and the type of a value
 # returned
 _FAULTS = {FaultKind.TAG_VIOLATION, FaultKind.PERMISSION_VIOLATION, FaultKind.BOUNDS_VIOLATION}
 SWEEP_OUTCOMES = {
-    "load": {*_FAULTS, ValueError, TypeError, bytes},
+    "load": {*_FAULTS, ValueError, bytes},
     "store": {*_FAULTS, ValueError, TypeError, type(None)},
-    "load_cap": {*_FAULTS, FaultKind.ALIGNMENT_VIOLATION, TypeError, Capability},
-    "store_cap": {*_FAULTS, FaultKind.ALIGNMENT_VIOLATION, TypeError, type(None)},
+    "load_cap": {*_FAULTS, FaultKind.ALIGNMENT_VIOLATION, Capability},
+    "store_cap": {*_FAULTS, FaultKind.ALIGNMENT_VIOLATION, type(None)},
 }
 
 
@@ -570,6 +572,18 @@ def sweep_heap() -> TaggedHeap:
 
 
 def reference_access(heap, op, cap, addr, arg):
+    """``op`` in the order before the fold (``ordered_access``), where an
+    address that is no int ends in the bounds fault instead of a
+    TypeError."""
+    try:
+        return ordered_access(heap, op, cap, addr, arg)
+    except TypeError:
+        if isinstance(addr, int):
+            raise
+    raise CapFault(FaultKind.BOUNDS_VIOLATION, f"address {addr!r} is not an int")
+
+
+def ordered_access(heap, op, cap, addr, arg):
     """``op`` in the order before the fold: the ``*_cap`` alignment test,
     ``check_access``, the heap's own bounds, and then the access through
     the root capability, which passes both checks."""
@@ -605,10 +619,11 @@ def observed(heap, run):
 
 def sweep_addresses(base, top, length):
     """Addresses at and just past each end of the capability and of the
-    heap, misaligned ones, and addresses that are not ints."""
+    heap, misaligned ones, and addresses that are not ints: floats inside
+    and below the heap, a misaligned float, a str and None."""
     ends = (base - GRANULE, base - 1, base, base + 1, base + 8, top - length, top - length + 1)
     heap_ends = (-GRANULE, SWEEP_HEAP - length, SWEEP_HEAP - length + 1, top, 1 << 40)
-    return (*ends, *heap_ends, 16.0, 16.5, "16")
+    return (*ends, *heap_ends, 16.0, 16.5, -16.0, "16", None)
 
 
 def sweep_cases(op):
@@ -640,12 +655,20 @@ def sweep_cases(op):
 
 @pytest.mark.parametrize("op", SWEEP_OPS)
 def test_inline_check_acts_as_check_access(op):
+    """Each case matches ``reference_access``; a refused access changes
+    no byte, tag, extent or watch byte; and an address that is no int
+    never escapes as a TypeError (only a store payload that is not bytes,
+    at an int address, still does)."""
     kinds = set()
+    untouched = observed(sweep_heap(), lambda: None)[1:]
     for cap, addr, arg in sweep_cases(op):
         heap, ref = sweep_heap(), sweep_heap()
         got = observed(heap, lambda: SWEEP_OPS[op](heap, cap, addr, arg))
         want = observed(ref, lambda: reference_access(ref, op, cap, addr, arg))
         assert got == want, (op, cap, addr, arg)
+        if got[0][0] == "raised":
+            assert got[1:] == untouched, (op, cap, addr, arg)
+            assert got[0][1] is not TypeError or isinstance(addr, int), (op, cap, addr, arg)
         kinds.add(got[0][3] or got[0][1])
     assert kinds >= SWEEP_OUTCOMES[op]
 
