@@ -32,7 +32,7 @@ from .harness import (
     render,
     run_matrix,
 )
-from .registry import ALLOCATOR_NAMES, DEFAULT_HEAP_SIZE, TRAITS, create, default_registry
+from .registry import ALLOCATOR_NAMES, DEFAULT_HEAP_SIZE, TRAITS, create
 from .tagged_memory import GRANULE, TaggedHeap
 
 __version__ = "0.1.0"
@@ -64,7 +64,6 @@ __all__ = [
     "TaggedHeap",
     "Workload",
     "create",
-    "default_registry",
     "diff_matrix",
     "emit_csv",
     "make_root",

@@ -27,7 +27,7 @@ import sys
 from .attacks import ATTACK_IDS, ATTACKS, Tape
 from .bench import WORKLOADS, Workload, emit_csv, run_workload
 from .harness import EXPECTED_MATRIX, diff_matrix, render, run_matrix
-from .registry import ALLOCATOR_NAMES, TRAITS, create, default_registry
+from .registry import ALLOCATOR_NAMES, TRAITS, create
 
 __all__ = ["main"]
 
@@ -78,8 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_matrix(args) -> int:
-    registry = default_registry(rounding_bounds=args.rounding_bounds)
-    matrix = run_matrix(registry)
+    matrix = run_matrix(rounding_bounds=args.rounding_bounds)
     sys.stdout.write(render(matrix, args.format).decode("utf-8"))
     if not args.expect:
         return 0

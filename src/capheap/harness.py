@@ -10,12 +10,13 @@ The reference matrix is the package's golden target: 7 allocators by
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, Mapping, NamedTuple
+from collections import deque
+from typing import Iterable, NamedTuple
 
 from . import _csv
-from .allocator_api import Allocator
 from .attacks import ATTACK_IDS, ATTACKS, Outcome
-from .registry import ALLOCATOR_NAMES, default_registry
+from .registry import ALLOCATOR_NAMES, TRAITS, engine_for
+from .tagged_memory import DEFAULT_HEAP_SIZE, TaggedHeap
 
 __all__ = [
     "ConfigurationError",
@@ -31,7 +32,7 @@ __all__ = [
 
 
 class ConfigurationError(Exception):
-    """A registry that does not describe the canonical seven allocators."""
+    """A row restriction that names an allocator outside the table."""
 
 
 class _Matrix(NamedTuple):
@@ -63,28 +64,26 @@ class ConformanceMatrix(_Matrix):
         return self.cells[self.names.index(name)]
 
 
+# The heap the last grid left for the next one, cleared.  A deque's pop
+# and append are atomic, so grids on two threads need no lock: each takes
+# the spare or maps its own heap, and ``maxlen`` keeps one of the two.
+_spare: deque[TaggedHeap] = deque(maxlen=1)
+
+
 def run_matrix(
-    registry: Mapping[str, Callable[[], Allocator]] | None = None,
-    *,
-    rows: Iterable[str] | None = None,
+    *, rows: Iterable[str] | None = None, rounding_bounds: bool = False
 ) -> ConformanceMatrix:
     """Probe every (allocator, attack) cell serially: a cell is tens of
     microseconds of pure Python, too little for a GIL-bound pool to pay.
-    Each row builds one instance and resets it before every probe after
-    the first, so each cell starts from the state a fresh instance has,
-    without a heap of its own.  A row's instance is dropped before the
-    next row's is built, so with the default registry each row's heap
-    takes the cleared map the row before left (see ``tagged_memory``):
-    a grid maps at most one heap, and none right after a heap of its
-    size was dropped.  The registry is never mutated.
-    ``rows`` restricts the run to a subset of allocators, in table order.
+    Every row runs over one 1 MiB heap, cleared before each row's
+    instance is built, and each instance is reset before every probe
+    after the first, so each cell starts from the state a fresh instance
+    on a fresh heap has.  The grid takes the heap the last grid left and
+    leaves it, cleared, for the next, even when a probe raises: a grid
+    maps at most one heap, and none after the first grid in a process.
+    ``rows`` restricts the run to a subset of allocators, in table order;
+    ``rounding_bounds`` is every instance's bounds rounding.
     """
-    if registry is None:
-        registry = default_registry()
-    if tuple(registry) != ALLOCATOR_NAMES:
-        raise ConfigurationError(
-            f"registry must hold exactly {list(ALLOCATOR_NAMES)}, got {list(registry)}"
-        )
     if rows is None:
         names = ALLOCATOR_NAMES
     else:
@@ -93,17 +92,25 @@ def run_matrix(
         unknown = rows - set(ALLOCATOR_NAMES)
         if unknown:
             raise ConfigurationError(f"unknown allocators: {sorted(unknown)}")
-
-    def row(alloc: Allocator) -> tuple[Outcome, ...]:
-        outcomes = []
-        for attack in ATTACK_IDS:
-            if outcomes:
-                alloc.reset()
-            outcomes.append(ATTACKS[attack](alloc).outcome)
-        return tuple(outcomes)
-
-    cells = tuple(row(registry[name]()) for name in names)
-    return ConformanceMatrix(names, ATTACK_IDS, cells)
+    try:
+        heap = _spare.pop()
+    except IndexError:
+        heap = TaggedHeap(DEFAULT_HEAP_SIZE)
+    cells = []
+    try:
+        for name in names:
+            heap.clear()
+            alloc = engine_for(TRAITS[name])(heap, TRAITS[name], rounding_bounds=rounding_bounds)
+            outcomes = []
+            for attack in ATTACK_IDS:
+                if outcomes:
+                    alloc.reset()
+                outcomes.append(ATTACKS[attack](alloc).outcome)
+            cells.append(tuple(outcomes))
+    finally:
+        heap.clear()
+        _spare.append(heap)
+    return ConformanceMatrix(names, ATTACK_IDS, tuple(cells))
 
 
 def diff_matrix(

@@ -8,15 +8,11 @@ records for applicability decisions.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .allocator_api import Allocator, AllocatorTraits, FreeValidation
 from .engines import BumpAllocator, FreeListAllocator, SlabAllocator
 from .tagged_memory import DEFAULT_HEAP_SIZE, TaggedHeap
 
-__all__ = [
-    "ALLOCATOR_NAMES", "DEFAULT_HEAP_SIZE", "TRAITS", "create", "default_registry", "engine_for",
-]
+__all__ = ["ALLOCATOR_NAMES", "DEFAULT_HEAP_SIZE", "TRAITS", "create", "engine_for"]
 
 _V = FreeValidation
 
@@ -53,15 +49,3 @@ def create(
         raise ValueError(f"unknown allocator {name!r}; choose from {', '.join(ALLOCATOR_NAMES)}")
     traits = TRAITS[name]
     return engine_for(traits)(TaggedHeap(heap_size), traits, rounding_bounds=rounding_bounds)
-
-
-def default_registry(
-    heap_size: int = DEFAULT_HEAP_SIZE, *, rounding_bounds: bool = False
-) -> dict[str, Callable[[], Allocator]]:
-    """Name -> zero-argument factory for each canonical allocator, in
-    table order.  Every call to a factory yields a fresh instance."""
-
-    def factory(name: str) -> Callable[[], Allocator]:
-        return lambda: create(name, heap_size, rounding_bounds=rounding_bounds)
-
-    return {name: factory(name) for name in ALLOCATOR_NAMES}

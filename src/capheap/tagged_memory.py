@@ -18,18 +18,9 @@ gets a copy-on-write image, so no two processes share a heap's bytes.
 The heap keeps its written extent (one past the highest granule
 written since the last clear), and ``clear()`` re-zeroes just that
 prefix in place, so a cleared heap keeps its map and its pages and
-costs only what the last run wrote.
-
-A heap owns its map and tag array until it is dropped.  A dropped heap
-no larger than the default 1 MiB whose ``data`` and ``tags`` nothing
-else holds re-zeroes its extent as ``clear()`` does and leaves the pair
-in a process-wide stock of one slot; the next heap of the same size
-takes it instead of mapping anew, so a process that builds and drops
-heaps in turn (a grid's rows, a test run) pays no ``mmap``, ``munmap``
-or first-touch page faults per heap.  A heap whose ``data`` or ``tags``
-is still referenced when it dies is not stocked, so a live reference
-never aliases a later heap; a larger heap is unmapped at once, so its
-pages do not stay resident.
+costs only what the last run wrote.  Every new heap maps its own
+bytes; code that builds heaps in turn reuses one through ``clear()``
+(as ``harness.run_matrix`` does).
 
 Every access makes the check of ``Capability.check_access``, in its
 order: a length below 1 (``ValueError``), then tag, permission and
@@ -84,8 +75,6 @@ from __future__ import annotations
 
 import mmap
 import struct
-import sys
-from collections import deque
 
 from .capability import CapFault, Capability, FaultKind, Perm, _tuple_new
 
@@ -93,8 +82,7 @@ __all__ = ["DEFAULT_HEAP_SIZE", "GRANULE", "TaggedHeap"]
 
 GRANULE = 16
 
-# 1 MiB: an allocator's heap unless its creator asks otherwise, and the
-# largest heap stocked
+# 1 MiB: an allocator's heap unless its creator asks otherwise
 DEFAULT_HEAP_SIZE = 1 << 20
 
 _CAP_LAYOUT = struct.Struct("<IIIB3x")
@@ -131,14 +119,6 @@ def _zero_prefix(buf, n: int) -> None:
     buf[at:n] = _ZEROS[: n - at]
 
 
-# The stock: at most one cleared (data, tags) pair a dropped heap left
-# behind.  A deque's append and pop are atomic, so it needs no lock (a
-# lock taken in __del__ could deadlock, as the collector may run it on a
-# thread that holds the lock); when two heaps die at once on two threads,
-# ``maxlen`` drops the older pair.
-_stock: deque[tuple[mmap.mmap, bytearray]] = deque(maxlen=1)
-
-
 class TaggedHeap:
     """Single-owner mutable heap state.  One logical thread per heap;
     distinct heaps are independent.  ``data`` is an ``mmap`` (slices are
@@ -146,23 +126,14 @@ class TaggedHeap:
     per granule.  ``extent`` is one past the highest granule written
     since the last clear; ``clear()`` zeroes both up to it in place and
     keeps the map, so a cleared heap is a fresh one without a new
-    mapping.  A new heap may get the cleared map and tag array of one
-    dropped earlier, but only one that nothing else held when it died
-    (see the module docstring)."""
+    mapping."""
 
     def __init__(self, size: int):
         if size <= 0 or size % GRANULE != 0:
             raise ValueError("heap size must be a positive multiple of 16")
         self.size = size
-        try:
-            spare = _stock.pop()
-        except IndexError:
-            spare = None
-        if spare is not None and len(spare[0]) == size:
-            self.data, self.tags = spare
-        else:  # a spare of another size is dropped
-            self.data = mmap.mmap(-1, size, **_PRIVATE)
-            self.tags = bytearray(size // GRANULE)
+        self.data = mmap.mmap(-1, size, **_PRIVATE)
+        self.tags = bytearray(size // GRANULE)
         self.extent = 0  # one past the highest granule written since the last clear
         self.watch: bytearray | None = None  # the write barrier's map, one byte per 8 bytes
         self.watch16: memoryview | None = None  # the same map, two bytes per granule
@@ -173,33 +144,15 @@ class TaggedHeap:
         self.watch = watch
         self.watch16 = None if watch is None else memoryview(watch).cast("H")
 
-    def __del__(self, _finalizing=sys.is_finalizing):
-        # Stock the pair if the slot is empty, the heap is no larger than
-        # DEFAULT_HEAP_SIZE and only this heap holds the pair (a count of 2
-        # is the instance dict's and the call's own).  A heap that dies
-        # while the interpreter shuts down, when module globals may be gone
-        # (hence the default), or whose __init__ raised, is left alone.
-        if _finalizing() or _stock or "tags" not in self.__dict__ or self.size > DEFAULT_HEAP_SIZE:
-            return
-        if sys.getrefcount(self.data) > 2 or sys.getrefcount(self.tags) > 2:
-            return
-        self._zero()
-        _stock.append((self.data, self.tags))
-
     def clear(self) -> None:
         """Re-zero every byte and tag written, in place, and drop the
-        watch map."""
-        self._zero()
-        self.set_watch(None)
-
-    def _zero(self) -> None:
-        """Re-zero every byte and tag written, in place, copying from
-        ``_ZEROS``: a zero ``bytes`` as long as a large extent, once freed,
-        stays in the C allocator's pool and raises the process's peak
-        memory by its size."""
+        watch map.  The zeros are copied from ``_ZEROS``: a zero ``bytes``
+        as long as a large extent, once freed, stays in the C allocator's
+        pool and raises the process's peak memory by its size."""
         _zero_prefix(self.data, self.extent * GRANULE)
         _zero_prefix(self.tags, self.extent)
         self.extent = 0
+        self.set_watch(None)
 
     def fault_outside(self, addr: int, length: int) -> None:
         """Raise the heap's own bounds fault for [addr, addr + length)."""

@@ -1,5 +1,4 @@
 from bisect import bisect_left, insort
-import gc
 import random
 import struct
 import sys
@@ -209,6 +208,19 @@ class TestBumpEngine:
         assert alloc.heap.load(z, z.address, new_size) == bytes(range(1, kept + 1)) + bytes(
             new_size - kept
         )
+
+    def test_realloc_copy_clears_the_tags_it_copies_over(self):
+        # a capability stored past the cursor through the whole region; the
+        # second realloc copies the block onto its granule, whose tag the
+        # copy must clear, or plain bytes read back as a tagged capability
+        alloc = create("bump-alloc-nocheri")
+        p = alloc.malloc(32)
+        alloc.heap.store_cap(alloc.region, 64, alloc.region)
+        assert alloc.heap.tags[4] == 1
+        q = alloc.realloc(p, 32)
+        r = alloc.realloc(q, 32)
+        assert (p.address, q.address, r.address) == (0, 32, 64)
+        assert alloc.heap.load_cap(alloc.region, 64).tag is False
 
 
 class TestFreeListEngine:
@@ -567,6 +579,20 @@ class TestSlabEngine:
         alloc.free(p)
         alloc.free(p)  # the bits are clear again, so this stays silent
         assert [alloc.malloc(16).address for _ in range(3)] == [0, 16, 32]
+
+    def test_moving_realloc_clears_the_tags_it_copies_over(self):
+        # x stores itself, then is freed; its slot goes to the moving
+        # realloc of a 16-byte block, whose copy must clear the tag x left
+        alloc = create("snmalloc-repo")
+        x = alloc.malloc(32)
+        alloc.heap.store_cap(x, x.address, x)
+        alloc.free(x)
+        a = alloc.malloc(16)
+        alloc.malloc(16)
+        alloc.heap.store(a, a.address, bytes(range(16)))
+        moved = alloc.realloc(a, 32)
+        assert moved.address == x.address
+        assert alloc.heap.load_cap(moved, moved.address).tag is False
 
 
 class TestContractAcrossAllEngines:
@@ -1224,11 +1250,7 @@ def test_first_fit_header_reads_per_malloc(monkeypatch, workload, reads, mallocs
 
 def calls_into_capheap(run):
     """The Python calls into capheap's modules while ``run()`` runs,
-    counted by a profile hook: a cost count that needs no timing.  The
-    collector runs first and stays off while it counts: a collection in
-    the window finalizes heaps that earlier tests dropped in cycles, and
-    ``TaggedHeap.__del__`` (with ``_zero`` and ``_zero_prefix``) would
-    count as calls of the op."""
+    counted by a profile hook: a cost count that needs no timing."""
     calls = 0
 
     def profile(frame, event, arg):
@@ -1236,14 +1258,11 @@ def calls_into_capheap(run):
         if event == "call" and frame.f_globals.get("__name__", "").partition(".")[0] == "capheap":
             calls += 1
 
-    gc.collect()
-    gc.disable()
     sys.setprofile(profile)
     try:
         run()
     finally:
         sys.setprofile(None)
-        gc.enable()
     return calls
 
 

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from capheap import harness
 from capheap.attacks import ATTACK_IDS, ATTACKS, Outcome, replay_trace
 from capheap.harness import (
     ConfigurationError,
@@ -14,7 +15,8 @@ from capheap.harness import (
     render,
     run_matrix,
 )
-from capheap.registry import ALLOCATOR_NAMES, create, default_registry
+from capheap.registry import ALLOCATOR_NAMES, create, engine_for
+from capheap.tagged_memory import TaggedHeap
 
 
 def test_expected_matrix_shape():
@@ -38,20 +40,6 @@ def test_two_runs_are_identical():
     assert run_matrix() == run_matrix()
 
 
-def test_registry_is_not_mutated():
-    registry = default_registry()
-    keys = tuple(registry)
-    run_matrix(registry)
-    assert tuple(registry) == keys
-
-
-def test_rejects_wrong_registry():
-    registry = default_registry()
-    registry.pop("jemalloc")
-    with pytest.raises(ConfigurationError):
-        run_matrix(registry)
-
-
 @pytest.mark.parametrize("rounding", [False, True], ids=["exact", "rounding"])
 @pytest.mark.parametrize("name", ALLOCATOR_NAMES)
 def test_reset_instance_reports_equal_fresh_ones(name, rounding):
@@ -66,23 +54,59 @@ def test_reset_instance_reports_equal_fresh_ones(name, rounding):
         assert ATTACKS[attack](reused) == fresh
 
 
-def test_one_instance_per_row():
-    calls = Counter()
-    factories = default_registry()
+def test_one_instance_per_row(monkeypatch):
+    # one engine built per row, all over one heap
+    engines, maps = Counter(), []
 
-    def counting(name):
-        def make():
-            calls[name] += 1
-            return factories[name]()
+    def counting(engine):
+        class Counted(engine):
+            def __init__(self, heap, traits, **kwargs):
+                engines[traits.name] += 1
+                super().__init__(heap, traits, **kwargs)
 
-        return make
+        return Counted
 
-    registry = {name: counting(name) for name in ALLOCATOR_NAMES}
-    assert run_matrix(registry) == EXPECTED_MATRIX
-    assert calls == Counter(ALLOCATOR_NAMES)
-    calls.clear()
-    run_matrix(registry, rows=["jemalloc", "snmalloc-repo"])
-    assert calls == Counter(["jemalloc", "snmalloc-repo"])
+    class CountedHeap(TaggedHeap):
+        def __init__(self, size):
+            maps.append(size)
+            super().__init__(size)
+
+    monkeypatch.setattr(harness, "engine_for", lambda traits: counting(engine_for(traits)))
+    monkeypatch.setattr(harness, "TaggedHeap", CountedHeap)
+    harness._spare.clear()
+    assert run_matrix() == EXPECTED_MATRIX
+    assert engines == Counter(ALLOCATOR_NAMES) and len(maps) == 1
+    engines.clear()
+    assert run_matrix(rows=["jemalloc", "snmalloc-repo"]).names == ("jemalloc", "snmalloc-repo")
+    assert engines == Counter(["jemalloc", "snmalloc-repo"]) and len(maps) == 1
+
+
+def test_probe_that_raises_leaves_a_fresh_spare(monkeypatch):
+    # a probe that writes the heap (a tagged capability, a watched free
+    # list) and then raises: the error reaches the caller, and the heap
+    # the grid leaves is a never-used one
+    class ProbeError(Exception):
+        pass
+
+    def raising(alloc):
+        alloc.heap.store_cap(alloc.region, alloc.heap.size - 16, alloc.region)
+        blocks = [alloc.malloc(16) for _ in range(100)]
+        for cap in blocks:
+            alloc.free(cap)
+        alloc.malloc(1000)
+        assert alloc.heap.watch is not None
+        raise ProbeError
+
+    monkeypatch.setitem(ATTACKS, "A3", raising)
+    with pytest.raises(ProbeError):
+        run_matrix(rows=["jemalloc"])
+    (spare,) = harness._spare
+    size = spare.size
+    assert spare.snapshot() == bytes(size) + bytes(size // 128)
+    assert spare.extent == 0 and spare.watch is None
+    monkeypatch.undo()
+    assert run_matrix() == EXPECTED_MATRIX
+    assert harness._spare[0] is spare
 
 
 def test_grid_and_replay_leave_no_reference_cycles():

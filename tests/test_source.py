@@ -33,6 +33,17 @@ def capability_constructor_calls(tree):
     }
 
 
+def finalizers(tree):
+    """The lines of every ``__del__`` a class body defines, at any depth."""
+    return {
+        node.lineno
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__del__"
+    }
+
+
 def test_sources_are_found():
     assert {p.name for p in SOURCES} >= {"engines.py", "tagged_memory.py", "cli.py"}
 
@@ -88,3 +99,34 @@ def test_the_rule_sees_constructor_calls_in_any_form():
         "x = g(Capability(False, 0, 0, 0, 0))\n"
     )
     assert capability_constructor_calls(tree) == {2, 6, 8}
+
+
+def test_no_class_defines_a_finalizer():
+    """``__del__`` runs wherever the last reference drops, and for an
+    object in a reference cycle inside whatever code next triggers the
+    cyclic collector, so its work lands in a stranger's timing and call
+    counts.  Code that builds objects in turn owns their reuse
+    (``harness.run_matrix`` keeps its heap for the next grid)."""
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in sorted(finalizers(ast.parse(path.read_text(), str(path))))
+    ]
+    assert not found
+
+
+def test_the_rule_sees_nested_and_method_finalizers():
+    tree = ast.parse(
+        "def __del__(self):\n"
+        "    pass\n"
+        "class C:\n"
+        "    def __del__(self, _f=None):\n"
+        "        pass\n"
+        "    def f(self):\n"
+        "        class D:\n"
+        "            async def __del__(self):\n"
+        "                pass\n"
+        "        def __del__():\n"
+        "            pass\n"
+    )
+    assert finalizers(tree) == {4, 8}

@@ -1,24 +1,21 @@
-import gc
 import mmap
 import os
 import random
 import subprocess
 import sys
 import threading
-import weakref
-from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import capheap
-from capheap import tagged_memory
+from capheap import harness, tagged_memory
+from capheap.attacks import ATTACKS
 from capheap.capability import CapFault, Capability, FaultKind, PERM_ALL, Perm, make_root
 from capheap.cli import main
-from capheap.engines import CHUNK_HEADER_SIZE
-from capheap.harness import run_matrix
-from capheap.registry import DEFAULT_HEAP_SIZE, create
+from capheap.harness import EXPECTED_MATRIX, run_matrix
+from capheap.registry import ALLOCATOR_NAMES, DEFAULT_HEAP_SIZE
 from capheap.tagged_memory import GRANULE, TaggedHeap
 
 HEAP = 4096
@@ -686,129 +683,85 @@ def test_permission_mask_that_is_no_int_escapes_as_type_error(op):
     assert heap.snapshot() == before and heap.watch is not None
 
 
-# A dropped heap leaves its cleared map and tag array to the next heap of
-# its size.  Every test here but the reuse and map-count ones also holds
-# for a build that maps every heap anew.  The reuse and map-count ones
-# run with the collector off: a garbage heap from an earlier test (one in
-# a traceback's cycle) collected mid-test would fill the stock first.
+# A grid runs its rows over one heap and leaves it, cleared, in
+# ``harness._spare`` for the next grid.  These tests hold that heap to
+# what a new one is: all zero, no extent and no watch map, never shared
+# with another thread or process.
+
+FRESH_GRID_SNAPSHOT = bytes(DEFAULT_HEAP_SIZE) + bytes(DEFAULT_HEAP_SIZE // 128)
 
 
-@contextmanager
-def _collector_off():
-    """Collect every garbage heap now and none until the block ends."""
-    gc.collect()
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
+def _write_last_granule(alloc):
+    heap = alloc.heap
+    heap.store(alloc.region, heap.size - 5, b"\xff" * 5)
+    assert heap.extent == heap.size // GRANULE
 
 
-FRESH_SNAPSHOT = bytes(HEAP) + bytes(HEAP // 128)  # a never-used heap's snapshot
-
-
-@pytest.fixture
-def drained():
-    """An empty stock: a new heap takes the spare, or drops one of another
-    size, and this one is held until the test ends."""
-    with _collector_off():
-        hold = TaggedHeap(HEAP)
-        yield
-        del hold
-
-
-def _write_last_granule(root):
-    heap = TaggedHeap(HEAP)
-    heap.store(root, HEAP - 5, b"\xff" * 5)
-    assert heap.extent == HEAP // GRANULE
-    return heap, heap
-
-
-def _tag_by_store_cap(root):
-    heap = TaggedHeap(HEAP)
-    heap.store_cap(root, 0, root)
-    heap.store_cap(root, HEAP - GRANULE, root)
+def _tag_by_store_cap(alloc):
+    heap = alloc.heap
+    heap.store_cap(alloc.region, 0, alloc.region)
+    heap.store_cap(alloc.region, heap.size - GRANULE, alloc.region)
     assert heap.tags[0] == heap.tags[-1] == 1
-    return heap, heap
 
 
-def _free_list_header_at_the_end(root):
+def _free_list_header_at_the_end(alloc):
     # a split leaves the remainder's header as close to the end as it goes
-    alloc = create("jemalloc", HEAP)
-    alloc.malloc(HEAP - 48)
-    assert alloc._free_list == [HEAP - 40]
-    assert alloc.heap.extent == (HEAP - 40) // GRANULE + 1
-    return alloc, alloc.heap
+    size = alloc.heap.size
+    alloc.reset()
+    alloc.malloc(size - 48)
+    assert alloc._free_list == [size - 40]
+    assert alloc.heap.extent == (size - 40) // GRANULE + 1
 
 
-def _free_list_indexed(root):
-    alloc = create("jemalloc", HEAP)
+def _free_list_indexed(alloc):
+    alloc.reset()
     blocks = [alloc.malloc(16) for _ in range(100)]
     for cap in blocks:
         alloc.free(cap)
     alloc.malloc(1000)  # scans past the 100 small chunks and starts the index
     assert alloc.heap.watch is not None
-    # a store to a listed header's unit drops the index
-    alloc.heap.store(blocks[0], blocks[0].address - CHUNK_HEADER_SIZE, b"\xff")
-    assert alloc.heap.watch is None
-    return alloc, alloc.heap
 
 
-class TestStockedHeapIsFresh:
+class TestSpareHeapIsFresh:
     @pytest.mark.parametrize(
         "dirty",
         [_write_last_granule, _tag_by_store_cap, _free_list_header_at_the_end, _free_list_indexed],
         ids=["last-granule", "store-cap-tag", "free-list-end-header", "free-list-indexed"],
     )
-    def test_next_heap_snapshots_as_never_used(self, drained, root, dirty):
-        owner, heap = dirty(root)
-        assert heap.snapshot() != FRESH_SNAPSHOT
-        spare = weakref.ref(heap.data)
-        del owner, heap
-        new = TaggedHeap(HEAP)
-        assert new.snapshot() == FRESH_SNAPSHOT
-        assert new.extent == 0 and new.watch is None
-        assert new.data is spare()  # the dropped map, re-zeroed
+    def test_next_heap_snapshots_as_never_used(self, monkeypatch, dirty):
+        # the grid's last probe leaves its heap dirty in the way given
+        probe = ATTACKS["A5"]
 
-    def test_heap_of_another_size_never_gets_the_spare(self, drained):
-        heap = TaggedHeap(HEAP)
-        spare = weakref.ref(heap.data)
-        del heap
-        other = TaggedHeap(2 * HEAP)
-        assert other.data is not spare() and len(other.data) == 2 * HEAP
-        assert len(other.tags) == 2 * HEAP // GRANULE
+        def dirtying(alloc):
+            report = probe(alloc)
+            dirty(alloc)
+            assert alloc.heap.snapshot() != FRESH_GRID_SNAPSHOT
+            return report
 
-    @pytest.mark.parametrize("held", ["data", "tags", "view"])
-    def test_heap_still_referenced_is_not_stocked(self, drained, root, held):
-        heap = TaggedHeap(HEAP)
-        heap.store_cap(root, 0, root)
-        kept = memoryview(heap.data) if held == "view" else getattr(heap, held)
-        spare = weakref.ref(heap.data)
-        del heap
-        new = TaggedHeap(HEAP)
-        assert new.data is not spare() and new.tags is not kept
-        assert new.snapshot() == FRESH_SNAPSHOT
-        # and the holder still sees what it held
-        if held == "tags":
-            assert kept[0] == 1
-        else:
-            assert bytes(kept[:GRANULE]) != bytes(GRANULE)
+        monkeypatch.setitem(ATTACKS, "A5", dirtying)
+        assert run_matrix(rows=["jemalloc"]).cells == (EXPECTED_MATRIX.row("jemalloc"),)
+        (spare,) = harness._spare
+        assert spare.snapshot() == FRESH_GRID_SNAPSHOT
+        assert spare.extent == 0 and spare.watch is None
+        monkeypatch.undo()
+        assert run_matrix() == EXPECTED_MATRIX
+        assert harness._spare[0] is spare
 
-    def test_threads_only_get_zeroed_heaps(self, root):
-        # more threads than cores, switching often, each building, writing
-        # and dropping heaps: every heap a thread gets must be all zero
+    def test_threads_only_get_zeroed_heaps(self):
+        # more threads than cores, switching often, each running restricted
+        # grids: a heap two grids shared would change some grid's outcomes
         threads_n = (os.cpu_count() or 1) + 2
         failures = []
 
         def work(k):
             try:
-                for i in range(300):
-                    heap = TaggedHeap(HEAP)
-                    if heap.extent or heap.snapshot() != FRESH_SNAPSHOT:
-                        failures.append((k, i))
-                    heap.store(root, (k * 97 + i * 31) % (HEAP - 64), b"\xff" * 64)
-                    heap.store_cap(root, HEAP - GRANULE, root)
-                    del heap
+                for i in range(40):
+                    names = [ALLOCATOR_NAMES[(k + i) % 7], ALLOCATOR_NAMES[(3 * k + i) % 7]]
+                    matrix = run_matrix(rows=names)
+                    if matrix.cells != tuple(map(EXPECTED_MATRIX.row, matrix.names)):
+                        failures.append((k, i, names))
+                    if len(harness._spare) > 1:
+                        failures.append((k, i, "spare"))
             except BaseException as exc:  # reported below, not lost in the thread
                 failures.append((k, exc))
 
@@ -824,6 +777,7 @@ class TestStockedHeapIsFresh:
         finally:
             sys.setswitchinterval(interval)
         assert failures == []
+        assert len(harness._spare) == 1
 
 
 class TestNoMapChurn:
@@ -838,53 +792,36 @@ class TestNoMapChurn:
             return mmap.mmap(*args, **kwargs)
 
         monkeypatch.setattr(tagged_memory, "mmap", SimpleNamespace(mmap=counting))
-        with _collector_off():
-            yield made
-
-    def test_dropped_heap_backs_the_next_one(self, drained):
-        heap = TaggedHeap(HEAP)
-        spare = weakref.ref(heap.data)
-        del heap
-        assert TaggedHeap(HEAP).data is spare()
-
-    @pytest.mark.parametrize(
-        "size, stocked", [(DEFAULT_HEAP_SIZE, True), (2 * DEFAULT_HEAP_SIZE, False)]
-    )
-    def test_only_heaps_up_to_the_default_size_are_stocked(self, drained, size, stocked):
-        heap = TaggedHeap(size)
-        spare = weakref.ref(heap.data)
-        del heap
-        assert (spare() is not None) == stocked  # a larger map is unmapped at once
-        assert (TaggedHeap(size).data is spare()) == stocked
+        return made
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_processes_share_no_heap_bytes(self):
-        # the parent stocks a written heap and holds a live one, then forks;
-        # the child takes its copy of the spare and writes both heaps; the
-        # parent's own next heap and its live heap must not see those bytes
+        # the parent runs a grid, which leaves the spare, and holds a live
+        # heap, then forks; the child runs a grid and writes both heaps; the
+        # parent's spare and live heap must not see those bytes
         script = (
-            "import os, weakref\n"
+            "import os\n"
+            "from capheap import harness\n"
+            "from capheap.harness import EXPECTED_MATRIX, run_matrix\n"
             "from capheap.tagged_memory import TaggedHeap\n"
             "from capheap.capability import make_root\n"
             "root = make_root(4096)\n"
-            "fresh = TaggedHeap(4096).snapshot()\n"
+            "assert run_matrix() == EXPECTED_MATRIX\n"
+            "(spare,) = harness._spare\n"
+            "fresh = spare.snapshot()\n"
             "live = TaggedHeap(4096)\n"
-            "dropped = TaggedHeap(4096)\n"
-            "dropped.store(root, 0, b'parent')\n"
-            "spare = weakref.ref(dropped.data)\n"
-            "del dropped\n"
             "pid = os.fork()\n"
             "if pid == 0:\n"
-            "    new = TaggedHeap(4096)\n"
-            "    ok = new.data is spare() and new.snapshot() == fresh\n"
-            "    new.store(root, 0, b'child!')\n"
+            "    ok = run_matrix() == EXPECTED_MATRIX and harness._spare[0] is spare\n"
+            "    spare.store(root, 0, b'child!')\n"
             "    live.store(root, 0, b'child!')\n"
             "    os._exit(0 if ok else 3)\n"
             "assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0, 'child'\n"
-            "new = TaggedHeap(4096)\n"
-            "assert new.data is spare(), 'not reused'\n"
-            "assert new.load(root, 0, 6) == bytes(6), 'new heap shared'\n"
+            "assert spare.snapshot() == fresh, 'spare shared'\n"
             "assert live.load(root, 0, 6) == bytes(6), 'live heap shared'\n"
+            "assert run_matrix() == EXPECTED_MATRIX, 'grid'\n"
+            "assert harness._spare[0] is spare, 'not reused'\n"
+            "assert spare.load(root, 0, 6) == bytes(6), 'spare written'\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(capheap.__file__).parents[1]))
         run = subprocess.run(
@@ -900,9 +837,9 @@ class TestNoMapChurn:
         assert maps == []
 
     def test_cli_matrix_maps_one_heap(self, maps, capsys):
-        tagged_memory._stock.clear()
+        harness._spare.clear()
         assert main(["matrix", "--expect"]) == 0
-        assert len(maps) == 1  # the first row's; each later row takes the one before
+        assert len(maps) == 1  # the grid's one heap, which every row reuses
 
     def test_shutdown_is_silent_in_dev_mode(self):
         # a heap whose __init__ raised, heaps dropped before exit, heaps
