@@ -15,7 +15,7 @@ from capheap.harness import (
     render,
     run_matrix,
 )
-from capheap.registry import ALLOCATOR_NAMES, create, engine_for
+from capheap.registry import ALLOCATOR_NAMES, TRAITS, create, engine_for
 from capheap.tagged_memory import TaggedHeap
 
 
@@ -79,6 +79,29 @@ def test_one_instance_per_row(monkeypatch):
     engines.clear()
     assert run_matrix(rows=["jemalloc", "snmalloc-repo"]).names == ("jemalloc", "snmalloc-repo")
     assert engines == Counter(["jemalloc", "snmalloc-repo"]) and len(maps) == 1
+
+
+@pytest.mark.parametrize("rounding", [False, True], ids=["exact", "rounding"])
+def test_rounding_bounds_reaches_every_instance(monkeypatch, rounding):
+    # the flag is each instance's, passed per grid: the shared traits
+    # table is neither read for it nor changed by it
+    built = []
+
+    def recording(engine):
+        class Recorded(engine):
+            def __init__(self, heap, traits, **kwargs):
+                super().__init__(heap, traits, **kwargs)
+                built.append((traits.name, self._rounding))
+
+        return Recorded
+
+    traits = dict(TRAITS)
+    monkeypatch.setattr(harness, "engine_for", lambda t: recording(engine_for(t)))
+    assert run_matrix(rounding_bounds=rounding) == EXPECTED_MATRIX
+    assert built == [(name, rounding) for name in ALLOCATOR_NAMES]
+    assert TRAITS == traits
+    monkeypatch.undo()
+    assert run_matrix() == EXPECTED_MATRIX
 
 
 def test_probe_that_raises_leaves_a_fresh_spare(monkeypatch):

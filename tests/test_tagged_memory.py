@@ -747,6 +747,29 @@ class TestSpareHeapIsFresh:
         assert run_matrix() == EXPECTED_MATRIX
         assert harness._spare[0] is spare
 
+    @pytest.mark.parametrize("name", ALLOCATOR_NAMES)
+    def test_each_row_leaves_a_never_used_spare(self, monkeypatch, name):
+        # each engine writes the heap its own way (bump extent, slab
+        # headers, free lists, tags); the grid's heap must read as a
+        # never-used one after any single row
+        wrote = []
+
+        def recording(probe):
+            def run(alloc):
+                report = probe(alloc)
+                wrote.append(alloc.heap.snapshot() != FRESH_GRID_SNAPSHOT)
+                return report
+
+            return run
+
+        for attack, probe in list(ATTACKS.items()):
+            monkeypatch.setitem(ATTACKS, attack, recording(probe))
+        assert run_matrix(rows=[name]).cells == (EXPECTED_MATRIX.row(name),)
+        assert len(wrote) == 5 and any(wrote)  # the row did write its heap
+        (spare,) = harness._spare
+        assert spare.snapshot() == FRESH_GRID_SNAPSHOT
+        assert spare.extent == 0 and spare.watch is None
+
     def test_threads_only_get_zeroed_heaps(self):
         # more threads than cores, switching often, each running restricted
         # grids: a heap two grids shared would change some grid's outcomes
