@@ -13,18 +13,22 @@ and classifies the result:
 Outcomes: the attack Succeeds, is Thwarted, or is NotApplicable when
 its precondition is absent for that allocator.  Every step goes through
 a recording tape, so a report's trace can be replayed against a fresh
-instance and must reproduce each step result.  The tape is the one
-interpreter of op names: ``capheap dump`` scripts run through it too,
-with a script's result index ``K`` naming the tape's ``rK``.  Reports
-and their steps are ``NamedTuple`` records, immutable like
-``Capability``; a step result keeps a refusal's text, never the caught
-exception, so a probe leaves no reference cycle behind for the cyclic
-collector.
+instance and must reproduce each step result.  ``Tape.do`` returns the
+op's value (a capability ref, the bytes a load read, a trait's value, or
+None), and the probes decide on those values: a load's bytes against
+the sentinel, a trait as a bool, a refusal as None or as the tape's
+``error``.  The tape is the one interpreter of op names: ``capheap
+dump`` scripts run through it too, with a script's result index ``K``
+naming the tape's ``rK``.  Reports and their steps are ``NamedTuple``
+records, immutable like ``Capability``; a step keeps a refusal's text,
+never the caught exception, so a probe leaves no reference cycle behind
+for the cyclic collector.
 """
 
 from __future__ import annotations
 
 import enum
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .allocator_api import AllocError, Allocator, AllocatorTraits, FreeValidation
@@ -33,6 +37,7 @@ from .capability import CapFault, Capability, Perm
 __all__ = [
     "ATTACK_IDS",
     "ATTACKS",
+    "OP_FIELDS",
     "AttackReport",
     "Outcome",
     "TraceStep",
@@ -96,92 +101,117 @@ class AttackReport(NamedTuple):
         return f"{self.outcome.glyph} {text}"
 
 
-class StepResult:
-    """What a tape op produced: a capability ref, its trace text, whether
-    it succeeded, and the text of the refusal when it did not."""
-
-    __slots__ = ("ref", "text", "ok", "error")
-
-    def __init__(self, ref: str | None, text: str, error: str | None):
-        self.ref = ref
-        self.text = text
-        self.ok = error is None
-        self.error = error
-
-
 class Tape:
     """Executes probe and dump-script operations against one allocator
     while recording (op, args, result) steps.  Capabilities are
     referenced by the ids assigned on creation ("r0", "r1", ...), which
     makes the recording self-contained: replaying the same ops on a
-    fresh instance assigns the same ids.  An op the allocator refuses
-    records ``error:Kind`` or ``fault:Kind``; any other exception, such
-    as a ``ValueError`` for an argument the model rejects, propagates
-    and records no step."""
+    fresh instance assigns the same ids.
+
+    ``do`` returns the op's value: a new capability's ref, the bytes a
+    ``load`` read, or a trait's value; it returns None for an op that
+    returns nothing and for one the allocator refuses.  A refusal
+    records ``error:Kind`` or ``fault:Kind`` and leaves its text in
+    ``error``, which is None after an op that succeeds.  A malformed op
+    (an unknown op, ref or trait, or the wrong number of arguments)
+    raises a ``ValueError`` naming it before any engine call; any other
+    exception, such as a ``ValueError`` for an argument the model
+    rejects, propagates unchanged.  Neither records a step."""
 
     def __init__(self, alloc: Allocator):
         self.alloc = alloc
-        self.heap = alloc.heap
         self.steps: list[TraceStep] = []
+        self.error: str | None = None
         self._caps: dict[str, Capability] = {}
-        self._next = 0
 
     def cap(self, ref: str) -> Capability:
         return self._caps[ref]
 
-    def _register(self, cap: Capability) -> str:
-        ref = f"r{self._next}"
-        self._next += 1
-        self._caps[ref] = cap
-        return ref
-
-    def do(self, op: str, *args) -> StepResult:
-        ref = error = None
+    def do(self, op: str, *args):
+        caps = self._caps
         try:
-            value = self._execute(op, args)
+            if op == "malloc":
+                (size,) = args
+                value = self.alloc.malloc(size)
+            elif op == "free":
+                (ref,) = args
+                value = self.alloc.free(caps[ref])
+            elif op == "realloc":
+                ref, size = args
+                value = self.alloc.realloc(caps[ref], size)
+            elif op == "store":
+                ref, data = args
+                cap = caps[ref]
+                value = self.alloc.heap.store(cap, cap.address, bytes.fromhex(data))
+            elif op == "load":
+                ref, addr, length = args
+                value = self.alloc.heap.load(caps[ref], addr, length)
+            elif op == "set_bounds":
+                ref, base, length = args
+                value = caps[ref].set_bounds(base, length)
+            elif op == "traits":
+                (name,) = args
+                value = _TRAITS[name](self.alloc.traits())
+            elif op == "note":
+                (_,) = args
+                value = None
+            else:
+                raise ValueError(f"unknown trace op {op!r}")
         except (AllocError, CapFault) as exc:
             # only text survives the handler: the exception's traceback
             # refers to this frame, so keeping it would make a cycle
-            text = _error_text(exc)
-            error = str(exc)
-        else:
-            if isinstance(value, Capability):
-                ref = self._register(value)
-                text = f"{ref}={value.describe()}"
-            elif isinstance(value, bytes):
-                text = value.hex()
-            else:
-                text = "ok" if value is None else str(value)
-        self.steps.append(TraceStep(op, args, text))
-        return StepResult(ref, text, error)
-
-    def _execute(self, op: str, args: tuple):
-        if op == "malloc":
-            return self.alloc.malloc(args[0])
-        if op == "free":
-            return self.alloc.free(self._caps[args[0]])
-        if op == "realloc":
-            return self.alloc.realloc(self._caps[args[0]], args[1])
-        if op == "store":
-            cap = self._caps[args[0]]
-            return self.heap.store(cap, cap.address, bytes.fromhex(args[1]))
-        if op == "load":
-            return self.heap.load(self._caps[args[0]], args[1], args[2])
-        if op == "set_bounds":
-            return self._caps[args[0]].set_bounds(args[1], args[2])
-        if op == "traits":
-            return getattr(self.alloc.traits(), args[0])
-        if op == "note":
+            kind = "fault" if isinstance(exc, CapFault) else "error"
+            self.steps.append(TraceStep(op, args, f"{kind}:{exc.kind.value}"))
+            self.error = str(exc)
             return None
-        raise ValueError(f"unknown trace op {op!r}")
+        except (KeyError, TypeError, ValueError):
+            # checked only once something raised, so a passing op pays
+            # nothing; a malformed op raises before its engine call
+            why = self._malformed(op, args)
+            if why is None:
+                raise
+            raise ValueError(why) from None
+        if isinstance(value, Capability):
+            ref = f"r{len(caps)}"
+            caps[ref] = value
+            text = f"{ref}={value.describe()}"
+            value = ref
+        elif isinstance(value, bytes):
+            text = value.hex()
+        else:
+            text = "ok" if value is None else str(value)
+        self.steps.append(TraceStep(op, args, text))
+        self.error = None
+        return value
+
+    def _malformed(self, op, args) -> str | None:
+        """What makes ``op(*args)`` no op the tape can run, or None when
+        the op is well formed and the exception is the op's own."""
+        fields = OP_FIELDS.get(op) if isinstance(op, str) else None
+        if fields is None:
+            return None  # an unknown op's ValueError already names it
+        if len(args) != len(fields):
+            return f"{op} takes {len(fields)} argument{'s' * (len(fields) > 1)}, got {len(args)}"
+        first = args[0]
+        if fields[0] == "K" and (not isinstance(first, str) or first not in self._caps):
+            return f"{op}: unknown ref {first!r}"
+        if fields == "T" and (not isinstance(first, str) or first not in _TRAITS):
+            return f"unknown trait {first!r}"
+        return None
+
+    def report(self, attack: str, outcome: Outcome, note: str = "") -> AttackReport:
+        """The probe's report: its allocator, ``outcome`` and every step so far."""
+        return AttackReport(attack, self.alloc.traits().name, outcome, tuple(self.steps), note)
 
 
-def _error_text(exc: Exception) -> str:
-    if isinstance(exc, CapFault):
-        return f"fault:{exc.kind.value}"
-    if isinstance(exc, AllocError):
-        return f"error:{exc.kind.value}"
-    raise exc
+# each op's arguments: K a capability ref, N a number, H bytes in hex,
+# T a trait name and S a note's text
+OP_FIELDS = {"malloc": "N", "free": "K", "realloc": "KN", "store": "KH",
+             "load": "KNN", "set_bounds": "KNN", "traits": "T", "note": "S"}
+
+# what a traits op reads: the trait record's fields and its derived flag,
+# not its methods, whose text would not replay
+_TRAITS = {name: attrgetter(name) for name in (*AllocatorTraits._fields, "double_free_detect")}
 
 
 def replay_trace(report: AttackReport, alloc: Allocator) -> list[TraceStep]:
@@ -202,15 +232,14 @@ def a1_use_after_free(alloc: Allocator) -> AttackReport:
     t = Tape(alloc)
     p = t.do("malloc", 64)
     outcome = Outcome.THWARTED
-    if p.ok:
-        addr = t.cap(p.ref).address
-        wrote = t.do("store", p.ref, A1_SENTINEL.hex())
-        freed = t.do("free", p.ref) if wrote.ok else wrote
-        if wrote.ok and freed.ok:
-            read = t.do("load", p.ref, addr, len(A1_SENTINEL))
-            if read.ok and read.text == A1_SENTINEL.hex():
+    if p is not None:
+        addr = t.cap(p).address
+        t.do("store", p, A1_SENTINEL.hex())
+        if t.error is None:
+            t.do("free", p)
+            if t.error is None and t.do("load", p, addr, len(A1_SENTINEL)) == A1_SENTINEL:
                 outcome = Outcome.SUCCEEDS
-    return AttackReport("A1", alloc.traits().name, outcome, tuple(t.steps))
+    return t.report("A1", outcome)
 
 
 def a2_realloc_widening(alloc: Allocator) -> AttackReport:
@@ -222,41 +251,30 @@ def a2_realloc_widening(alloc: Allocator) -> AttackReport:
     through the widened capability.
     """
     t = Tape(alloc)
-    narrow = t.do("traits", "narrow_bounds")
-    if narrow.text != "True":
-        return AttackReport(
-            "A2", alloc.traits().name, Outcome.NOT_APPLICABLE, tuple(t.steps),
-            note="no bounds narrowing",
-        )
+    if not t.do("traits", "narrow_bounds"):
+        return t.report("A2", Outcome.NOT_APPLICABLE, "no bounds narrowing")
     p = t.do("malloc", 32)
-    if not p.ok:
-        return AttackReport("A2", alloc.traits().name, Outcome.THWARTED, tuple(t.steps))
-    p_addr = t.cap(p.ref).address
-    victim = None
+    if p is None:
+        return t.report("A2", Outcome.THWARTED)
+    p_addr = t.cap(p).address
     for _ in range(A2_MAX_VICTIMS):
-        v = t.do("malloc", 32)
-        if not v.ok:
+        victim = t.do("malloc", 32)
+        if victim is None or p_addr < t.cap(victim).address <= p_addr + 64:
             break
-        if p_addr < t.cap(v.ref).address <= p_addr + 64:
-            victim = v
-            break
+    else:
+        victim = None
     if victim is None:
         t.do("note", "no adjacent victim found")
-        return AttackReport(
-            "A2", alloc.traits().name, Outcome.NOT_APPLICABLE, tuple(t.steps),
-            note="no adjacent victim found",
-        )
-    victim_addr = t.cap(victim.ref).address
+        return t.report("A2", Outcome.NOT_APPLICABLE, "no adjacent victim found")
+    victim_addr = t.cap(victim).address
     outcome = Outcome.THWARTED
-    wrote = t.do("store", victim.ref, A2_SENTINEL.hex())
-    freed = t.do("free", victim.ref) if wrote.ok else wrote
-    if wrote.ok and freed.ok:
-        q = t.do("realloc", p.ref, 128)
-        if q.ok:
-            read = t.do("load", q.ref, victim_addr, len(A2_SENTINEL))
-            if read.ok and read.text == A2_SENTINEL.hex():
-                outcome = Outcome.SUCCEEDS
-    return AttackReport("A2", alloc.traits().name, outcome, tuple(t.steps))
+    t.do("store", victim, A2_SENTINEL.hex())
+    if t.error is None:
+        t.do("free", victim)
+        q = t.do("realloc", p, 128) if t.error is None else None
+        if q is not None and t.do("load", q, victim_addr, len(A2_SENTINEL)) == A2_SENTINEL:
+            outcome = Outcome.SUCCEEDS
+    return t.report("A2", outcome)
 
 
 def a3_free_narrowed(alloc: Allocator) -> AttackReport:
@@ -267,15 +285,11 @@ def a3_free_narrowed(alloc: Allocator) -> AttackReport:
     """
     t = Tape(alloc)
     p = t.do("malloc", 64)
-    if not p.ok:
-        return AttackReport("A3", alloc.traits().name, Outcome.THWARTED, tuple(t.steps))
-    addr = t.cap(p.ref).address
-    narrowed = t.do("set_bounds", p.ref, addr, 16)
-    if not narrowed.ok:
-        return AttackReport("A3", alloc.traits().name, Outcome.THWARTED, tuple(t.steps))
-    freed = t.do("free", narrowed.ref)
-    outcome = Outcome.SUCCEEDS if freed.ok else Outcome.THWARTED
-    return AttackReport("A3", alloc.traits().name, outcome, tuple(t.steps))
+    narrowed = None if p is None else t.do("set_bounds", p, t.cap(p).address, 16)
+    if narrowed is None:
+        return t.report("A3", Outcome.THWARTED)
+    t.do("free", narrowed)
+    return t.report("A3", Outcome.SUCCEEDS if t.error is None else Outcome.THWARTED)
 
 
 def a4_double_free(alloc: Allocator) -> AttackReport:
@@ -285,32 +299,25 @@ def a4_double_free(alloc: Allocator) -> AttackReport:
     effect is unobservable within the probe's synchronous window.
     """
     t = Tape(alloc)
-    deferred = t.do("traits", "deferred_free")
-    if deferred.text == "True":
-        return AttackReport(
-            "A4", alloc.traits().name, Outcome.NOT_APPLICABLE, tuple(t.steps),
-            note="deferred free",
-        )
+    if t.do("traits", "deferred_free"):
+        return t.report("A4", Outcome.NOT_APPLICABLE, "deferred free")
     p = t.do("malloc", 48)
-    if not p.ok:
-        return AttackReport("A4", alloc.traits().name, Outcome.THWARTED, tuple(t.steps))
-    first = t.do("free", p.ref)
-    if not first.ok:
-        return AttackReport("A4", alloc.traits().name, Outcome.THWARTED, tuple(t.steps))
-    second = t.do("free", p.ref)
-    outcome = Outcome.SUCCEEDS if second.ok else Outcome.THWARTED
-    return AttackReport("A4", alloc.traits().name, outcome, tuple(t.steps))
+    outcome = Outcome.THWARTED
+    if p is not None:
+        t.do("free", p)
+        if t.error is None:
+            t.do("free", p)
+            if t.error is None:
+                outcome = Outcome.SUCCEEDS
+    return t.report("A4", outcome)
 
 
 def a5_excess_permissions(alloc: Allocator) -> AttackReport:
     """Check whether returned capabilities carry execute authority."""
     t = Tape(alloc)
     p = t.do("malloc", 32)
-    if not p.ok:
-        return AttackReport("A5", alloc.traits().name, Outcome.THWARTED, tuple(t.steps))
-    has_exec = bool(t.cap(p.ref).perms & _EXEC)
-    outcome = Outcome.SUCCEEDS if has_exec else Outcome.THWARTED
-    return AttackReport("A5", alloc.traits().name, outcome, tuple(t.steps))
+    has_exec = p is not None and t.cap(p).perms & _EXEC
+    return t.report("A5", Outcome.SUCCEEDS if has_exec else Outcome.THWARTED)
 
 
 ATTACKS: dict[str, Callable[[Allocator], AttackReport]] = {

@@ -10,7 +10,9 @@ A dump script is the probes' op language, one op per line: ``malloc
 N``, ``free K``, ``realloc K N``, ``store K HEX``, ``load K ADDR LEN``
 and ``set_bounds K BASE LEN``, where ``K`` names the K-th capability an
 earlier op returned (a trace's ``rK``) and ``#`` starts a comment.  This
-module only parses the lines; ``attacks.Tape`` runs them.
+module only parses the lines; ``attacks.Tape`` runs them, and the first
+op it refuses, whose text the tape leaves in ``Tape.error``, ends the
+script.
 
 Exit codes: 0 on success or a matching matrix, 1 when ``--expect``
 finds mismatches or the allocator refuses a dump script op, 2 on
@@ -24,7 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .attacks import ATTACK_IDS, ATTACKS, Tape
+from .attacks import ATTACK_IDS, ATTACKS, OP_FIELDS, Tape
 from .bench import WORKLOADS, Workload, emit_csv, run_workload
 from .harness import EXPECTED_MATRIX, diff_matrix, render, run_matrix
 from .registry import ALLOCATOR_NAMES, TRAITS, create
@@ -139,8 +141,7 @@ def cmd_list(args) -> int:
 
 # the script ops are the tape's heap ops; each field is a result index (K),
 # a number (N) or bytes written in hex (H), which the tape decodes
-_SCRIPT_OPS = {"malloc": "N", "free": "K", "realloc": "KN", "store": "KH",
-               "load": "KNN", "set_bounds": "KNN"}
+_SCRIPT_OPS = {op: kinds for op, kinds in OP_FIELDS.items() if op not in ("traits", "note")}
 
 
 def _run_script(tape: Tape, text: str) -> int:
@@ -169,12 +170,12 @@ def _run_script(tape: Tape, text: str) -> int:
             print(f"line {lineno}: cannot parse {line!r}", file=sys.stderr)
             return 2
         try:
-            step = tape.do(op, *(convert[k](f) for k, f in zip(kinds, fields)))
+            tape.do(op, *(convert[k](f) for k, f in zip(kinds, fields)))
         except ValueError as exc:  # a bad field, or an argument the model refuses
             print(f"line {lineno}: {exc}", file=sys.stderr)
             return 2
-        if not step.ok:
-            print(f"line {lineno}: {line!r} failed: {step.error}", file=sys.stderr)
+        if tape.error is not None:
+            print(f"line {lineno}: {line!r} failed: {tape.error}", file=sys.stderr)
             return 1
     return 0
 
@@ -190,7 +191,7 @@ def cmd_dump(args) -> int:
     status = _run_script(tape, text)
     if status:
         return status
-    snapshot = tape.heap.snapshot()
+    snapshot = tape.alloc.heap.snapshot()
     if args.out == "-":
         sys.stdout.buffer.write(snapshot)
         sys.stdout.buffer.flush()

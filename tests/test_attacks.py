@@ -1,3 +1,10 @@
+import contextlib
+import io
+import itertools
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
 from capheap.allocator_api import AllocatorTraits, FreeValidation
@@ -13,6 +20,7 @@ from capheap.attacks import (
     replay_trace,
 )
 from capheap.capability import CapFault, FaultKind
+from capheap.cli import main
 from capheap.engines import BumpAllocator
 from capheap.harness import EXPECTED_MATRIX
 from capheap.registry import ALLOCATOR_NAMES, TRAITS, create
@@ -181,12 +189,13 @@ class TestTraces:
     def test_refused_step_keeps_the_refusal_text(self):
         t = Tape(create("bump-alloc-nocheri"))
         p = t.do("malloc", 32)
-        t.do("free", p.ref)
-        again = t.do("free", p.ref)
-        assert (p.ok, p.error) == (True, None)
-        assert (again.ok, again.text) == (False, "error:DoubleFree")
-        assert again.error == "DoubleFree: block 0 already freed"
+        assert (p, t.error) == ("r0", None)
+        t.do("free", p)
+        assert t.do("free", p) is None
+        assert t.error == "DoubleFree: block 0 already freed"
         assert t.steps[-1].result == "error:DoubleFree"
+        assert t.do("load", p, 0, 4) == bytes(4)
+        assert t.error is None
 
     def test_probe_is_deterministic(self):
         a = ATTACKS["A2"](create("libmalloc-simple"))
@@ -202,3 +211,156 @@ class TestTraces:
     def test_headline_for_not_applicable(self):
         report = a4_double_free(create("snmalloc-cheribuild"))
         assert report.headline() == "⊘ not applicable (deferred free)"
+
+
+GOLDEN_TRACES = Path(__file__).parent / "golden" / "attack_traces.txt"
+
+
+def test_every_probe_trace_matches_its_stored_text():
+    """``capheap attack A --allocator NAME --trace`` for all 35 cells, run
+    in process and compared with the text in ``golden/attack_traces.txt``,
+    where each output follows its ``$ capheap ...`` command line.  Replay
+    only checks a trace against itself; this pins the bytes.  A change to
+    a stored line is a reviewed change to the trace format or a probe."""
+    stored: dict[str, list[str]] = {}
+    for line in GOLDEN_TRACES.read_text(encoding="utf-8").splitlines():
+        if line.startswith("$ "):
+            command = line[2:]
+            stored[command] = []
+        else:
+            stored[command].append(line)
+    commands = [
+        f"capheap attack {a} --allocator {n} --trace" for a in ATTACK_IDS for n in ALLOCATOR_NAMES
+    ]
+    assert list(stored) == commands
+    for command in commands:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(command.split()[1:]) == 0, command
+        got = out.getvalue().splitlines()
+        for i, (line, want) in enumerate(itertools.zip_longest(got, stored[command]), start=1):
+            if line != want:
+                pytest.fail(f"{command}: line {i} is {line!r}, stored {want!r}")
+
+
+ENGINE_ERRORS = (KeyError("engine bug"), ValueError("engine bug"))
+
+
+class _RaisingAllocator(BumpAllocator):
+    """Test double whose malloc and free raise what a broken engine might."""
+
+    def malloc(self, size):
+        if size == 13:
+            raise ENGINE_ERRORS[0]
+        return super().malloc(size)
+
+    def free(self, cap):
+        raise ENGINE_ERRORS[1]
+
+
+class TestMalformedOps:
+    """An op the tape cannot run raises a ValueError naming the op, the
+    ref or the trait, before any engine call and without recording a
+    step; an op that is well formed keeps its own exceptions."""
+
+    # op: the arity, and whether the first argument is a capability ref
+    OPS = {"malloc": (1, False), "free": (1, True), "realloc": (2, True),
+           "store": (2, True), "load": (3, True), "set_bounds": (3, True),
+           "traits": (1, False), "note": (1, False)}
+    GOOD = {"malloc": (32,), "free": ("r0",), "realloc": ("r0", 64),
+            "store": ("r0", "a5"), "load": ("r0", 0, 4), "set_bounds": ("r0", 0, 16),
+            "traits": ("strips_exec",), "note": ("hello",)}
+    BAD_REFS = ["r1", "r99", "r-1", "R0", "0", "", 0, None, ("r0",), ["r0"]]
+    BAD_TRAITS = ["nope", "", "Strips_exec", "count", "_replace", "__class__", 3, None,
+                  ["strips_exec"]]
+
+    def malformed(self, rng):
+        """One (op, args, words the message names) draw."""
+        op = rng.choice(list(self.OPS))
+        arity, takes_ref = self.OPS[op]
+        args = list(self.GOOD[op])
+        kind = rng.choice(["arity", "first"])
+        if kind == "arity" or op in ("malloc", "note"):
+            n = rng.choice([k for k in range(5) if k != arity])
+            args = (args + [rng.randrange(100) for _ in range(n)])[:n]
+            return op, tuple(args), [op, f"takes {arity} argument"]
+        if takes_ref:
+            args[0] = rng.choice(self.BAD_REFS)
+            return op, tuple(args), [op, f"unknown ref {args[0]!r}"]
+        args[0] = rng.choice(self.BAD_TRAITS)
+        return op, tuple(args), [f"unknown trait {args[0]!r}"]
+
+    @staticmethod
+    def engine_calls(run):
+        """The calls into the engines, the heap and the capability algebra
+        while ``run()`` runs, and the ValueError it raised, or None."""
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_globals.get("__name__") in (
+                "capheap.engines", "capheap.tagged_memory", "capheap.capability"
+            ):
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            run()
+        except ValueError as exc:
+            return calls, exc
+        finally:
+            sys.setprofile(None)
+        return calls, None
+
+    def test_seeded_sweep_of_malformed_ops(self):
+        rng = random.Random("tape-malformed-ops")
+        seen = set()
+        for _ in range(300):
+            t = Tape(create(rng.choice(ALLOCATOR_NAMES), 4096))
+            calls, exc = self.engine_calls(lambda: t.do("malloc", 32))
+            assert calls and exc is None  # the profile hook sees engine calls
+            before = t.alloc.heap.snapshot()
+            op, args, words = self.malformed(rng)
+            calls, exc = self.engine_calls(lambda: t.do(op, *args))
+            assert type(exc) is ValueError, (op, args)
+            assert all(w in str(exc) for w in words), (op, args, str(exc))
+            assert calls == [], (op, args)
+            assert len(t.steps) == 1 and t.error is None
+            assert t.alloc.heap.snapshot() == before
+            seen.add(op)
+        assert seen == set(self.OPS)
+
+    def test_unknown_op_names_it(self):
+        t = Tape(create("jemalloc"))
+        with pytest.raises(ValueError, match="^unknown trace op 'mallok'$"):
+            t.do("mallok", 32)
+        assert t.steps == []
+
+    def test_fresh_tape_has_no_refs(self):
+        with pytest.raises(ValueError, match="^free: unknown ref 'r0'$"):
+            Tape(create("jemalloc")).do("free", "r0")
+
+    def test_replay_of_an_edited_report_names_the_ref(self):
+        report = ATTACKS["A4"](create("jemalloc"))
+        step = report.trace[-1]
+        edited = report._replace(trace=report.trace[:-1] + (step._replace(args=("r7",)),))
+        with pytest.raises(ValueError, match="^free: unknown ref 'r7'$"):
+            replay_trace(edited, create("jemalloc"))
+
+    def test_engine_exceptions_propagate_unchanged(self):
+        traits = AllocatorTraits("raising-double", True, False, False, FreeValidation.NONE, False)
+        t = Tape(_RaisingAllocator(TaggedHeap(1 << 12), traits))
+        ref = t.do("malloc", 32)
+        for op, args, error in [("malloc", (13,), ENGINE_ERRORS[0]), ("free", (ref,), ENGINE_ERRORS[1])]:
+            with pytest.raises(type(error)) as exc:
+                t.do(op, *args)
+            assert exc.value is error
+        assert len(t.steps) == 1
+
+    def test_model_rejections_keep_their_text(self):
+        t = Tape(create("jemalloc"))
+        ref = t.do("malloc", 32)
+        with pytest.raises(ValueError, match="non-hexadecimal"):
+            t.do("store", ref, "zz")
+        with pytest.raises(ValueError, match="^access length must be at least 1$"):
+            t.do("load", ref, 8, 0)
+        assert len(t.steps) == 1

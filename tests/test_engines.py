@@ -7,6 +7,7 @@ import pytest
 
 from capheap import engines
 from capheap.allocator_api import AllocError, AllocErrorKind, round16
+from capheap.attacks import Tape
 from capheap.bench import Workload, run_workload
 from capheap.capability import CapFault, Capability, FaultKind, Perm, _derive, make_root
 from capheap.engines import (
@@ -1331,6 +1332,60 @@ def test_python_calls_per_engine_op(row, monkeypatch):
         assert malloc == free == fits == 1
     else:
         assert fits <= 2
+
+
+# Python calls into capheap per op taped through attacks.Tape, as
+# (malloc, free, load, set_bounds, refused load), on the second malloc(48)
+# block of a fresh 1 MiB heap: a load of 8 bytes at its address, bounds
+# of 16 bytes there, a load 4 KiB past it (a BoundsViolation, whose
+# raise runs check_access and CapFault.__init__), then its free.  Each
+# taped op costs its direct call, plus Tape.do, plus Capability.describe
+# when the op returns a capability.
+CALLS_PER_TAPE_OP = {
+    "snmalloc-repo": (3, 2, 2, 4, 4),
+    "jemalloc": (5, 3, 2, 4, 4),
+}
+
+
+@pytest.mark.parametrize("name", CALLS_PER_TAPE_OP)
+def test_python_calls_per_tape_op(name):
+    tape, twin = Tape(create(name)), create(name)
+    tape.do("malloc", 48)
+    twin.malloc(48)
+    results = []
+
+    def calls(op, *args):
+        n = calls_into_capheap(lambda: results.append(op(*args)))
+        return n, results[-1]
+
+    def refused_load(cap, addr):
+        try:
+            twin.heap.load(cap, addr, 8)
+        except CapFault:
+            pass
+
+    malloc, ref = calls(tape.do, "malloc", 48)
+    direct_malloc, cap = calls(twin.malloc, 48)
+    addr = cap.address
+    assert tape.cap(ref) == cap
+    load, data = calls(tape.do, "load", ref, addr, 8)
+    assert data == twin.heap.load(cap, addr, 8)
+    bounds, _ = calls(tape.do, "set_bounds", ref, addr, 16)
+    refused, _ = calls(tape.do, "load", ref, addr + 4096, 8)
+    assert tape.steps[-1].result == "fault:BoundsViolation"
+    free, _ = calls(tape.do, "free", ref)
+    assert tape.error is None
+    taped = (malloc, free, load, bounds, refused)
+    assert taped == CALLS_PER_TAPE_OP[name]
+    direct = (
+        direct_malloc,
+        calls_into_capheap(lambda: twin.free(cap)),
+        calls_into_capheap(lambda: twin.heap.load(cap, addr, 8)),
+        calls_into_capheap(lambda: cap.set_bounds(addr, 16)),
+        calls_into_capheap(lambda: refused_load(cap, addr + 4096)),
+    )
+    describes = (1, 0, 0, 1, 0)  # malloc and set_bounds return a capability
+    assert taped == tuple(d + 1 + k for d, k in zip(direct, describes))
 
 
 # Python calls into capheap per heap access that passes, on a fresh heap:
