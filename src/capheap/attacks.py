@@ -13,16 +13,21 @@ and classifies the result:
 Outcomes: the attack Succeeds, is Thwarted, or is NotApplicable when
 its precondition is absent for that allocator.  Every step goes through
 a recording tape, so a report's trace can be replayed against a fresh
-instance and must reproduce each step result.  ``Tape.do`` returns the
-op's value (a capability ref, the bytes a load read, a trait's value, or
+instance and must reproduce each step.  ``Tape.do`` returns the op's
+value (a capability ref, the bytes a load read, a trait's value, or
 None), and the probes decide on those values: a load's bytes against
 the sentinel, a trait as a bool, a refusal as None or as the tape's
 ``error``.  The tape is the one interpreter of op names: ``capheap
 dump`` scripts run through it too, with a script's result index ``K``
-naming the tape's ``rK``.  Reports and their steps are ``NamedTuple``
-records, immutable like ``Capability``; a step keeps a refusal's text,
-never the caught exception, so a probe leaves no reference cycle behind
-for the cyclic collector.
+naming the tape's ``rK``.
+
+Reports and their steps are ``NamedTuple`` records, immutable like
+``Capability``.  A step records the op's value, not its text: the text,
+``TraceStep.result``, is rendered only when it is read, so a grid that
+reads outcomes alone renders none.  Two recorded steps are equal
+exactly when their ``(op, args, result)`` are.  A step keeps a
+refusal's kind, never the caught exception, so a probe leaves no
+reference cycle behind for the cyclic collector.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .allocator_api import AllocError, Allocator, AllocatorTraits, FreeValidation
-from .capability import CapFault, Capability, Perm
+from .capability import CapFault, Capability, Perm, _tuple_new
 
 __all__ = [
     "ATTACK_IDS",
@@ -79,9 +84,31 @@ class Outcome(enum.Enum):
 
 
 class TraceStep(NamedTuple):
+    """One taped op: its name, its arguments and what it gave back.
+
+    ``value`` is ``(ref, capability)`` for an op that returned a new
+    capability, the bytes a ``load`` read, a trait's value, None for an
+    op that returns nothing, and ``("fault", FaultKind)`` or ``("error",
+    AllocErrorKind)`` for an op the allocator refused."""
+
     op: str
     args: tuple
-    result: str
+    value: object
+
+    @property
+    def result(self) -> str:
+        """The step's trace text: ``rK=cap(...)``, a load's bytes in hex,
+        ``ok`` for None, ``fault:Kind`` or ``error:Kind`` for a refusal,
+        and ``str(value)`` for anything else."""
+        value = self.value
+        if isinstance(value, tuple):
+            head, tail = value
+            if isinstance(tail, Capability):
+                return f"{head}={tail.describe()}"
+            return f"{head}:{tail.value}"
+        if isinstance(value, bytes):
+            return value.hex()
+        return "ok" if value is None else str(value)
 
 
 class AttackReport(NamedTuple):
@@ -103,7 +130,7 @@ class AttackReport(NamedTuple):
 
 class Tape:
     """Executes probe and dump-script operations against one allocator
-    while recording (op, args, result) steps.  Capabilities are
+    while recording (op, args, value) steps.  Capabilities are
     referenced by the ids assigned on creation ("r0", "r1", ...), which
     makes the recording self-contained: replaying the same ops on a
     fresh instance assigns the same ids.
@@ -111,8 +138,9 @@ class Tape:
     ``do`` returns the op's value: a new capability's ref, the bytes a
     ``load`` read, or a trait's value; it returns None for an op that
     returns nothing and for one the allocator refuses.  A refusal
-    records ``error:Kind`` or ``fault:Kind`` and leaves its text in
-    ``error``, which is None after an op that succeeds.  A malformed op
+    records its kind (``error:Kind`` or ``fault:Kind`` as text) and
+    leaves its message in ``error``, which is None after an op that
+    succeeds.  A malformed op
     (an unknown op, ref or trait, or the wrong number of arguments)
     raises a ``ValueError`` naming it before any engine call; any other
     exception, such as a ``ValueError`` for an argument the model
@@ -158,10 +186,11 @@ class Tape:
             else:
                 raise ValueError(f"unknown trace op {op!r}")
         except (AllocError, CapFault) as exc:
-            # only text survives the handler: the exception's traceback
-            # refers to this frame, so keeping it would make a cycle
+            # only the kind and text survive the handler: the exception's
+            # traceback refers to this frame, so keeping it would make a cycle
             kind = "fault" if isinstance(exc, CapFault) else "error"
-            self.steps.append(TraceStep(op, args, f"{kind}:{exc.kind.value}"))
+            # tuple.__new__ skips the NamedTuple constructor's extra Python frame
+            self.steps.append(_tuple_new(TraceStep, (op, args, (kind, exc.kind))))
             self.error = str(exc)
             return None
         except (KeyError, TypeError, ValueError):
@@ -171,17 +200,13 @@ class Tape:
             if why is None:
                 raise
             raise ValueError(why) from None
+        self.error = None
         if isinstance(value, Capability):
             ref = f"r{len(caps)}"
             caps[ref] = value
-            text = f"{ref}={value.describe()}"
-            value = ref
-        elif isinstance(value, bytes):
-            text = value.hex()
-        else:
-            text = "ok" if value is None else str(value)
-        self.steps.append(TraceStep(op, args, text))
-        self.error = None
+            self.steps.append(_tuple_new(TraceStep, (op, args, (ref, value))))
+            return ref
+        self.steps.append(_tuple_new(TraceStep, (op, args, value)))
         return value
 
     def _malformed(self, op, args) -> str | None:
@@ -201,7 +226,7 @@ class Tape:
 
     def report(self, attack: str, outcome: Outcome, note: str = "") -> AttackReport:
         """The probe's report: its allocator, ``outcome`` and every step so far."""
-        return AttackReport(attack, self.alloc.traits().name, outcome, tuple(self.steps), note)
+        return _tuple_new(AttackReport, (attack, self.alloc.traits().name, outcome, tuple(self.steps), note))
 
 
 # each op's arguments: K a capability ref, N a number, H bytes in hex,

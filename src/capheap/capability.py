@@ -109,7 +109,8 @@ class Capability(NamedTuple):
         The child's address starts at ``new_base`` and its permissions
         are inherited.  With ``rounding``, lengths above 4096 get their
         base rounded down and top rounded up to the representable
-        alignment; a rounded range escaping the parent still faults.
+        alignment; a rounded range escaping the parent still faults.  A
+        base or length that is no int faults with ``BOUNDS_VIOLATION``.
         """
         return _derive(self, new_base, length, new_base, self.perms, rounding)
 
@@ -167,11 +168,22 @@ def _derive(
     fault, and call it where the child's top may pass the parent's or
     rounding applies.
 
-    The checks run in the order the chained ``set_bounds`` ->
-    ``set_address`` -> ``and_perms`` would run them; the address is only
-    range-checked when it leaves ``base``, as ``set_address`` would be.
-    ``perms`` must already be cut down from the parent's mask.
+    The checks run in this order, before anything is built: a base or
+    length that is no int faults with ``BOUNDS_VIOLATION`` naming it (as
+    a heap access at such an address does), then a negative length
+    raises ``ValueError``, an untagged parent faults with
+    ``TAG_VIOLATION``, bounds escaping the parent's fault with
+    ``MONOTONICITY_VIOLATION``, and an address out of range raises
+    ``ValueError``.  All but the first run in the order the chained
+    ``set_bounds`` -> ``set_address`` -> ``and_perms`` would run them;
+    the address is only range-checked when it leaves ``base``, as
+    ``set_address`` would be.  ``perms`` must already be cut down from
+    the parent's mask.
     """
+    if not isinstance(base, int):
+        raise CapFault(FaultKind.BOUNDS_VIOLATION, f"base {base!r} is not an int")
+    if not isinstance(length, int):
+        raise CapFault(FaultKind.BOUNDS_VIOLATION, f"length {length!r} is not an int")
     if length < 0:
         raise ValueError("length must be non-negative")
     if not parent.tag:

@@ -186,6 +186,34 @@ class TestTraces:
         replayed = replay_trace(report, create(name))
         assert tuple(replayed) == report.trace
 
+    def test_steps_are_equal_exactly_when_their_texts_are(self):
+        """A step keeps the op's value and renders its text on demand, so
+        replay and report equality compare values: across all 35 cells,
+        two steps of one probe compare equal exactly when their
+        ``(op, args, result)`` do, within and across allocators."""
+        for attack_id in ATTACK_IDS:
+            steps = []
+            for name in ALLOCATOR_NAMES:
+                report = ATTACKS[attack_id](create(name))
+                replayed = tuple(replay_trace(report, create(name)))
+                assert replayed == report.trace
+                assert [s.result for s in replayed] == [s.result for s in report.trace]
+                steps += [(name, s) for s in report.trace]
+            equal_across = unequal_alike = 0
+            for (m, s), (n, t) in itertools.product(steps, repeat=2):
+                assert (s == t) == ((s.op, s.args, s.result) == (t.op, t.args, t.result)), (s, t)
+                equal_across += s == t and m != n
+                unequal_alike += s != t and (s.op, s.args) == (t.op, t.args)
+            # both sides of the equivalence occur for every probe
+            assert equal_across and unequal_alike, attack_id
+
+    def test_bounds_that_are_no_int_are_a_recorded_fault(self):
+        t = Tape(create("jemalloc"))
+        ref = t.do("malloc", 32)
+        assert t.do("set_bounds", ref, 8.0, 16) is None
+        assert t.error == "BoundsViolation: base 8.0 is not an int"
+        assert t.steps[-1].result == "fault:BoundsViolation"
+
     def test_refused_step_keeps_the_refusal_text(self):
         t = Tape(create("bump-alloc-nocheri"))
         p = t.do("malloc", 32)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +10,7 @@ from capheap.capability import (
     Capability,
     FaultKind,
     Perm,
+    _derive,
     make_root,
 )
 
@@ -77,6 +80,35 @@ class TestSetBounds:
         with pytest.raises(CapFault) as exc:
             parent.set_bounds(16, 8192, rounding=True)
         assert exc.value.kind is FaultKind.MONOTONICITY_VIOLATION
+
+
+NO_INTS = (0.5, 16.0, -1.5, float("nan"), float("inf"), "0", "16", "", None)
+
+
+def test_seeded_sweep_of_bounds_that_are_no_int(root):
+    """A base or length that is no int faults with BOUNDS_VIOLATION naming
+    the value, before any other check and with nothing built: an int
+    and a non-int of equal value would otherwise give the same trace
+    text (``describe`` formats with ``%d``) for unequal capabilities."""
+    rng = random.Random(23)
+    parents = (root, root.set_bounds(128, 8192), root.clear_tag())
+    for _ in range(300):
+        parent = rng.choice(parents)
+        good = (rng.choice((0, 128, 4096)), rng.choice((-1, 0, 16, 5000, HEAP * 2)))
+        bad = rng.choice(NO_INTS)
+        which = rng.randrange(3)  # 0: base, 1: length, 2: both
+        base = bad if which != 1 else good[0]
+        length = bad if which != 0 else good[1]
+        field = "length" if which == 1 else "base"  # the first checked
+        rounding = rng.random() < 0.5
+        for derive in (
+            lambda: parent.set_bounds(base, length, rounding=rounding),
+            lambda: _derive(parent, base, length, 0, parent.perms, rounding),
+        ):
+            with pytest.raises(CapFault) as exc:
+                derive()
+            assert exc.value.kind is FaultKind.BOUNDS_VIOLATION
+            assert exc.value.detail == f"{field} {bad!r} is not an int"
 
 
 class TestSetAddress:

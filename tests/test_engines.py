@@ -7,7 +7,7 @@ import pytest
 
 from capheap import engines
 from capheap.allocator_api import AllocError, AllocErrorKind, round16
-from capheap.attacks import Tape
+from capheap.attacks import ATTACKS, Tape
 from capheap.bench import Workload, run_workload
 from capheap.capability import CapFault, Capability, FaultKind, Perm, _derive, make_root
 from capheap.engines import (
@@ -18,6 +18,7 @@ from capheap.engines import (
     FreeListAllocator,
     SlabAllocator,
 )
+from capheap.harness import EXPECTED_MATRIX, run_matrix
 from capheap.registry import ALLOCATOR_NAMES, TRAITS, create
 from capheap.tagged_memory import GRANULE, TaggedHeap
 
@@ -1339,11 +1340,11 @@ def test_python_calls_per_engine_op(row, monkeypatch):
 # block of a fresh 1 MiB heap: a load of 8 bytes at its address, bounds
 # of 16 bytes there, a load 4 KiB past it (a BoundsViolation, whose
 # raise runs check_access and CapFault.__init__), then its free.  Each
-# taped op costs its direct call, plus Tape.do, plus Capability.describe
-# when the op returns a capability.
+# taped op costs its direct call plus Tape.do: a step keeps the op's
+# value and renders its text only when read.
 CALLS_PER_TAPE_OP = {
-    "snmalloc-repo": (3, 2, 2, 4, 4),
-    "jemalloc": (5, 3, 2, 4, 4),
+    "snmalloc-repo": (2, 2, 2, 3, 4),
+    "jemalloc": (4, 3, 2, 3, 4),
 }
 
 
@@ -1384,8 +1385,33 @@ def test_python_calls_per_tape_op(name):
         calls_into_capheap(lambda: cap.set_bounds(addr, 16)),
         calls_into_capheap(lambda: refused_load(cap, addr + 4096)),
     )
-    describes = (1, 0, 0, 1, 0)  # malloc and set_bounds return a capability
-    assert taped == tuple(d + 1 + k for d, k in zip(direct, describes))
+    assert taped == tuple(d + 1 for d in direct)
+
+
+def test_grid_renders_no_trace_text():
+    """A grid reads only outcomes, so no step renders its capability text;
+    reading a step's ``result`` is what calls ``Capability.describe``."""
+    describe = Capability.describe.__code__
+    seen = 0
+
+    def profile(frame, event, arg):
+        nonlocal seen
+        if event == "call" and frame.f_code is describe:
+            seen += 1
+
+    def profiled(run):
+        nonlocal seen
+        seen = 0
+        sys.setprofile(profile)
+        try:
+            result = run()
+        finally:
+            sys.setprofile(None)
+        return seen, result
+
+    assert profiled(run_matrix) == (0, EXPECTED_MATRIX)
+    report = ATTACKS["A1"](create("jemalloc"))
+    assert profiled(lambda: report.trace[0].result)[0] == 1
 
 
 # Python calls into capheap per heap access that passes, on a fresh heap:

@@ -31,7 +31,7 @@ def _example(cls):
     report = ATTACKS["A1"](create("jemalloc"))
     return {
         AllocatorTraits: (TRAITS["jemalloc"], "strips_exec"),
-        TraceStep: (report.trace[0], "result"),
+        TraceStep: (report.trace[0], "value"),
         AttackReport: (report, "outcome"),
         ConformanceMatrix: (EXPECTED_MATRIX, "cells"),
         Workload: (Workload.churn(10, 32), "size"),
