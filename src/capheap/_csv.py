@@ -1,6 +1,6 @@
-"""The comma-separated tables capheap writes and reads back (the matrix
-and the bench results): a header line, then one line per row, every
-line ending in a newline, UTF-8.  No field holds a comma."""
+"""The comma-separated tables capheap writes (the matrix and the bench
+results) and reads (the reference matrix): a header line, then one line
+per row, every line ending in a newline, UTF-8.  No field holds a comma."""
 
 from __future__ import annotations
 

@@ -17,7 +17,7 @@ from . import _csv
 from .allocator_api import AllocError, AllocErrorKind, Allocator
 
 __all__ = [
-    "BenchResult", "WORKLOADS", "Workload", "Xorshift64", "emit_csv", "parse_csv", "run_workload",
+    "BenchResult", "WORKLOADS", "Workload", "Xorshift64", "emit_csv", "run_workload",
 ]
 
 WINDOW = 64  # live blocks kept by the churn workload
@@ -215,15 +215,3 @@ def emit_csv(results: list[BenchResult]) -> bytes:
     if not results:
         raise ValueError("no results to emit")
     return _csv.emit(CSV_HEADER.split(","), results)
-
-
-def parse_csv(data: bytes) -> list[BenchResult]:
-    header, rows = _csv.parse(data)
-    if header != CSV_HEADER.split(","):
-        raise ValueError("unexpected bench CSV header")
-    out = []
-    for fields in rows:
-        if len(fields) != 7:
-            raise ValueError(f"expected 7 columns, got {len(fields)}")
-        out.append(BenchResult(fields[0], fields[1], *map(int, fields[2:])))
-    return out

@@ -172,13 +172,14 @@ def _derive(
     length that is no int faults with ``BOUNDS_VIOLATION`` naming it (as
     a heap access at such an address does), then a negative length
     raises ``ValueError``, an untagged parent faults with
-    ``TAG_VIOLATION``, bounds escaping the parent's fault with
-    ``MONOTONICITY_VIOLATION``, and an address out of range raises
-    ``ValueError``.  All but the first run in the order the chained
-    ``set_bounds`` -> ``set_address`` -> ``and_perms`` would run them;
-    the address is only range-checked when it leaves ``base``, as
-    ``set_address`` would be.  ``perms`` must already be cut down from
-    the parent's mask.
+    ``TAG_VIOLATION`` and bounds escaping the parent's fault with
+    ``MONOTONICITY_VIOLATION``.  All but the first run in the order the
+    chained ``set_bounds`` -> ``set_address`` -> ``and_perms`` would run
+    them.  ``address`` gets no range check, as no caller can pass one
+    ``set_address`` would refuse: ``set_bounds`` and the bump engine pass
+    ``base`` itself, and the free list a payload address, which is at
+    most the heap's size, below ``2**32`` (``make_root``).  ``perms``
+    must already be cut down from the parent's mask.
     """
     if not isinstance(base, int):
         raise CapFault(FaultKind.BOUNDS_VIOLATION, f"base {base!r} is not an int")
@@ -199,8 +200,6 @@ def _derive(
             FaultKind.MONOTONICITY_VIOLATION,
             f"[{lo}, {hi}) escapes parent [{parent.base}, {parent.top})",
         )
-    if address != base and not 0 <= address <= ADDRESS_MAX:
-        raise ValueError(f"address {address} outside 32-bit range")
     # tuple.__new__ skips the NamedTuple constructor's extra Python frame
     return _tuple_new(Capability, (True, lo, hi, address, perms))
 

@@ -10,9 +10,11 @@ A dump script is the probes' op language, one op per line: ``malloc
 N``, ``free K``, ``realloc K N``, ``store K HEX``, ``load K ADDR LEN``
 and ``set_bounds K BASE LEN``, where ``K`` names the K-th capability an
 earlier op returned (a trace's ``rK``) and ``#`` starts a comment.  This
-module only parses the lines; ``attacks.Tape`` runs them, and the first
-op it refuses, whose text the tape leaves in ``Tape.error``, ends the
-script.
+module only parses the lines, ``K`` into ``rK``; ``attacks.Tape`` runs
+them and is the one check of a ref: one no op returned (``free 5``
+before a sixth capability, or ``free -1``) is malformed, as ``free:
+unknown ref 'r5'``.  The first op the allocator refuses, whose text the
+tape leaves in ``Tape.error``, ends the script.
 
 Exit codes: 0 on success or a matching matrix, 1 when ``--expect``
 finds mismatches or the allocator refuses a dump script op, 2 on
@@ -149,17 +151,9 @@ def _run_script(tape: Tape, text: str) -> int:
     1 at the first op the allocator refuses, 2 at the first malformed
     line.  Either failure is reported on stderr."""
 
-    def result(field: str) -> str:  # K names the K-th capability returned: rK
-        k = int(field)
-        if k < 0:
-            raise ValueError(f"negative result index {field}")
-        try:
-            tape.cap(f"r{k}")
-        except KeyError:
-            raise ValueError(f"no result {field}") from None
-        return f"r{k}"
-
-    convert = {"K": result, "N": int, "H": str}
+    # K names the K-th capability returned, the tape's rK, which refuses
+    # a ref no op returned
+    convert = {"K": lambda field: f"r{int(field)}", "N": int, "H": str}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -171,7 +165,7 @@ def _run_script(tape: Tape, text: str) -> int:
             return 2
         try:
             tape.do(op, *(convert[k](f) for k, f in zip(kinds, fields)))
-        except ValueError as exc:  # a bad field, or an argument the model refuses
+        except ValueError as exc:  # a bad field or ref, or an argument the model refuses
             print(f"line {lineno}: {exc}", file=sys.stderr)
             return 2
         if tape.error is not None:

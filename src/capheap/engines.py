@@ -59,7 +59,7 @@ heap, so its check can only fail on bounds, and a folded copy tests just
 those.  Calls into capheap per op (``tests/test_engines.py`` pins them):
 
 * bump: 1 for each of malloc, free and realloc; with the allocation
-  log, free and realloc call ``_live_record`` only to raise.  realloc
+  log, free and realloc call ``_refuse`` only to raise.  realloc
   always moves, and takes its block as malloc does, in line.
 * free list: malloc 3 when it scans, or 5 while the class index is on;
   free 2; realloc 2 when the block holds the request, 8 or more when it
@@ -232,22 +232,20 @@ class BumpAllocator(Allocator):
             self._log[start] = [length, False]
         return cap
 
-    def _live_record(self, cap: Capability) -> list:
-        """The log record of the live block at ``cap.address``."""
-        record = self._log.get(cap.address)
-        if record is None:
+    def _refuse(self, cap: Capability) -> None:
+        """Raise for a free or realloc of ``cap`` under the allocation log.
+        free and realloc call this only when the log holds no record at
+        ``cap.address`` or the record is freed, so it always raises."""
+        if cap.address not in self._log:
             raise AllocError(AllocErrorKind.INVALID_FREE, f"no allocation at {cap.address}")
-        if record[1]:
-            raise AllocError(AllocErrorKind.DOUBLE_FREE, f"block {cap.address} already freed")
-        return record
+        raise AllocError(AllocErrorKind.DOUBLE_FREE, f"block {cap.address} already freed")
 
     def free(self, cap: Capability) -> None:
         log = self._log
         if log is not None:
-            # _live_record in line: it runs only to raise
             record = log.get(cap.address)
             if record is None or record[1]:
-                self._live_record(cap)
+                self._refuse(cap)
             record[1] = True
 
     def realloc(self, cap: Capability, new_size: int) -> Capability:
@@ -259,7 +257,7 @@ class BumpAllocator(Allocator):
         if log is not None:
             record = log.get(src)
             if record is None or record[1]:
-                self._live_record(cap)
+                self._refuse(cap)
         ncopy = min(top - base if record is None else record[0], new_size)
         heap = self.heap
         if ncopy and src + ncopy > heap.size:
@@ -586,6 +584,8 @@ class FreeListAllocator(Allocator):
         _HEADER.pack_into(heap.data, chunk, want, CHUNK_MAGIC, _STATUS_LIVE, 0)
         first, last = chunk >> 4, (at - 1) >> 4
         heap.tags[first] = heap.tags[last] = 0
+        # _push raised the extent over this header, or over a higher one
+        # absorbed, unless the heap was cleared under this instance since
         if last >= heap.extent:
             heap.extent = last + 1
         watch = heap.watch

@@ -4,7 +4,9 @@ against the reference matrix.
 The reference matrix is the package's golden target: 7 allocators by
 5 attacks.  It is stored once, as the CSV fixture
 ``data/expected_matrix.csv`` shipped with the package, and
-``EXPECTED_MATRIX`` is that file read with ``parse_csv`` at import.
+``EXPECTED_MATRIX`` is that file read with ``parse_csv`` at import, the
+one format the package reads back.  What ``render`` writes in each
+format is pinned byte for byte by the CLI's golden corpus.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ __all__ = [
     "ConformanceMatrix",
     "EXPECTED_MATRIX",
     "diff_matrix",
-    "expected_matrix_fixture",
     "parse_csv",
-    "parse_json",
     "render",
     "run_matrix",
 ]
@@ -160,19 +160,5 @@ def parse_csv(data: bytes) -> ConformanceMatrix:
     return ConformanceMatrix(names, tuple(header[1:]), cells)
 
 
-def parse_json(data: bytes) -> ConformanceMatrix:
-    import json
-
-    obj = json.loads(data.decode("utf-8"))
-    names = tuple(obj)
-    cells = tuple(tuple(Outcome(v) for v in row) for row in obj.values())
-    return ConformanceMatrix(names, ATTACK_IDS, cells)
-
-
-def expected_matrix_fixture() -> bytes:
-    """The canonical CSV fixture shipped with the package."""
-    with open(os.path.join(os.path.dirname(__file__), "data", "expected_matrix.csv"), "rb") as fh:
-        return fh.read()
-
-
-EXPECTED_MATRIX = parse_csv(expected_matrix_fixture())
+with open(os.path.join(os.path.dirname(__file__), "data", "expected_matrix.csv"), "rb") as fh:
+    EXPECTED_MATRIX = parse_csv(fh.read())

@@ -31,7 +31,7 @@ class TestMakeRoot:
         c = make_root(16)
         assert c.tag and c.base == 0 and c.top == 16
 
-    @pytest.mark.parametrize("bad", [0, 15, -16, 17, 100])
+    @pytest.mark.parametrize("bad", [0, 15, -16, 17, 100, 1 << 32])
     def test_rejects_bad_sizes(self, bad):
         with pytest.raises(ValueError):
             make_root(bad)
@@ -125,6 +125,11 @@ class TestSetAddress:
     def test_tag_untouched_on_untagged(self, root):
         c = root.clear_tag().set_address(5)
         assert not c.tag and c.address == 5
+
+    @pytest.mark.parametrize("address", [-1, 1 << 32])
+    def test_cursor_outside_32_bits_is_refused(self, root, address):
+        with pytest.raises(ValueError, match=f"^address {address} outside 32-bit range$"):
+            root.set_address(address)
 
 
 class TestAndPerms:

@@ -164,7 +164,8 @@ class TestDumpCommand:
         script.write_text(f"malloc 32\nmalloc 48\n{line}\nfree -1\n")
         rc = main(["dump", "--allocator", "bump-alloc-nocheri", "--script", str(script)])
         assert rc == 2
-        assert "line 3: negative result index" in capsys.readouterr().err
+        op, k = line.split()[:2]
+        assert capsys.readouterr().err == f"line 3: {op}: unknown ref 'r{k}'\n"
 
     def test_malformed_line_is_usage_error(self, tmp_path, capsys):
         script = tmp_path / "script.txt"

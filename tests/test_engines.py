@@ -519,6 +519,8 @@ class TestSlabEngine:
         with pytest.raises(AllocError) as exc:
             alloc.free(p.set_address(SLAB_SIZE * 10))
         assert exc.value.kind is AllocErrorKind.INVALID_FREE
+        with pytest.raises(ValueError, match=f"^{SLAB_SIZE * 10} outside carved slabs$"):
+            alloc.occupancy(SLAB_SIZE * 10)
 
     def test_double_free_is_silent(self):
         alloc = create("snmalloc-repo")
@@ -818,6 +820,24 @@ class TestResetLeavesAFreshHeap:
         chunk = 250 * GRANULE + 10
         alloc.heap.store(whole, chunk, (16).to_bytes(4, "little") + CHUNK_MAGIC.to_bytes(2, "little"))
         alloc.free(whole.set_address(chunk + CHUNK_HEADER_SIZE))
+        assert alloc.malloc(16).address == chunk + CHUNK_HEADER_SIZE
+        assert alloc.heap.data[chunk + 6] == 1 and alloc.heap.extent == 252
+        self.assert_fresh_after_reset(alloc)
+
+    def test_forged_header_rewritten_after_a_clear_under_the_instance(self):
+        # As above, but the heap is cleared under the live instance once
+        # the forged chunk is listed, and the 6-byte store made again:
+        # the LIVE header's status byte is then the one byte of granule
+        # 251 written since the clear, so only _carve raises the extent.
+        alloc = create("jemalloc", 4096)
+        whole = alloc.malloc(4096 - 2 * CHUNK_HEADER_SIZE)
+        chunk = 250 * GRANULE + 10
+        forged = (16).to_bytes(4, "little") + CHUNK_MAGIC.to_bytes(2, "little")
+        alloc.heap.store(whole, chunk, forged)
+        alloc.free(whole.set_address(chunk + CHUNK_HEADER_SIZE))
+        alloc.heap.clear()
+        alloc.heap.store(whole, chunk, forged)
+        assert alloc.heap.extent == 251
         assert alloc.malloc(16).address == chunk + CHUNK_HEADER_SIZE
         assert alloc.heap.data[chunk + 6] == 1 and alloc.heap.extent == 252
         self.assert_fresh_after_reset(alloc)

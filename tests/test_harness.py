@@ -11,7 +11,6 @@ from capheap.harness import (
     EXPECTED_MATRIX,
     diff_matrix,
     parse_csv,
-    parse_json,
     render,
     run_matrix,
 )
@@ -217,8 +216,10 @@ class TestRender:
     def test_csv_round_trip(self):
         assert parse_csv(render(EXPECTED_MATRIX, "csv")) == EXPECTED_MATRIX
 
-    def test_json_round_trip(self):
-        assert parse_json(render(EXPECTED_MATRIX, "json")) == EXPECTED_MATRIX
+    def test_csv_without_an_allocator_header_is_refused(self):
+        csv = render(EXPECTED_MATRIX, "csv").replace(b"allocator,", b"name,", 1)
+        with pytest.raises(ValueError, match="^missing allocator header column$"):
+            parse_csv(csv)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
