@@ -121,7 +121,11 @@ class Allocator(abc.ABC):
 
     def reset(self) -> None:
         """Back to the initial state over a freshly zeroed heap (whose
-        ``clear()`` drops its watch map)."""
+        ``clear()`` drops its watch map).  This is also the one defined
+        call after the heap was cleared under the instance: ``clear()``
+        zeroes the bytes but not the engine's own state, so until a
+        reset the free list faults on a header it no longer finds, the
+        slab engine keeps its old records and bump keeps its cursor."""
         self.heap.clear()
         self._reset_state()
 

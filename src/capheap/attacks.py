@@ -21,6 +21,12 @@ the sentinel, a trait as a bool, a refusal as None or as the tape's
 dump`` scripts run through it too, with a script's result index ``K``
 naming the tape's ``rK``.
 
+Each probe is a body in ``PROBES`` that takes a tape and returns
+``(outcome, note)``.  ``ATTACKS[k](alloc)`` runs ``PROBES[k]`` on a new
+``Tape(alloc)`` and returns ``Tape.report``; a caller that needs only
+the outcome, as the conformance grid does, runs the body alone and
+builds no report.
+
 Reports and their steps are ``NamedTuple`` records, immutable like
 ``Capability``.  A step records the op's value, not its text: the text,
 ``TraceStep.result``, is rendered only when it is read, so a grid that
@@ -43,6 +49,7 @@ __all__ = [
     "ATTACK_IDS",
     "ATTACKS",
     "OP_FIELDS",
+    "PROBES",
     "AttackReport",
     "Outcome",
     "TraceStep",
@@ -144,42 +151,56 @@ class Tape:
     (an unknown op, ref or trait, or the wrong number of arguments)
     raises a ``ValueError`` naming it before any engine call; any other
     exception, such as a ``ValueError`` for an argument the model
-    rejects, propagates unchanged.  Neither records a step."""
+    rejects, propagates unchanged.  Neither records a step.
+
+    ``do`` keeps each step as a plain ``(op, args, value)`` tuple, and
+    ``steps`` and ``report`` build the ``TraceStep`` records from them
+    only when they are called, so a probe whose caller reads only its
+    outcome builds none."""
+
+    __slots__ = ("alloc", "error", "_caps", "_steps")
 
     def __init__(self, alloc: Allocator):
         self.alloc = alloc
-        self.steps: list[TraceStep] = []
         self.error: str | None = None
         self._caps: dict[str, Capability] = {}
+        self._steps: list[tuple] = []
+
+    @property
+    def steps(self) -> list[TraceStep]:
+        """Every step recorded so far, as a new list of ``TraceStep``."""
+        return [_tuple_new(TraceStep, step) for step in self._steps]
 
     def cap(self, ref: str) -> Capability:
         return self._caps[ref]
 
     def do(self, op: str, *args):
+        alloc = self.alloc
         caps = self._caps
+        # op names tested in the order of their use by the probes
         try:
             if op == "malloc":
                 (size,) = args
-                value = self.alloc.malloc(size)
+                value = alloc.malloc(size)
             elif op == "free":
                 (ref,) = args
-                value = self.alloc.free(caps[ref])
-            elif op == "realloc":
-                ref, size = args
-                value = self.alloc.realloc(caps[ref], size)
+                value = alloc.free(caps[ref])
+            elif op == "traits":
+                (name,) = args
+                value = _TRAITS[name](alloc.traits())
             elif op == "store":
                 ref, data = args
                 cap = caps[ref]
-                value = self.alloc.heap.store(cap, cap.address, bytes.fromhex(data))
+                value = alloc.heap.store(cap, cap.address, bytes.fromhex(data))
             elif op == "load":
                 ref, addr, length = args
-                value = self.alloc.heap.load(caps[ref], addr, length)
+                value = alloc.heap.load(caps[ref], addr, length)
             elif op == "set_bounds":
                 ref, base, length = args
                 value = caps[ref].set_bounds(base, length)
-            elif op == "traits":
-                (name,) = args
-                value = _TRAITS[name](self.alloc.traits())
+            elif op == "realloc":
+                ref, size = args
+                value = alloc.realloc(caps[ref], size)
             elif op == "note":
                 (_,) = args
                 value = None
@@ -189,8 +210,7 @@ class Tape:
             # only the kind and text survive the handler: the exception's
             # traceback refers to this frame, so keeping it would make a cycle
             kind = "fault" if isinstance(exc, CapFault) else "error"
-            # tuple.__new__ skips the NamedTuple constructor's extra Python frame
-            self.steps.append(_tuple_new(TraceStep, (op, args, (kind, exc.kind))))
+            self._steps.append((op, args, (kind, exc.kind)))
             self.error = str(exc)
             return None
         except (KeyError, TypeError, ValueError):
@@ -204,9 +224,9 @@ class Tape:
         if isinstance(value, Capability):
             ref = f"r{len(caps)}"
             caps[ref] = value
-            self.steps.append(_tuple_new(TraceStep, (op, args, (ref, value))))
+            self._steps.append((op, args, (ref, value)))
             return ref
-        self.steps.append(_tuple_new(TraceStep, (op, args, value)))
+        self._steps.append((op, args, value))
         return value
 
     def _malformed(self, op, args) -> str | None:
@@ -248,23 +268,94 @@ def replay_trace(report: AttackReport, alloc: Allocator) -> list[TraceStep]:
     return tape.steps
 
 
-def a1_use_after_free(alloc: Allocator) -> AttackReport:
-    """Read back a sentinel through a capability that was freed.
-
-    Succeeds when the stale capability still works and the data is
-    intact: nothing revoked or quarantined the allocation.
-    """
-    t = Tape(alloc)
+def _a1(t: Tape) -> tuple[Outcome, str]:
     p = t.do("malloc", 64)
-    outcome = Outcome.THWARTED
     if p is not None:
         addr = t.cap(p).address
         t.do("store", p, A1_SENTINEL.hex())
         if t.error is None:
             t.do("free", p)
             if t.error is None and t.do("load", p, addr, len(A1_SENTINEL)) == A1_SENTINEL:
-                outcome = Outcome.SUCCEEDS
-    return t.report("A1", outcome)
+                return Outcome.SUCCEEDS, ""
+    return Outcome.THWARTED, ""
+
+
+def _a2(t: Tape) -> tuple[Outcome, str]:
+    if not t.do("traits", "narrow_bounds"):
+        return Outcome.NOT_APPLICABLE, "no bounds narrowing"
+    p = t.do("malloc", 32)
+    if p is None:
+        return Outcome.THWARTED, ""
+    p_addr = t.cap(p).address
+    for _ in range(A2_MAX_VICTIMS):
+        victim = t.do("malloc", 32)
+        if victim is None or p_addr < t.cap(victim).address <= p_addr + 64:
+            break
+    else:
+        victim = None
+    if victim is None:
+        t.do("note", "no adjacent victim found")
+        return Outcome.NOT_APPLICABLE, "no adjacent victim found"
+    victim_addr = t.cap(victim).address
+    t.do("store", victim, A2_SENTINEL.hex())
+    if t.error is None:
+        t.do("free", victim)
+        q = t.do("realloc", p, 128) if t.error is None else None
+        if q is not None and t.do("load", q, victim_addr, len(A2_SENTINEL)) == A2_SENTINEL:
+            return Outcome.SUCCEEDS, ""
+    return Outcome.THWARTED, ""
+
+
+def _a3(t: Tape) -> tuple[Outcome, str]:
+    p = t.do("malloc", 64)
+    narrowed = None if p is None else t.do("set_bounds", p, t.cap(p).address, 16)
+    if narrowed is None:
+        return Outcome.THWARTED, ""
+    t.do("free", narrowed)
+    return Outcome.SUCCEEDS if t.error is None else Outcome.THWARTED, ""
+
+
+def _a4(t: Tape) -> tuple[Outcome, str]:
+    if t.do("traits", "deferred_free"):
+        return Outcome.NOT_APPLICABLE, "deferred free"
+    p = t.do("malloc", 48)
+    if p is not None:
+        t.do("free", p)
+        if t.error is None:
+            t.do("free", p)
+            if t.error is None:
+                return Outcome.SUCCEEDS, ""
+    return Outcome.THWARTED, ""
+
+
+def _a5(t: Tape) -> tuple[Outcome, str]:
+    p = t.do("malloc", 32)
+    has_exec = p is not None and t.cap(p).perms & _EXEC
+    return Outcome.SUCCEEDS if has_exec else Outcome.THWARTED, ""
+
+
+PROBES: dict[str, Callable[[Tape], tuple[Outcome, str]]] = {
+    "A1": _a1,
+    "A2": _a2,
+    "A3": _a3,
+    "A4": _a4,
+    "A5": _a5,
+}
+
+
+def _probe(attack: str, alloc: Allocator) -> AttackReport:
+    t = Tape(alloc)
+    outcome, note = PROBES[attack](t)
+    return t.report(attack, outcome, note)
+
+
+def a1_use_after_free(alloc: Allocator) -> AttackReport:
+    """Read back a sentinel through a capability that was freed.
+
+    Succeeds when the stale capability still works and the data is
+    intact: nothing revoked or quarantined the allocation.
+    """
+    return _probe("A1", alloc)
 
 
 def a2_realloc_widening(alloc: Allocator) -> AttackReport:
@@ -275,31 +366,7 @@ def a2_realloc_widening(alloc: Allocator) -> AttackReport:
     over the victim's range, and reads at the victim's old address
     through the widened capability.
     """
-    t = Tape(alloc)
-    if not t.do("traits", "narrow_bounds"):
-        return t.report("A2", Outcome.NOT_APPLICABLE, "no bounds narrowing")
-    p = t.do("malloc", 32)
-    if p is None:
-        return t.report("A2", Outcome.THWARTED)
-    p_addr = t.cap(p).address
-    for _ in range(A2_MAX_VICTIMS):
-        victim = t.do("malloc", 32)
-        if victim is None or p_addr < t.cap(victim).address <= p_addr + 64:
-            break
-    else:
-        victim = None
-    if victim is None:
-        t.do("note", "no adjacent victim found")
-        return t.report("A2", Outcome.NOT_APPLICABLE, "no adjacent victim found")
-    victim_addr = t.cap(victim).address
-    outcome = Outcome.THWARTED
-    t.do("store", victim, A2_SENTINEL.hex())
-    if t.error is None:
-        t.do("free", victim)
-        q = t.do("realloc", p, 128) if t.error is None else None
-        if q is not None and t.do("load", q, victim_addr, len(A2_SENTINEL)) == A2_SENTINEL:
-            outcome = Outcome.SUCCEEDS
-    return t.report("A2", outcome)
+    return _probe("A2", alloc)
 
 
 def a3_free_narrowed(alloc: Allocator) -> AttackReport:
@@ -308,13 +375,7 @@ def a3_free_narrowed(alloc: Allocator) -> AttackReport:
     Succeeds when the tampered capability is accepted silently; engines
     that validate through the capability itself fault instead.
     """
-    t = Tape(alloc)
-    p = t.do("malloc", 64)
-    narrowed = None if p is None else t.do("set_bounds", p, t.cap(p).address, 16)
-    if narrowed is None:
-        return t.report("A3", Outcome.THWARTED)
-    t.do("free", narrowed)
-    return t.report("A3", Outcome.SUCCEEDS if t.error is None else Outcome.THWARTED)
+    return _probe("A3", alloc)
 
 
 def a4_double_free(alloc: Allocator) -> AttackReport:
@@ -323,26 +384,12 @@ def a4_double_free(alloc: Allocator) -> AttackReport:
     Not applicable under deferred deallocation, where the second free's
     effect is unobservable within the probe's synchronous window.
     """
-    t = Tape(alloc)
-    if t.do("traits", "deferred_free"):
-        return t.report("A4", Outcome.NOT_APPLICABLE, "deferred free")
-    p = t.do("malloc", 48)
-    outcome = Outcome.THWARTED
-    if p is not None:
-        t.do("free", p)
-        if t.error is None:
-            t.do("free", p)
-            if t.error is None:
-                outcome = Outcome.SUCCEEDS
-    return t.report("A4", outcome)
+    return _probe("A4", alloc)
 
 
 def a5_excess_permissions(alloc: Allocator) -> AttackReport:
     """Check whether returned capabilities carry execute authority."""
-    t = Tape(alloc)
-    p = t.do("malloc", 32)
-    has_exec = p is not None and t.cap(p).perms & _EXEC
-    return t.report("A5", Outcome.SUCCEEDS if has_exec else Outcome.THWARTED)
+    return _probe("A5", alloc)
 
 
 ATTACKS: dict[str, Callable[[Allocator], AttackReport]] = {

@@ -16,7 +16,7 @@ from collections import deque
 from typing import Iterable, NamedTuple
 
 from . import _csv
-from .attacks import ATTACK_IDS, ATTACKS, Outcome
+from .attacks import ATTACK_IDS, PROBES, Outcome, Tape
 from .registry import ALLOCATOR_NAMES, TRAITS, engine_for
 from .tagged_memory import DEFAULT_HEAP_SIZE, TaggedHeap
 
@@ -32,7 +32,8 @@ __all__ = [
 
 
 class ConfigurationError(Exception):
-    """A row restriction that names an allocator outside the table."""
+    """A row restriction that is a ``str``, holds an item that is no
+    ``str``, or names an allocator outside the table."""
 
 
 class _Matrix(NamedTuple):
@@ -75,6 +76,9 @@ def run_matrix(
 ) -> ConformanceMatrix:
     """Probe every (allocator, attack) cell serially: a cell is tens of
     microseconds of pure Python, too little for a GIL-bound pool to pay.
+    A cell runs the attack's body from ``attacks.PROBES``, looked up per
+    cell, on a new ``Tape`` and keeps its outcome alone: the grid builds
+    no ``AttackReport`` and no ``TraceStep``.
     Every row runs over one 1 MiB heap, cleared before each row's
     instance is built, and each instance is reset before every probe
     after the first, so each cell starts from the state a fresh instance
@@ -82,12 +86,20 @@ def run_matrix(
     leaves it, cleared, for the next, even when a probe raises: a grid
     maps at most one heap, and none after the first grid in a process.
     ``rows`` restricts the run to a subset of allocators, in table order;
+    a ``str``, an item that is no ``str`` or an unknown name raises
+    ``ConfigurationError`` before the grid takes a heap.
     ``rounding_bounds`` is every instance's bounds rounding.
     """
     if rows is None:
         names = ALLOCATOR_NAMES
     else:
-        rows = set(rows)  # once: ``rows`` may be an iterator
+        if isinstance(rows, str):
+            raise ConfigurationError(f"rows must be allocator names, not the str {rows!r}")
+        rows = list(rows)  # once: ``rows`` may be an iterator
+        for row in rows:
+            if not isinstance(row, str):
+                raise ConfigurationError(f"allocator name {row!r} is not a str")
+        rows = set(rows)
         names = tuple(n for n in ALLOCATOR_NAMES if n in rows)
         unknown = rows - set(ALLOCATOR_NAMES)
         if unknown:
@@ -105,7 +117,7 @@ def run_matrix(
             for attack in ATTACK_IDS:
                 if outcomes:
                     alloc.reset()
-                outcomes.append(ATTACKS[attack](alloc).outcome)
+                outcomes.append(PROBES[attack](Tape(alloc))[0])
             cells.append(tuple(outcomes))
     finally:
         heap.clear()

@@ -110,8 +110,7 @@ def _refuse_no_int(addr) -> None:
 
 
 def _zero_prefix(buf, n: int) -> None:
-    """Zero ``buf[:n]`` in place, ``_ZEROS`` at a time: one slice for a
-    prefix no longer than ``_ZEROS``, as every probe's heap has."""
+    """Zero ``buf[:n]`` in place, ``_ZEROS`` at a time."""
     at, step = 0, len(_ZEROS)
     while n - at > step:
         buf[at : at + step] = _ZEROS
@@ -148,11 +147,22 @@ class TaggedHeap:
         """Re-zero every byte and tag written, in place, and drop the
         watch map.  The zeros are copied from ``_ZEROS``: a zero ``bytes``
         as long as a large extent, once freed, stays in the C allocator's
-        pool and raises the process's peak memory by its size."""
-        _zero_prefix(self.data, self.extent * GRANULE)
-        _zero_prefix(self.tags, self.extent)
+        pool and raises the process's peak memory by its size.
+
+        Clearing the heap under a live allocator leaves that instance's
+        own state (a free list, slab records, a bump cursor) describing
+        bytes that are gone: after ``heap.clear()`` the only defined call
+        on the instance is ``reset()``."""
+        n = self.extent
+        end = n * GRANULE
+        if end <= len(_ZEROS):  # one slice each, as every probe's heap needs
+            self.data[:end] = _ZEROS[:end]
+            self.tags[:n] = _ZEROS[:n]
+        else:
+            _zero_prefix(self.data, end)
+            _zero_prefix(self.tags, n)
         self.extent = 0
-        self.set_watch(None)
+        self.watch = self.watch16 = None
 
     def fault_outside(self, addr: int, length: int) -> None:
         """Raise the heap's own bounds fault for [addr, addr + length)."""

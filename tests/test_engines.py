@@ -1,4 +1,5 @@
 from bisect import bisect_left, insort
+from collections import Counter
 import random
 import struct
 import sys
@@ -644,6 +645,24 @@ class TestContractAcrossAllEngines:
         alloc.reset()
         again = [alloc.malloc(s) for s in (24, 64)]
         assert again == fresh
+
+    @pytest.mark.parametrize("name", ALLOCATOR_NAMES)
+    def test_reset_after_clearing_the_heap_under_the_instance(self, name):
+        # heap.clear() under a live instance zeroes the bytes but not the
+        # engine's own state; reset() is the one call defined after it,
+        # and it gives back a fresh instance's placements
+        rng = random.Random(name)
+        alloc = create(name)
+        caps = [alloc.malloc(rng.randrange(1, 300)) for _ in range(12)]
+        for cap in caps[::3]:
+            alloc.free(cap)
+        alloc.realloc(caps[1], 500)
+        alloc.heap.clear()
+        alloc.reset()
+        fresh = create(name)
+        sizes = [rng.randrange(1, 300) for _ in range(20)]
+        assert [alloc.malloc(n) for n in sizes] == [fresh.malloc(n) for n in sizes]
+        assert alloc.heap.snapshot() == fresh.heap.snapshot()
 
     @pytest.mark.parametrize("name", ALLOCATOR_NAMES)
     def test_reset_is_idempotent_and_keeps_traits(self, name):
@@ -1432,6 +1451,38 @@ def test_grid_renders_no_trace_text():
     assert profiled(run_matrix) == (0, EXPECTED_MATRIX)
     report = ATTACKS["A1"](create("jemalloc"))
     assert profiled(lambda: report.trace[0].result)[0] == 1
+
+
+def test_grid_builds_no_report():
+    """A grid runs each probe's body on a tape and keeps its outcome, so
+    it never builds an ``AttackReport`` or a ``TraceStep``: it enters
+    neither ``Tape.report`` nor ``Tape.steps``, and every op it tapes is
+    one ``Tape.do`` call."""
+    codes = {
+        Tape.report.__code__: "report",
+        Tape.steps.fget.__code__: "steps",
+        Tape.do.__code__: "do",
+    }
+    seen = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            seen[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        matrix = run_matrix()
+    finally:
+        sys.setprofile(None)
+    assert matrix == EXPECTED_MATRIX
+    assert seen == {"do": 124}
+    # the same hook sees a report and its steps where a probe reports
+    sys.setprofile(profile)
+    try:
+        ATTACKS["A1"](create("jemalloc"))
+    finally:
+        sys.setprofile(None)
+    assert seen == {"do": 128, "report": 1, "steps": 1}
 
 
 # Python calls into capheap per heap access that passes, on a fresh heap:

@@ -1,10 +1,11 @@
 import gc
-from collections import Counter
+import random
+from collections import Counter, deque
 
 import pytest
 
 from capheap import harness
-from capheap.attacks import ATTACK_IDS, ATTACKS, Outcome, replay_trace
+from capheap.attacks import ATTACK_IDS, ATTACKS, PROBES, Outcome, replay_trace
 from capheap.harness import (
     ConfigurationError,
     ConformanceMatrix,
@@ -110,7 +111,11 @@ def test_probe_that_raises_leaves_a_fresh_spare(monkeypatch):
     class ProbeError(Exception):
         pass
 
-    def raising(alloc):
+    ran = []
+
+    def raising(tape):
+        alloc = tape.alloc
+        ran.append(alloc.traits().name)
         alloc.heap.store_cap(alloc.region, alloc.heap.size - 16, alloc.region)
         blocks = [alloc.malloc(16) for _ in range(100)]
         for cap in blocks:
@@ -119,9 +124,10 @@ def test_probe_that_raises_leaves_a_fresh_spare(monkeypatch):
         assert alloc.heap.watch is not None
         raise ProbeError
 
-    monkeypatch.setitem(ATTACKS, "A3", raising)
+    monkeypatch.setitem(PROBES, "A3", raising)
     with pytest.raises(ProbeError):
         run_matrix(rows=["jemalloc"])
+    assert ran == ["jemalloc"]
     (spare,) = harness._spare
     size = spare.size
     assert spare.snapshot() == bytes(size) + bytes(size // 128)
@@ -171,6 +177,45 @@ def test_unknown_rows_from_an_iterator_are_rejected(make):
 def test_rejects_unknown_row_restriction():
     with pytest.raises(ConfigurationError):
         run_matrix(rows=["tcmalloc"])
+
+
+def test_row_restriction_sweep(monkeypatch):
+    # seeded row restrictions of every shape: a str, items that are no str,
+    # unknown and known names.  Each either runs those rows in table order
+    # or raises a ConfigurationError that names the offender, and a refused
+    # one never takes the spare heap.
+    class SpySpare(deque):
+        def pop(self):
+            taken.append(True)
+            return super().pop()
+
+    taken = []
+    monkeypatch.setattr(harness, "_spare", SpySpare(harness._spare, maxlen=1))
+    not_str = [None, 3, 1.5, b"jemalloc", ["jemalloc"], ("jemalloc",), {"jemalloc"}]
+    strings = [*ALLOCATOR_NAMES, "tcmalloc", "", "JEMALLOC", "jemalloc "]
+    rng = random.Random(25)
+    for case in range(80):
+        items = [
+            rng.choice(not_str if rng.random() < 0.15 else strings) for _ in range(rng.randrange(4))
+        ]
+        rows = rng.choice([list, tuple, iter, lambda xs: (x for x in xs)])(items)
+        if case % 8 == 0:
+            rows = rng.choice(strings)
+        taken.clear()
+        bad = [x for x in items if not isinstance(x, str)]
+        unknown = sorted({x for x in items if isinstance(x, str)} - set(ALLOCATOR_NAMES))
+        if isinstance(rows, str) or bad or unknown:
+            with pytest.raises(ConfigurationError) as info:
+                run_matrix(rows=rows)
+            named = rows if isinstance(rows, str) else bad[0] if bad else unknown
+            assert repr(named) in str(info.value), (case, rows)
+            assert taken == [], (case, rows)
+        else:
+            names = tuple(n for n in ALLOCATOR_NAMES if n in items)
+            assert run_matrix(rows=rows) == ConformanceMatrix(
+                names, ATTACK_IDS, tuple(map(EXPECTED_MATRIX.row, names))
+            )
+            assert taken == [True]
 
 
 class TestDiff:

@@ -16,14 +16,14 @@ CODE_LINES = {
     "__init__.py": 65,
     "_csv.py": 8,
     "allocator_api.py": 83,
-    "attacks.py": 242,
+    "attacks.py": 261,
     "bench.py": 154,
     "capability.py": 102,
     "cli.py": 149,
     "engines.py": 498,
-    "harness.py": 106,
+    "harness.py": 112,
     "registry.py": 29,
-    "tagged_memory.py": 143,
+    "tagged_memory.py": 149,
 }
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,

@@ -11,7 +11,7 @@ import pytest
 
 import capheap
 from capheap import harness, tagged_memory
-from capheap.attacks import ATTACKS
+from capheap.attacks import PROBES
 from capheap.capability import CapFault, Capability, FaultKind, PERM_ALL, Perm, make_root
 from capheap.cli import main
 from capheap.harness import EXPECTED_MATRIX, run_matrix
@@ -730,16 +730,19 @@ class TestSpareHeapIsFresh:
     )
     def test_next_heap_snapshots_as_never_used(self, monkeypatch, dirty):
         # the grid's last probe leaves its heap dirty in the way given
-        probe = ATTACKS["A5"]
+        probe = PROBES["A5"]
+        ran = []
 
-        def dirtying(alloc):
-            report = probe(alloc)
-            dirty(alloc)
-            assert alloc.heap.snapshot() != FRESH_GRID_SNAPSHOT
-            return report
+        def dirtying(tape):
+            decision = probe(tape)
+            dirty(tape.alloc)
+            assert tape.alloc.heap.snapshot() != FRESH_GRID_SNAPSHOT
+            ran.append(tape.alloc.traits().name)
+            return decision
 
-        monkeypatch.setitem(ATTACKS, "A5", dirtying)
+        monkeypatch.setitem(PROBES, "A5", dirtying)
         assert run_matrix(rows=["jemalloc"]).cells == (EXPECTED_MATRIX.row("jemalloc"),)
+        assert ran == ["jemalloc"]  # the dirtying body ran, and to its end
         (spare,) = harness._spare
         assert spare.snapshot() == FRESH_GRID_SNAPSHOT
         assert spare.extent == 0 and spare.watch is None
@@ -755,17 +758,18 @@ class TestSpareHeapIsFresh:
         wrote = []
 
         def recording(probe):
-            def run(alloc):
-                report = probe(alloc)
-                wrote.append(alloc.heap.snapshot() != FRESH_GRID_SNAPSHOT)
-                return report
+            def run(tape):
+                decision = probe(tape)
+                wrote.append(tape.alloc.heap.snapshot() != FRESH_GRID_SNAPSHOT)
+                return decision
 
             return run
 
-        for attack, probe in list(ATTACKS.items()):
-            monkeypatch.setitem(ATTACKS, attack, recording(probe))
+        for attack, probe in list(PROBES.items()):
+            monkeypatch.setitem(PROBES, attack, recording(probe))
         assert run_matrix(rows=[name]).cells == (EXPECTED_MATRIX.row(name),)
-        assert len(wrote) == 5 and any(wrote)  # the row did write its heap
+        # each recording body ran, and the row did write its heap
+        assert len(wrote) == 5 and any(wrote)
         (spare,) = harness._spare
         assert spare.snapshot() == FRESH_GRID_SNAPSHOT
         assert spare.extent == 0 and spare.watch is None
