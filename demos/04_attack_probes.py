@@ -6,10 +6,10 @@
 #   times sign  = the attack is thwarted
 #   slashed o   = not applicable (the attack's precondition is absent)
 
-from capheap import ATTACKS, create
+from capheap import create, run_attack
 
 def show(attack_id, allocator_name, why):
-    report = ATTACKS[attack_id](create(allocator_name))
+    report = run_attack(attack_id, create(allocator_name))
     print(f"{attack_id} vs {allocator_name}: {report.headline()}")
     print(f"   ({why})")
     for i, step in enumerate(report.trace):

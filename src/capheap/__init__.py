@@ -13,7 +13,7 @@ from .allocator_api import (
     AllocatorTraits,
     FreeValidation,
 )
-from .attacks import ATTACK_IDS, ATTACKS, AttackReport, Outcome, predicted_row, replay_trace
+from .attacks import ATTACK_IDS, ATTACKS, AttackReport, Outcome, predicted_row, replay_trace, run_attack
 from .bench import BenchResult, Workload, emit_csv, run_workload
 from .capability import (
     PERM_ALL,
@@ -70,6 +70,7 @@ __all__ = [
     "predicted_row",
     "render",
     "replay_trace",
+    "run_attack",
     "run_matrix",
     "run_workload",
 ]

@@ -80,11 +80,6 @@ _CLIENT_PERMS = int(PERM_ALL)
 _CLIENT_PERMS_NO_EXEC = int(PERM_ALL & ~Perm.EXEC)
 
 
-def round16(n: int) -> int:
-    """Round up to the 16-byte granule."""
-    return (n + 15) & ~15
-
-
 class Allocator(abc.ABC):
     """Behavioral contract shared by all engines.
 

@@ -21,11 +21,11 @@ the sentinel, a trait as a bool, a refusal as None or as the tape's
 dump`` scripts run through it too, with a script's result index ``K``
 naming the tape's ``rK``.
 
-Each probe is a body in ``PROBES`` that takes a tape and returns
-``(outcome, note)``.  ``ATTACKS[k](alloc)`` runs ``PROBES[k]`` on a new
-``Tape(alloc)`` and returns ``Tape.report``; a caller that needs only
-the outcome, as the conformance grid does, runs the body alone and
-builds no report.
+Each probe is a body in ``ATTACKS`` that takes a tape and returns
+``(outcome, note)``.  ``run_attack(k, alloc)`` runs ``ATTACKS[k]`` on a
+new ``Tape(alloc)`` and returns its ``AttackReport``; a caller that
+needs only the outcome, as the conformance grid does, runs the body on
+its own tape and builds no report.
 
 Reports and their steps are ``NamedTuple`` records, immutable like
 ``Capability``.  A step records the op's value, not its text: the text,
@@ -49,18 +49,13 @@ __all__ = [
     "ATTACK_IDS",
     "ATTACKS",
     "OP_FIELDS",
-    "PROBES",
     "AttackReport",
     "Outcome",
     "TraceStep",
     "Tape",
-    "a1_use_after_free",
-    "a2_realloc_widening",
-    "a3_free_narrowed",
-    "a4_double_free",
-    "a5_excess_permissions",
     "predicted_row",
     "replay_trace",
+    "run_attack",
 ]
 
 A1_SENTINEL = b"\xa5" * 8
@@ -154,9 +149,8 @@ class Tape:
     rejects, propagates unchanged.  Neither records a step.
 
     ``do`` keeps each step as a plain ``(op, args, value)`` tuple, and
-    ``steps`` and ``report`` build the ``TraceStep`` records from them
-    only when they are called, so a probe whose caller reads only its
-    outcome builds none."""
+    ``steps`` builds the ``TraceStep`` records from them only when it is
+    read, so a probe whose caller reads only its outcome builds none."""
 
     __slots__ = ("alloc", "error", "_caps", "_steps")
 
@@ -244,10 +238,6 @@ class Tape:
             return f"unknown trait {first!r}"
         return None
 
-    def report(self, attack: str, outcome: Outcome, note: str = "") -> AttackReport:
-        """The probe's report: its allocator, ``outcome`` and every step so far."""
-        return _tuple_new(AttackReport, (attack, self.alloc.traits().name, outcome, tuple(self.steps), note))
-
 
 # each op's arguments: K a capability ref, N a number, H bytes in hex,
 # T a trait name and S a note's text
@@ -269,6 +259,11 @@ def replay_trace(report: AttackReport, alloc: Allocator) -> list[TraceStep]:
 
 
 def _a1(t: Tape) -> tuple[Outcome, str]:
+    """Read back a sentinel through a capability that was freed.
+
+    Succeeds when the stale capability still works and the data is
+    intact: nothing revoked or quarantined the allocation.
+    """
     p = t.do("malloc", 64)
     if p is not None:
         addr = t.cap(p).address
@@ -281,6 +276,13 @@ def _a1(t: Tape) -> tuple[Outcome, str]:
 
 
 def _a2(t: Tape) -> tuple[Outcome, str]:
+    """Grow an allocation over a freed neighbor and read its stale bytes.
+
+    Needs bounds narrowing to be meaningful at all.  The probe plants a
+    sentinel in an adjacent victim, frees it, grows the first block
+    over the victim's range, and reads at the victim's old address
+    through the widened capability.
+    """
     if not t.do("traits", "narrow_bounds"):
         return Outcome.NOT_APPLICABLE, "no bounds narrowing"
     p = t.do("malloc", 32)
@@ -307,6 +309,11 @@ def _a2(t: Tape) -> tuple[Outcome, str]:
 
 
 def _a3(t: Tape) -> tuple[Outcome, str]:
+    """Hand free() a capability narrowed below the allocation.
+
+    Succeeds when the tampered capability is accepted silently; engines
+    that validate through the capability itself fault instead.
+    """
     p = t.do("malloc", 64)
     narrowed = None if p is None else t.do("set_bounds", p, t.cap(p).address, 16)
     if narrowed is None:
@@ -316,6 +323,11 @@ def _a3(t: Tape) -> tuple[Outcome, str]:
 
 
 def _a4(t: Tape) -> tuple[Outcome, str]:
+    """Free the same allocation twice.
+
+    Not applicable under deferred deallocation, where the second free's
+    effect is unobservable within the probe's synchronous window.
+    """
     if t.do("traits", "deferred_free"):
         return Outcome.NOT_APPLICABLE, "deferred free"
     p = t.do("malloc", 48)
@@ -329,12 +341,13 @@ def _a4(t: Tape) -> tuple[Outcome, str]:
 
 
 def _a5(t: Tape) -> tuple[Outcome, str]:
+    """Check whether returned capabilities carry execute authority."""
     p = t.do("malloc", 32)
     has_exec = p is not None and t.cap(p).perms & _EXEC
     return Outcome.SUCCEEDS if has_exec else Outcome.THWARTED, ""
 
 
-PROBES: dict[str, Callable[[Tape], tuple[Outcome, str]]] = {
+ATTACKS: dict[str, Callable[[Tape], tuple[Outcome, str]]] = {
     "A1": _a1,
     "A2": _a2,
     "A3": _a3,
@@ -342,65 +355,15 @@ PROBES: dict[str, Callable[[Tape], tuple[Outcome, str]]] = {
     "A5": _a5,
 }
 
-
-def _probe(attack: str, alloc: Allocator) -> AttackReport:
-    t = Tape(alloc)
-    outcome, note = PROBES[attack](t)
-    return t.report(attack, outcome, note)
-
-
-def a1_use_after_free(alloc: Allocator) -> AttackReport:
-    """Read back a sentinel through a capability that was freed.
-
-    Succeeds when the stale capability still works and the data is
-    intact: nothing revoked or quarantined the allocation.
-    """
-    return _probe("A1", alloc)
-
-
-def a2_realloc_widening(alloc: Allocator) -> AttackReport:
-    """Grow an allocation over a freed neighbor and read its stale bytes.
-
-    Needs bounds narrowing to be meaningful at all.  The probe plants a
-    sentinel in an adjacent victim, frees it, grows the first block
-    over the victim's range, and reads at the victim's old address
-    through the widened capability.
-    """
-    return _probe("A2", alloc)
-
-
-def a3_free_narrowed(alloc: Allocator) -> AttackReport:
-    """Hand free() a capability narrowed below the allocation.
-
-    Succeeds when the tampered capability is accepted silently; engines
-    that validate through the capability itself fault instead.
-    """
-    return _probe("A3", alloc)
-
-
-def a4_double_free(alloc: Allocator) -> AttackReport:
-    """Free the same allocation twice.
-
-    Not applicable under deferred deallocation, where the second free's
-    effect is unobservable within the probe's synchronous window.
-    """
-    return _probe("A4", alloc)
-
-
-def a5_excess_permissions(alloc: Allocator) -> AttackReport:
-    """Check whether returned capabilities carry execute authority."""
-    return _probe("A5", alloc)
-
-
-ATTACKS: dict[str, Callable[[Allocator], AttackReport]] = {
-    "A1": a1_use_after_free,
-    "A2": a2_realloc_widening,
-    "A3": a3_free_narrowed,
-    "A4": a4_double_free,
-    "A5": a5_excess_permissions,
-}
-
 ATTACK_IDS: tuple[str, ...] = tuple(ATTACKS)
+
+
+def run_attack(attack: str, alloc: Allocator) -> AttackReport:
+    """Run ``ATTACKS[attack]`` on a new tape over ``alloc`` and report its
+    allocator, outcome, note and every step it recorded."""
+    t = Tape(alloc)
+    outcome, note = ATTACKS[attack](t)
+    return _tuple_new(AttackReport, (attack, alloc.traits().name, outcome, tuple(t.steps), note))
 
 
 def predicted_row(traits: AllocatorTraits) -> tuple[Outcome, ...]:

@@ -57,12 +57,17 @@ class _Workload(NamedTuple):
 class Workload(_Workload):
     """A kind, an op count, and the parameters that kind reads (see
     ``WORKLOADS``), each positive, with ``min_size <= max_size`` and a
-    seed of at most ``SEED_MAX``."""
+    seed of at most ``SEED_MAX``.  Every count, size and seed is an
+    ``int`` and no ``bool``, read by the kind or not."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        for name in _Workload._fields[1:]:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, not {value!r}")
         if self.op_count < 1:
             raise ValueError("op_count must be at least 1")
         if self.kind not in WORKLOADS:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .attacks import ATTACK_IDS, ATTACKS, OP_FIELDS, Tape
+from .attacks import ATTACK_IDS, OP_FIELDS, Tape, run_attack
 from .bench import WORKLOADS, Workload, emit_csv, run_workload
 from .harness import EXPECTED_MATRIX, diff_matrix, render, run_matrix
 from .registry import ALLOCATOR_NAMES, TRAITS, create
@@ -100,7 +100,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    report = ATTACKS[args.attack](create(args.allocator))
+    report = run_attack(args.attack, create(args.allocator))
     print(f"{args.attack} {args.allocator}: {report.headline()}")
     if args.trace:
         for i, step in enumerate(report.trace):

@@ -56,21 +56,8 @@ blocks inside the heap.  A check folded into an op keeps its order and
 its fault text, and runs the helper it replaces only where it fails.
 The region capability is tagged, holds every permission and spans the
 heap, so its check can only fail on bounds, and a folded copy tests just
-those.  Calls into capheap per op (``tests/test_engines.py`` pins them):
-
-* bump: 1 for each of malloc, free and realloc; with the allocation
-  log, free and realloc call ``_refuse`` only to raise.  realloc
-  always moves, and takes its block as malloc does, in line.
-* free list: malloc 3 when it scans, or 5 while the class index is on;
-  free 2; realloc 2 when the block holds the request, 8 or more when it
-  moves.  malloc checks its request itself and ``_carve`` and ``_push``
-  each write their header in line; free reads the header through the
-  client's capability in line while every check passes, and realloc
-  does the same in ``_client_header``.
-* slab: malloc 1, 2 when it carves a slab, more while deferred frees
-  are queued; free 1; realloc 1 when it fits or grows in place, 3 when
-  it moves, 4 into a new slab.  malloc does the size class and the
-  single-slot take in line, and free the strict single-slot free.
+those.  The Python calls each op makes into capheap are pinned, per
+allocator, by ``CALLS_PER_OP`` in ``tests/test_engines.py``.
 
 The free list itself is kept out of band (a list of chunk offsets, most
 recently freed first) rather than threaded through chunk payloads:
@@ -156,11 +143,8 @@ _STATUS_LIVE = 1
 _LINEAR = 2048
 # A scan that visits more than _SCAN_LIMIT entries starts the index.  The
 # scan stays for short lists because class upkeep on every push and pop
-# costs more there than it saves: indexing from the first chunk slowed
-# the in-process free-list grid from 394 to 458-494 us (best of 8
-# interleaved runs), and in 6 perfbench pairs cut matrix
-# ops_per_s.freelist by 10.8 % and raised its op_p50_us by 16.9 %
-# (2-CPU host, Python 3.11).
+# costs more there than it saves (measured when indexing from the first
+# chunk was tried; the figures are in CHANGES.md).
 _SCAN_LIMIT = 64
 _TOP = 212  # one above the highest payload class
 _POISONED = 255

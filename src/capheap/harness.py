@@ -16,7 +16,7 @@ from collections import deque
 from typing import Iterable, NamedTuple
 
 from . import _csv
-from .attacks import ATTACK_IDS, PROBES, Outcome, Tape
+from .attacks import ATTACK_IDS, ATTACKS, Outcome, Tape
 from .registry import ALLOCATOR_NAMES, TRAITS, engine_for
 from .tagged_memory import DEFAULT_HEAP_SIZE, TaggedHeap
 
@@ -76,7 +76,7 @@ def run_matrix(
 ) -> ConformanceMatrix:
     """Probe every (allocator, attack) cell serially: a cell is tens of
     microseconds of pure Python, too little for a GIL-bound pool to pay.
-    A cell runs the attack's body from ``attacks.PROBES``, looked up per
+    A cell runs the attack's body from ``attacks.ATTACKS``, looked up per
     cell, on a new ``Tape`` and keeps its outcome alone: the grid builds
     no ``AttackReport`` and no ``TraceStep``.
     Every row runs over one 1 MiB heap, cleared before each row's
@@ -117,7 +117,7 @@ def run_matrix(
             for attack in ATTACK_IDS:
                 if outcomes:
                     alloc.reset()
-                outcomes.append(PROBES[attack](Tape(alloc))[0])
+                outcomes.append(ATTACKS[attack](Tape(alloc))[0])
             cells.append(tuple(outcomes))
     finally:
         heap.clear()

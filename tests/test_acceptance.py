@@ -11,14 +11,15 @@ from bisect import bisect_left, insort
 
 import pytest
 
-from capheap.allocator_api import AllocError, round16
-from capheap.attacks import ATTACK_IDS, ATTACKS, predicted_row, replay_trace
+from capheap.allocator_api import AllocError
+from capheap.attacks import ATTACK_IDS, predicted_row, replay_trace, run_attack
 from capheap.bench import Workload, run_workload
 from capheap.capability import CapFault, FaultKind, Perm, make_root
 from capheap.cli import main
 from capheap.harness import EXPECTED_MATRIX, parse_csv
 from capheap.registry import ALLOCATOR_NAMES, TRAITS, create
 from capheap.tagged_memory import TaggedHeap
+from granules import round16
 
 
 def report(number, name, ok):
@@ -196,9 +197,9 @@ def test_criterion_7_attack_trace_replay():
     ok = True
     for name in ALLOCATOR_NAMES:
         for attack_id in ATTACK_IDS:
-            original = ATTACKS[attack_id](create(name))
+            original = run_attack(attack_id, create(name))
             replayed = replay_trace(original, create(name))
-            rerun = ATTACKS[attack_id](create(name))
+            rerun = run_attack(attack_id, create(name))
             ok = ok and tuple(replayed) == original.trace
             ok = ok and rerun.outcome is original.outcome
     report(7, "trace replay reproduces all 35 cells", ok)

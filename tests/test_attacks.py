@@ -7,14 +7,11 @@ import pytest
 from capheap.allocator_api import AllocatorTraits, FreeValidation
 from capheap.attacks import (
     ATTACK_IDS,
-    ATTACKS,
     Outcome,
     Tape,
-    a1_use_after_free,
-    a2_realloc_widening,
-    a4_double_free,
     predicted_row,
     replay_trace,
+    run_attack,
 )
 from capheap.capability import CapFault, FaultKind
 from capheap.engines import BumpAllocator
@@ -40,52 +37,52 @@ class TestOutcome:
 
 class TestProbeExamples:
     def test_a1_bump_cheri_succeeds(self):
-        assert a1_use_after_free(create("bump-alloc-cheri")).outcome is Outcome.SUCCEEDS
+        assert run_attack("A1", create("bump-alloc-cheri")).outcome is Outcome.SUCCEEDS
 
     def test_a1_snmalloc_repo_succeeds(self):
-        assert a1_use_after_free(create("snmalloc-repo")).outcome is Outcome.SUCCEEDS
+        assert run_attack("A1", create("snmalloc-repo")).outcome is Outcome.SUCCEEDS
 
     def test_a2_bump_nocheri_not_applicable(self):
-        report = a2_realloc_widening(create("bump-alloc-nocheri"))
+        report = run_attack("A2", create("bump-alloc-nocheri"))
         assert report.outcome is Outcome.NOT_APPLICABLE
         assert report.note == "no bounds narrowing"
 
     def test_a2_bump_cheri_thwarted(self):
-        assert a2_realloc_widening(create("bump-alloc-cheri")).outcome is Outcome.THWARTED
+        assert run_attack("A2", create("bump-alloc-cheri")).outcome is Outcome.THWARTED
 
     def test_a2_snmalloc_cheribuild_succeeds(self):
-        assert a2_realloc_widening(create("snmalloc-cheribuild")).outcome is Outcome.SUCCEEDS
+        assert run_attack("A2", create("snmalloc-cheribuild")).outcome is Outcome.SUCCEEDS
 
     def test_a3_dlmalloc_thwarted(self):
-        assert ATTACKS["A3"](create("dlmalloc-cheribuild")).outcome is Outcome.THWARTED
+        assert run_attack("A3", create("dlmalloc-cheribuild")).outcome is Outcome.THWARTED
 
     def test_a3_snmalloc_repo_succeeds(self):
-        assert ATTACKS["A3"](create("snmalloc-repo")).outcome is Outcome.SUCCEEDS
+        assert run_attack("A3", create("snmalloc-repo")).outcome is Outcome.SUCCEEDS
 
     def test_a3_bump_nocheri_succeeds_via_alloc_log(self):
         # the log matches on the block-start address even though the
         # capability was narrowed
-        assert ATTACKS["A3"](create("bump-alloc-nocheri")).outcome is Outcome.SUCCEEDS
+        assert run_attack("A3", create("bump-alloc-nocheri")).outcome is Outcome.SUCCEEDS
 
     def test_a4_bump_nocheri_thwarted(self):
-        assert a4_double_free(create("bump-alloc-nocheri")).outcome is Outcome.THWARTED
+        assert run_attack("A4", create("bump-alloc-nocheri")).outcome is Outcome.THWARTED
 
     def test_a4_snmalloc_cheribuild_not_applicable(self):
-        report = a4_double_free(create("snmalloc-cheribuild"))
+        report = run_attack("A4", create("snmalloc-cheribuild"))
         assert report.outcome is Outcome.NOT_APPLICABLE
         assert report.note == "deferred free"
 
     def test_a4_jemalloc_succeeds(self):
-        assert a4_double_free(create("jemalloc")).outcome is Outcome.SUCCEEDS
+        assert run_attack("A4", create("jemalloc")).outcome is Outcome.SUCCEEDS
 
     def test_a5_jemalloc_thwarted(self):
-        assert ATTACKS["A5"](create("jemalloc")).outcome is Outcome.THWARTED
+        assert run_attack("A5", create("jemalloc")).outcome is Outcome.THWARTED
 
     def test_a5_libmalloc_thwarted(self):
-        assert ATTACKS["A5"](create("libmalloc-simple")).outcome is Outcome.THWARTED
+        assert run_attack("A5", create("libmalloc-simple")).outcome is Outcome.THWARTED
 
     def test_a5_dlmalloc_succeeds(self):
-        assert ATTACKS["A5"](create("dlmalloc-cheribuild")).outcome is Outcome.SUCCEEDS
+        assert run_attack("A5", create("dlmalloc-cheribuild")).outcome is Outcome.SUCCEEDS
 
 
 class RevokingHeap(TaggedHeap):
@@ -135,17 +132,17 @@ def _wide_gap_allocator():
 
 class TestClassifierBranches:
     def test_a1_thwarted_by_revocation(self):
-        report = a1_use_after_free(_revoking_allocator())
+        report = run_attack("A1", _revoking_allocator())
         assert report.outcome is Outcome.THWARTED
         assert report.trace[-1].result == "fault:TagViolation"
 
     def test_a2_thwarted_by_revocation(self):
         # realloc copies from the revoked source, so the probe sees a fault
-        report = a2_realloc_widening(_revoking_allocator())
+        report = run_attack("A2", _revoking_allocator())
         assert report.outcome is Outcome.THWARTED
 
     def test_a2_gives_up_after_eight_victims(self):
-        report = a2_realloc_widening(_wide_gap_allocator())
+        report = run_attack("A2", _wide_gap_allocator())
         assert report.outcome is Outcome.NOT_APPLICABLE
         assert report.note == "no adjacent victim found"
         last = report.trace[-1]
@@ -169,7 +166,7 @@ class TestProbesAgainstExpectedCells:
     @pytest.mark.parametrize("name", ALLOCATOR_NAMES)
     @pytest.mark.parametrize("attack_id", ATTACK_IDS)
     def test_probe_matches_expected_cell(self, name, attack_id):
-        report = ATTACKS[attack_id](create(name))
+        report = run_attack(attack_id, create(name))
         expected = EXPECTED_MATRIX.row(name)[ATTACK_IDS.index(attack_id)]
         assert report.outcome is expected
 
@@ -178,7 +175,7 @@ class TestTraces:
     @pytest.mark.parametrize("name", ALLOCATOR_NAMES)
     @pytest.mark.parametrize("attack_id", ATTACK_IDS)
     def test_replay_reproduces_every_step(self, name, attack_id):
-        report = ATTACKS[attack_id](create(name))
+        report = run_attack(attack_id, create(name))
         replayed = replay_trace(report, create(name))
         assert tuple(replayed) == report.trace
 
@@ -190,7 +187,7 @@ class TestTraces:
         for attack_id in ATTACK_IDS:
             steps = []
             for name in ALLOCATOR_NAMES:
-                report = ATTACKS[attack_id](create(name))
+                report = run_attack(attack_id, create(name))
                 replayed = tuple(replay_trace(report, create(name)))
                 assert replayed == report.trace
                 assert [s.result for s in replayed] == [s.result for s in report.trace]
@@ -222,18 +219,18 @@ class TestTraces:
         assert t.error is None
 
     def test_probe_is_deterministic(self):
-        a = ATTACKS["A2"](create("libmalloc-simple"))
-        b = ATTACKS["A2"](create("libmalloc-simple"))
+        a = run_attack("A2", create("libmalloc-simple"))
+        b = run_attack("A2", create("libmalloc-simple"))
         assert a == b
 
     def test_probe_order_does_not_matter(self):
         # each probe owns a fresh allocator, so any order agrees
-        forward = [ATTACKS[aid](create("jemalloc")).outcome for aid in ATTACK_IDS]
-        backward = [ATTACKS[aid](create("jemalloc")).outcome for aid in reversed(ATTACK_IDS)]
+        forward = [run_attack(aid, create("jemalloc")).outcome for aid in ATTACK_IDS]
+        backward = [run_attack(aid, create("jemalloc")).outcome for aid in reversed(ATTACK_IDS)]
         assert forward == list(reversed(backward))
 
     def test_headline_for_not_applicable(self):
-        report = a4_double_free(create("snmalloc-cheribuild"))
+        report = run_attack("A4", create("snmalloc-cheribuild"))
         assert report.headline() == "⊘ not applicable (deferred free)"
 
 
@@ -334,7 +331,7 @@ class TestMalformedOps:
             Tape(create("jemalloc")).do("free", "r0")
 
     def test_replay_of_an_edited_report_names_the_ref(self):
-        report = ATTACKS["A4"](create("jemalloc"))
+        report = run_attack("A4", create("jemalloc"))
         step = report.trace[-1]
         edited = report._replace(trace=report.trace[:-1] + (step._replace(args=("r7",)),))
         with pytest.raises(ValueError, match="^free: unknown ref 'r7'$"):

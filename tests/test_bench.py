@@ -35,6 +35,15 @@ class TestWorkloadValidation:
         with pytest.raises(ValueError, match="^unknown workload kind 'nope'$"):
             Workload("nope", 1)
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "3"], ids=["float", "whole-float", "bool", "str"])
+    @pytest.mark.parametrize("field", ["op_count", "size", "seed", "min_size", "max_size"])
+    def test_fields_that_are_no_int_are_refused(self, field, value):
+        # a float, a bool or a str passed the positivity checks, then
+        # failed inside run_workload or the generator
+        valid = Workload.churn(10, 32) if field in ("op_count", "size") else Workload.randsize(10, 1, 1, 4)
+        with pytest.raises(ValueError, match=f"^{field} must be an int, not {value!r}$"):
+            valid._replace(**{field: value})
+
     def test_descriptor_records_seed(self):
         w = Workload.randsize(10, 42, 16, 64)
         assert "seed=42" in w.describe()

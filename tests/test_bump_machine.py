@@ -29,9 +29,10 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from capheap.allocator_api import AllocError, AllocErrorKind, FreeValidation, round16
+from capheap.allocator_api import AllocError, AllocErrorKind, FreeValidation
 from capheap.capability import ROUNDING_MANTISSA_BITS, ROUNDING_THRESHOLD, CapFault, FaultKind
 from capheap.registry import TRAITS, create
+from granules import round16
 from stateful_settings import STATEFUL
 
 HEAP = 8192  # small enough that the cursor reaches the end

@@ -5,7 +5,7 @@ import struct
 import pytest
 
 from capheap import cli
-from capheap.attacks import ATTACK_IDS, ATTACKS, Outcome
+from capheap.attacks import ATTACK_IDS, Outcome, run_attack
 from capheap.bench import SEED_MAX, WORKLOADS
 from capheap.cli import main
 from capheap.harness import EXPECTED_MATRIX, render, run_matrix
@@ -267,7 +267,7 @@ def trace_script(report) -> list[str]:
 @pytest.mark.parametrize("name", ALLOCATOR_NAMES)
 def test_probe_trace_replays_as_dump_script(name, attack_id, tmp_path, capsysbinary):
     alloc = create(name)
-    report = ATTACKS[attack_id](alloc)
+    report = run_attack(attack_id, alloc)
     lines = trace_script(report)
     script = tmp_path / "script.txt"
     script.write_text("".join(line + "\n" for line in lines))

@@ -7,8 +7,8 @@ import sys
 import pytest
 
 from capheap import engines
-from capheap.allocator_api import AllocError, AllocErrorKind, round16
-from capheap.attacks import ATTACKS, Tape
+from capheap.allocator_api import AllocError, AllocErrorKind
+from capheap.attacks import Tape, run_attack
 from capheap.bench import Workload, run_workload
 from capheap.capability import CapFault, Capability, FaultKind, Perm, _derive, make_root
 from capheap.engines import (
@@ -22,6 +22,7 @@ from capheap.engines import (
 from capheap.harness import EXPECTED_MATRIX, run_matrix
 from capheap.registry import ALLOCATOR_NAMES, TRAITS, create
 from capheap.tagged_memory import GRANULE, TaggedHeap
+from granules import round16
 
 
 FREE_LIST_NAMES = ["dlmalloc-cheribuild", "jemalloc", "libmalloc-simple"]
@@ -1449,17 +1450,17 @@ def test_grid_renders_no_trace_text():
         return seen, result
 
     assert profiled(run_matrix) == (0, EXPECTED_MATRIX)
-    report = ATTACKS["A1"](create("jemalloc"))
+    report = run_attack("A1", create("jemalloc"))
     assert profiled(lambda: report.trace[0].result)[0] == 1
 
 
 def test_grid_builds_no_report():
     """A grid runs each probe's body on a tape and keeps its outcome, so
     it never builds an ``AttackReport`` or a ``TraceStep``: it enters
-    neither ``Tape.report`` nor ``Tape.steps``, and every op it tapes is
+    neither ``run_attack`` nor ``Tape.steps``, and every op it tapes is
     one ``Tape.do`` call."""
     codes = {
-        Tape.report.__code__: "report",
+        run_attack.__code__: "report",
         Tape.steps.fget.__code__: "steps",
         Tape.do.__code__: "do",
     }
@@ -1479,7 +1480,7 @@ def test_grid_builds_no_report():
     # the same hook sees a report and its steps where a probe reports
     sys.setprofile(profile)
     try:
-        ATTACKS["A1"](create("jemalloc"))
+        run_attack("A1", create("jemalloc"))
     finally:
         sys.setprofile(None)
     assert seen == {"do": 128, "report": 1, "steps": 1}

@@ -47,7 +47,7 @@ from hypothesis.stateful import (
 )
 
 from capheap import engines
-from capheap.allocator_api import AllocError, AllocErrorKind, FreeValidation, round16
+from capheap.allocator_api import AllocError, AllocErrorKind, FreeValidation
 from capheap.capability import (
     ROUNDING_MANTISSA_BITS,
     ROUNDING_THRESHOLD,
@@ -58,6 +58,7 @@ from capheap.capability import (
 from capheap.engines import _POISONED, CHUNK_HEADER_SIZE, CHUNK_MAGIC, _class
 from capheap.registry import TRAITS, create
 from capheap.tagged_memory import GRANULE
+from granules import round16
 from stateful_settings import STATEFUL
 
 HEAP = 16384  # small enough that mallocs run out

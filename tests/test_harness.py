@@ -5,7 +5,7 @@ from collections import Counter, deque
 import pytest
 
 from capheap import harness
-from capheap.attacks import ATTACK_IDS, ATTACKS, PROBES, Outcome, replay_trace
+from capheap.attacks import ATTACK_IDS, ATTACKS, Outcome, replay_trace, run_attack
 from capheap.harness import (
     ConfigurationError,
     ConformanceMatrix,
@@ -50,8 +50,8 @@ def test_reset_instance_reports_equal_fresh_ones(name, rounding):
     for i, attack in enumerate(ATTACK_IDS):
         if i:
             reused.reset()
-        fresh = ATTACKS[attack](create(name, rounding_bounds=rounding))
-        assert ATTACKS[attack](reused) == fresh
+        fresh = run_attack(attack, create(name, rounding_bounds=rounding))
+        assert run_attack(attack, reused) == fresh
 
 
 def test_one_instance_per_row(monkeypatch):
@@ -104,6 +104,30 @@ def test_rounding_bounds_reaches_every_instance(monkeypatch, rounding):
     assert run_matrix() == EXPECTED_MATRIX
 
 
+def test_grid_and_report_run_the_one_table(monkeypatch):
+    # a counting wrapper set into ATTACKS, as a tracer sets its spans,
+    # sees every grid cell and every report
+    calls = Counter()
+
+    def counting(attack, body):
+        def run(tape):
+            calls[attack] += 1
+            return body(tape)
+
+        return run
+
+    for attack, body in list(ATTACKS.items()):
+        monkeypatch.setitem(ATTACKS, attack, counting(attack, body))
+    assert run_matrix() == EXPECTED_MATRIX
+    assert calls == {attack: len(ALLOCATOR_NAMES) for attack in ATTACK_IDS}
+    for attack in ATTACK_IDS:
+        for name in ALLOCATOR_NAMES:
+            calls.clear()
+            report = run_attack(attack, create(name))
+            assert report.outcome is EXPECTED_MATRIX.row(name)[ATTACK_IDS.index(attack)]
+            assert calls == {attack: 1}
+
+
 def test_probe_that_raises_leaves_a_fresh_spare(monkeypatch):
     # a probe that writes the heap (a tagged capability, a watched free
     # list) and then raises: the error reaches the caller, and the heap
@@ -124,7 +148,7 @@ def test_probe_that_raises_leaves_a_fresh_spare(monkeypatch):
         assert alloc.heap.watch is not None
         raise ProbeError
 
-    monkeypatch.setitem(PROBES, "A3", raising)
+    monkeypatch.setitem(ATTACKS, "A3", raising)
     with pytest.raises(ProbeError):
         run_matrix(rows=["jemalloc"])
     assert ran == ["jemalloc"]
@@ -148,7 +172,7 @@ def test_grid_and_replay_leave_no_reference_cycles():
         assert gc.collect() == 0
         for name in ALLOCATOR_NAMES:
             for attack in ATTACK_IDS:
-                replay_trace(ATTACKS[attack](create(name, 4096)), create(name, 4096))
+                replay_trace(run_attack(attack, create(name, 4096)), create(name, 4096))
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -19,7 +19,7 @@ from capheap import (
     create,
     run_workload,
 )
-from capheap.attacks import ATTACKS, AttackReport, Outcome, TraceStep
+from capheap.attacks import AttackReport, Outcome, TraceStep, run_attack
 from capheap.bench import BenchResult
 
 
@@ -28,7 +28,7 @@ RECORDS = [AllocatorTraits, TraceStep, AttackReport, ConformanceMatrix, Workload
 
 def _example(cls):
     """One record of ``cls`` and one of its fields."""
-    report = ATTACKS["A1"](create("jemalloc"))
+    report = run_attack("A1", create("jemalloc"))
     return {
         AllocatorTraits: (TRAITS["jemalloc"], "strips_exec"),
         TraceStep: (report.trace[0], "value"),

@@ -13,11 +13,11 @@ SOURCES = sorted(Path(capheap.__file__).parent.glob("*.py"))
 # package source updates its rows here, so each module's size is a
 # reviewed number, as the Python calls per op are.
 CODE_LINES = {
-    "__init__.py": 65,
+    "__init__.py": 66,
     "_csv.py": 8,
-    "allocator_api.py": 83,
-    "attacks.py": 261,
-    "bench.py": 154,
+    "allocator_api.py": 81,
+    "attacks.py": 237,
+    "bench.py": 158,
     "capability.py": 102,
     "cli.py": 149,
     "engines.py": 498,

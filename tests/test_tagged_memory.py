@@ -11,7 +11,7 @@ import pytest
 
 import capheap
 from capheap import harness, tagged_memory
-from capheap.attacks import PROBES
+from capheap.attacks import ATTACKS
 from capheap.capability import CapFault, Capability, FaultKind, PERM_ALL, Perm, make_root
 from capheap.cli import main
 from capheap.harness import EXPECTED_MATRIX, run_matrix
@@ -730,7 +730,7 @@ class TestSpareHeapIsFresh:
     )
     def test_next_heap_snapshots_as_never_used(self, monkeypatch, dirty):
         # the grid's last probe leaves its heap dirty in the way given
-        probe = PROBES["A5"]
+        probe = ATTACKS["A5"]
         ran = []
 
         def dirtying(tape):
@@ -740,7 +740,7 @@ class TestSpareHeapIsFresh:
             ran.append(tape.alloc.traits().name)
             return decision
 
-        monkeypatch.setitem(PROBES, "A5", dirtying)
+        monkeypatch.setitem(ATTACKS, "A5", dirtying)
         assert run_matrix(rows=["jemalloc"]).cells == (EXPECTED_MATRIX.row("jemalloc"),)
         assert ran == ["jemalloc"]  # the dirtying body ran, and to its end
         (spare,) = harness._spare
@@ -765,8 +765,8 @@ class TestSpareHeapIsFresh:
 
             return run
 
-        for attack, probe in list(PROBES.items()):
-            monkeypatch.setitem(PROBES, attack, recording(probe))
+        for attack, probe in list(ATTACKS.items()):
+            monkeypatch.setitem(ATTACKS, attack, recording(probe))
         assert run_matrix(rows=[name]).cells == (EXPECTED_MATRIX.row(name),)
         # each recording body ran, and the row did write its heap
         assert len(wrote) == 5 and any(wrote)

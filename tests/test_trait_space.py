@@ -14,7 +14,7 @@ import itertools
 import pytest
 
 from capheap.allocator_api import AllocatorTraits, FreeValidation
-from capheap.attacks import ATTACK_IDS, ATTACKS, predicted_row
+from capheap.attacks import ATTACK_IDS, predicted_row, run_attack
 from capheap.engines import BumpAllocator, FreeListAllocator, SlabAllocator
 from capheap.registry import TRAITS, engine_for
 from capheap.tagged_memory import TaggedHeap
@@ -105,7 +105,7 @@ def test_double_free_detect_is_derived():
 
 @BY_NAME
 def test_probed_row_equals_predicted_row(traits):
-    row = tuple(ATTACKS[attack](build(traits)).outcome for attack in ATTACK_IDS)
+    row = tuple(run_attack(attack, build(traits)).outcome for attack in ATTACK_IDS)
     assert row == predicted_row(traits)
 
 
