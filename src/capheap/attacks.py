@@ -1,8 +1,8 @@
 """Five deterministic heap-attack probes.
 
 Each probe drives an allocator in its initial state (fresh, or reset:
-the two are the same state) through a short, fully recorded scenario
-and classifies the result:
+the two are the same state) through a short scenario and classifies
+the result:
 
 * A1  use-after-free read-back
 * A2  stale-data exposure through realloc bounds widening
@@ -11,29 +11,31 @@ and classifies the result:
 * A5  executable permission on returned capabilities
 
 Outcomes: the attack Succeeds, is Thwarted, or is NotApplicable when
-its precondition is absent for that allocator.  Every step goes through
-a recording tape, so a report's trace can be replayed against a fresh
-instance and must reproduce each step.  ``Tape.do`` returns the op's
-value (a capability ref, the bytes a load read, a trait's value, or
-None), and the probes decide on those values: a load's bytes against
-the sentinel, a trait as a bool, a refusal as None or as the tape's
-``error``.  The tape is the one interpreter of op names: ``capheap
-dump`` scripts run through it too, with a script's result index ``K``
-naming the tape's ``rK``.
+its precondition is absent for that allocator.
 
-Each probe is a body in ``ATTACKS`` that takes a tape and returns
-``(outcome, note)``.  ``run_attack(k, alloc)`` runs ``ATTACKS[k]`` on a
-new ``Tape(alloc)`` and returns its ``AttackReport``; a caller that
-needs only the outcome, as the conformance grid does, runs the body on
-its own tape and builds no report.
+Each probe is a body in ``ATTACKS`` that takes an op set ``t`` and
+returns ``(outcome, note)``.  Its ops are ``t.malloc``, ``t.free``,
+``t.realloc``, ``t.store`` (bytes at the capability's cursor),
+``t.load``, ``t.set_bounds``, ``t.traits`` and ``t.note``; each returns
+its value and raises ``AllocError`` or ``CapFault`` when the allocator
+refuses, and the body decides on those values: a load's bytes against
+the sentinel, a trait as a bool, a refusal as the exception it caught.
+Two op sets run the bodies.  ``Ops(alloc)`` is the allocator's own
+callables and records nothing; the conformance grid runs every cell on
+one, so a grid builds no step and no report.  ``Tape(alloc)`` is the
+one recorder: its ops record each step, and ``run_attack(k, alloc)``
+runs ``ATTACKS[k]`` on a new tape and returns its ``AttackReport``,
+whose trace can be replayed against a fresh instance and must reproduce
+each step.  ``Tape.do`` runs an op by name, as ``replay_trace`` and
+``capheap dump`` scripts do, with a script's result index ``K`` naming
+the tape's ``rK``.
 
 Reports and their steps are ``NamedTuple`` records, immutable like
 ``Capability``.  A step records the op's value, not its text: the text,
-``TraceStep.result``, is rendered only when it is read, so a grid that
-reads outcomes alone renders none.  Two recorded steps are equal
-exactly when their ``(op, args, result)`` are.  A step keeps a
-refusal's kind, never the caught exception, so a probe leaves no
-reference cycle behind for the cyclic collector.
+``TraceStep.result``, is rendered only when it is read.  Two recorded
+steps are equal exactly when their ``(op, args, result)`` are.  A step
+keeps a refusal's kind, never the caught exception, so a probe leaves
+no reference cycle behind for the cyclic collector.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
     "ATTACKS",
     "OP_FIELDS",
     "AttackReport",
+    "Ops",
     "Outcome",
     "TraceStep",
     "Tape",
@@ -130,6 +133,36 @@ class AttackReport(NamedTuple):
         return f"{self.outcome.glyph} {text}"
 
 
+class Ops:
+    """The probe ops on one allocator, as its own callables.  ``malloc``,
+    ``free``, ``realloc``, the heap's ``load`` and
+    ``Capability.set_bounds`` are bound when the set is built, so a
+    wrapper set on their class before then is the one called;
+    ``store`` (at the capability's cursor), ``traits`` and ``note`` are
+    one-line adapters.  Each op returns its value and raises the
+    allocator's ``AllocError`` or ``CapFault`` when it refuses.  An op
+    set records nothing: ``Tape`` is the one recorder."""
+
+    __slots__ = ("alloc", "malloc", "free", "realloc", "load", "set_bounds")
+
+    def __init__(self, alloc: Allocator):
+        self.alloc = alloc
+        self.malloc = alloc.malloc
+        self.free = alloc.free
+        self.realloc = alloc.realloc
+        self.load = alloc.heap.load
+        self.set_bounds = Capability.set_bounds
+
+    def store(self, cap: Capability, data: bytes) -> None:
+        return self.alloc.heap.store(cap, cap.address, data)
+
+    def traits(self, name: str):
+        return _TRAITS[name](self.alloc.traits())
+
+    def note(self, text: str) -> None:
+        pass
+
+
 class Tape:
     """Executes probe and dump-script operations against one allocator
     while recording (op, args, value) steps.  Capabilities are
@@ -137,75 +170,87 @@ class Tape:
     makes the recording self-contained: replaying the same ops on a
     fresh instance assigns the same ids.
 
-    ``do`` returns the op's value: a new capability's ref, the bytes a
-    ``load`` read, or a trait's value; it returns None for an op that
-    returns nothing and for one the allocator refuses.  A refusal
-    records its kind (``error:Kind`` or ``fault:Kind`` as text) and
-    leaves its message in ``error``, which is None after an op that
-    succeeds.  A malformed op
+    ``do`` runs an op by name through the tape's own ``Ops`` and returns
+    its value: a new capability's ref, the bytes a ``load`` read, or a
+    trait's value; it returns None for an op that returns nothing and
+    for one the allocator refuses.  A refusal records its kind
+    (``error:Kind`` or ``fault:Kind`` as text) and leaves its message in
+    ``error``, which is None after an op that succeeds.  A malformed op
     (an unknown op, ref or trait, or the wrong number of arguments)
     raises a ``ValueError`` naming it before any engine call; any other
     exception, such as a ``ValueError`` for an argument the model
     rejects, propagates unchanged.  Neither records a step.
 
+    The methods ``malloc`` .. ``note`` are the op set of ``Ops``, taped:
+    each names a capability by the ref of the step that returned that
+    very object and bytes as hex, records through ``do``, returns what
+    the ``Ops`` method would, and raises a refusal ``do`` recorded as the
+    allocator raised it (same class, kind and detail).
+
     ``do`` keeps each step as a plain ``(op, args, value)`` tuple, and
     ``steps`` builds the ``TraceStep`` records from them only when it is
-    read, so a probe whose caller reads only its outcome builds none."""
+    read."""
 
-    __slots__ = ("alloc", "error", "_caps", "_steps")
+    __slots__ = ("alloc", "_ops", "_caps", "_refs", "_refusal", "_steps")
 
     def __init__(self, alloc: Allocator):
         self.alloc = alloc
-        self.error: str | None = None
+        self._ops = Ops(alloc)
         self._caps: dict[str, Capability] = {}
+        self._refs: dict[int, str] = {}  # id of each capability in _caps -> its ref
+        # the last op's refusal as (class, kind, detail), None if it passed
+        self._refusal: tuple | None = None
         self._steps: list[tuple] = []
+
+    @property
+    def error(self) -> str | None:
+        """The last op's refusal text, or None after an op that succeeds."""
+        refusal = self._refusal
+        return None if refusal is None else str(refusal[0](*refusal[1:]))
 
     @property
     def steps(self) -> list[TraceStep]:
         """Every step recorded so far, as a new list of ``TraceStep``."""
         return [_tuple_new(TraceStep, step) for step in self._steps]
 
-    def cap(self, ref: str) -> Capability:
-        return self._caps[ref]
-
     def do(self, op: str, *args):
-        alloc = self.alloc
+        ops = self._ops
         caps = self._caps
         # op names tested in the order of their use by the probes
         try:
             if op == "malloc":
                 (size,) = args
-                value = alloc.malloc(size)
+                value = ops.malloc(size)
             elif op == "free":
                 (ref,) = args
-                value = alloc.free(caps[ref])
+                value = ops.free(caps[ref])
             elif op == "traits":
                 (name,) = args
-                value = _TRAITS[name](alloc.traits())
+                value = ops.traits(name)
             elif op == "store":
                 ref, data = args
-                cap = caps[ref]
-                value = alloc.heap.store(cap, cap.address, bytes.fromhex(data))
+                value = ops.store(caps[ref], bytes.fromhex(data))
             elif op == "load":
                 ref, addr, length = args
-                value = alloc.heap.load(caps[ref], addr, length)
+                value = ops.load(caps[ref], addr, length)
             elif op == "set_bounds":
                 ref, base, length = args
-                value = caps[ref].set_bounds(base, length)
+                value = ops.set_bounds(caps[ref], base, length)
             elif op == "realloc":
                 ref, size = args
-                value = alloc.realloc(caps[ref], size)
+                value = ops.realloc(caps[ref], size)
             elif op == "note":
-                (_,) = args
-                value = None
+                (text,) = args
+                value = ops.note(text)
             else:
                 raise ValueError(f"unknown trace op {op!r}")
         except (AllocError, CapFault) as exc:
-            # only the kind and text survive the handler: the exception's
-            # traceback refers to this frame, so keeping it would make a cycle
+            # only the class, kind and detail survive the handler: the
+            # exception's traceback refers to this frame, so keeping it
+            # would make a cycle
             kind = "fault" if isinstance(exc, CapFault) else "error"
             self._steps.append((op, args, (kind, exc.kind)))
-            self.error = str(exc)
+            self._refusal = (type(exc), exc.kind, exc.detail)
             return None
         except (KeyError, TypeError, ValueError):
             # checked only once something raised, so a passing op pays
@@ -214,10 +259,11 @@ class Tape:
             if why is None:
                 raise
             raise ValueError(why) from None
-        self.error = None
+        self._refusal = None
         if isinstance(value, Capability):
             ref = f"r{len(caps)}"
             caps[ref] = value
+            self._refs[id(value)] = ref
             self._steps.append((op, args, (ref, value)))
             return ref
         self._steps.append((op, args, value))
@@ -237,6 +283,43 @@ class Tape:
         if fields == "T" and (not isinstance(first, str) or first not in _TRAITS):
             return f"unknown trait {first!r}"
         return None
+
+    def malloc(self, n: int) -> Capability:
+        return self._caps[self._checked(self.do("malloc", n))]
+
+    def free(self, cap: Capability) -> None:
+        return self._checked(self.do("free", self._ref(cap)))
+
+    def realloc(self, cap: Capability, n: int) -> Capability:
+        return self._caps[self._checked(self.do("realloc", self._ref(cap), n))]
+
+    def store(self, cap: Capability, data: bytes) -> None:
+        return self._checked(self.do("store", self._ref(cap), data.hex()))
+
+    def load(self, cap: Capability, addr: int, n: int) -> bytes:
+        return self._checked(self.do("load", self._ref(cap), addr, n))
+
+    def set_bounds(self, cap: Capability, base: int, n: int) -> Capability:
+        return self._caps[self._checked(self.do("set_bounds", self._ref(cap), base, n))]
+
+    def traits(self, name: str):
+        return self.do("traits", name)
+
+    def note(self, text: str) -> None:
+        return self.do("note", text)
+
+    def _ref(self, cap: Capability) -> str:
+        try:
+            return self._refs[id(cap)]
+        except KeyError:
+            raise ValueError(f"no step of this tape returned {cap!r}") from None
+
+    def _checked(self, value):
+        """``value``, or the refusal the op just recorded, raised anew."""
+        refusal = self._refusal
+        if refusal is not None:
+            raise refusal[0](*refusal[1:])
+        return value
 
 
 # each op's arguments: K a capability ref, N a number, H bytes in hex,
@@ -258,24 +341,24 @@ def replay_trace(report: AttackReport, alloc: Allocator) -> list[TraceStep]:
     return tape.steps
 
 
-def _a1(t: Tape) -> tuple[Outcome, str]:
+def _a1(t: Ops | Tape) -> tuple[Outcome, str]:
     """Read back a sentinel through a capability that was freed.
 
     Succeeds when the stale capability still works and the data is
     intact: nothing revoked or quarantined the allocation.
     """
-    p = t.do("malloc", 64)
-    if p is not None:
-        addr = t.cap(p).address
-        t.do("store", p, A1_SENTINEL.hex())
-        if t.error is None:
-            t.do("free", p)
-            if t.error is None and t.do("load", p, addr, len(A1_SENTINEL)) == A1_SENTINEL:
-                return Outcome.SUCCEEDS, ""
+    try:
+        p = t.malloc(64)
+        t.store(p, A1_SENTINEL)
+        t.free(p)
+        if t.load(p, p.address, len(A1_SENTINEL)) == A1_SENTINEL:
+            return Outcome.SUCCEEDS, ""
+    except (AllocError, CapFault):
+        pass
     return Outcome.THWARTED, ""
 
 
-def _a2(t: Tape) -> tuple[Outcome, str]:
+def _a2(t: Ops | Tape) -> tuple[Outcome, str]:
     """Grow an allocation over a freed neighbor and read its stale bytes.
 
     Needs bounds narrowing to be meaningful at all.  The probe plants a
@@ -283,71 +366,76 @@ def _a2(t: Tape) -> tuple[Outcome, str]:
     over the victim's range, and reads at the victim's old address
     through the widened capability.
     """
-    if not t.do("traits", "narrow_bounds"):
+    if not t.traits("narrow_bounds"):
         return Outcome.NOT_APPLICABLE, "no bounds narrowing"
-    p = t.do("malloc", 32)
-    if p is None:
+    try:
+        p = t.malloc(32)
+    except (AllocError, CapFault):
         return Outcome.THWARTED, ""
-    p_addr = t.cap(p).address
+    victim = None
     for _ in range(A2_MAX_VICTIMS):
-        victim = t.do("malloc", 32)
-        if victim is None or p_addr < t.cap(victim).address <= p_addr + 64:
+        try:
+            cap = t.malloc(32)
+        except (AllocError, CapFault):
             break
-    else:
-        victim = None
+        if p.address < cap.address <= p.address + 64:
+            victim = cap
+            break
     if victim is None:
-        t.do("note", "no adjacent victim found")
+        t.note("no adjacent victim found")
         return Outcome.NOT_APPLICABLE, "no adjacent victim found"
-    victim_addr = t.cap(victim).address
-    t.do("store", victim, A2_SENTINEL.hex())
-    if t.error is None:
-        t.do("free", victim)
-        q = t.do("realloc", p, 128) if t.error is None else None
-        if q is not None and t.do("load", q, victim_addr, len(A2_SENTINEL)) == A2_SENTINEL:
+    try:
+        t.store(victim, A2_SENTINEL)
+        t.free(victim)
+        q = t.realloc(p, 128)
+        if t.load(q, victim.address, len(A2_SENTINEL)) == A2_SENTINEL:
             return Outcome.SUCCEEDS, ""
+    except (AllocError, CapFault):
+        pass
     return Outcome.THWARTED, ""
 
 
-def _a3(t: Tape) -> tuple[Outcome, str]:
+def _a3(t: Ops | Tape) -> tuple[Outcome, str]:
     """Hand free() a capability narrowed below the allocation.
 
     Succeeds when the tampered capability is accepted silently; engines
     that validate through the capability itself fault instead.
     """
-    p = t.do("malloc", 64)
-    narrowed = None if p is None else t.do("set_bounds", p, t.cap(p).address, 16)
-    if narrowed is None:
+    try:
+        p = t.malloc(64)
+        t.free(t.set_bounds(p, p.address, 16))
+    except (AllocError, CapFault):
         return Outcome.THWARTED, ""
-    t.do("free", narrowed)
-    return Outcome.SUCCEEDS if t.error is None else Outcome.THWARTED, ""
+    return Outcome.SUCCEEDS, ""
 
 
-def _a4(t: Tape) -> tuple[Outcome, str]:
+def _a4(t: Ops | Tape) -> tuple[Outcome, str]:
     """Free the same allocation twice.
 
     Not applicable under deferred deallocation, where the second free's
     effect is unobservable within the probe's synchronous window.
     """
-    if t.do("traits", "deferred_free"):
+    if t.traits("deferred_free"):
         return Outcome.NOT_APPLICABLE, "deferred free"
-    p = t.do("malloc", 48)
-    if p is not None:
-        t.do("free", p)
-        if t.error is None:
-            t.do("free", p)
-            if t.error is None:
-                return Outcome.SUCCEEDS, ""
-    return Outcome.THWARTED, ""
+    try:
+        p = t.malloc(48)
+        t.free(p)
+        t.free(p)
+    except (AllocError, CapFault):
+        return Outcome.THWARTED, ""
+    return Outcome.SUCCEEDS, ""
 
 
-def _a5(t: Tape) -> tuple[Outcome, str]:
+def _a5(t: Ops | Tape) -> tuple[Outcome, str]:
     """Check whether returned capabilities carry execute authority."""
-    p = t.do("malloc", 32)
-    has_exec = p is not None and t.cap(p).perms & _EXEC
-    return Outcome.SUCCEEDS if has_exec else Outcome.THWARTED, ""
+    try:
+        p = t.malloc(32)
+    except (AllocError, CapFault):
+        return Outcome.THWARTED, ""
+    return Outcome.SUCCEEDS if p.perms & _EXEC else Outcome.THWARTED, ""
 
 
-ATTACKS: dict[str, Callable[[Tape], tuple[Outcome, str]]] = {
+ATTACKS: dict[str, Callable[[Ops | Tape], tuple[Outcome, str]]] = {
     "A1": _a1,
     "A2": _a2,
     "A3": _a3,

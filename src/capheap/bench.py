@@ -27,11 +27,18 @@ CSV_HEADER = "allocator,workload,ops,elapsed_ns,peak_live_bytes,peak_touched_byt
 SEED_MAX = 2**64 - 1  # seeds are the generator's whole 64-bit state; 0 is its fixed point
 
 
+def _require_int(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, not {value!r}")
+
+
 class Xorshift64:
     """Tiny deterministic generator; the seed is part of the workload
-    descriptor so runs are reproducible from the output alone."""
+    descriptor so runs are reproducible from the output alone.  The seed
+    is an ``int`` and no ``bool``, as a ``Workload``'s is."""
 
     def __init__(self, seed: int):
+        _require_int("seed", seed)
         if not 1 <= seed <= SEED_MAX:
             raise ValueError("seed must be in [1, 2**64 - 1]")
         self.state = seed
@@ -65,12 +72,10 @@ class Workload(_Workload):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         for name in _Workload._fields[1:]:
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, not {value!r}")
+            _require_int(name, getattr(self, name))
         if self.op_count < 1:
             raise ValueError("op_count must be at least 1")
-        if self.kind not in WORKLOADS:
+        if not isinstance(self.kind, str) or self.kind not in WORKLOADS:
             raise ValueError(f"unknown workload kind {self.kind!r}")
         for name in WORKLOADS[self.kind][0]:
             if getattr(self, name) < 1:

@@ -16,7 +16,7 @@ from collections import deque
 from typing import Iterable, NamedTuple
 
 from . import _csv
-from .attacks import ATTACK_IDS, ATTACKS, Outcome, Tape
+from .attacks import ATTACK_IDS, ATTACKS, Ops, Outcome
 from .registry import ALLOCATOR_NAMES, TRAITS, engine_for
 from .tagged_memory import DEFAULT_HEAP_SIZE, TaggedHeap
 
@@ -77,8 +77,9 @@ def run_matrix(
     """Probe every (allocator, attack) cell serially: a cell is tens of
     microseconds of pure Python, too little for a GIL-bound pool to pay.
     A cell runs the attack's body from ``attacks.ATTACKS``, looked up per
-    cell, on a new ``Tape`` and keeps its outcome alone: the grid builds
-    no ``AttackReport`` and no ``TraceStep``.
+    cell, on the row's ``attacks.Ops`` (the instance's own callables) and
+    keeps its outcome alone: the grid records nothing, so it builds no
+    ``Tape``, no ``TraceStep`` and no ``AttackReport``.
     Every row runs over one 1 MiB heap, cleared before each row's
     instance is built, and each instance is reset before every probe
     after the first, so each cell starts from the state a fresh instance
@@ -113,11 +114,12 @@ def run_matrix(
         for name in names:
             heap.clear()
             alloc = engine_for(TRAITS[name])(heap, TRAITS[name], rounding_bounds=rounding_bounds)
+            ops = Ops(alloc)  # a reset keeps its bound ops valid
             outcomes = []
             for attack in ATTACK_IDS:
                 if outcomes:
                     alloc.reset()
-                outcomes.append(ATTACKS[attack](Tape(alloc))[0])
+                outcomes.append(ATTACKS[attack](ops)[0])
             cells.append(tuple(outcomes))
     finally:
         heap.clear()

@@ -32,12 +32,9 @@ Python call.  The permission clause is ``perms & need != need``, true
 for an int mask exactly when ``need & ~perms`` is, without building the
 complement; a mask that is no int (only a hand-built capability holds
 one) raises ``TypeError`` there as it did in ``check_access``, with the
-text for ``&`` where that was for ``~``.  ``store`` still calls
-``check_access`` on every access: the benchmark's traced counts require
-some ``check_access`` call in each of its small workloads, and on
-mix-reset the free list's moving realloc, through ``store``, makes the
-only ones.  Once the benchmark counts something a folded check keeps,
-``store`` can be folded too.
+text for ``&`` where that was for ``~``.  ``store`` calls
+``check_access`` on every access; ``CALLS_PER_HEAP_OP`` in
+``tests/test_engines.py`` pins each access's Python calls.
 
 An address that is no int (``16.0``, ``"16"``, None) is refused with
 ``CapFault(BOUNDS_VIOLATION)``, text ``address 16.0 is not an int``,

@@ -4,9 +4,11 @@ import sys
 
 import pytest
 
-from capheap.allocator_api import AllocatorTraits, FreeValidation
+from capheap.allocator_api import AllocError, AllocErrorKind, AllocatorTraits, FreeValidation
 from capheap.attacks import (
     ATTACK_IDS,
+    ATTACKS,
+    Ops,
     Outcome,
     Tape,
     predicted_row,
@@ -232,6 +234,61 @@ class TestTraces:
     def test_headline_for_not_applicable(self):
         report = run_attack("A4", create("snmalloc-cheribuild"))
         assert report.headline() == "⊘ not applicable (deferred free)"
+
+
+class TestOpSets:
+    """The bodies run alike on the allocator's own ops and on a tape, and
+    a tape's ops return and raise what the allocator's do."""
+
+    @pytest.mark.parametrize("rounding", [False, True], ids=["exact", "rounded"])
+    @pytest.mark.parametrize("name", ALLOCATOR_NAMES)
+    @pytest.mark.parametrize("attack_id", ATTACK_IDS)
+    def test_every_body_decides_alike_on_ops_and_on_a_tape(self, attack_id, name, rounding):
+        body = ATTACKS[attack_id]
+        decision = body(Ops(create(name, rounding_bounds=rounding)))
+        assert body(Tape(create(name, rounding_bounds=rounding))) == decision
+        report = run_attack(attack_id, create(name, rounding_bounds=rounding))
+        assert (report.outcome, report.note) == decision
+        assert tuple(replay_trace(report, create(name, rounding_bounds=rounding))) == report.trace
+
+    @staticmethod
+    def refusal(run):
+        try:
+            run()
+        except (AllocError, CapFault) as exc:
+            return type(exc), exc.kind, exc.detail
+        raise AssertionError("no refusal")
+
+    def test_a_tape_raises_each_refusal_as_the_allocator_does(self):
+        ops, tape = Ops(create("bump-alloc-nocheri")), Tape(create("bump-alloc-nocheri"))
+        p, q = ops.malloc(32), tape.malloc(32)
+        assert p == q
+        ops.free(p)
+        tape.free(q)
+        assert self.refusal(lambda: ops.free(p)) == self.refusal(lambda: tape.free(q)) == (
+            AllocError, AllocErrorKind.DOUBLE_FREE, "block 0 already freed")
+        assert tape.steps[-1].result == "error:DoubleFree"
+        ops, tape = Ops(create("jemalloc")), Tape(create("jemalloc"))
+        p, q = ops.malloc(32), tape.malloc(32)
+        fault = self.refusal(lambda: ops.load(p, p.address + 4096, 8))
+        assert fault[:2] == (CapFault, FaultKind.BOUNDS_VIOLATION)
+        assert self.refusal(lambda: tape.load(q, q.address + 4096, 8)) == fault
+        assert tape.load(q, q.address, 8) == ops.load(p, p.address, 8)
+        assert tape.error is None
+
+    def test_a_tape_names_a_capability_by_the_step_that_returned_it(self):
+        tape = Tape(create("snmalloc-repo"))
+        p = tape.malloc(64)
+        q = tape.set_bounds(p, p.base, p.top - p.base)
+        assert q == p and q is not p
+        tape.store(q, b"\xa5" * 4)
+        tape.free(q)
+        assert [(s.op, s.args) for s in tape.steps] == [
+            ("malloc", (64,)), ("set_bounds", ("r0", 0, 64)),
+            ("store", ("r1", "a5a5a5a5")), ("free", ("r1",))]
+        with pytest.raises(ValueError, match="^no step of this tape returned Capability"):
+            tape.free(Ops(create("snmalloc-repo")).malloc(64))
+        assert len(tape.steps) == 4
 
 
 ENGINE_ERRORS = (KeyError("engine bug"), ValueError("engine bug"))

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from capheap.bench import Workload, Xorshift64, emit_csv, run_workload
@@ -35,6 +37,12 @@ class TestWorkloadValidation:
         with pytest.raises(ValueError, match="^unknown workload kind 'nope'$"):
             Workload("nope", 1)
 
+    @pytest.mark.parametrize("kind", [["churn"], {"churn": 1}, None, 3], ids=["list", "dict", "none", "int"])
+    def test_a_kind_that_is_no_str_is_unknown(self, kind):
+        # an unhashable kind raised TypeError from the table lookup
+        with pytest.raises(ValueError, match=f"^{re.escape(f'unknown workload kind {kind!r}')}$"):
+            Workload(kind, 1)
+
     @pytest.mark.parametrize("value", [2.5, 2.0, True, "3"], ids=["float", "whole-float", "bool", "str"])
     @pytest.mark.parametrize("field", ["op_count", "size", "seed", "min_size", "max_size"])
     def test_fields_that_are_no_int_are_refused(self, field, value):
@@ -63,6 +71,13 @@ def test_xorshift_rejects_zero_seed():
 @pytest.mark.parametrize("seed", [2**64, 2**65, -1])
 def test_xorshift_rejects_seeds_outside_64_bits(seed):
     with pytest.raises(ValueError, match="seed must be in"):
+        Xorshift64(seed)
+
+
+@pytest.mark.parametrize("seed", [2.0, "1", True], ids=["whole-float", "str", "bool"])
+def test_xorshift_refuses_a_seed_that_is_no_int(seed):
+    # a whole float built, then its first next() raised TypeError
+    with pytest.raises(ValueError, match=f"^seed must be an int, not {seed!r}$"):
         Xorshift64(seed)
 
 

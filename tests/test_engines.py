@@ -1408,7 +1408,7 @@ def test_python_calls_per_tape_op(name):
     malloc, ref = calls(tape.do, "malloc", 48)
     direct_malloc, cap = calls(twin.malloc, 48)
     addr = cap.address
-    assert tape.cap(ref) == cap
+    assert tape.steps[-1].value == (ref, cap)
     load, data = calls(tape.do, "load", ref, addr, 8)
     assert data == twin.heap.load(cap, addr, 8)
     bounds, _ = calls(tape.do, "set_bounds", ref, addr, 16)
@@ -1455,12 +1455,13 @@ def test_grid_renders_no_trace_text():
 
 
 def test_grid_builds_no_report():
-    """A grid runs each probe's body on a tape and keeps its outcome, so
-    it never builds an ``AttackReport`` or a ``TraceStep``: it enters
-    neither ``run_attack`` nor ``Tape.steps``, and every op it tapes is
-    one ``Tape.do`` call."""
+    """A grid runs each probe's body on the row's ``Ops``, which records
+    nothing, and keeps its outcome: it builds no ``Tape``, no
+    ``AttackReport`` and no ``TraceStep``, so it enters none of
+    ``run_attack``, ``Tape.__init__``, ``Tape.do`` or ``Tape.steps``."""
     codes = {
         run_attack.__code__: "report",
+        Tape.__init__.__code__: "init",
         Tape.steps.fget.__code__: "steps",
         Tape.do.__code__: "do",
     }
@@ -1476,14 +1477,27 @@ def test_grid_builds_no_report():
     finally:
         sys.setprofile(None)
     assert matrix == EXPECTED_MATRIX
-    assert seen == {"do": 124}
-    # the same hook sees a report and its steps where a probe reports
+    assert seen == {}
+    # the same hook sees a tape, its ops, a report and its steps where a
+    # probe reports
     sys.setprofile(profile)
     try:
         run_attack("A1", create("jemalloc"))
     finally:
         sys.setprofile(None)
-    assert seen == {"do": 128, "report": 1, "steps": 1}
+    assert seen == {"init": 1, "do": 4, "report": 1, "steps": 1}
+
+
+# Python calls into capheap for one default ``run_matrix()`` after a
+# first grid has left its heap: each op a body makes is the engine's own
+# call, plus one ``Ops`` per row and its adapters for store, traits and
+# note.
+CALLS_PER_GRID = 478
+
+
+def test_python_calls_per_grid():
+    run_matrix()
+    assert calls_into_capheap(run_matrix) == CALLS_PER_GRID
 
 
 # Python calls into capheap per heap access that passes, on a fresh heap:

@@ -5,7 +5,7 @@ from collections import Counter, deque
 import pytest
 
 from capheap import harness
-from capheap.attacks import ATTACK_IDS, ATTACKS, Outcome, replay_trace, run_attack
+from capheap.attacks import ATTACK_IDS, ATTACKS, Ops, Outcome, replay_trace, run_attack
 from capheap.harness import (
     ConfigurationError,
     ConformanceMatrix,
@@ -110,9 +110,9 @@ def test_grid_and_report_run_the_one_table(monkeypatch):
     calls = Counter()
 
     def counting(attack, body):
-        def run(tape):
+        def run(t):
             calls[attack] += 1
-            return body(tape)
+            return body(t)
 
         return run
 
@@ -137,14 +137,16 @@ def test_probe_that_raises_leaves_a_fresh_spare(monkeypatch):
 
     ran = []
 
-    def raising(tape):
-        alloc = tape.alloc
-        ran.append(alloc.traits().name)
+    def raising(t):
+        # the grid's op set: the allocator's own ops, over its instance
+        assert type(t) is Ops
+        alloc = t.alloc
+        ran.append(t.traits("name"))
         alloc.heap.store_cap(alloc.region, alloc.heap.size - 16, alloc.region)
-        blocks = [alloc.malloc(16) for _ in range(100)]
+        blocks = [t.malloc(16) for _ in range(100)]
         for cap in blocks:
-            alloc.free(cap)
-        alloc.malloc(1000)
+            t.free(cap)
+        t.malloc(1000)
         assert alloc.heap.watch is not None
         raise ProbeError
 

@@ -16,12 +16,12 @@ CODE_LINES = {
     "__init__.py": 66,
     "_csv.py": 8,
     "allocator_api.py": 81,
-    "attacks.py": 237,
-    "bench.py": 158,
+    "attacks.py": 288,
+    "bench.py": 160,
     "capability.py": 102,
     "cli.py": 149,
     "engines.py": 498,
-    "harness.py": 112,
+    "harness.py": 113,
     "registry.py": 29,
     "tagged_memory.py": 149,
 }

@@ -733,11 +733,11 @@ class TestSpareHeapIsFresh:
         probe = ATTACKS["A5"]
         ran = []
 
-        def dirtying(tape):
-            decision = probe(tape)
-            dirty(tape.alloc)
-            assert tape.alloc.heap.snapshot() != FRESH_GRID_SNAPSHOT
-            ran.append(tape.alloc.traits().name)
+        def dirtying(t):
+            decision = probe(t)
+            dirty(t.alloc)
+            assert t.alloc.heap.snapshot() != FRESH_GRID_SNAPSHOT
+            ran.append(t.alloc.traits().name)
             return decision
 
         monkeypatch.setitem(ATTACKS, "A5", dirtying)
@@ -758,9 +758,9 @@ class TestSpareHeapIsFresh:
         wrote = []
 
         def recording(probe):
-            def run(tape):
-                decision = probe(tape)
-                wrote.append(tape.alloc.heap.snapshot() != FRESH_GRID_SNAPSHOT)
+            def run(t):
+                decision = probe(t)
+                wrote.append(t.alloc.heap.snapshot() != FRESH_GRID_SNAPSHOT)
                 return decision
 
             return run
