@@ -74,6 +74,10 @@ class AllocError(Exception):
         self.kind = kind
         self.detail = detail
 
+    def __reduce__(self):
+        # ``args`` holds only the message: pickle and copy rebuild from these
+        return type(self), (self.kind, self.detail)
+
 
 # the two client permission masks, as plain ints computed once
 _CLIENT_PERMS = int(PERM_ALL)

@@ -84,6 +84,10 @@ class CapFault(Exception):
         self.kind = kind
         self.detail = detail
 
+    def __reduce__(self):
+        # ``args`` holds only the message: pickle and copy rebuild from these
+        return type(self), (self.kind, self.detail)
+
 
 class Capability(NamedTuple):
     """An immutable capability value.
@@ -115,13 +119,20 @@ class Capability(NamedTuple):
         return _derive(self, new_base, length, new_base, self.perms, rounding)
 
     def set_address(self, address: int) -> "Capability":
-        """Copy with the cursor moved; bounds and tag are untouched."""
+        """Copy with the cursor moved; bounds and tag are untouched.  An
+        address that is no int faults with ``BOUNDS_VIOLATION``, as a
+        heap access at one does."""
+        if not isinstance(address, int):
+            raise CapFault(FaultKind.BOUNDS_VIOLATION, f"address {address!r} is not an int")
         if not 0 <= address <= ADDRESS_MAX:
             raise ValueError(f"address {address} outside 32-bit range")
         return Capability(self.tag, self.base, self.top, address, self.perms)
 
     def and_perms(self, mask: int) -> "Capability":
-        """Copy with permissions intersected with ``mask``."""
+        """Copy with permissions intersected with ``mask``.  A mask that is
+        no int faults with ``PERMISSION_VIOLATION``."""
+        if not isinstance(mask, int):
+            raise CapFault(FaultKind.PERMISSION_VIOLATION, f"mask {mask!r} is not an int")
         # int.__and__ directly: a Perm mask would otherwise win the
         # operator dispatch (IntFlag.__rand__) and hand back a Perm
         return Capability(self.tag, self.base, self.top, self.address, int.__and__(self.perms, mask))

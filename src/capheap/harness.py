@@ -65,10 +65,11 @@ class ConformanceMatrix(_Matrix):
         return self.cells[self.names.index(name)]
 
 
-# The heap the last grid left for the next one, cleared.  A deque's pop
-# and append are atomic, so grids on two threads need no lock: each takes
-# the spare or maps its own heap, and ``maxlen`` keeps one of the two.
-_spare: deque[TaggedHeap] = deque(maxlen=1)
+# What the last grid left for the next one: its heap, cleared, and the
+# instances built over it, keyed by (trait record, rounding mode).  A
+# deque's pop and append are atomic, so grids on two threads need no
+# lock: each takes the spare or builds its own, and ``maxlen`` keeps one.
+_spare: deque[tuple[TaggedHeap, dict]] = deque(maxlen=1)
 
 
 def run_matrix(
@@ -80,12 +81,15 @@ def run_matrix(
     cell, on the row's ``attacks.Ops`` (the instance's own callables) and
     keeps its outcome alone: the grid records nothing, so it builds no
     ``Tape``, no ``TraceStep`` and no ``AttackReport``.
-    Every row runs over one 1 MiB heap, cleared before each row's
-    instance is built, and each instance is reset before every probe
-    after the first, so each cell starts from the state a fresh instance
-    on a fresh heap has.  The grid takes the heap the last grid left and
-    leaves it, cleared, for the next, even when a probe raises: a grid
-    maps at most one heap, and none after the first grid in a process.
+    Every row runs over one 1 MiB heap.  A row's instance is the one an
+    earlier grid built over that heap for the same trait record and
+    rounding mode (the truth of ``rounding_bounds``), reset; failing
+    that, the heap is cleared and the instance built.  Each instance is
+    reset again before every probe after the first, so each cell starts
+    from the state a fresh instance on a fresh heap has.  The grid takes
+    the heap and instances the last grid left and leaves them, the heap
+    cleared, for the next, even when a probe raises: a grid maps at most
+    one heap, and none after the first grid in a process.
     ``rows`` restricts the run to a subset of allocators, in table order;
     a ``str``, an item that is no ``str`` or an unknown name raises
     ``ConfigurationError`` before the grid takes a heap.
@@ -105,16 +109,25 @@ def run_matrix(
         unknown = rows - set(ALLOCATOR_NAMES)
         if unknown:
             raise ConfigurationError(f"unknown allocators: {sorted(unknown)}")
+    rounding = bool(rounding_bounds)  # a key half; the engines read only its truth
     try:
-        heap = _spare.pop()
+        heap, built = _spare.pop()
     except IndexError:
-        heap = TaggedHeap(DEFAULT_HEAP_SIZE)
+        heap, built = TaggedHeap(DEFAULT_HEAP_SIZE), {}
     cells = []
     try:
         for name in names:
-            heap.clear()
-            alloc = engine_for(TRAITS[name])(heap, TRAITS[name], rounding_bounds=rounding_bounds)
-            ops = Ops(alloc)  # a reset keeps its bound ops valid
+            traits = TRAITS[name]
+            alloc = built.get((traits, rounding))
+            if alloc is None:
+                heap.clear()
+                alloc = engine_for(traits)(heap, traits, rounding_bounds=rounding)
+                built[traits, rounding] = alloc
+            else:
+                alloc.reset()
+            # built per row, so it binds the engine's methods as they are
+            # now; a reset keeps its bound ops valid
+            ops = Ops(alloc)
             outcomes = []
             for attack in ATTACK_IDS:
                 if outcomes:
@@ -123,7 +136,7 @@ def run_matrix(
             cells.append(tuple(outcomes))
     finally:
         heap.clear()
-        _spare.append(heap)
+        _spare.append((heap, built))
     return ConformanceMatrix(names, ATTACK_IDS, tuple(cells))
 
 

@@ -131,6 +131,17 @@ class TestSetAddress:
         with pytest.raises(ValueError, match=f"^address {address} outside 32-bit range$"):
             root.set_address(address)
 
+    @pytest.mark.parametrize("address", NO_INTS, ids=repr)
+    def test_address_that_is_no_int_faults(self, root, address):
+        # as a heap access at such an address does, on any parent: an
+        # int-valued float would otherwise build a capability whose
+        # trace text (``%d``) names another one
+        for parent in (root, root.set_bounds(128, 64), root.clear_tag()):
+            with pytest.raises(CapFault) as exc:
+                parent.set_address(address)
+            assert exc.value.kind is FaultKind.BOUNDS_VIOLATION
+            assert exc.value.detail == f"address {address!r} is not an int"
+
 
 class TestAndPerms:
     def test_intersection(self, root):
@@ -143,6 +154,15 @@ class TestAndPerms:
     def test_disjoint_masks_to_empty(self, root):
         c = root.and_perms(Perm.LOAD).and_perms(Perm.STORE)
         assert c.perms == PERM_NONE
+
+    @pytest.mark.parametrize("mask", NO_INTS, ids=repr)
+    def test_mask_that_is_no_int_faults(self, root, mask):
+        # a float's ``&`` would hand back NotImplemented as the mask
+        for parent in (root, root.set_bounds(128, 64), root.clear_tag()):
+            with pytest.raises(CapFault) as exc:
+                parent.and_perms(mask)
+            assert exc.value.kind is FaultKind.PERMISSION_VIOLATION
+            assert exc.value.detail == f"mask {mask!r} is not an int"
 
 
 class TestClearTag:

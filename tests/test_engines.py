@@ -1489,10 +1489,11 @@ def test_grid_builds_no_report():
 
 
 # Python calls into capheap for one default ``run_matrix()`` after a
-# first grid has left its heap: each op a body makes is the engine's own
-# call, plus one ``Ops`` per row and its adapters for store, traits and
-# note.
-CALLS_PER_GRID = 478
+# first grid has left its heap and instances: each op a body makes is the
+# engine's own call, plus per row one ``reset`` of the instance the last
+# grid built and one ``Ops``, and the op set's adapters for store,
+# traits and note.
+CALLS_PER_GRID = 464
 
 
 def test_python_calls_per_grid():

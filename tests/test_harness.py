@@ -5,7 +5,9 @@ from collections import Counter, deque
 import pytest
 
 from capheap import harness
+from capheap.allocator_api import AllocError, FreeValidation
 from capheap.attacks import ATTACK_IDS, ATTACKS, Ops, Outcome, replay_trace, run_attack
+from capheap.capability import ROUNDING_THRESHOLD
 from capheap.harness import (
     ConfigurationError,
     ConformanceMatrix,
@@ -54,7 +56,14 @@ def test_reset_instance_reports_equal_fresh_ones(name, rounding):
         assert run_attack(attack, reused) == fresh
 
 
-def test_one_instance_per_row(monkeypatch):
+@pytest.fixture
+def own_spare(monkeypatch):
+    """A spare of the test's own: what its grids build, with patched
+    engines or traits, never reaches a later test's grid."""
+    monkeypatch.setattr(harness, "_spare", deque(maxlen=1))
+
+
+def test_one_instance_per_row(monkeypatch, own_spare):
     # one engine built per row, all over one heap
     engines, maps = Counter(), []
 
@@ -73,16 +82,156 @@ def test_one_instance_per_row(monkeypatch):
 
     monkeypatch.setattr(harness, "engine_for", lambda traits: counting(engine_for(traits)))
     monkeypatch.setattr(harness, "TaggedHeap", CountedHeap)
-    harness._spare.clear()
     assert run_matrix() == EXPECTED_MATRIX
     assert engines == Counter(ALLOCATOR_NAMES) and len(maps) == 1
     engines.clear()
+    harness._spare[0][1].clear()  # keep the heap, drop the instances
     assert run_matrix(rows=["jemalloc", "snmalloc-repo"]).names == ("jemalloc", "snmalloc-repo")
     assert engines == Counter(["jemalloc", "snmalloc-repo"]) and len(maps) == 1
+    engines.clear()
+    assert run_matrix() == EXPECTED_MATRIX
+    assert engines == Counter(set(ALLOCATOR_NAMES) - {"jemalloc", "snmalloc-repo"})
+    assert len(maps) == 1
+
+
+def test_next_grid_reuses_each_rows_instance(monkeypatch, own_spare):
+    # a grid after the first builds nothing: each row runs on the
+    # instance the last grid built over the spare heap, reset
+    assert run_matrix() == EXPECTED_MATRIX
+    ((heap, built),) = harness._spare
+    first = dict(built)
+    assert list(first) == [(TRAITS[name], False) for name in ALLOCATOR_NAMES]
+    assert all(alloc.heap is heap for alloc in first.values())
+    ran = []
+
+    def recording(probe):
+        def run(t):
+            ran.append(t.alloc)
+            return probe(t)
+
+        return run
+
+    for attack, probe in list(ATTACKS.items()):
+        monkeypatch.setitem(ATTACKS, attack, recording(probe))
+    monkeypatch.setattr(harness, "engine_for", None)  # a build would raise
+    assert run_matrix() == EXPECTED_MATRIX
+    assert run_matrix(rows=["snmalloc-repo", "bump-alloc-cheri"]).cells == (
+        EXPECTED_MATRIX.row("bump-alloc-cheri"),
+        EXPECTED_MATRIX.row("snmalloc-repo"),
+    )
+    names = list(ALLOCATOR_NAMES) + ["bump-alloc-cheri", "snmalloc-repo"]
+    assert ran == [first[TRAITS[name], False] for name in names for _ in ATTACK_IDS]
+    assert harness._spare[0][0] is heap and harness._spare[0][1] == first
+
+
+def _drive(alloc):
+    """Leave every kind of engine state behind: 100 small frees that start
+    the free list's class index (a deferred-free slab engine queues them),
+    a large block, freed (still queued on a deferred-free engine; logged
+    on bump), and a tagged capability on the heap."""
+    blocks = [alloc.malloc(16) for _ in range(100)]
+    for cap in blocks:
+        alloc.free(cap)
+    alloc.free(alloc.malloc(1000))
+    alloc.heap.store_cap(alloc.region, alloc.heap.size - 16, alloc.region)
+
+
+@pytest.mark.parametrize("name", ALLOCATOR_NAMES)
+def test_reset_restores_a_fresh_instances_state(name):
+    # the grid serves a row the instance an earlier grid left, reset: its
+    # state must be a fresh instance's.  ``heap`` and ``region`` are the
+    # instance's own (a fresh one has a heap of its own), and ``_classes``
+    # is read only while ``heap.watch`` is set, which a reset clears.
+    alloc, fresh = create(name), create(name)
+    _drive(alloc)
+    traits = alloc.traits()
+    if traits.free_validation is FreeValidation.INLINE_HEADER:
+        assert alloc.heap.watch is not None
+    if traits.deferred_free:
+        assert alloc._pending
+    if traits.double_free_detect:
+        assert len(alloc._log) == 101
+    assert alloc.heap.snapshot() != fresh.heap.snapshot()
+    heap, region = alloc.heap, alloc.region
+    alloc.reset()
+    assert alloc.heap is heap and alloc.region is region == fresh.region
+    kept = ("heap", "region", "_classes")
+    state = {k: v for k, v in vars(alloc).items() if k not in kept}
+    assert state == {k: v for k, v in vars(fresh).items() if k not in kept}
+    assert alloc.heap.snapshot() == fresh.heap.snapshot()
+    assert alloc.heap.extent == fresh.heap.extent and alloc.heap.watch is None
+
+
+SIZE_ROUNDED = ROUNDING_THRESHOLD + 905  # a length rounding pads
+
+
+def _malloc_rounded(malloc):
+    try:
+        return malloc(SIZE_ROUNDED)
+    except AllocError as exc:  # past the slab engine's largest class
+        return exc.kind
+
+
+def test_rounding_is_part_of_the_key(monkeypatch, own_spare):
+    # a grid after one in the other rounding mode gets the bounds a fresh
+    # instance in its own mode gives, not the last grid's instance
+    got = {}
+
+    def allocating(t):
+        got[t.traits("name")] = _malloc_rounded(t.malloc)
+        return Outcome.SUCCEEDS, ""
+
+    monkeypatch.setitem(ATTACKS, "A1", allocating)
+    seen = []
+    # any flag counts by its truth, as in the engines (a list is no key)
+    for rounding in (False, True, 0, [1]):
+        got.clear()
+        run_matrix(rounding_bounds=rounding)
+        assert got == {
+            name: _malloc_rounded(create(name, rounding_bounds=rounding).malloc)
+            for name in ALLOCATOR_NAMES
+        }
+        seen.append(dict(got))
+    # the rows whose bounds the mode changes: all that narrow such a block
+    assert {name for name in ALLOCATOR_NAMES if seen[0][name] != seen[1][name]} == {
+        "bump-alloc-cheri",
+        "dlmalloc-cheribuild",
+        "jemalloc",
+        "libmalloc-simple",
+    }
+    assert len(harness._spare[0][1]) == 2 * len(ALLOCATOR_NAMES)
+
+
+def test_a_changed_trait_record_is_honoured(monkeypatch, own_spare):
+    # the key is the trait record, not the name: a record set into the
+    # table after a grid gets an instance of its own in the next grid
+    assert run_matrix() == EXPECTED_MATRIX
+    first = harness._spare[0][1][TRAITS["jemalloc"], False]
+    patched = TRAITS["jemalloc"]._replace(strips_exec=False)
+    monkeypatch.setitem(harness.TRAITS, "jemalloc", patched)
+    used = []
+
+    def recording(probe):
+        def run(t):
+            used.append(t.alloc)
+            return probe(t)
+
+        return run
+
+    for attack, probe in list(ATTACKS.items()):
+        monkeypatch.setitem(ATTACKS, attack, recording(probe))
+    row = run_matrix(rows=["jemalloc"]).cells[0]
+    fresh = [run_attack(a, engine_for(patched)(TaggedHeap(4096), patched)) for a in ATTACK_IDS]
+    assert row == tuple(report.outcome for report in fresh) != EXPECTED_MATRIX.row("jemalloc")
+    assert used[0] is not first and used[0].traits() is patched
+    monkeypatch.setitem(harness.TRAITS, "jemalloc", first.traits())
+    used.clear()
+    assert run_matrix(rows=["jemalloc"]).cells == (EXPECTED_MATRIX.row("jemalloc"),)
+    assert used == [first] * len(ATTACK_IDS)
 
 
 @pytest.mark.parametrize("rounding", [False, True], ids=["exact", "rounding"])
-def test_rounding_bounds_reaches_every_instance(monkeypatch, rounding):
+def test_rounding_bounds_reaches_every_instance(monkeypatch, own_spare, rounding):
     # the flag is each instance's, passed per grid: the shared traits
     # table is neither read for it nor changed by it
     built = []
@@ -154,13 +303,13 @@ def test_probe_that_raises_leaves_a_fresh_spare(monkeypatch):
     with pytest.raises(ProbeError):
         run_matrix(rows=["jemalloc"])
     assert ran == ["jemalloc"]
-    (spare,) = harness._spare
+    ((spare, _),) = harness._spare
     size = spare.size
     assert spare.snapshot() == bytes(size) + bytes(size // 128)
     assert spare.extent == 0 and spare.watch is None
     monkeypatch.undo()
     assert run_matrix() == EXPECTED_MATRIX
-    assert harness._spare[0] is spare
+    assert harness._spare[0][0] is spare
 
 
 def test_grid_and_replay_leave_no_reference_cycles():

@@ -1,7 +1,10 @@
 """The package's immutable records: frozen fields, construction checks,
-pinned reprs, and an import that pulls in no record machinery."""
+pinned reprs, and an import that pulls in no record machinery; and its
+two error types, which pickle and copy as they are."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -19,8 +22,10 @@ from capheap import (
     create,
     run_workload,
 )
+from capheap.allocator_api import AllocError, AllocErrorKind
 from capheap.attacks import AttackReport, Outcome, TraceStep, run_attack
 from capheap.bench import BenchResult
+from capheap.capability import CapFault, FaultKind
 
 
 RECORDS = [AllocatorTraits, TraceStep, AttackReport, ConformanceMatrix, Workload, BenchResult]
@@ -104,6 +109,23 @@ def test_traits_take_six_arguments():
         AllocatorTraits("x", True, False, False, FreeValidation.ALLOC_LOG, True, False)
     with pytest.raises(TypeError):
         AllocatorTraits("x", True, False, False, FreeValidation.ALLOC_LOG, False, double_free_detect=True)
+
+
+ERRORS = [(CapFault, kind) for kind in FaultKind] + [(AllocError, kind) for kind in AllocErrorKind]
+
+
+@pytest.mark.parametrize("detail", ["", "[16, 32) outside [0, 16)"], ids=["bare", "detail"])
+@pytest.mark.parametrize("cls, kind", ERRORS, ids=lambda x: getattr(x, "name", None))
+def test_errors_survive_pickle_and_copy(cls, kind, detail):
+    # ``args`` holds only the message, so a rebuild from it would pass
+    # the message as ``kind``
+    error = cls(kind, detail)
+    text = f"{kind.value}: {detail}" if detail else kind.value
+    assert (str(error), error.args) == (text, (text,))
+    pickled = [pickle.loads(pickle.dumps(error, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for again in (*pickled, copy.copy(error), copy.deepcopy(error)):
+        assert type(again) is cls and again is not error
+        assert (again.kind, again.detail, again.args, str(again)) == (kind, detail, (text,), text)
 
 
 # what each snippet adds to the modules a bare interpreter has loaded

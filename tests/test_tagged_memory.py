@@ -684,9 +684,9 @@ def test_permission_mask_that_is_no_int_escapes_as_type_error(op):
 
 
 # A grid runs its rows over one heap and leaves it, cleared, in
-# ``harness._spare`` for the next grid.  These tests hold that heap to
-# what a new one is: all zero, no extent and no watch map, never shared
-# with another thread or process.
+# ``harness._spare`` for the next grid, next to the instances built over
+# it.  These tests hold that heap to what a new one is: all zero, no
+# extent and no watch map, never shared with another thread or process.
 
 FRESH_GRID_SNAPSHOT = bytes(DEFAULT_HEAP_SIZE) + bytes(DEFAULT_HEAP_SIZE // 128)
 
@@ -743,12 +743,12 @@ class TestSpareHeapIsFresh:
         monkeypatch.setitem(ATTACKS, "A5", dirtying)
         assert run_matrix(rows=["jemalloc"]).cells == (EXPECTED_MATRIX.row("jemalloc"),)
         assert ran == ["jemalloc"]  # the dirtying body ran, and to its end
-        (spare,) = harness._spare
+        ((spare, _),) = harness._spare
         assert spare.snapshot() == FRESH_GRID_SNAPSHOT
         assert spare.extent == 0 and spare.watch is None
         monkeypatch.undo()
         assert run_matrix() == EXPECTED_MATRIX
-        assert harness._spare[0] is spare
+        assert harness._spare[0][0] is spare
 
     @pytest.mark.parametrize("name", ALLOCATOR_NAMES)
     def test_each_row_leaves_a_never_used_spare(self, monkeypatch, name):
@@ -770,7 +770,7 @@ class TestSpareHeapIsFresh:
         assert run_matrix(rows=[name]).cells == (EXPECTED_MATRIX.row(name),)
         # each recording body ran, and the row did write its heap
         assert len(wrote) == 5 and any(wrote)
-        (spare,) = harness._spare
+        ((spare, _),) = harness._spare
         assert spare.snapshot() == FRESH_GRID_SNAPSHOT
         assert spare.extent == 0 and spare.watch is None
 
@@ -834,12 +834,12 @@ class TestNoMapChurn:
             "from capheap.capability import make_root\n"
             "root = make_root(4096)\n"
             "assert run_matrix() == EXPECTED_MATRIX\n"
-            "(spare,) = harness._spare\n"
+            "((spare, _),) = harness._spare\n"
             "fresh = spare.snapshot()\n"
             "live = TaggedHeap(4096)\n"
             "pid = os.fork()\n"
             "if pid == 0:\n"
-            "    ok = run_matrix() == EXPECTED_MATRIX and harness._spare[0] is spare\n"
+            "    ok = run_matrix() == EXPECTED_MATRIX and harness._spare[0][0] is spare\n"
             "    spare.store(root, 0, b'child!')\n"
             "    live.store(root, 0, b'child!')\n"
             "    os._exit(0 if ok else 3)\n"
@@ -847,7 +847,7 @@ class TestNoMapChurn:
             "assert spare.snapshot() == fresh, 'spare shared'\n"
             "assert live.load(root, 0, 6) == bytes(6), 'live heap shared'\n"
             "assert run_matrix() == EXPECTED_MATRIX, 'grid'\n"
-            "assert harness._spare[0] is spare, 'not reused'\n"
+            "assert harness._spare[0][0] is spare, 'not reused'\n"
             "assert spare.load(root, 0, 6) == bytes(6), 'spare written'\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(capheap.__file__).parents[1]))
