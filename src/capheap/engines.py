@@ -72,26 +72,28 @@ Every listed chunk lies inside the heap: a chunk is listed only by
 writing its FREE header, and that write is bounds-checked.
 
 In malloc a finder picks the slot and one tail carves it.  On a short
-list the finder scans from the head, reading each header.  Once a scan
-has visited more than 64 entries (and until reset), a byte array beside
-the list holds each slot's size class instead, read from the chunk's
-header: linear in 16-byte steps below 2048 bytes, four per power of two
-above, or poisoned for a bad magic.  One ``translate`` and one ``find``
-over those bytes pick the slot, or raise the CorruptHeader, that the
-scan would.  The tail, which realloc growing in place shares, splits
-off a remainder of 32 bytes or more.  The classes stay true to the heap
-bytes behind a write barrier that is a fuse: the heap watches the
-8-byte unit of every indexed header, and the index is on exactly while
-it does (``heap.watch`` is set).  Any store or engine header write that
-reaches a watched unit, and any ``clear``, drops the watch map, and
-with it the index; so does re-listing a chunk already listed, whose
-other slots would keep the old class.  The next malloc scans from the
-head, and a scan that visits more than 64 entries starts the index
-again from the headers as they are.  A header forged through a stale
-capability therefore still steers the next malloc.  The index holds
-only chunks on the 8-byte grid, whose header is exactly one unit: while
-a forged chunk off the grid is listed, there is no index and the scan
-answers.
+list the finder scans from the head, reading each header's payload and
+magic, and looks the slot up only for the chunk that fits: a chunk
+listed twice has one header, so its first slot is the one the scan
+reached first.  Once a scan has visited more than 64 entries (and until
+reset), a byte array beside the list holds each slot's size class
+instead, read from the chunk's header: linear in 16-byte steps below
+2048 bytes, four per power of two above, or poisoned for a bad magic.
+One ``translate`` and one ``find`` over those bytes pick the slot, or
+raise the CorruptHeader, that the scan would.  The tail, which realloc
+growing in place shares, splits off a remainder of 32 bytes or more.
+The classes stay true to the heap bytes behind a write barrier that is
+a fuse: the heap watches the 8-byte unit of every indexed header, and
+the index is on exactly while it does (``heap.watch`` is set).  Any
+store or engine header write that reaches a watched unit, and any
+``clear``, drops the watch map, and with it the index; so does
+re-listing a chunk already listed, whose other slots would keep the old
+class.  The next malloc scans from the head, and a scan that visits more
+than 64 entries starts the index again from the headers as they are.  A
+header forged through a stale capability therefore still steers the
+next malloc.  The index holds only chunks on the 8-byte grid, whose
+header is exactly one unit: while a forged chunk off the grid is
+listed, there is no index and the scan answers.
 """
 
 from __future__ import annotations
@@ -130,6 +132,7 @@ CHUNK_HEADER_SIZE = 8
 CHUNK_MAGIC = 0xCA1B
 _HEADER = struct.Struct("<IHBB")  # payload size, magic, status, reserved
 assert _HEADER.size == CHUNK_HEADER_SIZE
+_PAYLOAD_MAGIC = struct.Struct("<IH")  # the first two fields, for reads that need no status
 
 _STATUS_FREE = 0
 _STATUS_LIVE = 1
@@ -298,10 +301,12 @@ class FreeListAllocator(Allocator):
     malloc takes the first listed chunk, from the head, whose header
     payload covers the rounded request: a finder picks the slot and
     ``_carve`` hands it out, writing the LIVE header itself; ``_push``
-    writes the FREE ones.  free reads the header in line and falls back
-    to ``_client_header``, which raises the fault or error, whenever a
-    check would fail.  The scan reads the headers in turn: a bad
-    magic raises CORRUPT_HEADER, and none fitting is OUT_OF_MEMORY.
+    writes the FREE ones.  free and realloc read the header in line and
+    fall back to ``_client_header``, which raises the fault or error,
+    whenever a check would fail; so an address that is no int is
+    refused as ``set_address`` refuses it, with a bounds fault, before
+    anything changes.  The scan reads the headers in turn: a bad magic
+    raises CORRUPT_HEADER, and none fitting is OUT_OF_MEMORY.
     Once a scan has visited more than ``_SCAN_LIMIT`` entries, and until
     reset, ``_fit_indexed`` picks without reading the headers it passes
     over: ``_classes`` holds one byte per slot, the chunk's size class
@@ -408,7 +413,7 @@ class FreeListAllocator(Allocator):
         heap.set_watch(watch)
         class_of = {}
         for chunk in self._listed:
-            payload, magic, _, _ = _HEADER.unpack_from(heap.data, chunk)
+            payload, magic = _PAYLOAD_MAGIC.unpack_from(heap.data, chunk)
             class_of[chunk] = _class(payload) if magic == CHUNK_MAGIC else _POISONED
             watch[chunk >> 3] = 1
         self._classes = bytearray(class_of[chunk] for chunk in self._free_list)
@@ -444,10 +449,12 @@ class FreeListAllocator(Allocator):
         The checks are those of moving the cursor onto the header and
         loading through the copy (``set_address``, then ``heap.load``),
         in the same order, without building the copy.  An address
-        ``set_address`` refuses, below the heap or past the 32-bit
-        address space, is a bounds fault; ``check_access`` runs only
-        when its test fails."""
+        ``set_address`` refuses, no int (tested first, as it tests it),
+        below the heap or past the 32-bit address space, is a bounds
+        fault; ``check_access`` runs only when its test fails."""
         tag, base, top, address, perms = cap
+        if not isinstance(address, int):
+            raise CapFault(FaultKind.BOUNDS_VIOLATION, f"address {address!r} is not an int")
         chunk = address - CHUNK_HEADER_SIZE
         if chunk < 0:
             raise CapFault(FaultKind.BOUNDS_VIOLATION, "header would sit below the heap")
@@ -460,7 +467,7 @@ class FreeListAllocator(Allocator):
         heap = self.heap
         if chunk + CHUNK_HEADER_SIZE > heap.size:
             heap.fault_outside(chunk, CHUNK_HEADER_SIZE)
-        size, magic, _, _ = _HEADER.unpack_from(heap.data, chunk)
+        size, magic = _PAYLOAD_MAGIC.unpack_from(heap.data, chunk)
         if magic != CHUNK_MAGIC:
             raise AllocError(AllocErrorKind.INVALID_FREE, f"bad chunk magic at {chunk}")
         return chunk, size
@@ -475,13 +482,15 @@ class FreeListAllocator(Allocator):
             slot, payload = self._fit_indexed(want)
         else:
             # a short list, or the index dropped: scan it from the head,
-            # reading each header
+            # reading each header; the slot is the fitting chunk's first
             data = heap.data
-            for slot, chunk in enumerate(free_list):
-                payload, magic, _, _ = _HEADER.unpack_from(data, chunk)
+            unpack = _PAYLOAD_MAGIC.unpack_from
+            for chunk in free_list:
+                payload, magic = unpack(data, chunk)
                 if magic != CHUNK_MAGIC:
                     raise AllocError(AllocErrorKind.CORRUPT_HEADER, f"free list entry at {chunk}")
                 if payload >= want:
+                    slot = free_list.index(chunk)
                     break
             else:
                 slot = -1
@@ -516,7 +525,7 @@ class FreeListAllocator(Allocator):
             end = len(classes) if stop < 0 else stop
             slot = classes.find(cls, 0, end) if cls < _TOP else -1
         while slot >= 0:
-            payload = _HEADER.unpack_from(heap.data, free_list[slot])[0]
+            payload = _PAYLOAD_MAGIC.unpack_from(heap.data, free_list[slot])[0]
             if payload >= want:
                 return slot, payload
             slot = classes.find(cls, slot + 1, end)
@@ -525,7 +534,7 @@ class FreeListAllocator(Allocator):
         chunk = free_list[stop]
         if classes[stop] == _POISONED:
             raise AllocError(AllocErrorKind.CORRUPT_HEADER, f"free list entry at {chunk}")
-        return stop, _HEADER.unpack_from(heap.data, chunk)[0]
+        return stop, _PAYLOAD_MAGIC.unpack_from(heap.data, chunk)[0]
 
     def _carve(self, chunk: int, payload: int, want: int, slot: int = -1) -> Capability:
         """Hand out ``want`` bytes of ``chunk``, a FREE chunk of ``payload``
@@ -580,12 +589,16 @@ class FreeListAllocator(Allocator):
     def free(self, cap: Capability) -> None:
         # _client_header's checks in line while they all pass and the
         # capability ends inside the heap, as every one malloc hands out
-        # does; otherwise it runs, and raises or returns the same
+        # does; otherwise it runs, and raises or returns the same, also
+        # where a field that is no int made a check raise TypeError
         tag, base, top, address, perms = cap
-        chunk = address - CHUNK_HEADER_SIZE
         magic = None
-        if tag and perms & _NEED_LOAD and 0 <= chunk >= base and address <= top <= self.heap.size:
-            payload, magic, _, _ = _HEADER.unpack_from(self.heap.data, chunk)
+        try:
+            chunk = address - CHUNK_HEADER_SIZE
+            if tag and perms & _NEED_LOAD and 0 <= chunk >= base and address <= top <= self.heap.size:
+                payload, magic = _PAYLOAD_MAGIC.unpack_from(self.heap.data, chunk)
+        except TypeError:
+            pass
         if magic != CHUNK_MAGIC:
             chunk, payload = self._client_header(cap)
         if chunk in self._listed:
@@ -597,13 +610,23 @@ class FreeListAllocator(Allocator):
         if not isinstance(new_size, int) or new_size < 1:
             raise AllocError(AllocErrorKind.BAD_REQUEST, f"size {new_size!r}")
         want = (new_size + 15) & ~15
-        chunk, payload = self._client_header(cap)
+        # the header read as free reads it
+        tag, base, top, address, perms = cap
+        heap = self.heap
+        magic = None
+        try:
+            chunk = address - CHUNK_HEADER_SIZE
+            if tag and perms & _NEED_LOAD and 0 <= chunk >= base and address <= top <= heap.size:
+                payload, magic = _PAYLOAD_MAGIC.unpack_from(heap.data, chunk)
+        except TypeError:
+            pass
+        if magic != CHUNK_MAGIC:
+            chunk, payload = self._client_header(cap)
         if want <= payload:  # the block keeps its chunk, as _carve hands it out
-            at = chunk + CHUNK_HEADER_SIZE
             length = CHUNK_HEADER_SIZE + payload
-            if at + payload > self.heap.size or (self._rounding and length > ROUNDING_THRESHOLD):
-                return _derive(self.region, chunk, length, at, self._client_perms, self._rounding)
-            return _tuple_new(Capability, (True, chunk, at + payload, at, self._client_perms))
+            if address + payload > heap.size or (self._rounding and length > ROUNDING_THRESHOLD):
+                return _derive(self.region, chunk, length, address, self._client_perms, self._rounding)
+            return _tuple_new(Capability, (True, chunk, address + payload, address, self._client_perms))
         if self._traits.realloc_grows_in_place:
             grown = self._try_absorb(chunk, payload, want)
             if grown is not None:
@@ -612,15 +635,14 @@ class FreeListAllocator(Allocator):
         # The source is checked before malloc commits but read after it, as
         # a forged header can stretch it over headers that malloc rewrites.
         ncopy = min(payload, new_size)
-        heap = self.heap
-        if ncopy and cap.address + ncopy > heap.size:
-            heap.fault_outside(cap.address, ncopy)
+        if ncopy and address + ncopy > heap.size:
+            heap.fault_outside(address, ncopy)
         new_cap = self.malloc(new_size)
         # the copy, read in place (the source is inside the heap, so the
         # region's check cannot fail), and the zero tail in one store; a
         # forged header may claim no payload at all, so the copy may be empty
-        data = heap.data[cap.address : cap.address + ncopy]
-        heap.store(self.region, new_cap.address, data + bytes(new_size - ncopy))
+        data = heap.data[address : address + ncopy]
+        heap.store(self.region, new_cap.address, data.ljust(new_size, b"\0"))
         # no client validation: a chunk already listed through a stale
         # capability is listed twice
         self._push(chunk, payload)

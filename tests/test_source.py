@@ -20,7 +20,7 @@ CODE_LINES = {
     "bench.py": 160,
     "capability.py": 108,
     "cli.py": 149,
-    "engines.py": 498,
+    "engines.py": 514,
     "harness.py": 120,
     "registry.py": 29,
     "tagged_memory.py": 149,
