@@ -27,8 +27,9 @@ one recorder: its ops record each step, and ``run_attack(k, alloc)``
 runs ``ATTACKS[k]`` on a new tape and returns its ``AttackReport``,
 whose trace can be replayed against a fresh instance and must reproduce
 each step.  ``Tape.do`` runs an op by name, as ``replay_trace`` and
-``capheap dump`` scripts do, with a script's result index ``K`` naming
-the tape's ``rK``.
+``capheap dump`` scripts do: it checks and decodes the arguments by the
+kinds ``OP_FIELDS`` gives the op, then calls the ``Ops`` method of that
+name.  A script's result index ``K`` names the tape's ``rK``.
 
 Reports and their steps are ``NamedTuple`` records, immutable like
 ``Capability``.  A step records the op's value, not its text: the text,
@@ -175,11 +176,14 @@ class Tape:
     trait's value; it returns None for an op that returns nothing and
     for one the allocator refuses.  A refusal records its kind
     (``error:Kind`` or ``fault:Kind`` as text) and leaves its message in
-    ``error``, which is None after an op that succeeds.  A malformed op
-    (an unknown op, ref or trait, or the wrong number of arguments)
-    raises a ``ValueError`` naming it before any engine call; any other
-    exception, such as a ``ValueError`` for an argument the model
-    rejects, propagates unchanged.  Neither records a step.
+    ``error``, which is None after an op that succeeds.  Before any
+    engine call ``do`` checks the op against its ``OP_FIELDS`` row and
+    decodes each argument by its kind: a ref becomes the capability it
+    names and hex becomes bytes.  A malformed op (an unknown op, ref or
+    trait, or the wrong number of arguments) raises a ``ValueError``
+    naming it; any other exception, such as ``bytes.fromhex``'s
+    ``ValueError`` or one for an argument the model rejects, propagates
+    unchanged.  Neither records a step.
 
     The methods ``malloc`` .. ``note`` are the op set of ``Ops``, taped:
     each names a capability by the ref of the step that returned that
@@ -214,36 +218,26 @@ class Tape:
         return [_tuple_new(TraceStep, step) for step in self._steps]
 
     def do(self, op: str, *args):
-        ops = self._ops
+        fields = OP_FIELDS.get(op) if isinstance(op, str) else None
+        if fields is None:
+            raise ValueError(f"unknown trace op {op!r}")
+        if len(args) != len(fields):
+            raise ValueError(f"{op} takes {len(fields)} argument{'s' * (len(fields) > 1)}, got {len(args)}")
         caps = self._caps
-        # op names tested in the order of their use by the probes
+        decoded = []
+        for kind, arg in zip(fields, args):
+            if kind == "K":
+                cap = caps.get(arg) if isinstance(arg, str) else None
+                if cap is None:
+                    raise ValueError(f"{op}: unknown ref {arg!r}")
+                arg = cap
+            elif kind == "H":
+                arg = bytes.fromhex(arg)
+            elif kind == "T" and (not isinstance(arg, str) or arg not in _TRAITS):
+                raise ValueError(f"unknown trait {arg!r}")
+            decoded.append(arg)
         try:
-            if op == "malloc":
-                (size,) = args
-                value = ops.malloc(size)
-            elif op == "free":
-                (ref,) = args
-                value = ops.free(caps[ref])
-            elif op == "traits":
-                (name,) = args
-                value = ops.traits(name)
-            elif op == "store":
-                ref, data = args
-                value = ops.store(caps[ref], bytes.fromhex(data))
-            elif op == "load":
-                ref, addr, length = args
-                value = ops.load(caps[ref], addr, length)
-            elif op == "set_bounds":
-                ref, base, length = args
-                value = ops.set_bounds(caps[ref], base, length)
-            elif op == "realloc":
-                ref, size = args
-                value = ops.realloc(caps[ref], size)
-            elif op == "note":
-                (text,) = args
-                value = ops.note(text)
-            else:
-                raise ValueError(f"unknown trace op {op!r}")
+            value = getattr(self._ops, op)(*decoded)
         except (AllocError, CapFault) as exc:
             # only the class, kind and detail survive the handler: the
             # exception's traceback refers to this frame, so keeping it
@@ -252,13 +246,6 @@ class Tape:
             self._steps.append((op, args, (kind, exc.kind)))
             self._refusal = (type(exc), exc.kind, exc.detail)
             return None
-        except (KeyError, TypeError, ValueError):
-            # checked only once something raised, so a passing op pays
-            # nothing; a malformed op raises before its engine call
-            why = self._malformed(op, args)
-            if why is None:
-                raise
-            raise ValueError(why) from None
         self._refusal = None
         if isinstance(value, Capability):
             ref = f"r{len(caps)}"
@@ -268,21 +255,6 @@ class Tape:
             return ref
         self._steps.append((op, args, value))
         return value
-
-    def _malformed(self, op, args) -> str | None:
-        """What makes ``op(*args)`` no op the tape can run, or None when
-        the op is well formed and the exception is the op's own."""
-        fields = OP_FIELDS.get(op) if isinstance(op, str) else None
-        if fields is None:
-            return None  # an unknown op's ValueError already names it
-        if len(args) != len(fields):
-            return f"{op} takes {len(fields)} argument{'s' * (len(fields) > 1)}, got {len(args)}"
-        first = args[0]
-        if fields[0] == "K" and (not isinstance(first, str) or first not in self._caps):
-            return f"{op}: unknown ref {first!r}"
-        if fields == "T" and (not isinstance(first, str) or first not in _TRAITS):
-            return f"unknown trait {first!r}"
-        return None
 
     def malloc(self, n: int) -> Capability:
         return self._caps[self._checked(self.do("malloc", n))]
@@ -322,8 +294,9 @@ class Tape:
         return value
 
 
-# each op's arguments: K a capability ref, N a number, H bytes in hex,
-# T a trait name and S a note's text
+# each op's arguments, which Tape.do checks and decodes and capheap dump
+# parses: K a capability ref, N a number, H bytes in hex, T a trait name
+# and S a note's text; each op is the Ops method of its name
 OP_FIELDS = {"malloc": "N", "free": "K", "realloc": "KN", "store": "KH",
              "load": "KNN", "set_bounds": "KNN", "traits": "T", "note": "S"}
 

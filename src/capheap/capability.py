@@ -215,13 +215,24 @@ def _derive(
     return _tuple_new(Capability, (True, lo, hi, address, perms))
 
 
+def _check_heap_size(size: int) -> None:
+    """The one rule for a heap's size, which ``TaggedHeap`` applies before
+    it maps anything and ``make_root`` before it builds the root: refuse
+    with ``ValueError`` a size that is no int (a bool included), is not
+    positive, is not a multiple of 16, or is past the 32-bit address
+    space."""
+    if not isinstance(size, int) or isinstance(size, bool):
+        raise ValueError(f"heap size {size!r} is not an int")
+    if size <= 0:
+        raise ValueError("heap size must be positive")
+    if size % 16 != 0:
+        raise ValueError("heap size must be a multiple of 16")
+    if size > ADDRESS_MAX + 1 - 16:
+        raise ValueError("heap size exceeds the 32-bit address space")
+
+
 def make_root(heap_size: int) -> Capability:
     """The root capability over a heap of ``heap_size`` bytes: full range,
     all permissions, cursor at zero.  Everything else derives from it."""
-    if heap_size <= 0:
-        raise ValueError("heap size must be positive")
-    if heap_size % 16 != 0:
-        raise ValueError("heap size must be a multiple of 16")
-    if heap_size > ADDRESS_MAX + 1 - 16:
-        raise ValueError("heap size exceeds the 32-bit address space")
+    _check_heap_size(heap_size)
     return Capability(True, 0, heap_size, 0, int(PERM_ALL))

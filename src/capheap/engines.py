@@ -116,7 +116,7 @@ from .capability import (
     _derive,
     _tuple_new,
 )
-from .tagged_memory import _NEED_LOAD
+from .tagged_memory import _NEED_LOAD, _refuse_no_int
 
 __all__ = [
     "BumpAllocator",
@@ -186,7 +186,10 @@ class BumpAllocator(Allocator):
     the out-of-memory test, then the derivation, then a window below the
     heap's start (only a hand-built capability has one), and only then
     does the cursor move, so a refused realloc leaves the cursor where
-    it was.
+    it was.  Ahead of them all, after the log's lookup, a capability
+    whose address is no int (only a hand-built one has such an address)
+    is a bounds fault; a free or realloc the log refuses at such an
+    address keeps the log's refusal.
     """
 
     validations = (FreeValidation.NONE, FreeValidation.ALLOC_LOG)
@@ -230,7 +233,10 @@ class BumpAllocator(Allocator):
     def free(self, cap: Capability) -> None:
         log = self._log
         if log is not None:
-            record = log.get(cap.address)
+            try:
+                record = log.get(cap.address)
+            except TypeError:  # an unhashable address
+                _refuse_no_int(cap.address)
             if record is None or record[1]:
                 self._refuse(cap)
             record[1] = True
@@ -242,9 +248,14 @@ class BumpAllocator(Allocator):
         log = self._log
         record = None
         if log is not None:
-            record = log.get(src)
+            try:
+                record = log.get(src)
+            except TypeError:  # an unhashable address
+                _refuse_no_int(src)
             if record is None or record[1]:
                 self._refuse(cap)
+        if not isinstance(src, int):  # refused before the cursor moves, where the copy would fail
+            _refuse_no_int(src)
         ncopy = min(top - base if record is None else record[0], new_size)
         heap = self.heap
         if ncopy and src + ncopy > heap.size:
@@ -725,7 +736,11 @@ class SlabAllocator(Allocator):
     every carved slab, and addresses in a later slot of a live
     multi-slot block, are invalid.  With deferred_free, frees queue up
     and are applied when the next malloc or realloc begins; invalid ones
-    are dropped there.
+    are dropped there, an address that is no int among them.  A strict
+    free or a realloc of an address that is no int is a bounds fault
+    that changes no block (a realloc flushes the queue first), unless
+    the address equals a block's own (``0.0``): that names the block,
+    and only a realloc that would move it faults.
 
     malloc applies ``size_class`` and takes its single slot in line; a
     strict free of a one-slot block named by its own address, which is
@@ -757,7 +772,10 @@ class SlabAllocator(Allocator):
     def _flush_pending(self) -> None:
         pending, self._pending = self._pending, []
         for addr in pending:
-            self._apply_free(addr, strict=False)
+            try:
+                self._apply_free(addr, strict=False)
+            except TypeError:  # an address that is no int, dropped as invalid
+                pass
 
     def malloc(self, size: int) -> Capability:
         if not isinstance(size, int) or size < 1:
@@ -834,11 +852,15 @@ class SlabAllocator(Allocator):
             self._pending.append(addr)
             return
         # _apply_free(addr, strict=True), in line for a one-slot block at
-        # its own address, as every malloc hands out
-        record = self._live.get(addr)
-        if record is None or record[2] != 1:
-            self._apply_free(addr, strict=True)
-            return
+        # its own address, as every malloc hands out; an address that is
+        # no int raises TypeError before anything changes
+        try:
+            record = self._live.get(addr)
+            if record is None or record[2] != 1:
+                self._apply_free(addr, strict=True)
+                return
+        except TypeError:
+            _refuse_no_int(addr)
         del self._live[addr]
         slab = record[0]
         slab.bits[record[1]] = 0
@@ -850,7 +872,10 @@ class SlabAllocator(Allocator):
         if self._pending:
             self._flush_pending()
         addr = cap.address
-        record = self._live.get(addr)
+        try:
+            record = self._live.get(addr)
+        except TypeError:  # an unhashable address
+            _refuse_no_int(addr)
         if record is None:
             raise AllocError(AllocErrorKind.INVALID_FREE, f"no allocation at {addr}")
         slab, slot, nslots = record
@@ -872,6 +897,8 @@ class SlabAllocator(Allocator):
         # tail are one write in place, as heap.store would make it (both
         # blocks lie in carved slabs, and only the free-list engine sets
         # a write barrier)
+        if not isinstance(addr, int):  # a float equal to a block's address fails the copy
+            _refuse_no_int(addr)
         new_cap = self.malloc(new_size)
         dst = new_cap.address
         heap = self.heap

@@ -72,8 +72,9 @@ from __future__ import annotations
 
 import mmap
 import struct
+from typing import NoReturn
 
-from .capability import CapFault, Capability, FaultKind, Perm, _tuple_new
+from .capability import CapFault, Capability, FaultKind, Perm, _check_heap_size, _tuple_new
 
 __all__ = ["DEFAULT_HEAP_SIZE", "GRANULE", "TaggedHeap"]
 
@@ -99,11 +100,14 @@ _ZEROS = memoryview(bytes(1 << 16))  # the source of every re-zeroing
 _PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
 
 
-def _refuse_no_int(addr) -> None:
-    """An access's ``except TypeError``: refuse an address that is no int
-    with a bounds fault; for an int, return, and the caller re-raises."""
+def _refuse_no_int(addr) -> NoReturn:
+    """An ``except TypeError`` of an access or an engine op: refuse an
+    address that is no int with a bounds fault; for an int, re-raise the
+    TypeError being handled.  Outside a handler, call it only with an
+    address that is no int."""
     if not isinstance(addr, int):
         raise CapFault(FaultKind.BOUNDS_VIOLATION, f"address {addr!r} is not an int") from None
+    raise
 
 
 def _zero_prefix(buf, n: int) -> None:
@@ -125,8 +129,7 @@ class TaggedHeap:
     mapping."""
 
     def __init__(self, size: int):
-        if size <= 0 or size % GRANULE != 0:
-            raise ValueError("heap size must be a positive multiple of 16")
+        _check_heap_size(size)
         self.size = size
         self.data = mmap.mmap(-1, size, **_PRIVATE)
         self.tags = bytearray(size // GRANULE)
@@ -191,7 +194,6 @@ class TaggedHeap:
             return self.data[addr : addr + length]
         except TypeError:
             _refuse_no_int(addr)
-            raise
 
     def store(self, cap: Capability, addr: int, payload: bytes) -> None:
         """Write bytes and clear the tag of every overlapped granule."""
@@ -208,7 +210,6 @@ class TaggedHeap:
             self.data[addr:end] = payload
         except TypeError:
             _refuse_no_int(addr)
-            raise
         self.tags[first : last + 1] = bytes(last + 1 - first)
         if last >= self.extent:
             self.extent = last + 1
@@ -243,7 +244,6 @@ class TaggedHeap:
             self.data[addr : addr + GRANULE] = raw
         except TypeError:
             _refuse_no_int(addr)
-            raise
         self.tags[granule] = 1 if payload.tag else 0
         if granule >= self.extent:
             self.extent = granule + 1
@@ -270,7 +270,6 @@ class TaggedHeap:
             base, top, address, perm_bits = _CAP_LAYOUT.unpack_from(self.data, addr)
         except TypeError:
             _refuse_no_int(addr)
-            raise
         return _tuple_new(
             Capability, (self.tags[addr >> 4] != 0, base, top, address, perm_bits & 0x3F)
         )

@@ -8,6 +8,7 @@ from capheap.allocator_api import AllocError, AllocErrorKind, AllocatorTraits, F
 from capheap.attacks import (
     ATTACK_IDS,
     ATTACKS,
+    OP_FIELDS,
     Ops,
     Outcome,
     Tape,
@@ -304,6 +305,18 @@ class _RaisingAllocator(BumpAllocator):
 
     def free(self, cap):
         raise ENGINE_ERRORS[1]
+
+
+def test_op_table_names_the_op_sets_methods():
+    # Tape.do calls the Ops method an OP_FIELDS row names, and each row
+    # has a typed Tape method of its name
+    ops = {name for name in dir(Ops(create("jemalloc"))) if not name.startswith("_")} - {"alloc"}
+    typed = {
+        name for name, member in vars(Tape).items()
+        if callable(member) and not name.startswith("_") and name != "do"
+    }
+    assert set(OP_FIELDS) == ops == typed
+    assert len(typed) == 8
 
 
 class TestMalformedOps:

@@ -1111,6 +1111,61 @@ def test_hand_built_capabilities_are_refused_cleanly(name):
             assert getattr(alloc, "_cursor", None) == cursor, cap
 
 
+def engine_state(alloc):
+    """What a bump or slab op can change, as plain values: the heap's
+    bytes and tags, the cursor and log, and the slab records, open-slab
+    maps and queued frees."""
+    state = [alloc.heap.snapshot(), repr(getattr(alloc, "_cursor", None)), repr(getattr(alloc, "_log", None))]
+    if isinstance(alloc, SlabAllocator):
+        state += [
+            {addr: (slab.index, slot, n) for addr, (slab, slot, n) in alloc._live.items()},
+            [bytes(slab.bits) for slab in alloc._slabs],
+            {cls: bytes(open_map) for cls, open_map in alloc._open.items()},
+            repr(alloc._pending),
+        ]
+    return state
+
+
+# (allocator, op, address) for each capability whose address is no int
+# where a bump or slab op would end in a TypeError (bump's realloc of 8.0
+# only in its copy, after the cursor moved); blocks of 16 bytes sit at 0
+# and 16 and realloc asks for 32, so a slab realloc of 0.0 must move
+NO_INT_ADDRESSES = [
+    *[("bump-alloc-cheri", "realloc", a) for a in (8.0, 0.0, "16", None, [8])],
+    ("bump-alloc-nocheri", "free", [8]),
+    *[("bump-alloc-nocheri", "realloc", a) for a in (0.0, [8])],
+    *[("snmalloc-repo", "free", a) for a in (8.0, "16", None, [8])],
+    *[(name, "realloc", a) for name in ("snmalloc-cheribuild", "snmalloc-repo") for a in (0.0, [8])],
+]
+
+
+@pytest.mark.parametrize(
+    "name, op, address", NO_INT_ADDRESSES, ids=[f"{n}-{op}-{a!r}" for n, op, a in NO_INT_ADDRESSES]
+)
+def test_address_that_is_no_int_is_a_bounds_fault_on_bump_and_slab(name, op, address):
+    alloc = create(name, heap_size=8192)
+    alloc.malloc(16)
+    alloc.malloc(16)
+    before = engine_state(alloc)
+    cap = Capability(True, 0, 4096, address, 0x3F)
+    with pytest.raises(CapFault) as exc:
+        alloc.free(cap) if op == "free" else alloc.realloc(cap, 32)
+    assert exc.value.kind is FaultKind.BOUNDS_VIOLATION
+    assert str(exc.value) == f"BoundsViolation: address {address!r} is not an int"
+    assert engine_state(alloc) == before
+
+
+@pytest.mark.parametrize("address", [8.0, "16", None, [8]])
+def test_deferred_free_of_an_address_that_is_no_int_is_dropped(address):
+    # the free queues it; the flush drops it, as any invalid deferred free
+    alloc, twin = create("snmalloc-cheribuild", heap_size=8192), create("snmalloc-cheribuild", heap_size=8192)
+    alloc.malloc(16)
+    twin.malloc(16)
+    alloc.free(Capability(True, 0, 4096, address, 0x3F))
+    assert alloc.malloc(16) == twin.malloc(16)
+    assert engine_state(alloc) == engine_state(twin)
+
+
 # The in-line derivation sweep.  Engines build a client capability in line
 # wherever _derive could neither round nor fault, and call _derive only
 # where it can do more (rounding on and a block above ROUNDING_THRESHOLD,

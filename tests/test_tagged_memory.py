@@ -1,6 +1,7 @@
 import mmap
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -15,7 +16,7 @@ from capheap.attacks import ATTACKS
 from capheap.capability import CapFault, Capability, FaultKind, PERM_ALL, Perm, make_root
 from capheap.cli import main
 from capheap.harness import EXPECTED_MATRIX, run_matrix
-from capheap.registry import ALLOCATOR_NAMES, DEFAULT_HEAP_SIZE
+from capheap.registry import ALLOCATOR_NAMES, DEFAULT_HEAP_SIZE, create
 from capheap.tagged_memory import GRANULE, TaggedHeap
 
 HEAP = 4096
@@ -43,6 +44,24 @@ def test_rejects_bad_sizes():
     for bad in (0, -16, 24):
         with pytest.raises(ValueError):
             TaggedHeap(bad)
+
+
+@pytest.mark.parametrize(
+    "bad, text",
+    [(4096.0, "heap size 4096.0 is not an int"), ("4096", "heap size '4096' is not an int"),
+     (None, "heap size None is not an int"), (True, "heap size True is not an int"),
+     (1 << 32, "heap size exceeds the 32-bit address space"),
+     (1 << 33, "heap size exceeds the 32-bit address space")],
+)
+def test_heap_and_root_share_one_size_rule_checked_before_any_map(bad, text, monkeypatch):
+    # a map would fail the test rather than reserve the size asked for
+    def no_map(*args, **kwargs):
+        raise AssertionError(f"mapped {args}")
+
+    monkeypatch.setattr(tagged_memory, "mmap", SimpleNamespace(mmap=no_map))
+    for build in (TaggedHeap, make_root, lambda size: create("jemalloc", heap_size=size)):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            build(bad)
 
 
 class TestLoadStore:
