@@ -36,6 +36,10 @@ class FreeValidation(enum.Enum):
     ALLOC_LOG = "AllocLog"              # record of live allocations
 
 
+# the member a function body reads, bound once (see ``capability``)
+_ALLOC_LOG = FreeValidation.ALLOC_LOG
+
+
 class AllocatorTraits(NamedTuple):
     name: str
     narrow_bounds: bool
@@ -47,7 +51,7 @@ class AllocatorTraits(NamedTuple):
     @property
     def double_free_detect(self) -> bool:
         """Derived, not set: only an allocation log tells a second free apart."""
-        return self.free_validation is FreeValidation.ALLOC_LOG
+        return self.free_validation is _ALLOC_LOG
 
     def __repr__(self) -> str:
         # the derived field shown in its place among the set ones
@@ -68,9 +72,18 @@ class AllocErrorKind(enum.Enum):
     CORRUPT_HEADER = "CorruptHeader"  # an inline chunk header failed its magic check
 
 
+# the kinds as module constants, for the raise sites in function bodies
+_OUT_OF_MEMORY = AllocErrorKind.OUT_OF_MEMORY
+_INVALID_FREE = AllocErrorKind.INVALID_FREE
+_DOUBLE_FREE = AllocErrorKind.DOUBLE_FREE
+_BAD_REQUEST = AllocErrorKind.BAD_REQUEST
+_CORRUPT_HEADER = AllocErrorKind.CORRUPT_HEADER
+
+
 class AllocError(Exception):
     def __init__(self, kind: AllocErrorKind, detail: str = ""):
-        super().__init__(f"{kind.value}: {detail}" if detail else kind.value)
+        head = kind._value_  # the message as ``CapFault`` builds its own
+        Exception.__init__(self, f"{head}: {detail}" if detail else head)
         self.kind = kind
         self.detail = detail
 
@@ -100,7 +113,7 @@ class Allocator(abc.ABC):
     def __init__(self, heap: TaggedHeap, traits: AllocatorTraits, *, rounding_bounds: bool = False):
         if traits.free_validation not in self.validations:
             raise ValueError(
-                f"{type(self).__name__} does not implement {traits.free_validation.value} validation"
+                f"{type(self).__name__} does not implement {traits.free_validation._value_} validation"
             )
         for trait, value in self.refuses.items():
             if getattr(traits, trait) == value:

@@ -75,18 +75,29 @@ class Outcome(enum.Enum):
 
     @property
     def glyph(self) -> str:
-        return {"succeeds": "✓", "thwarted": "×", "not_applicable": "⊘"}[self.value]
+        return _GLYPHS[self._value_]
 
     @property
     def token(self) -> str:
-        return {"succeeds": "S", "thwarted": "T", "not_applicable": "NA"}[self.value]
+        return _TOKENS[self._value_]
 
     @classmethod
     def from_token(cls, token: str) -> "Outcome":
-        for member in cls:
-            if member.token == token:
-                return member
-        raise ValueError(f"unknown outcome token {token!r}")
+        outcome = _BY_TOKEN.get(token) if isinstance(token, str) else None
+        if outcome is None:
+            raise ValueError(f"unknown outcome token {token!r}")
+        return outcome
+
+
+# Each outcome's text, keyed by its ``_value_``, and the members a function
+# body reads, bound once (see ``capability``'s module docstring)
+_GLYPHS = {"succeeds": "✓", "thwarted": "×", "not_applicable": "⊘"}
+_TOKENS = {"succeeds": "S", "thwarted": "T", "not_applicable": "NA"}
+_BY_TOKEN = {_TOKENS[outcome._value_]: outcome for outcome in Outcome}
+_SUCCEEDS = Outcome.SUCCEEDS
+_THWARTED = Outcome.THWARTED
+_NOT_APPLICABLE = Outcome.NOT_APPLICABLE
+_INLINE_HEADER = FreeValidation.INLINE_HEADER
 
 
 class TraceStep(NamedTuple):
@@ -111,7 +122,7 @@ class TraceStep(NamedTuple):
             head, tail = value
             if isinstance(tail, Capability):
                 return f"{head}={tail.describe()}"
-            return f"{head}:{tail.value}"
+            return f"{head}:{tail._value_}"
         if isinstance(value, bytes):
             return value.hex()
         return "ok" if value is None else str(value)
@@ -125,9 +136,9 @@ class AttackReport(NamedTuple):
     note: str = ""
 
     def headline(self) -> str:
-        if self.outcome is Outcome.SUCCEEDS:
+        if self.outcome is _SUCCEEDS:
             text = "attack succeeded"
-        elif self.outcome is Outcome.THWARTED:
+        elif self.outcome is _THWARTED:
             text = "attack thwarted"
         else:
             text = f"not applicable ({self.note})" if self.note else "not applicable"
@@ -325,10 +336,10 @@ def _a1(t: Ops | Tape) -> tuple[Outcome, str]:
         t.store(p, A1_SENTINEL)
         t.free(p)
         if t.load(p, p.address, len(A1_SENTINEL)) == A1_SENTINEL:
-            return Outcome.SUCCEEDS, ""
+            return _SUCCEEDS, ""
     except (AllocError, CapFault):
         pass
-    return Outcome.THWARTED, ""
+    return _THWARTED, ""
 
 
 def _a2(t: Ops | Tape) -> tuple[Outcome, str]:
@@ -340,11 +351,11 @@ def _a2(t: Ops | Tape) -> tuple[Outcome, str]:
     through the widened capability.
     """
     if not t.traits("narrow_bounds"):
-        return Outcome.NOT_APPLICABLE, "no bounds narrowing"
+        return _NOT_APPLICABLE, "no bounds narrowing"
     try:
         p = t.malloc(32)
     except (AllocError, CapFault):
-        return Outcome.THWARTED, ""
+        return _THWARTED, ""
     victim = None
     for _ in range(A2_MAX_VICTIMS):
         try:
@@ -356,16 +367,16 @@ def _a2(t: Ops | Tape) -> tuple[Outcome, str]:
             break
     if victim is None:
         t.note("no adjacent victim found")
-        return Outcome.NOT_APPLICABLE, "no adjacent victim found"
+        return _NOT_APPLICABLE, "no adjacent victim found"
     try:
         t.store(victim, A2_SENTINEL)
         t.free(victim)
         q = t.realloc(p, 128)
         if t.load(q, victim.address, len(A2_SENTINEL)) == A2_SENTINEL:
-            return Outcome.SUCCEEDS, ""
+            return _SUCCEEDS, ""
     except (AllocError, CapFault):
         pass
-    return Outcome.THWARTED, ""
+    return _THWARTED, ""
 
 
 def _a3(t: Ops | Tape) -> tuple[Outcome, str]:
@@ -378,8 +389,8 @@ def _a3(t: Ops | Tape) -> tuple[Outcome, str]:
         p = t.malloc(64)
         t.free(t.set_bounds(p, p.address, 16))
     except (AllocError, CapFault):
-        return Outcome.THWARTED, ""
-    return Outcome.SUCCEEDS, ""
+        return _THWARTED, ""
+    return _SUCCEEDS, ""
 
 
 def _a4(t: Ops | Tape) -> tuple[Outcome, str]:
@@ -389,14 +400,14 @@ def _a4(t: Ops | Tape) -> tuple[Outcome, str]:
     effect is unobservable within the probe's synchronous window.
     """
     if t.traits("deferred_free"):
-        return Outcome.NOT_APPLICABLE, "deferred free"
+        return _NOT_APPLICABLE, "deferred free"
     try:
         p = t.malloc(48)
         t.free(p)
         t.free(p)
     except (AllocError, CapFault):
-        return Outcome.THWARTED, ""
-    return Outcome.SUCCEEDS, ""
+        return _THWARTED, ""
+    return _SUCCEEDS, ""
 
 
 def _a5(t: Ops | Tape) -> tuple[Outcome, str]:
@@ -404,8 +415,8 @@ def _a5(t: Ops | Tape) -> tuple[Outcome, str]:
     try:
         p = t.malloc(32)
     except (AllocError, CapFault):
-        return Outcome.THWARTED, ""
-    return Outcome.SUCCEEDS if p.perms & _EXEC else Outcome.THWARTED, ""
+        return _THWARTED, ""
+    return _SUCCEEDS if p.perms & _EXEC else _THWARTED, ""
 
 
 ATTACKS: dict[str, Callable[[Ops | Tape], tuple[Outcome, str]]] = {
@@ -431,23 +442,19 @@ def predicted_row(traits: AllocatorTraits) -> tuple[Outcome, ...]:
     """The probes' decision rules evaluated on a trait record alone,
     without running any engine.  Used as an independent cross-check of
     the trait table against the golden matrix."""
-    a1 = Outcome.SUCCEEDS  # no modeled allocator revokes freed capabilities
+    a1 = _SUCCEEDS  # no modeled allocator revokes freed capabilities
     if not traits.narrow_bounds:
-        a2 = Outcome.NOT_APPLICABLE
+        a2 = _NOT_APPLICABLE
     elif traits.realloc_grows_in_place:
-        a2 = Outcome.SUCCEEDS
+        a2 = _SUCCEEDS
     else:
-        a2 = Outcome.THWARTED
-    a3 = (
-        Outcome.THWARTED
-        if traits.free_validation is FreeValidation.INLINE_HEADER
-        else Outcome.SUCCEEDS
-    )
+        a2 = _THWARTED
+    a3 = _THWARTED if traits.free_validation is _INLINE_HEADER else _SUCCEEDS
     if traits.deferred_free:
-        a4 = Outcome.NOT_APPLICABLE
+        a4 = _NOT_APPLICABLE
     elif traits.double_free_detect:
-        a4 = Outcome.THWARTED
+        a4 = _THWARTED
     else:
-        a4 = Outcome.SUCCEEDS
-    a5 = Outcome.THWARTED if traits.strips_exec else Outcome.SUCCEEDS
+        a4 = _SUCCEEDS
+    a5 = _THWARTED if traits.strips_exec else _SUCCEEDS
     return (a1, a2, a3, a4, a5)

@@ -14,7 +14,7 @@ from collections import deque
 from typing import NamedTuple
 
 from . import _csv
-from .allocator_api import AllocError, AllocErrorKind, Allocator
+from .allocator_api import _OUT_OF_MEMORY, AllocError, Allocator
 
 __all__ = [
     "BenchResult", "WORKLOADS", "Workload", "Xorshift64", "emit_csv", "run_workload",
@@ -135,7 +135,7 @@ class _Meter:
         try:
             return op(*args)
         except AllocError as exc:
-            if exc.kind is not AllocErrorKind.OUT_OF_MEMORY:
+            if exc.kind is not _OUT_OF_MEMORY:
                 raise
             self.oom += 1
             return None

@@ -101,22 +101,26 @@ from __future__ import annotations
 import struct
 
 from .allocator_api import (
+    _BAD_REQUEST,
+    _CORRUPT_HEADER,
+    _DOUBLE_FREE,
+    _INVALID_FREE,
+    _OUT_OF_MEMORY,
     AllocError,
-    AllocErrorKind,
     Allocator,
+    AllocatorTraits,
     FreeValidation,
 )
 from .capability import (
+    _BOUNDS_VIOLATION,
     ADDRESS_MAX,
     ROUNDING_THRESHOLD,
     CapFault,
     Capability,
-    FaultKind,
-    Perm,
     _derive,
     _tuple_new,
 )
-from .tagged_memory import _NEED_LOAD, _refuse_no_int
+from .tagged_memory import _NEED_LOAD, _NEED_STORE, TaggedHeap, _refuse_no_int
 
 __all__ = [
     "BumpAllocator",
@@ -195,20 +199,25 @@ class BumpAllocator(Allocator):
     validations = (FreeValidation.NONE, FreeValidation.ALLOC_LOG)
     refuses = {"deferred_free": True, "realloc_grows_in_place": True}
 
+    def __init__(self, heap: TaggedHeap, traits: AllocatorTraits, *, rounding_bounds: bool = False):
+        # read once: the derived flag is a property, a frame per reset
+        self._logs = traits.double_free_detect
+        super().__init__(heap, traits, rounding_bounds=rounding_bounds)
+
     def _reset_state(self) -> None:
         self._cursor = 0
         # base -> [length, freed], kept only under ALLOC_LOG; bump never
         # reuses a base, so keys are unique
-        self._log: dict[int, list] | None = {} if self._traits.double_free_detect else None
+        self._log: dict[int, list] | None = {} if self._logs else None
 
     def malloc(self, size: int) -> Capability:
         if not isinstance(size, int) or size < 1:
-            raise AllocError(AllocErrorKind.BAD_REQUEST, f"size {size!r}")
+            raise AllocError(_BAD_REQUEST, f"size {size!r}")
         length = (size + 15) & ~15
         start = self._cursor
         end = start + length
         if end > self.heap.size:
-            raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"cursor at {start}")
+            raise AllocError(_OUT_OF_MEMORY, f"cursor at {start}")
         # the OOM test keeps the block inside the heap, so only rounding
         # can move or refuse its bounds
         if not self._traits.narrow_bounds:  # whole region, cursor at the block start
@@ -227,8 +236,8 @@ class BumpAllocator(Allocator):
         free and realloc call this only when the log holds no record at
         ``cap.address`` or the record is freed, so it always raises."""
         if cap.address not in self._log:
-            raise AllocError(AllocErrorKind.INVALID_FREE, f"no allocation at {cap.address}")
-        raise AllocError(AllocErrorKind.DOUBLE_FREE, f"block {cap.address} already freed")
+            raise AllocError(_INVALID_FREE, f"no allocation at {cap.address}")
+        raise AllocError(_DOUBLE_FREE, f"block {cap.address} already freed")
 
     def free(self, cap: Capability) -> None:
         log = self._log
@@ -243,7 +252,7 @@ class BumpAllocator(Allocator):
 
     def realloc(self, cap: Capability, new_size: int) -> Capability:
         if not isinstance(new_size, int) or new_size < 1:
-            raise AllocError(AllocErrorKind.BAD_REQUEST, f"size {new_size!r}")
+            raise AllocError(_BAD_REQUEST, f"size {new_size!r}")
         _, base, top, src, _ = cap
         log = self._log
         record = None
@@ -265,7 +274,7 @@ class BumpAllocator(Allocator):
         start = self._cursor
         end = start + length
         if end > heap.size:
-            raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"cursor at {start}")
+            raise AllocError(_OUT_OF_MEMORY, f"cursor at {start}")
         if not self._traits.narrow_bounds:
             new_cap = _tuple_new(Capability, (True, 0, heap.size, start, self._client_perms))
         elif self._rounding and length > ROUNDING_THRESHOLD:
@@ -374,7 +383,7 @@ class FreeListAllocator(Allocator):
         occurrence at ``slot``, which the caller then counts out."""
         heap = self.heap
         if chunk < 0 or chunk + CHUNK_HEADER_SIZE > heap.size:
-            self.region.check_access(chunk, CHUNK_HEADER_SIZE, Perm.STORE)
+            self.region.check_access(chunk, CHUNK_HEADER_SIZE, _NEED_STORE)
         _HEADER.pack_into(heap.data, chunk, payload, CHUNK_MAGIC, _STATUS_FREE, 0)
         first, last = chunk >> 4, (chunk + CHUNK_HEADER_SIZE - 1) >> 4
         heap.tags[first] = heap.tags[last] = 0
@@ -448,7 +457,7 @@ class FreeListAllocator(Allocator):
 
     def _read_header(self, chunk: int) -> tuple[int, int, int]:
         if chunk < 0 or chunk + CHUNK_HEADER_SIZE > self.heap.size:
-            self.region.check_access(chunk, CHUNK_HEADER_SIZE, Perm.LOAD)
+            self.region.check_access(chunk, CHUNK_HEADER_SIZE, _NEED_LOAD)
         size, magic, status, _ = _HEADER.unpack_from(self.heap.data, chunk)
         return size, magic, status
 
@@ -465,14 +474,12 @@ class FreeListAllocator(Allocator):
         fault; ``check_access`` runs only when its test fails."""
         tag, base, top, address, perms = cap
         if not isinstance(address, int):
-            raise CapFault(FaultKind.BOUNDS_VIOLATION, f"address {address!r} is not an int")
+            raise CapFault(_BOUNDS_VIOLATION, f"address {address!r} is not an int")
         chunk = address - CHUNK_HEADER_SIZE
         if chunk < 0:
-            raise CapFault(FaultKind.BOUNDS_VIOLATION, "header would sit below the heap")
+            raise CapFault(_BOUNDS_VIOLATION, "header would sit below the heap")
         if chunk > ADDRESS_MAX:
-            raise CapFault(
-                FaultKind.BOUNDS_VIOLATION, "header would sit past the 32-bit address space"
-            )
+            raise CapFault(_BOUNDS_VIOLATION, "header would sit past the 32-bit address space")
         if not (tag and perms & _NEED_LOAD and base <= chunk and address <= top):
             cap.check_access(chunk, CHUNK_HEADER_SIZE, _NEED_LOAD)
         heap = self.heap
@@ -480,12 +487,12 @@ class FreeListAllocator(Allocator):
             heap.fault_outside(chunk, CHUNK_HEADER_SIZE)
         size, magic = _PAYLOAD_MAGIC.unpack_from(heap.data, chunk)
         if magic != CHUNK_MAGIC:
-            raise AllocError(AllocErrorKind.INVALID_FREE, f"bad chunk magic at {chunk}")
+            raise AllocError(_INVALID_FREE, f"bad chunk magic at {chunk}")
         return chunk, size
 
     def malloc(self, size: int) -> Capability:
         if not isinstance(size, int) or size < 1:  # _check_request, in line
-            raise AllocError(AllocErrorKind.BAD_REQUEST, f"size {size!r}")
+            raise AllocError(_BAD_REQUEST, f"size {size!r}")
         want = (size + 15) & ~15
         free_list = self._free_list
         heap = self.heap
@@ -499,7 +506,7 @@ class FreeListAllocator(Allocator):
             for chunk in free_list:
                 payload, magic = unpack(data, chunk)
                 if magic != CHUNK_MAGIC:
-                    raise AllocError(AllocErrorKind.CORRUPT_HEADER, f"free list entry at {chunk}")
+                    raise AllocError(_CORRUPT_HEADER, f"free list entry at {chunk}")
                 if payload >= want:
                     slot = free_list.index(chunk)
                     break
@@ -508,7 +515,7 @@ class FreeListAllocator(Allocator):
                 if len(free_list) > _SCAN_LIMIT:
                     self._index()
         if slot < 0:
-            raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"no free chunk holds {want} bytes")
+            raise AllocError(_OUT_OF_MEMORY, f"no free chunk holds {want} bytes")
         cap = self._carve(free_list[slot], payload, want, slot)
         if slot >= _SCAN_LIMIT and heap.watch is None:
             self._index()  # a long scan: answer from the classes from now on
@@ -544,7 +551,7 @@ class FreeListAllocator(Allocator):
             return -1, 0
         chunk = free_list[stop]
         if classes[stop] == _POISONED:
-            raise AllocError(AllocErrorKind.CORRUPT_HEADER, f"free list entry at {chunk}")
+            raise AllocError(_CORRUPT_HEADER, f"free list entry at {chunk}")
         return stop, _PAYLOAD_MAGIC.unpack_from(heap.data, chunk)[0]
 
     def _carve(self, chunk: int, payload: int, want: int, slot: int = -1) -> Capability:
@@ -560,7 +567,7 @@ class FreeListAllocator(Allocator):
         if payload >= want + 32:
             rest = at + want
             if rest + CHUNK_HEADER_SIZE > heap.size:
-                region.check_access(rest, CHUNK_HEADER_SIZE, Perm.STORE)
+                region.check_access(rest, CHUNK_HEADER_SIZE, _NEED_STORE)
         else:
             rest, want = 0, payload
         # a chunk handed out whole may end past the heap, if a forged
@@ -584,7 +591,7 @@ class FreeListAllocator(Allocator):
             self._leave(chunk, slot)
         # the LIVE header, written as _push writes a FREE one
         if chunk < 0 or at > heap.size:
-            region.check_access(chunk, CHUNK_HEADER_SIZE, Perm.STORE)
+            region.check_access(chunk, CHUNK_HEADER_SIZE, _NEED_STORE)
         _HEADER.pack_into(heap.data, chunk, want, CHUNK_MAGIC, _STATUS_LIVE, 0)
         first, last = chunk >> 4, (at - 1) >> 4
         heap.tags[first] = heap.tags[last] = 0
@@ -619,7 +626,7 @@ class FreeListAllocator(Allocator):
 
     def realloc(self, cap: Capability, new_size: int) -> Capability:
         if not isinstance(new_size, int) or new_size < 1:
-            raise AllocError(AllocErrorKind.BAD_REQUEST, f"size {new_size!r}")
+            raise AllocError(_BAD_REQUEST, f"size {new_size!r}")
         want = (new_size + 15) & ~15
         # the header read as free reads it
         tag, base, top, address, perms = cap
@@ -676,7 +683,7 @@ class FreeListAllocator(Allocator):
             if magic != CHUNK_MAGIC or status != _STATUS_FREE:
                 return None
             if nxt not in self._listed:
-                raise AllocError(AllocErrorKind.CORRUPT_HEADER, f"unlisted free header at {nxt}")
+                raise AllocError(_CORRUPT_HEADER, f"unlisted free header at {nxt}")
             absorbed.append(nxt)
             span += CHUNK_HEADER_SIZE + nxt_payload
         cap = self._carve(chunk, span, want)
@@ -693,12 +700,12 @@ class FreeListAllocator(Allocator):
         while off < self.heap.size:
             size, magic, status = self._read_header(off)
             if magic != CHUNK_MAGIC:
-                raise AllocError(AllocErrorKind.CORRUPT_HEADER, f"tiling broken at {off}")
+                raise AllocError(_CORRUPT_HEADER, f"tiling broken at {off}")
             out.append((off, size, status))
             off += CHUNK_HEADER_SIZE + size
         if off != self.heap.size:
             raise AllocError(
-                AllocErrorKind.CORRUPT_HEADER, f"tiling ends at {off}, past the heap end {self.heap.size}"
+                _CORRUPT_HEADER, f"tiling ends at {off}, past the heap end {self.heap.size}"
             )
         return out
 
@@ -766,7 +773,7 @@ class SlabAllocator(Allocator):
         """The class malloc puts a request of ``size`` bytes in (malloc
         applies this rule in line)."""
         if size > _LARGEST:
-            raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"{size} exceeds the largest size class")
+            raise AllocError(_OUT_OF_MEMORY, f"{size} exceeds the largest size class")
         return 1 << (size - 1).bit_length() if size > _SMALLEST else _SMALLEST
 
     def _flush_pending(self) -> None:
@@ -779,11 +786,11 @@ class SlabAllocator(Allocator):
 
     def malloc(self, size: int) -> Capability:
         if not isinstance(size, int) or size < 1:
-            raise AllocError(AllocErrorKind.BAD_REQUEST, f"size {size!r}")
+            raise AllocError(_BAD_REQUEST, f"size {size!r}")
         if self._pending:  # only a deferred free queues
             self._flush_pending()
         if size > _LARGEST:  # size_class, in line
-            raise AllocError(AllocErrorKind.OUT_OF_MEMORY, f"{size} exceeds the largest size class")
+            raise AllocError(_OUT_OF_MEMORY, f"{size} exceeds the largest size class")
         cls = 1 << (size - 1).bit_length() if size > _SMALLEST else _SMALLEST
         open_map = self._open.get(cls)
         index = -1 if open_map is None else open_map.find(1)
@@ -792,7 +799,7 @@ class SlabAllocator(Allocator):
         else:
             index = len(self._slabs)
             if (index + 1) * SLAB_SIZE > self.heap.size:
-                raise AllocError(AllocErrorKind.OUT_OF_MEMORY, "no room for another slab")
+                raise AllocError(_OUT_OF_MEMORY, "no room for another slab")
             slab = _Slab(index, cls)
             self._slabs.append(slab)
             if open_map is None:
@@ -828,7 +835,7 @@ class SlabAllocator(Allocator):
             mapped = self._slot_of(addr)
             if mapped is None:
                 if strict:
-                    raise AllocError(AllocErrorKind.INVALID_FREE, f"{addr} maps outside any slab")
+                    raise AllocError(_INVALID_FREE, f"{addr} maps outside any slab")
                 return
             slab, slot = mapped
             record = self._live.pop(slab.offset + slot * slab.cls, None)
@@ -837,7 +844,7 @@ class SlabAllocator(Allocator):
                 # of a live multi-slot block: refuse rather than half-free
                 # it.  Re-clearing a clear bit is silent.
                 if strict and slab.bits[slot]:
-                    raise AllocError(AllocErrorKind.INVALID_FREE, f"{addr} is inside a live block")
+                    raise AllocError(_INVALID_FREE, f"{addr} is inside a live block")
                 return
         slab, slot, nslots = record
         if nslots == 1:
@@ -868,7 +875,7 @@ class SlabAllocator(Allocator):
 
     def realloc(self, cap: Capability, new_size: int) -> Capability:
         if not isinstance(new_size, int) or new_size < 1:
-            raise AllocError(AllocErrorKind.BAD_REQUEST, f"size {new_size!r}")
+            raise AllocError(_BAD_REQUEST, f"size {new_size!r}")
         if self._pending:
             self._flush_pending()
         addr = cap.address
@@ -877,7 +884,7 @@ class SlabAllocator(Allocator):
         except TypeError:  # an unhashable address
             _refuse_no_int(addr)
         if record is None:
-            raise AllocError(AllocErrorKind.INVALID_FREE, f"no allocation at {addr}")
+            raise AllocError(_INVALID_FREE, f"no allocation at {addr}")
         slab, slot, nslots = record
         cls = slab.cls
         current = nslots * cls

@@ -172,7 +172,7 @@ def render(matrix: ConformanceMatrix, fmt: str = "text") -> bytes:
         import json
 
         obj = {
-            name: [o.value for o in row] for name, row in zip(matrix.names, matrix.cells)
+            name: [o._value_ for o in row] for name, row in zip(matrix.names, matrix.cells)
         }
         return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {fmt!r}")

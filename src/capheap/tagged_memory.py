@@ -74,7 +74,9 @@ import mmap
 import struct
 from typing import NoReturn
 
-from .capability import CapFault, Capability, FaultKind, Perm, _check_heap_size, _tuple_new
+from .capability import (
+    _ALIGNMENT_VIOLATION, _BOUNDS_VIOLATION, CapFault, Capability, Perm, _check_heap_size, _tuple_new,
+)
 
 __all__ = ["DEFAULT_HEAP_SIZE", "GRANULE", "TaggedHeap"]
 
@@ -106,7 +108,7 @@ def _refuse_no_int(addr) -> NoReturn:
     TypeError being handled.  Outside a handler, call it only with an
     address that is no int."""
     if not isinstance(addr, int):
-        raise CapFault(FaultKind.BOUNDS_VIOLATION, f"address {addr!r} is not an int") from None
+        raise CapFault(_BOUNDS_VIOLATION, f"address {addr!r} is not an int") from None
     raise
 
 
@@ -166,9 +168,7 @@ class TaggedHeap:
 
     def fault_outside(self, addr: int, length: int) -> None:
         """Raise the heap's own bounds fault for [addr, addr + length)."""
-        raise CapFault(
-            FaultKind.BOUNDS_VIOLATION, f"[{addr}, {addr + length}) outside [0, {self.size})"
-        )
+        raise CapFault(_BOUNDS_VIOLATION, f"[{addr}, {addr + length}) outside [0, {self.size})")
 
     # Each access checks the heap's own bounds after the capability's, so
     # a capability reaching past either end of the heap (wider than the
@@ -222,7 +222,7 @@ class TaggedHeap:
         the payload's tag.  Alignment is checked before authority."""
         try:
             if addr % GRANULE != 0:
-                raise CapFault(FaultKind.ALIGNMENT_VIOLATION, f"store_cap at {addr}")
+                raise CapFault(_ALIGNMENT_VIOLATION, f"store_cap at {addr}")
             tag, base, top, _, perms = cap
             if (
                 not tag
@@ -237,7 +237,7 @@ class TaggedHeap:
                 raw = _CAP_LAYOUT.pack(payload.base, payload.top, payload.address, payload.perms)
             except struct.error:
                 raise CapFault(
-                    FaultKind.BOUNDS_VIOLATION,
+                    _BOUNDS_VIOLATION,
                     f"store_cap payload {payload!r} has no 16-byte encoding",
                 ) from None
             granule = addr >> 4
@@ -256,7 +256,7 @@ class TaggedHeap:
         so anything clobbered by byte stores comes back untagged."""
         try:
             if addr % GRANULE != 0:
-                raise CapFault(FaultKind.ALIGNMENT_VIOLATION, f"load_cap at {addr}")
+                raise CapFault(_ALIGNMENT_VIOLATION, f"load_cap at {addr}")
             tag, base, top, _, perms = cap
             if (
                 not tag

@@ -30,12 +30,14 @@ class TestOutcome:
         assert Outcome.NOT_APPLICABLE.glyph == "⊘"
 
     def test_token_round_trip(self):
+        assert [o.token for o in Outcome] == ["S", "T", "NA"]
         for o in Outcome:
             assert Outcome.from_token(o.token) is o
 
     def test_unknown_token(self):
-        with pytest.raises(ValueError):
-            Outcome.from_token("X")
+        for token in ("X", "", "s", "succeeds", None, 1, ["S"]):
+            with pytest.raises(ValueError, match="^unknown outcome token "):
+                Outcome.from_token(token)
 
 
 class TestProbeExamples:

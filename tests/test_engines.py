@@ -1,5 +1,6 @@
 from bisect import bisect_left, insort
 from collections import Counter
+import enum
 import random
 import struct
 import sys
@@ -19,7 +20,7 @@ from capheap.engines import (
     FreeListAllocator,
     SlabAllocator,
 )
-from capheap.harness import EXPECTED_MATRIX, run_matrix
+from capheap.harness import EXPECTED_MATRIX, parse_csv, render, run_matrix
 from capheap.registry import ALLOCATOR_NAMES, TRAITS, create
 from capheap.tagged_memory import GRANULE, TaggedHeap
 from granules import round16
@@ -1681,13 +1682,78 @@ def test_grid_builds_no_report():
 # first grid has left its heap and instances: each op a body makes is the
 # engine's own call, plus per row one ``reset`` of the instance the last
 # grid built and one ``Ops``, and the op set's adapters for store,
-# traits and note.
-CALLS_PER_GRID = 461
+# traits and note.  A bump reset reads the log flag its instance bound
+# when built, not the ``double_free_detect`` property.
+CALLS_PER_GRID = 451
 
 
 def test_python_calls_per_grid():
     run_matrix()
     assert calls_into_capheap(run_matrix) == CALLS_PER_GRID
+
+
+# what reading an enum member's ``value`` runs: the property's getter,
+# and its ``__get__`` where that is Python code
+_VALUE = vars(enum.Enum)["value"]
+ENUM_VALUE_CODES = {_VALUE.fget.__code__} | (
+    {type(_VALUE).__get__.__code__} if hasattr(type(_VALUE).__get__, "__code__") else set()
+)
+
+
+def calls_into_enum_value(run):
+    """The frames of ``enum``'s ``value`` property while ``run()`` runs,
+    counted by a profile hook, as ``calls_into_capheap`` counts."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code in ENUM_VALUE_CODES:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_grids_refusals_and_renders_read_no_enum_value():
+    """A grid, a refusal and a rendered outcome or refusal read the kind's
+    ``_value_``, never the ``value`` property: two Python frames a read."""
+    assert calls_into_enum_value(lambda: FaultKind.BOUNDS_VIOLATION.value) > 0
+    heap = TaggedHeap(4096)
+    cap = make_root(4096).set_bounds(32, 64)
+    bump = create("bump-alloc-cheri", 4096)
+    while bump._cursor < 4096:
+        bump.malloc(16)
+    refusals = []
+
+    def refused_load():
+        try:
+            heap.load(cap, 200, 8)
+        except CapFault as exc:
+            refusals.append(str(exc))
+
+    def out_of_memory():
+        try:
+            bump.malloc(16)
+        except AllocError as exc:
+            refusals.append(str(exc))
+
+    report = run_attack("A4", create("bump-alloc-nocheri"))
+    run_matrix()
+    runs = {
+        "grid": run_matrix,
+        "refused load": refused_load,
+        "out of memory": out_of_memory,
+        "renders": lambda: [render(EXPECTED_MATRIX, fmt) for fmt in ("text", "csv", "json")],
+        "parse": lambda: parse_csv(render(EXPECTED_MATRIX, "csv")),
+        "report": lambda: (report.headline(), [step.result for step in report.trace]),
+    }
+    assert {name: calls_into_enum_value(run) for name, run in runs.items()} == dict.fromkeys(runs, 0)
+    assert refusals == ["BoundsViolation: [200, 208) outside [32, 96)", "OutOfMemory: cursor at 4096"]
+    assert report.trace[-1].result == "error:DoubleFree"
 
 
 # Python calls into capheap per heap access that passes, on a fresh heap:

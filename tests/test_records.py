@@ -113,19 +113,42 @@ def test_traits_take_six_arguments():
 
 ERRORS = [(CapFault, kind) for kind in FaultKind] + [(AllocError, kind) for kind in AllocErrorKind]
 
+# each kind's message head, spelled out rather than read from the kind,
+# so the test below pins the text an error builds, however it builds it
+MESSAGE_HEADS = {
+    FaultKind.TAG_VIOLATION: "TagViolation",
+    FaultKind.BOUNDS_VIOLATION: "BoundsViolation",
+    FaultKind.PERMISSION_VIOLATION: "PermissionViolation",
+    FaultKind.ALIGNMENT_VIOLATION: "AlignmentViolation",
+    FaultKind.MONOTONICITY_VIOLATION: "MonotonicityViolation",
+    AllocErrorKind.OUT_OF_MEMORY: "OutOfMemory",
+    AllocErrorKind.INVALID_FREE: "InvalidFree",
+    AllocErrorKind.DOUBLE_FREE: "DoubleFree",
+    AllocErrorKind.BAD_REQUEST: "BadRequest",
+    AllocErrorKind.CORRUPT_HEADER: "CorruptHeader",
+}
+
 
 @pytest.mark.parametrize("detail", ["", "[16, 32) outside [0, 16)"], ids=["bare", "detail"])
 @pytest.mark.parametrize("cls, kind", ERRORS, ids=lambda x: getattr(x, "name", None))
 def test_errors_survive_pickle_and_copy(cls, kind, detail):
-    # ``args`` holds only the message, so a rebuild from it would pass
-    # the message as ``kind``
+    """``str()``, ``args``, ``repr()``, ``kind`` and ``detail`` of every
+    error, and of its pickle and copy round-trips, against literal text.
+    ``args`` holds only the message, so a rebuild from it would pass the
+    message as ``kind``."""
+    assert set(MESSAGE_HEADS) == {kind for _, kind in ERRORS}
+    head = MESSAGE_HEADS[kind]
+    text = f"{head}: {detail}" if detail else head
+    shown = f"{cls.__name__}({text!r})"
     error = cls(kind, detail)
-    text = f"{kind.value}: {detail}" if detail else kind.value
-    assert (str(error), error.args) == (text, (text,))
     pickled = [pickle.loads(pickle.dumps(error, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
-    for again in (*pickled, copy.copy(error), copy.deepcopy(error)):
-        assert type(again) is cls and again is not error
-        assert (again.kind, again.detail, again.args, str(again)) == (kind, detail, (text,), text)
+    copies = (*pickled, copy.copy(error), copy.deepcopy(error))
+    assert all(again is not error for again in copies)
+    for each in (error, *copies):
+        assert type(each) is cls and each.kind is kind and each.detail == detail
+        assert (str(each), each.args, repr(each)) == (text, (text,), shown)
+    if not detail:
+        assert str(cls(kind)) == head and cls(kind).detail == ""
 
 
 # what each snippet adds to the modules a bare interpreter has loaded

@@ -1,6 +1,8 @@
 """Rules about the package source itself, checked by parsing it."""
 
 import ast
+import enum
+import importlib
 import io
 import tokenize
 from pathlib import Path
@@ -9,18 +11,28 @@ import capheap
 
 SOURCES = sorted(Path(capheap.__file__).parent.glob("*.py"))
 
+# every enum class the package defines, by name, with its member names
+ENUM_MEMBERS = {
+    obj.__name__: set(obj.__members__)
+    for path in SOURCES
+    for obj in vars(importlib.import_module(
+        "capheap" if path.stem == "__init__" else f"capheap.{path.stem}"
+    )).values()
+    if isinstance(obj, enum.EnumMeta) and obj.__module__.startswith("capheap.")
+}
+
 # Code lines per module, counted by ``code_lines``.  A change to the
 # package source updates its rows here, so each module's size is a
 # reviewed number, as the Python calls per op are.
 CODE_LINES = {
     "__init__.py": 66,
     "_csv.py": 8,
-    "allocator_api.py": 83,
-    "attacks.py": 262,
+    "allocator_api.py": 90,
+    "attacks.py": 265,
     "bench.py": 160,
-    "capability.py": 112,
+    "capability.py": 118,
     "cli.py": 149,
-    "engines.py": 533,
+    "engines.py": 538,
     "harness.py": 120,
     "registry.py": 29,
     "tagged_memory.py": 146,
@@ -67,6 +79,22 @@ def capability_constructor_calls(tree):
             isinstance(node.func, ast.Name) and node.func.id == "Capability"
             or isinstance(node.func, ast.Attribute) and node.func.attr == "Capability"
         )
+    }
+
+
+def enum_member_loads(tree, members=ENUM_MEMBERS):
+    """The lines of every load of an enum member inside a function body:
+    an attribute named for a member of ``members``' class of that name,
+    read from the class by name or as an attribute (``FaultKind.X`` or
+    ``capability.FaultKind.X``)."""
+    return {
+        node.lineno
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, (ast.Name, ast.Attribute))
+        and node.attr in members.get(getattr(node.value, "id", getattr(node.value, "attr", None)), ())
     }
 
 
@@ -159,6 +187,38 @@ def test_the_rule_sees_constructor_calls_in_any_form():
         "x = g(Capability(False, 0, 0, 0, 0))\n"
     )
     assert capability_constructor_calls(tree) == {2, 6, 8}
+
+
+def test_no_function_loads_an_enum_member_from_its_class():
+    """On Python 3.10 and 3.11 the enum metaclass defines ``__getattr__``,
+    so every ``Outcome.X`` load runs the slow attribute hook: about five
+    times a plain class attribute's cost, and invisible to a profiler.  A
+    function body reads a module constant bound once instead
+    (``capability``'s module docstring has the figures).  Module and class
+    bodies run once, and may load members."""
+    assert set(ENUM_MEMBERS) >= {"AllocErrorKind", "FaultKind", "FreeValidation", "Outcome", "Perm"}
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in sorted(enum_member_loads(ast.parse(path.read_text(), str(path))))
+    ]
+    assert not found
+
+
+def test_the_rule_sees_member_loads_in_any_form():
+    tree = ast.parse(
+        "X = FaultKind.TAG_VIOLATION\n"
+        "class C:\n"
+        "    v = (Outcome.SUCCEEDS, FreeValidation.NONE)\n"
+        "    def m(self):\n"
+        "        return Outcome.THWARTED\n"
+        "def f(kind):\n"
+        "    g = lambda: capability.FaultKind.BOUNDS_VIOLATION\n"
+        "    def inner():\n"
+        "        raise AllocError(AllocErrorKind.OUT_OF_MEMORY, kind.value)\n"
+        "    return Outcome.from_token('S'), FreeValidation, kind._value_, Perm.LOAD | 1\n"
+    )
+    assert enum_member_loads(tree) == {5, 7, 9, 10}
 
 
 def test_no_class_defines_a_finalizer():
