@@ -103,7 +103,10 @@ class Allocator(abc.ABC):
     One instance binds to one heap and one logical thread.  Placement is
     a pure function of the operation sequence: no randomness, no clocks,
     so identical op sequences on fresh instances yield identical
-    capabilities.
+    capabilities.  Construction ends in ``reset()``, the one hook that
+    builds an engine's state: it zeroes what the heap holds since its
+    last clear, so an instance built over a heap an earlier one wrote is
+    a fresh instance on a fresh heap.
     """
 
     # the free validations an engine implements; trait values it refuses
@@ -126,20 +129,22 @@ class Allocator(abc.ABC):
         # down once here rather than on every op
         perms = _CLIENT_PERMS_NO_EXEC if traits.strips_exec else _CLIENT_PERMS
         self._client_perms = self.region.perms & perms
-        self._reset_state()
+        self.reset()
 
     def traits(self) -> AllocatorTraits:
         return self._traits
 
+    @abc.abstractmethod
     def reset(self) -> None:
-        """Back to the initial state over a freshly zeroed heap (whose
-        ``clear()`` drops its watch map).  This is also the one defined
-        call after the heap was cleared under the instance: ``clear()``
-        zeroes the bytes but not the engine's own state, so until a
-        reset the free list faults on a header it no longer finds, the
-        slab engine keeps its old records and bump keeps its cursor."""
-        self.heap.clear()
-        self._reset_state()
+        """Back to the initial state over a freshly zeroed heap: each
+        engine calls ``heap.clear()``, which zeroes what the heap holds
+        since its last clear and drops its watch map, and builds all of
+        its own state in this one frame; the constructor ends here too.
+        This is also the one defined call after the heap was cleared
+        under the instance: ``clear()`` zeroes the bytes but not the
+        engine's own state, so until a reset the free list faults on a
+        header it no longer finds, the slab engine keeps its old records
+        and bump keeps its cursor."""
 
     @abc.abstractmethod
     def malloc(self, size: int) -> Capability:
@@ -154,7 +159,3 @@ class Allocator(abc.ABC):
     @abc.abstractmethod
     def realloc(self, cap: Capability, new_size: int) -> Capability:
         """Resize, preserving the first min(old, new) bytes."""
-
-    @abc.abstractmethod
-    def _reset_state(self) -> None:
-        ...

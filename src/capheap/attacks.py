@@ -149,16 +149,18 @@ class Ops:
     """The probe ops on one allocator, as its own callables.  ``malloc``,
     ``free``, ``realloc``, the heap's ``load`` and
     ``Capability.set_bounds`` are bound when the set is built, so a
-    wrapper set on their class before then is the one called;
-    ``store`` (at the capability's cursor), ``traits`` and ``note`` are
+    wrapper set on their class before then is the one called, and so is
+    the allocator's trait record; ``store`` (at the capability's
+    cursor), ``traits`` (a field of that record) and ``note`` are
     one-line adapters.  Each op returns its value and raises the
     allocator's ``AllocError`` or ``CapFault`` when it refuses.  An op
     set records nothing: ``Tape`` is the one recorder."""
 
-    __slots__ = ("alloc", "malloc", "free", "realloc", "load", "set_bounds")
+    __slots__ = ("alloc", "malloc", "free", "realloc", "load", "set_bounds", "_traits")
 
     def __init__(self, alloc: Allocator):
         self.alloc = alloc
+        self._traits = alloc._traits  # the record ``alloc.traits()`` returns
         self.malloc = alloc.malloc
         self.free = alloc.free
         self.realloc = alloc.realloc
@@ -169,7 +171,7 @@ class Ops:
         return self.alloc.heap.store(cap, cap.address, data)
 
     def traits(self, name: str):
-        return _TRAITS[name](self.alloc.traits())
+        return _TRAITS[name](self._traits)
 
     def note(self, text: str) -> None:
         pass

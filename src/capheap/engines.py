@@ -204,7 +204,8 @@ class BumpAllocator(Allocator):
         self._logs = traits.double_free_detect
         super().__init__(heap, traits, rounding_bounds=rounding_bounds)
 
-    def _reset_state(self) -> None:
+    def reset(self) -> None:
+        self.heap.clear()
         self._cursor = 0
         # base -> [length, freed], kept only under ALLOC_LOG; bump never
         # reuses a base, so keys are unique
@@ -360,10 +361,10 @@ class FreeListAllocator(Allocator):
     # watches (``heap.watch`` is set), which is exactly while the index is on
     _classes: bytearray
 
-    def _reset_state(self) -> None:
+    def reset(self) -> None:
+        self.heap.clear()  # drops the watch map: no index, the scan answers
         self._free_list: list[int] = []  # chunk offsets, head first
         self._listed: dict[int, int] = {}  # chunk -> occurrences in _free_list
-        self.heap.set_watch(None)  # no index: the scan answers
         self._push(0, self.heap.size - CHUNK_HEADER_SIZE)  # one free chunk tiles the heap
 
     # Listing goes through _push and _leave; the one exception is the
@@ -760,7 +761,8 @@ class SlabAllocator(Allocator):
     validations = (FreeValidation.METADATA_LOOKUP,)
     refuses = {"narrow_bounds": False}
 
-    def _reset_state(self) -> None:
+    def reset(self) -> None:
+        self.heap.clear()
         self._slabs: list[_Slab] = []  # by number, which is offset // SLAB_SIZE
         # class -> open-slab map: one byte per slab number
         self._open: dict[int, bytearray] = {}

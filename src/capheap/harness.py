@@ -17,6 +17,7 @@ from typing import Iterable, NamedTuple
 
 from . import _csv
 from .attacks import ATTACK_IDS, ATTACKS, Ops, Outcome
+from .capability import _tuple_new
 from .registry import ALLOCATOR_NAMES, TRAITS, engine_for
 from .tagged_memory import DEFAULT_HEAP_SIZE, TaggedHeap
 
@@ -71,6 +72,8 @@ class ConformanceMatrix(_Matrix):
 # lock: each takes the spare or builds its own, and ``maxlen`` keeps one.
 _spare: deque[tuple[TaggedHeap, dict]] = deque(maxlen=1)
 
+_KNOWN = frozenset(ALLOCATOR_NAMES)  # what a row restriction may name
+
 
 def run_matrix(
     *, rows: Iterable[str] | None = None, rounding_bounds: bool = False
@@ -84,12 +87,13 @@ def run_matrix(
     Every row runs over one 1 MiB heap.  A row's instance is the one an
     earlier grid built over that heap for the same trait record and
     rounding mode (the truth of ``rounding_bounds``), reset; failing
-    that, the heap is cleared and the instance built.  Each instance is
-    reset again before every probe after the first, so each cell starts
-    from the state a fresh instance on a fresh heap has.  The grid takes
-    the heap and instances the last grid left and leaves them, the heap
-    cleared, for the next, even when a probe raises: a grid maps at most
-    one heap, and none after the first grid in a process.
+    that, the instance is built, and its constructor resets it, which
+    clears the heap.  Each instance is reset again before every probe
+    after the first, so each cell starts from the state a fresh instance
+    on a fresh heap has.  The grid takes the heap and instances the last
+    grid left and leaves them, the heap cleared, for the next, even when
+    a probe raises: a grid maps at most one heap, and none after the
+    first grid in a process.
     ``rows`` restricts the run to a subset of allocators, in table order;
     a ``str``, an item that is no ``str`` or an unknown name raises
     ``ConfigurationError`` before the grid takes a heap.
@@ -105,10 +109,10 @@ def run_matrix(
             if not isinstance(row, str):
                 raise ConfigurationError(f"allocator name {row!r} is not a str")
         rows = set(rows)
-        names = tuple(n for n in ALLOCATOR_NAMES if n in rows)
-        unknown = rows - set(ALLOCATOR_NAMES)
+        unknown = rows - _KNOWN
         if unknown:
             raise ConfigurationError(f"unknown allocators: {sorted(unknown)}")
+        names = tuple(filter(rows.__contains__, ALLOCATOR_NAMES))
     rounding = bool(rounding_bounds)  # a key half; the engines read only its truth
     try:
         heap, built = _spare.pop()
@@ -120,7 +124,6 @@ def run_matrix(
             traits = TRAITS[name]
             alloc = built.get((traits, rounding))
             if alloc is None:
-                heap.clear()
                 alloc = engine_for(traits)(heap, traits, rounding_bounds=rounding)
                 built[traits, rounding] = alloc
             else:
@@ -137,7 +140,8 @@ def run_matrix(
     finally:
         heap.clear()
         _spare.append((heap, built))
-    return ConformanceMatrix(names, ATTACK_IDS, tuple(cells))
+    # one cell per attack in each row by construction: no checks to run
+    return _tuple_new(ConformanceMatrix, (names, ATTACK_IDS, tuple(cells)))
 
 
 def diff_matrix(

@@ -1565,6 +1565,28 @@ def test_python_calls_per_engine_op(row, monkeypatch):
         assert fits == 1
 
 
+# Python calls into capheap per ``reset()`` after a malloc(48) and its
+# free: the engine's own ``reset``, which builds all its state in its
+# frame, and ``heap.clear``; the free list adds the ``_push`` of the one
+# free chunk that tiles the heap.
+CALLS_PER_RESET = {
+    "bump-alloc-cheri": 2,
+    "bump-alloc-nocheri": 2,
+    "dlmalloc-cheribuild": 3,
+    "jemalloc": 3,
+    "libmalloc-simple": 3,
+    "snmalloc-cheribuild": 2,
+    "snmalloc-repo": 2,
+}
+
+
+@pytest.mark.parametrize("name", CALLS_PER_RESET)
+def test_python_calls_per_reset(name):
+    alloc = create(name)
+    alloc.free(alloc.malloc(48))
+    assert calls_into_capheap(alloc.reset) == CALLS_PER_RESET[name]
+
+
 # Python calls into capheap per op taped through attacks.Tape, as
 # (malloc, free, load, set_bounds, refused load), on the second malloc(48)
 # block of a fresh 1 MiB heap: a load of 8 bytes at its address, bounds
@@ -1680,11 +1702,12 @@ def test_grid_builds_no_report():
 
 # Python calls into capheap for one default ``run_matrix()`` after a
 # first grid has left its heap and instances: each op a body makes is the
-# engine's own call, plus per row one ``reset`` of the instance the last
-# grid built and one ``Ops``, and the op set's adapters for store,
-# traits and note.  A bump reset reads the log flag its instance bound
-# when built, not the ``double_free_detect`` property.
-CALLS_PER_GRID = 451
+# engine's own call, plus per row one ``Ops`` and the five resets of the
+# instance the last grid built (one before each probe, each costing
+# ``CALLS_PER_RESET``), and the op set's adapters for store, traits and
+# note.  ``Ops.traits`` reads the record the op set bound, and the grid
+# builds its result without ``ConformanceMatrix.__new__``'s checks.
+CALLS_PER_GRID = 386
 
 
 def test_python_calls_per_grid():

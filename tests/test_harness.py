@@ -138,10 +138,9 @@ def _drive(alloc):
 
 @pytest.mark.parametrize("name", ALLOCATOR_NAMES)
 def test_reset_restores_a_fresh_instances_state(name):
-    # the grid serves a row the instance an earlier grid left, reset: its
-    # state must be a fresh instance's.  ``heap`` and ``region`` are the
-    # instance's own (a fresh one has a heap of its own), and ``_classes``
-    # is read only while ``heap.watch`` is set, which a reset clears.
+    # the grid serves a row the instance an earlier grid left, reset:
+    # ``reset`` is each engine's one state hook, which the constructor
+    # also ends in, so its state must be a fresh instance's
     alloc, fresh = create(name), create(name)
     _drive(alloc)
     traits = alloc.traits()
@@ -155,11 +154,34 @@ def test_reset_restores_a_fresh_instances_state(name):
     heap, region = alloc.heap, alloc.region
     alloc.reset()
     assert alloc.heap is heap and alloc.region is region == fresh.region
+    _assert_fresh(alloc, fresh)
+
+
+def _assert_fresh(alloc, fresh):
+    """``alloc`` holds the state of ``fresh``, a fresh instance on a fresh
+    heap.  ``heap`` and ``region`` are each instance's own, and
+    ``_classes`` is read only while ``heap.watch`` is set, which a reset
+    clears."""
     kept = ("heap", "region", "_classes")
     state = {k: v for k, v in vars(alloc).items() if k not in kept}
     assert state == {k: v for k, v in vars(fresh).items() if k not in kept}
     assert alloc.heap.snapshot() == fresh.heap.snapshot()
     assert alloc.heap.extent == fresh.heap.extent and alloc.heap.watch is None
+
+
+@pytest.mark.parametrize("rounding", [False, True])
+@pytest.mark.parametrize("name", ALLOCATOR_NAMES)
+def test_construction_over_a_dirty_heap_is_a_fresh_instance(name, rounding):
+    # a grid builds a row's instance over the heap earlier rows wrote; the
+    # constructor ends in ``reset``, so the heap holds nothing of theirs
+    fresh = create(name, rounding_bounds=rounding)
+    earlier = create("jemalloc")
+    _drive(earlier)  # bytes written, a tag set, and the class index on
+    heap = earlier.heap
+    assert heap.watch is not None and heap.extent > fresh.heap.extent
+    assert any(heap.tags) and heap.snapshot() != fresh.heap.snapshot()
+    traits = TRAITS[name]
+    _assert_fresh(engine_for(traits)(heap, traits, rounding_bounds=rounding), fresh)
 
 
 SIZE_ROUNDED = ROUNDING_THRESHOLD + 905  # a length rounding pads
@@ -391,6 +413,21 @@ def test_row_restriction_sweep(monkeypatch):
                 names, ATTACK_IDS, tuple(map(EXPECTED_MATRIX.row, names))
             )
             assert taken == [True]
+
+
+@pytest.mark.parametrize("rows", [None, ["snmalloc-repo", "jemalloc", "bump-alloc-cheri"], []])
+def test_grid_result_is_a_checked_matrix(rows):
+    # the grid builds its result without ``__new__``'s checks: it must
+    # still be exactly a ConformanceMatrix, equal to one built checked,
+    # and a changed copy of it is checked as any other
+    m = run_matrix(rows=rows)
+    assert type(m) is ConformanceMatrix
+    assert m == ConformanceMatrix(*m)
+    with pytest.raises(ValueError):
+        m._replace(cells=m.cells + ((Outcome.SUCCEEDS,) * len(ATTACK_IDS),))
+    if m.cells:
+        with pytest.raises(ValueError):
+            m._replace(cells=(m.cells[0][:-1],) + m.cells[1:])
 
 
 class TestDiff:

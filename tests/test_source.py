@@ -27,13 +27,13 @@ ENUM_MEMBERS = {
 CODE_LINES = {
     "__init__.py": 66,
     "_csv.py": 8,
-    "allocator_api.py": 90,
-    "attacks.py": 265,
+    "allocator_api.py": 86,
+    "attacks.py": 266,
     "bench.py": 160,
     "capability.py": 118,
     "cli.py": 149,
-    "engines.py": 538,
-    "harness.py": 120,
+    "engines.py": 540,
+    "harness.py": 121,
     "registry.py": 29,
     "tagged_memory.py": 146,
 }
